@@ -134,21 +134,31 @@ def bounded_onedim_bound(M: float, lam: complex) -> float:
 
 
 def estimate_sup_modulus(
-    s: Callable[[np.ndarray], complex],
+    s: Callable[[np.ndarray], np.ndarray],
     dim: int,
     samples: int = 10_000,
     seed: int = 0,
     radius: float = 0.999,
 ) -> float:
-    """max |s(x)| over boundary-adjacent samples; a falsifiable estimate."""
+    """max |s(x)| over boundary-adjacent samples; a falsifiable estimate.
+
+    ``s`` is batched: it is called once on the (samples, dim) array of
+    sample points and must return their (samples,) values.
+    """
     rng = np.random.default_rng(seed)
     xs = radius * sample_sphere(rng, samples, dim)
-    return max(abs(s(x)) for x in xs)
+    vals = np.asarray(s(xs))
+    if vals.shape != (samples,):
+        raise ValueError(
+            f"s must map a ({samples}, {dim}) array of points to shape "
+            f"({samples},), got shape {vals.shape}"
+        )
+    return float(np.max(np.abs(vals)))
 
 
 def check_bounded_onedim_bound(
     f: OneDimJet,
-    s: Callable[[np.ndarray], complex],
+    s: Callable[[np.ndarray], np.ndarray],
     lam: complex,
     directions: int = 64,
     samples: int = 10_000,
@@ -157,6 +167,7 @@ def check_bounded_onedim_bound(
     """Check ||Psi_e(f)|| <= (M^2-1)/M max{1, |((M^2-1) lam + 1)/M|}.
 
     M is the sampled supremum of ||f(x)|| = |s(x)| ||x|| near the boundary.
+    ``s`` is batched, as in ``estimate_sup_modulus``; ``f.s_eval`` is one.
     The mapping must genuinely be bounded with M > 1 for the hypothesis to
     apply; M <= 1 is rejected.
     """
@@ -166,8 +177,8 @@ def check_bounded_onedim_bound(
     rng = np.random.default_rng(seed + 1)
     es = sample_sphere(rng, directions, f.dim)
     # one-dimensional type: ||Psi_e|| = |p_2(e) - lam p_1(e)^2|
-    p1 = np.array([f.scalar_part(1).eval_scalar(e) for e in es])
-    p2 = np.array([f.scalar_part(2).eval_scalar(e) for e in es])
+    p1 = f.scalar_part(1).eval_scalar(es)
+    p2 = f.scalar_part(2).eval_scalar(es)
     vals = np.abs(p2 - lam * p1**2)
     i = int(np.argmax(vals))
     bound = bounded_onedim_bound(M, lam)

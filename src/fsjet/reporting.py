@@ -36,12 +36,15 @@ class Report:
 def make_report(
     suite: str, trials: int, seed: int, tolerance: float, max_residual: float, witnesses=None
 ) -> Report:
+    # plain Python scalars, so that a residual computed in numpy still
+    # serializes to JSON
+    max_residual = float(max_residual)
     return Report(
         suite=suite,
         trials=trials,
         seed=seed,
         tolerance=tolerance,
         max_residual=max_residual,
-        passed=max_residual <= tolerance,
+        passed=bool(max_residual <= tolerance),
         witnesses=witnesses or [],
     )

@@ -223,21 +223,29 @@ def sample_generator(
 ) -> GeneratorJet:
     """Random jet rescaled until the sampled generator inequality holds.
 
-    Draws small H_2, H_3 tensors and shrinks them by the largest factor
-    keeping min Re <h(x), x> nonnegative on a seeded probe set.
+    Draws small H_2, H_3 tensors and shrinks them by ``generator_shrink``.
     """
     from .jets import random_jet
 
     base = random_jet(dim, order, rng, scale=scale)
-    xs = sample_ball(rng, probe, dim, radius=1.0 - 1e-3)
-    pert = base.eval_many(xs) - xs
+    c = generator_shrink(base, rng, probe)
+    polys = {k: P.scale(c) for k, P in base.polys.items()}
+    return GeneratorJet(MappingJet(dim, order, polys))
+
+
+def generator_shrink(
+    jet: MappingJet, rng: np.random.Generator, probe: int = 2048
+) -> float:
+    """Factor c <= 1 for which x + c (jet(x) - x) is a sampled generator.
+
+    c is 0.9 times the largest factor keeping min Re <h(x), x> nonnegative
+    on ``probe`` seeded points of the ball (1 if the jet already passes).
+    """
+    xs = sample_ball(rng, probe, jet.dim, radius=1.0 - 1e-3)
+    pert = jet.eval_many(xs) - xs
     w = np.real(np.einsum("ij,ij->i", pert, xs.conj()))
     nrm2 = np.linalg.norm(xs, axis=1) ** 2
     neg = w < 0
-    if np.any(neg):
-        c = 0.9 * float(np.min(nrm2[neg] / (-w[neg])))
-        c = min(1.0, c)
-    else:
-        c = 1.0
-    polys = {k: P.scale(c) for k, P in base.polys.items()}
-    return GeneratorJet(MappingJet(dim, order, polys))
+    if not np.any(neg):
+        return 1.0
+    return min(1.0, 0.9 * float(np.min(nrm2[neg] / (-w[neg]))))

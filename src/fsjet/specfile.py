@@ -20,6 +20,7 @@ pairs.  Serialization is deterministic (sorted keys and entries).
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,22 @@ def _pair(z: complex) -> list[float]:
 def _unpair(v, where: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise SpecFileError(f"{where}: expected a [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError):
+        raise SpecFileError(f"{where}: expected two numbers, got {v!r}") from None
+    if not cmath.isfinite(z):
+        raise SpecFileError(f"{where}: value {v!r} is not finite")
+    return z
+
+
+def _degree(block, where: str) -> int:
+    if not isinstance(block, dict) or "degree" not in block:
+        raise SpecFileError(f"{where}: every block needs a \"degree\"")
+    try:
+        return int(block["degree"])
+    except (TypeError, ValueError):
+        raise SpecFileError(f"{where}: invalid degree {block['degree']!r}") from None
 
 
 def jet_to_dict(jet: MappingJet) -> dict:
@@ -86,9 +102,11 @@ def spec_from_dict(data: dict) -> MappingSpec:
         order = int(data["order"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"missing or invalid dim/order: {exc}") from exc
+    if dim < 1:
+        raise SpecFileError(f"dim must be positive, got {dim}")
     polys: dict[int, HomPoly] = {}
     for block in data.get("polys", []):
-        k = int(block["degree"])
+        k = _degree(block, "polys")
         coeffs = {}
         for entry in block.get("entries", []):
             idx = tuple(int(i) for i in entry["index"])
@@ -111,9 +129,13 @@ def spec_from_dict(data: dict) -> MappingSpec:
 
     onedim = None
     if "onedim" in data:
+        if not isinstance(data["onedim"], dict):
+            raise SpecFileError(
+                f"onedim must be an object with \"polys\", got {data['onedim']!r}"
+            )
         scalar_polys: dict[int, ScalarHomPoly] = {}
         for block in data["onedim"].get("polys", []):
-            k = int(block["degree"])
+            k = _degree(block, "onedim polys")
             coeffs = {}
             for entry in block.get("entries", []):
                 idx = tuple(int(i) for i in entry["index"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -20,6 +21,7 @@ MultiIndex = tuple[int, ...]
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-10
+EVAL_BLOCK_ROWS = 1024
 
 
 def multi_index_to_exponents(idx: MultiIndex, nvars: int) -> Exponent:
@@ -157,27 +159,44 @@ class HomPoly:
 
     # -- evaluation -------------------------------------------------------
 
+    @cached_property
+    def _compiled(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Index columns (k arrays of length T, 0-based) and the (T, m)
+        coefficient matrix with the multinomial counts folded in, one row
+        per stored multi-index.  Built on first evaluation."""
+        idx = np.array(list(self.coeffs), dtype=np.intp).reshape(-1, self.degree) - 1
+        coef = np.array(
+            [multinomial(i) * v for i, v in self.coeffs.items()], dtype=complex
+        ).reshape(-1, self.codomain_dim)
+        return tuple(idx.T.copy()), coef
+
     def eval(self, x) -> np.ndarray:
         """T[x,...,x]; homogeneous of degree k."""
         x = _check_vector(x, self.domain_dim)
-        out = np.zeros(self.codomain_dim, dtype=complex)
-        for idx, vec in self.coeffs.items():
-            term = multinomial(idx)
-            for i in idx:
-                term *= x[i - 1]
-            out += term * vec
-        return out
+        return self.eval_many(x[None])[0]
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized eval over rows of an (N, n) array."""
         xs = np.asarray(xs, dtype=complex)
-        out = np.zeros((xs.shape[0], self.codomain_dim), dtype=complex)
-        for idx, vec in self.coeffs.items():
-            term = np.full(xs.shape[0], multinomial(idx), dtype=complex)
-            for i in idx:
-                term = term * xs[:, i - 1]
-            out += term[:, None] * vec[None, :]
-        return out
+        if xs.ndim != 2 or xs.shape[1] != self.domain_dim:
+            raise ValueError(
+                f"expected an (N, {self.domain_dim}) array, got shape {xs.shape}"
+            )
+        if xs.shape[0] > EVAL_BLOCK_ROWS:
+            # blocks of rows bound the (rows, T) monomial buffers, which
+            # would otherwise dominate the peak memory of a large batch
+            return np.concatenate(
+                [
+                    self.eval_many(xs[lo : lo + EVAL_BLOCK_ROWS])
+                    for lo in range(0, xs.shape[0], EVAL_BLOCK_ROWS)
+                ]
+            )
+        cols, coef = self._compiled
+        # monomial values (N, T), one index column multiplied in at a time
+        terms = xs[:, cols[0]]
+        for col in cols[1:]:
+            terms *= xs[:, col]
+        return terms @ coef
 
     def multilinear_eval(self, args) -> np.ndarray:
         """T[x_1,...,x_k], linear in each slot, symmetric in the slots.
@@ -201,12 +220,17 @@ class HomPoly:
         return out
 
     def dense(self) -> np.ndarray:
-        """Full symmetric tensor, shape (n,)*k + (m,)."""
+        """Full symmetric tensor, shape (n,)*k + (m,); read-only, built once."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
         n, k = self.domain_dim, self.degree
         out = np.zeros((n,) * k + (self.codomain_dim,), dtype=complex)
         for idx, vec in self.coeffs.items():
             for perm in polyops.multiset_permutations(idx):
                 out[tuple(i - 1 for i in perm)] = vec
+        out.flags.writeable = False
         return out
 
 
@@ -225,8 +249,12 @@ class ScalarHomPoly(HomPoly):
         )
         return cls(degree, domain_dim, base.coeffs)
 
-    def eval_scalar(self, x) -> complex:
-        return complex(self.eval(x)[0])
+    def eval_scalar(self, x):
+        """The scalar value at a point (n,), or the values (N,) at rows (N, n)."""
+        x = np.asarray(x, dtype=complex)
+        if x.ndim == 1:
+            return complex(self.eval(x)[0])
+        return self.eval_many(x)[:, 0]
 
     def scalar_poly(self) -> ScalarPoly:
         return self.components()[0]

@@ -43,12 +43,14 @@ class OneDimJet:
             return self.scalar_polys[k]
         return ScalarHomPoly(k, self.dim, {})
 
-    def s_eval(self, x) -> complex:
-        """The truncated scalar factor 1 + sum p_k(x)."""
-        val = 1.0 + 0.0j
+    def s_eval(self, x):
+        """The truncated scalar factor 1 + sum p_k(x), at a point (n,) or
+        at the rows of an (N, n) array, giving (N,) values."""
+        x = np.asarray(x, dtype=complex)
+        val = np.ones(x.shape[:-1], dtype=complex)
         for p in self.scalar_polys.values():
             val += p.eval_scalar(x)
-        return val
+        return complex(val) if x.ndim == 1 else val
 
     def eval(self, x) -> np.ndarray:
         return self.s_eval(x) * np.asarray(x, dtype=complex)

@@ -20,6 +20,7 @@ from .semigroup import (
     GeneratorJet,
     flow_taylor_via_ode,
     generator_from_starlike,
+    generator_shrink,
     sample_generator,
     semigroup_jet,
     starlike_from_generator,
@@ -363,15 +364,9 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     for i in range(trials):
         n = _dims_cycle(dims, i)
         od = random_onedim_jet(n, 3, rng, scale=0.3 / n)
-        poly1 = od.scalar_part(1).scalar_poly()
-        poly2 = od.scalar_part(2).scalar_poly()
-
-        def s(x, p1=poly1, p2=poly2):
-            return 1.0 + polyops.peval(p1, x) + polyops.peval(p2, x)
-
         lam = sample_params(rng, 1)[0]
         report = check_bounded_onedim_bound(
-            od, s, lam, seed=int(rng.integers(0, 2**31))
+            od, od.s_eval, lam, seed=int(rng.integers(0, 2**31))
         )
         worst_margin = max(worst_margin, -report.margin)
     reports = [
@@ -401,18 +396,8 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
 
 def _sample_onedim_generator(dim: int, rng: np.random.Generator) -> GeneratorJet:
     """One-dimensional-type member of the generator class, by rescaling."""
-    from .sampling import sample_ball
-
     od = random_onedim_jet(dim, 3, rng, scale=0.3)
-    jet = od.to_mapping_jet()
-    xs = sample_ball(rng, 2048, dim, radius=1.0 - 1e-3)
-    pert = jet.eval_many(xs) - xs
-    w = np.real(np.einsum("ij,ij->i", pert, xs.conj()))
-    nrm2 = np.linalg.norm(xs, axis=1) ** 2
-    neg = w < 0
-    c = 1.0
-    if np.any(neg):
-        c = min(1.0, 0.9 * float(np.min(nrm2[neg] / (-w[neg]))))
+    c = generator_shrink(od.to_mapping_jet(), rng)
     polys = {
         k: ScalarHomPoly(k, dim, {i: c * v for i, v in p.coeffs.items()})
         for k, p in od.scalar_polys.items()

@@ -99,6 +99,15 @@ def test_verify_json_output(runner):
     assert reports[0]["trials"] == 3
 
 
+def test_verify_all_json_output(runner):
+    # every suite, including those whose residuals are numpy scalars
+    result = runner.invoke(main, ["verify", "all", "--trials", "1", "--json"])
+    assert result.exit_code == 0
+    reports = json.loads(result.stdout)
+    assert len(reports) == 17
+    assert all(r["pass"] is True for r in reports)
+
+
 def test_verify_failure_exit_code(runner):
     result = runner.invoke(
         main, ["verify", "compose", "--trials", "3", "--tol", "1e-30"]

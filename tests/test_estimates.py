@@ -4,7 +4,6 @@ inequality checker."""
 import numpy as np
 import pytest
 
-from fsjet import polyops
 from fsjet.estimates import (
     SupNormConfig,
     bounded_onedim_bound,
@@ -87,7 +86,7 @@ def test_bounded_onedim_bound_values():
 
 def test_estimate_sup_modulus_linear_scalar():
     def s(x):
-        return 1.0 + 0.5 * x[0]
+        return 1.0 + 0.5 * x[..., 0]
 
     est = estimate_sup_modulus(s, dim=1, samples=2000, seed=1)
     assert abs(est - 1.5) < 1e-2
@@ -96,13 +95,7 @@ def test_estimate_sup_modulus_linear_scalar():
 def test_check_bounded_onedim_inequality_holds():
     rng = np.random.default_rng(62)
     od = random_onedim_jet(2, 3, rng, scale=0.15)
-    poly1 = od.scalar_part(1).scalar_poly()
-    poly2 = od.scalar_part(2).scalar_poly()
-
-    def s(x):
-        return 1.0 + polyops.peval(poly1, x) + polyops.peval(poly2, x)
-
-    report = check_bounded_onedim_bound(od, s, lam=0.4, seed=9)
+    report = check_bounded_onedim_bound(od, od.s_eval, lam=0.4, seed=9)
     assert report.passed
     assert report.params["M"] > 1.0
     assert report.margin >= -report.tol
@@ -112,7 +105,7 @@ def test_check_bounded_onedim_rejects_unbounded_hypothesis():
     od = koebe_onedim(dim=1, order=3)
 
     def s_const(x):
-        return 1.0
+        return np.ones(len(x))
 
     with pytest.raises(ValueError):
         check_bounded_onedim_bound(od, s_const, lam=0.0)
@@ -132,3 +125,11 @@ def test_onedim_fs_norm_formula():
         for mu in (0.0, 1.3):
             val = np.linalg.norm(fs_mapping(f, FSContext(e, lam, mu)).vector)
             assert abs(val - abs(p2 - lam * p1**2)) < 1e-12
+
+
+def test_estimate_sup_modulus_rejects_wrong_shape():
+    # s is called once on the (samples, dim) array; per-point callables
+    # and callables returning one value per coordinate are rejected
+    for s in (lambda x: 1.0 + 0.5 * x, lambda x: 1.0, lambda x: np.ones((len(x), 1))):
+        with pytest.raises(ValueError, match="shape"):
+            estimate_sup_modulus(s, dim=2, samples=100, seed=1)

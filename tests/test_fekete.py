@@ -178,3 +178,63 @@ def test_error_term_definition_and_bound():
     )
     assert np.allclose(R, direct, atol=1e-13)
     assert float(np.linalg.norm(R)) <= bound + 1e-9
+
+
+def _operator_norm_per_start(B, starts=32, iters=200, seed=0):
+    """Reference: the one-start-at-a-time alternating SVD loop."""
+    n = B.domain_dim
+    dense = B.dense()
+    if not np.any(dense):
+        return 0.0, np.zeros(n, complex), np.zeros(n, complex)
+    rng = np.random.default_rng(seed)
+    best = (-1.0, None, None)
+    inits = [np.eye(n, dtype=complex)[i] for i in range(n)]
+    while len(inits) < starts:
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        inits.append(u / np.linalg.norm(u))
+    for u in inits[:starts]:
+        val, v = 0.0, u
+        for _ in range(iters):
+            _, _, vh = np.linalg.svd(np.einsum("abm,a->mb", dense, u))
+            v = vh[0].conj()
+            _, s2, uh = np.linalg.svd(np.einsum("abm,b->ma", dense, v))
+            new_val, u = s2[0], uh[0].conj()
+            if abs(new_val - val) <= 1e-14 * max(1.0, new_val):
+                val = new_val
+                break
+            val = new_val
+        if val > best[0]:
+            best = (float(val), u, v)
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("starts", [1, 4, 32])
+def test_operator_norm_matches_per_start_loop(n, starts):
+    rng = np.random.default_rng(100 + 10 * n + starts)
+    for trial in range(3):
+        B = random_jet(n, 2, rng).poly(2)
+        est = operator_norm_bilinear(B, starts=starts, seed=trial)
+        value, u, v = _operator_norm_per_start(B, starts=starts, seed=trial)
+        assert est.value == value
+        assert np.array_equal(est.u, u)
+        assert np.array_equal(est.v, v)
+
+
+def test_operator_norm_iteration_cap_matches_per_start_loop():
+    # two sweeps are too few for any start to converge
+    rng = np.random.default_rng(110)
+    B = random_jet(3, 2, rng).poly(2)
+    for iters in (1, 2):
+        est = operator_norm_bilinear(B, starts=8, iters=iters, seed=4)
+        value, u, v = _operator_norm_per_start(B, starts=8, iters=iters, seed=4)
+        assert est.value == value
+        assert np.array_equal(est.u, u) and np.array_equal(est.v, v)
+
+
+def test_operator_norm_zero_tensor_and_bad_starts():
+    est = operator_norm_bilinear(HomPoly.zero(2, 3, 3), starts=4)
+    assert est.value == 0.0
+    assert not np.any(est.u) and not np.any(est.v)
+    with pytest.raises(ValueError):
+        operator_norm_bilinear(random_jet(2, 2, np.random.default_rng(0)).poly(2), starts=0)

@@ -88,3 +88,39 @@ def test_loads_rejects_unsorted_index():
     """
     with pytest.raises(SpecFileError, match="sorted"):
         specfile.loads(text)
+
+
+# One malformed document per input defect; each must end in SpecFileError
+# from the library and exit code 2 from the CLI, never a traceback.
+BAD_SPECS = {
+    "poly-block-without-degree": """
+    {"dim": 1, "order": 3,
+     "polys": [{"entries": [{"index": [1, 1], "value": [[1.0, 0.0]]}]}]}
+    """,
+    "onedim-not-an-object": '{"dim": 1, "order": 3, "onedim": []}',
+    "zero-dim": '{"dim": 0, "order": 3}',
+    "nan-coefficient": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2,
+                "entries": [{"index": [1, 1], "value": [[NaN, 0.0]]}]}]}
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_loads_rejects_bad_input(case):
+    with pytest.raises(SpecFileError):
+        specfile.loads(BAD_SPECS[case])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_compute_exits_2_on_bad_spec(case, tmp_path):
+    from click.testing import CliRunner
+
+    from fsjet.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(BAD_SPECS[case])
+    result = CliRunner().invoke(main, ["compute", str(path), "-e", "1"])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -147,3 +147,85 @@ def test_coeff_arrays_are_frozen():
     arr = P.coeffs[(1, 1)]
     with pytest.raises(ValueError):
         arr[0] = 5.0
+
+
+def test_dense_is_built_once_and_read_only():
+    rng = np.random.default_rng(14)
+    P = _random_hompoly(rng, 3, 2, 2)
+    dense = P.dense()
+    assert P.dense() is dense
+    with pytest.raises(ValueError):
+        dense[0, 0, 0, 0] = 5.0
+
+
+def _monomial_loop(P, x):
+    """Reference evaluation: sum over stored multi-indices, one monomial at a time."""
+    out = np.zeros(P.codomain_dim, dtype=complex)
+    for idx, vec in P.coeffs.items():
+        term = 1.0 + 0.0j
+        for i in idx:
+            term *= x[i - 1]
+        out += multinomial(idx) * term * vec
+    return out
+
+
+EVAL_TOL = 1e-12  # relative to the coefficient scale, for O(1) points
+
+
+@pytest.mark.parametrize("n,K", [(2, 7), (3, 6), (4, 5)])
+@pytest.mark.parametrize("rows", [0, 1, 16])
+def test_compiled_eval_matches_monomial_loop(n, K, rows):
+    from fsjet.transforms import OneDimJet
+
+    rng = np.random.default_rng(15 + 100 * n + rows)
+    xs = 0.6 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    P = _random_hompoly(rng, K, n, n)
+    want = np.array([_monomial_loop(P, x) for x in xs]).reshape(rows, n)
+    got = P.eval_many(xs)
+    assert got.shape == (rows, n)
+    assert np.allclose(got, want, rtol=0.0, atol=EVAL_TOL * (1.0 + np.abs(want).max(initial=0.0)))
+    for x, w in zip(xs, want):
+        assert np.allclose(P.eval(x), w, rtol=0.0, atol=EVAL_TOL * (1.0 + np.abs(w).max()))
+
+    scalars = {
+        k: ScalarHomPoly(k, n, _random_hompoly(rng, k, n, 1).coeffs) for k in range(1, K)
+    }
+    od = OneDimJet(n, K, scalars)
+    s_want = np.array(
+        [1.0 + sum(_monomial_loop(p, x)[0] for p in scalars.values()) for x in xs],
+        dtype=complex,
+    )
+    pK = scalars[K - 1]
+    p_want = np.array([_monomial_loop(pK, x)[0] for x in xs], dtype=complex)
+    tol = EVAL_TOL * (1.0 + np.abs(s_want).max(initial=0.0))
+    assert pK.eval_scalar(xs).shape == (rows,)
+    assert np.allclose(pK.eval_scalar(xs), p_want, rtol=0.0, atol=tol)
+    assert od.s_eval(xs).shape == (rows,)
+    assert np.allclose(od.s_eval(xs), s_want, rtol=0.0, atol=tol)
+    for x, s, p in zip(xs, s_want, p_want):
+        assert isinstance(od.s_eval(x), complex)
+        assert abs(od.s_eval(x) - s) <= tol
+        assert abs(pK.eval_scalar(x) - p) <= tol
+
+
+def test_eval_many_large_batch_is_blocked_consistently():
+    from fsjet.tensors import EVAL_BLOCK_ROWS
+
+    rng = np.random.default_rng(16)
+    P = _random_hompoly(rng, 3, 2, 2)
+    rows = 2 * EVAL_BLOCK_ROWS + 7
+    xs = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+    want = np.array([_monomial_loop(P, x) for x in xs])
+    got = P.eval_many(xs)
+    assert got.shape == (rows, 2)
+    assert np.allclose(got, want, rtol=0.0, atol=EVAL_TOL * (1.0 + np.abs(want).max()))
+
+
+def test_eval_of_zero_poly_and_bad_shapes():
+    Z = HomPoly.zero(3, 2, 2)
+    assert np.array_equal(Z.eval_many(np.ones((4, 2))), np.zeros((4, 2)))
+    assert np.array_equal(Z.eval(np.ones(2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        Z.eval_many(np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        Z.eval_many(np.ones(2))
