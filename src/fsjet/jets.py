@@ -7,6 +7,7 @@ unitary conjugation all happen at the jet level with truncation at K.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import polyops
 from .polyops import ScalarPoly
-from .tensors import DEFAULT_ATOL, HomPoly, _check_vector
+from .tensors import DEFAULT_ATOL, HomPoly, _check_vector, slot_product
 
 UNITARY_TOL = 1e-12
 
@@ -140,31 +141,9 @@ def _check_low_degree_composition(f: MappingJet, g: MappingJet, r: MappingJet):
     R2 = f.poly(2) + g.poly(2)
     assert r.poly(2).allclose(R2, atol=1e-9 * scale)
     if r.order >= 3:
-        B = f.poly(2)
-        Q2 = g.poly(2)
-        cross = _bilinear_in_x_and(B, Q2).scale(2.0)
+        cross = slot_product(f.poly(2).dense(), g.poly(2)).scale(2.0)
         R3 = cross + f.poly(3) + g.poly(3)
         assert r.poly(3).allclose(R3, atol=1e-9 * scale * scale)
-
-
-def _bilinear_in_x_and(B: HomPoly, Q: HomPoly) -> HomPoly:
-    """Degree-(1+q) polynomial x -> B[x, Q(x)] for a degree-2 tensor B."""
-    n = B.domain_dim
-    dense = B.dense()  # (n, n, m)
-    qcomps = Q.components()
-    out: dict[tuple, np.ndarray] = {}
-    for a in range(n):
-        for b in range(n):
-            row = dense[a, b]  # m-vector
-            if not np.any(row):
-                continue
-            for exps, c in qcomps[b].items():
-                e = list(exps)
-                e[a] += 1
-                key = tuple(e)
-                vec = out.setdefault(key, np.zeros(B.codomain_dim, dtype=complex))
-                vec += c * row
-    return HomPoly.from_monomials(1 + Q.degree, n, B.codomain_dim, out)
 
 
 def invert(f: MappingJet) -> MappingJet:
@@ -207,21 +186,22 @@ def unitary_conjugate(f: MappingJet, U: np.ndarray) -> MappingJet:
 def linear_conjugate(f: MappingJet, A: np.ndarray, B: np.ndarray) -> MappingJet:
     """Jet with degree-k parts x -> A P_k(B x)."""
     n = f.dim
-    lin: list[ScalarPoly] = []
-    for row in range(n):
-        comp: ScalarPoly = {}
-        for j in range(n):
-            if B[row, j] != 0:
-                comp[tuple(int(i == j) for i in range(n))] = complex(B[row, j])
-        lin.append(comp)
     polys = {}
     for k, P in f.polys.items():
-        comps = polyops.substitute(P.components(), lin, k)
-        monos: dict[tuple, np.ndarray] = {}
-        for exps in {e for comp in comps for e in comp}:
-            vec = np.array([comp.get(exps, 0.0) for comp in comps], dtype=complex)
-            monos[exps] = A @ vec
-        polys[k] = HomPoly.from_monomials(k, n, n, monos)
+        # output axis first, then each input slot i_t replaced by B[i_t, j_t]
+        T = np.tensordot(A, P.dense(), axes=([1], [k]))
+        for _ in range(k):
+            T = np.tensordot(T, B, axes=([1], [0]))
+        T = np.moveaxis(T, 0, -1)
+        polys[k] = HomPoly(
+            k,
+            n,
+            n,
+            {
+                tuple(i + 1 for i in j): T[j]
+                for j in itertools.combinations_with_replacement(range(n), k)
+            },
+        )
     return MappingJet(f.dim, f.order, polys)
 
 

@@ -46,12 +46,6 @@ def padd(a: ScalarPoly, b: ScalarPoly) -> ScalarPoly:
     return out
 
 
-def pscale(a: ScalarPoly, c: complex) -> ScalarPoly:
-    if c == 0:
-        return {}
-    return {exps: c * v for exps, v in a.items()}
-
-
 def pmul(a: ScalarPoly, b: ScalarPoly, max_deg: int) -> ScalarPoly:
     out: ScalarPoly = {}
     for ea, ca in a.items():
@@ -62,13 +56,6 @@ def pmul(a: ScalarPoly, b: ScalarPoly, max_deg: int) -> ScalarPoly:
             exps = tuple(x + y for x, y in zip(ea, eb))
             out[exps] = out.get(exps, 0.0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
-
-
-def ppow(a: ScalarPoly, k: int, max_deg: int, nvars: int) -> ScalarPoly:
-    out = {zero_exponent(nvars): 1.0 + 0.0j}
-    for _ in range(k):
-        out = pmul(out, a, max_deg)
-    return out
 
 
 def truncate(a: ScalarPoly, max_deg: int) -> ScalarPoly:

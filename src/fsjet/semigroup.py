@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polyops
-from .jets import MappingJet, _bilinear_in_x_and
+from .jets import MappingJet, compose
 from .reporting import Report
 from .sampling import sample_ball
-from .tensors import HomPoly, _check_vector
+from .tensors import HomPoly, _check_vector, slot_product
 
 
 @dataclass(frozen=True)
@@ -68,20 +67,22 @@ class FlowJet:
         """Degree-k homogeneous part of u_t (scale included)."""
         return self.bracket.poly(k).scale(self.scale())
 
-    def components(self) -> list[polyops.ScalarPoly]:
-        return [
-            polyops.pscale(c, self.scale()) for c in self.bracket.components()
-        ]
-
     def compose(self, other: "FlowJet") -> "FlowJet":
-        """Jet of self o other (flow at time self.t applied after other)."""
+        """Jet of self o other (flow at time self.t applied after other).
+
+        With u_s = e^{-s} b_s and u_t = e^{-t} b_t, u_s o u_t equals
+        e^{-(s+t)} (b^_s o b_t), where b^_s is b_s with its degree-k part
+        scaled by e^{-t(k-1)}.
+        """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        order = min(self.bracket.order, other.bracket.order)
-        comps = polyops.substitute(self.components(), other.components(), order)
-        total = self.t + other.t
-        unscaled = [polyops.pscale(c, math.exp(total)) for c in comps]
-        return FlowJet(total, MappingJet.from_components(unscaled, self.dim, order))
+        shrink = math.exp(-other.t)
+        outer = MappingJet(
+            self.dim,
+            self.bracket.order,
+            {k: P.scale(shrink ** (k - 1)) for k, P in self.bracket.polys.items()},
+        )
+        return FlowJet(self.t + other.t, compose(outer, other.bracket))
 
 
 def is_generator(
@@ -123,7 +124,7 @@ def semigroup_jet(h: GeneratorJet, t: float) -> FlowJet:
     H3 = h.jet.poly(3)
     S2 = H2.scale(et - 1.0)
     q = (1.0 - et) / (1.0 + et)
-    d2h_x_H2x = _bilinear_in_x_and(H2, H2).scale(2.0)
+    d2h_x_H2x = slot_product(H2.dense(), H2).scale(2.0)
     S3 = (H3 + d2h_x_H2x.scale(-q)).scale(0.5 * (et * et - 1.0))
     bracket = MappingJet(h.dim, 3, {k: P for k, P in ((2, S2), (3, S3)) if P.coeffs})
     return FlowJet(t, bracket)
@@ -182,24 +183,26 @@ def flow_taylor_via_ode(
 
 
 def starlike_from_generator(h: GeneratorJet) -> MappingJet:
-    """The starlike jet paired with h by Df(x)[h(x)] = f(x), up to order 3."""
+    """The starlike jet paired with h by Df(x)[h(x)] = f(x), as an order-3
+    jet: only degrees 2 and 3 are solved, so higher parts of h are ignored."""
     H2 = h.jet.poly(2)
     H3 = h.jet.poly(3)
     P2 = H2.scale(-1.0)
-    P3 = H3.scale(-0.5) + _bilinear_in_x_and(H2, H2)
+    P3 = H3.scale(-0.5) + slot_product(H2.dense(), H2)
     polys = {k: P for k, P in ((2, P2), (3, P3)) if P.coeffs}
-    return MappingJet(h.dim, max(3, h.order), polys)
+    return MappingJet(h.dim, 3, polys)
 
 
 def generator_from_starlike(f: MappingJet) -> GeneratorJet:
-    """Inverse of starlike_from_generator at jet level (degrees 2 and 3)."""
+    """Inverse of starlike_from_generator at jet level, as an order-3 jet
+    (degrees 2 and 3; higher parts of f are ignored)."""
     P2 = f.poly(2)
     P3 = f.poly(3)
     H2 = P2.scale(-1.0)
     # P3 = -H3/2 + TH2[x, H2(x)]  with  TH2 = tensor of H2
-    H3 = (_bilinear_in_x_and(H2, H2) + P3.scale(-1.0)).scale(2.0)
+    H3 = (slot_product(H2.dense(), H2) + P3.scale(-1.0)).scale(2.0)
     polys = {k: P for k, P in ((2, H2), (3, H3)) if P.coeffs}
-    return GeneratorJet(MappingJet(f.dim, max(3, f.order), polys))
+    return GeneratorJet(MappingJet(f.dim, 3, polys))
 
 
 def starlike_residual(f: MappingJet, h: GeneratorJet, x) -> float:

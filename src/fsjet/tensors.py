@@ -202,21 +202,16 @@ class HomPoly:
         """T[x_1,...,x_k], linear in each slot, symmetric in the slots.
 
         Arguments are sorted into a canonical order first (legitimate by
-        symmetry), which makes permutation invariance bit-exact.
+        symmetry), which makes permutation invariance bit-exact.  Each
+        argument in turn is contracted with the leading slot of ``dense()``.
         """
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
         vecs = [_check_vector(a, self.domain_dim) for a in args]
         vecs.sort(key=lambda v: v.tobytes())
-        out = np.zeros(self.codomain_dim, dtype=complex)
-        for idx, coeff in self.coeffs.items():
-            acc = 0.0 + 0.0j
-            for perm in polyops.multiset_permutations(idx):
-                term = 1.0 + 0.0j
-                for slot, i in enumerate(perm):
-                    term *= vecs[slot][i - 1]
-                acc += term
-            out += acc * coeff
+        out = self.dense()
+        for v in vecs:
+            out = v @ out.reshape(self.domain_dim, -1)
         return out
 
     def dense(self) -> np.ndarray:
@@ -256,8 +251,32 @@ class ScalarHomPoly(HomPoly):
             return complex(self.eval(x)[0])
         return self.eval_many(x)[:, 0]
 
-    def scalar_poly(self) -> ScalarPoly:
-        return self.components()[0]
+
+def slot_product(M, Q: HomPoly) -> HomPoly:
+    """Degree-(q+1) polynomial x -> sum_a x_a (Q(x) @ M[a]).
+
+    ``M`` is an (n, Q.codomain_dim, m) array.  With M = B.dense() this is
+    x -> B[x, Q(x)]; with M[a] the row e_a it is x -> Q(x) x for a scalar
+    Q.  The symmetric entries are written directly from Q's stored ones,
+    T[i_0..i_q] = (1/(q+1)) sum_s Q[i without i_s] @ M[i_s].
+    """
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 3 or M.shape[:2] != (Q.domain_dim, Q.codomain_dim):
+        raise ValueError(
+            f"expected an ({Q.domain_dim}, {Q.codomain_dim}, m) array, "
+            f"got shape {M.shape}"
+        )
+    q = Q.degree
+    out: dict[MultiIndex, np.ndarray] = {}
+    for j, v in Q.coeffs.items():
+        rows = v @ M  # rows[a - 1] = Q[j] @ M[a - 1]
+        for a in range(1, Q.domain_dim + 1):
+            if not rows[a - 1].any():
+                continue
+            idx = tuple(sorted(j + (a,)))
+            term = ((j.count(a) + 1) / (q + 1)) * rows[a - 1]
+            out[idx] = out[idx] + term if idx in out else term
+    return HomPoly(q + 1, Q.domain_dim, M.shape[2], out)
 
 
 def polarization_check(P: HomPoly, x1, x2) -> float:

@@ -3,6 +3,7 @@ sampled injectivity checking."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -12,7 +13,7 @@ from . import polyops
 from .jets import MappingJet
 from .reporting import Report
 from .sampling import sample_ball
-from .tensors import HomPoly, ScalarHomPoly
+from .tensors import ScalarHomPoly, slot_product
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,9 @@ class OneDimJet:
         return self.s_eval(x) * np.asarray(x, dtype=complex)
 
     def to_mapping_jet(self) -> MappingJet:
-        polys = {}
-        for k, p in self.scalar_polys.items():
-            monos: dict[tuple, np.ndarray] = {}
-            for exps, c in p.scalar_poly().items():
-                for i in range(self.dim):
-                    e = list(exps)
-                    e[i] += 1
-                    key = tuple(e)
-                    vec = monos.setdefault(key, np.zeros(self.dim, dtype=complex))
-                    vec[i] += c
-            polys[k + 1] = HomPoly.from_monomials(k + 1, self.dim, self.dim, monos)
+        # with M[a] the row e_a, slot_product(M, p) is x -> p(x) x
+        lift = np.eye(self.dim)[:, None, :]
+        polys = {k + 1: slot_product(lift, p) for k, p in self.scalar_polys.items()}
         return MappingJet(self.dim, self.order, polys)
 
 
@@ -168,24 +161,17 @@ def root_transform(
         for k in range(1, max_m + 1)
     ]
     b = _series_root(a, n, max_m + 1)
-    # linear form L(x) = <x, e>
-    L: polyops.ScalarPoly = {}
-    for i in range(f.dim):
-        c = np.conj(e[i])
-        if c != 0:
-            L[tuple(int(j == i) for j in range(f.dim))] = complex(c)
-    polys: dict[int, HomPoly] = {}
+    # b_m <x,e>^{nm} has the symmetric entries b_m prod_t conj(e_{i_t}),
+    # which vanish off the support of e; slot_product then multiplies by x
+    support = [i for i in range(1, f.dim + 1) if e[i - 1] != 0]
+    lift = np.eye(f.dim)[:, None, :]
+    polys = {}
     for m in range(1, max_m + 1):
-        if b[m] == 0:
-            continue
-        Lnm = polyops.ppow(L, n * m, order, f.dim)
-        monos: dict[tuple, np.ndarray] = {}
-        for exps, c in Lnm.items():
-            for i in range(f.dim):
-                key = tuple(p + int(j == i) for j, p in enumerate(exps))
-                vec = monos.setdefault(key, np.zeros(f.dim, dtype=complex))
-                vec[i] += b[m] * c
-        polys[n * m + 1] = HomPoly.from_monomials(n * m + 1, f.dim, f.dim, monos)
+        idxs = itertools.combinations_with_replacement(support, n * m)
+        Q = ScalarHomPoly(
+            n * m, f.dim, {i: [b[m] * np.prod(np.conj(e[np.array(i) - 1]))] for i in idxs}
+        )
+        polys[n * m + 1] = slot_product(lift, Q)
     return MappingJet(f.dim, order, polys)
 
 

@@ -81,7 +81,6 @@ def _dims_cycle(dims, i):
 def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     rng = _rng(seed, 0)
     worst = 0.0
-    witnesses = []
     for i in range(trials):
         n = _dims_cycle(dims, i)
         P = random_jet(n, 2, rng).poly(2)
@@ -94,7 +93,7 @@ def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         res /= scale
         if res > worst:
             worst = res
-    return [make_report("polarization", trials, seed, 1e-12, worst, witnesses)]
+    return [make_report("polarization", trials, seed, 1e-12, worst)]
 
 
 def _psi_compo_rhs(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
@@ -457,8 +456,6 @@ def run_suite(
     kwargs = {}
     if dims:
         kwargs["dims"] = tuple(dims)
-    if name == "semigroup" and "dims" not in kwargs:
-        kwargs["dims"] = (2,)
     reports = _SUITES[name](n_trials, seed, **kwargs)
     if tol is not None:
         reports = [

@@ -130,11 +130,15 @@ def test_unitary_conjugate_pointwise():
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
         dtype=complex,
     )
-    g = unitary_conjugate(f, U)
-    # conjugation preserves homogeneous degrees, so no truncation loss
-    for _ in range(10):
-        x = 0.2 * sample_sphere(rng, 1, 2)[0]
-        assert np.allclose(g.eval(x), U.conj().T @ f.eval(U @ x), atol=1e-13)
+    # and at the advertised scale (n, K) = (4, 7), with a random unitary
+    big = random_jet(4, 7, rng)
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    for f, U in ((f, U), (big, V)):
+        g = unitary_conjugate(f, U)
+        # conjugation preserves homogeneous degrees, so no truncation loss
+        for _ in range(10):
+            x = 0.2 * sample_sphere(rng, 1, f.dim)[0]
+            assert np.allclose(g.eval(x), U.conj().T @ f.eval(U @ x), atol=1e-13)
 
 
 def test_unitary_conjugate_rejects_non_unitary():

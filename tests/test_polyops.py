@@ -34,20 +34,6 @@ def test_pmul_truncates_by_total_degree():
     assert (3, 1) in polyops.pmul(a, b, max_deg=4)
 
 
-def test_ppow_of_empty_poly():
-    assert polyops.ppow({}, 0, 5, nvars=2) == {(0, 0): 1.0 + 0.0j}
-    assert polyops.ppow({}, 3, 5, nvars=2) == {}
-
-
-def test_ppow_matches_repeated_pmul():
-    rng = np.random.default_rng(2)
-    a = _random_poly(rng, 3, 2)
-    direct = {polyops.zero_exponent(3): 1.0 + 0.0j}
-    for _ in range(3):
-        direct = polyops.pmul(direct, a, 5)
-    assert polyops.ppow(a, 3, 5, nvars=3) == direct
-
-
 def test_substitute_matches_pointwise():
     rng = np.random.default_rng(3)
     f = [_random_poly(rng, 2, 2) for _ in range(2)]

@@ -135,6 +135,16 @@ def test_starlike_pairing_round_trip():
         assert back.jet.allclose(h.jet, atol=1e-13)
 
 
+def test_starlike_pairing_output_is_order_3():
+    # only degrees 2 and 3 are solved, so a higher-order input must not
+    # come back labelled with its own order
+    rng = np.random.default_rng(54)
+    h = GeneratorJet(random_jet(2, 5, rng))
+    f = starlike_from_generator(h)
+    assert f.order == 3
+    assert generator_from_starlike(random_jet(2, 5, rng)).order == 3
+
+
 def test_starlike_residual_vanishes_to_third_order():
     rng = np.random.default_rng(52)
     h = GeneratorJet(random_jet(2, 3, rng))

@@ -10,6 +10,7 @@ from fsjet.tensors import (
     multi_index_to_exponents,
     multinomial,
     polarization_check,
+    slot_product,
 )
 
 
@@ -139,7 +140,39 @@ def test_scalar_hompoly():
     expect = 3.0 * x[0] ** 2 - 1.0j * x[0] * x[1]
     assert abs(p.eval_scalar(x) - expect) < 1e-13
     assert p.codomain_dim == 1
-    assert p.scalar_poly() == {(2, 0): 3.0 + 0j, (1, 1): -1.0j}
+    monos = {e: complex(v[0]) for e, v in p.to_monomials().items()}
+    assert monos == {(2, 0): 3.0 + 0j, (1, 1): -1.0j}
+
+
+def _dense_eval(P, x):
+    """P(x) by contracting every slot of the dense tensor with x."""
+    letters = "abcdefgh"[: P.degree]
+    return np.einsum(f"{letters}m," + ",".join(letters) + "->m", P.dense(), *[x] * P.degree)
+
+
+@pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3), (2, 6), (4, 6)])
+def test_slot_product_matches_dense_einsum(n, q):
+    rng = np.random.default_rng(17 + 10 * n + q)
+    B = _random_hompoly(rng, 2, n, 3)
+    Q = _random_hompoly(rng, q, n, n)
+    s = _random_hompoly(rng, q, n, 1)
+    M = rng.standard_normal((n, 1, 2)) + 1j * rng.standard_normal((n, 1, 2))
+    paired = slot_product(B.dense(), Q)
+    scaled = slot_product(M, s)
+    assert (paired.degree, paired.codomain_dim) == (q + 1, 3)
+    assert (scaled.degree, scaled.codomain_dim) == (q + 1, 2)
+    for _ in range(4):
+        x = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # B[x, Q(x)] and sum_a x_a s(x) M[a], both from dense tensors
+        pairs = (
+            (paired, np.einsum("abm,a,b->m", B.dense(), x, _dense_eval(Q, x))),
+            (scaled, np.einsum("apm,a,p->m", M, x, _dense_eval(s, x))),
+        )
+        for got, want in pairs:
+            tol = EVAL_TOL * (1.0 + np.abs(want).max())
+            assert np.allclose(_dense_eval(got, x), want, rtol=0.0, atol=tol)
+    with pytest.raises(ValueError):
+        slot_product(np.ones((n, 2, 2)), s)
 
 
 def test_coeff_arrays_are_frozen():

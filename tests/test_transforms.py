@@ -27,11 +27,12 @@ def test_koebe_onedim_values():
 
 def test_to_mapping_jet_matches_pointwise():
     rng = np.random.default_rng(40)
-    od = random_onedim_jet(3, 4, rng)
-    jet = od.to_mapping_jet()
-    for _ in range(10):
-        x = 0.2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        assert np.allclose(jet.eval(x), od.eval(x), atol=1e-13)
+    for n, order in ((3, 4), (4, 7)):
+        od = random_onedim_jet(n, order, rng)
+        jet = od.to_mapping_jet()
+        for _ in range(10):
+            x = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            assert np.allclose(jet.eval(x), od.eval(x), atol=1e-13)
 
 
 def test_detect_onedim_round_trip():
@@ -90,6 +91,23 @@ def test_root_transform_pointwise():
             # both sides agree up to the truncation order of g
             err = np.linalg.norm(g.eval(x) - expect)
             assert err < (0.5) ** (4 * n + 1) * 10
+
+
+def test_root_transform_pointwise_dim4_order7():
+    # cube root at dim 4, jet order 7: the first dropped degree is 10, so
+    # at |x| <= 0.05 the truncation error stays below 1e-9
+    rng = np.random.default_rng(44)
+    od = random_onedim_jet(4, 3, rng)
+    e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    e /= np.linalg.norm(e)
+    g = root_transform(od, 3, e, order=7)
+    assert sorted(g.polys) == [4, 7]
+    for _ in range(10):
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        x *= 0.05 * rng.uniform() / np.linalg.norm(x)
+        u = complex(np.vdot(e, x)) ** 3
+        expect = od.s_eval(u * e) ** (1.0 / 3) * x
+        assert np.linalg.norm(g.eval(x) - expect) < 1e-9
 
 
 def test_root_transform_validation():

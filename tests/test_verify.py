@@ -2,6 +2,7 @@
 
 import pytest
 
+from fsjet import verify
 from fsjet.verify import DEFAULT_TRIALS, SUITE_NAMES, run_suite
 
 
@@ -44,9 +45,17 @@ def test_tolerance_override():
     assert reports[0].tolerance == 1e-30
 
 
-def test_dims_override():
+def test_dims_override(monkeypatch):
     reports = run_suite("inverse", trials=3, seed=0, dims=[4])
     assert all(r.passed for r in reports)
+    # dims reach the suite only when given; otherwise its own default holds
+    seen = []
+    monkeypatch.setitem(
+        verify._SUITES, "semigroup", lambda trials, seed, **kw: seen.append(kw) or []
+    )
+    run_suite("semigroup", trials=1, dims=[2, 3])
+    run_suite("semigroup", trials=1)
+    assert seen == [{"dims": (2, 3)}, {}]
 
 
 def test_unknown_suite():
