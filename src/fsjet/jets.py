@@ -193,14 +193,10 @@ def linear_conjugate(f: MappingJet, A: np.ndarray, B: np.ndarray) -> MappingJet:
         for _ in range(k):
             T = np.tensordot(T, B, axes=([1], [0]))
         T = np.moveaxis(T, 0, -1)
-        polys[k] = HomPoly(
-            k,
-            n,
-            n,
-            {
-                tuple(i + 1 for i in j): T[j]
-                for j in itertools.combinations_with_replacement(range(n), k)
-            },
+        idx = list(itertools.combinations_with_replacement(range(n), k))
+        rows = T[tuple(np.array(idx).T)]  # (len(idx), n) copy of the sorted entries
+        polys[k] = HomPoly._trusted(
+            k, n, n, {tuple(i + 1 for i in j): row for j, row in zip(idx, rows)}
         )
     return MappingJet(f.dim, f.order, polys)
 

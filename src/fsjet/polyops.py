@@ -8,8 +8,6 @@ degree, which is what makes jet composition well defined.
 
 from __future__ import annotations
 
-import itertools
-
 Exponent = tuple[int, ...]
 ScalarPoly = dict[Exponent, complex]
 
@@ -58,10 +56,6 @@ def pmul(a: ScalarPoly, b: ScalarPoly, max_deg: int) -> ScalarPoly:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def truncate(a: ScalarPoly, max_deg: int) -> ScalarPoly:
-    return {e: c for e, c in a.items() if total_degree(e) <= max_deg}
-
-
 def degree_part(a: ScalarPoly, k: int) -> ScalarPoly:
     return {e: c for e, c in a.items() if total_degree(e) == k}
 
@@ -99,16 +93,23 @@ def substitute(
             row.append(pmul(row[-1], g[i], max_deg))
         powers.append(row)
 
+    # g^a is built once per distinct exponent a and shared by every
+    # component of f that uses it
+    monomials: dict[Exponent, ScalarPoly] = {}
     out: list[ScalarPoly] = []
     for comp in f:
         acc: ScalarPoly = {}
         for exps, c in comp.items():
-            term = {zero_exponent(_nvars(g)): c}
-            for i, p in enumerate(exps):
-                if p:
-                    term = pmul(term, powers[i][p], max_deg)
-            acc = padd(acc, term)
-        out.append(truncate(acc, max_deg))
+            if exps not in monomials:
+                factors = [powers[i][p] for i, p in enumerate(exps) if p] or [powers[0][0]]
+                term = factors[0]
+                for fac in factors[1:]:
+                    term = pmul(term, fac, max_deg)
+                monomials[exps] = term
+            for e, v in monomials[exps].items():
+                acc[e] = acc.get(e, 0.0) + c * v
+        # pmul already truncated every product at max_deg
+        out.append({e: v for e, v in acc.items() if v != _DROP})
     return out
 
 
@@ -128,11 +129,3 @@ def exponents_of_degree(nvars: int, degree: int):
         for rest in exponents_of_degree(nvars - 1, degree - first):
             yield (first,) + rest
 
-
-def multiset_permutations(items: Exponent):
-    """Distinct permutations of a sorted tuple."""
-    seen = set()
-    for p in itertools.permutations(items):
-        if p not in seen:
-            seen.add(p)
-            yield p

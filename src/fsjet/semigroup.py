@@ -137,33 +137,53 @@ def semigroup_ode(
     x0 = _check_vector(x0, h.dim)
     if np.linalg.norm(x0) >= 1:
         raise ValueError("initial point must lie in the open unit ball")
-    return _rk4(h, t, x0[None, :], step)[0]
+    return _rk4(h, (t,), x0[None, :], step)[0, 0]
 
 
-def _rk4(h: GeneratorJet, t: float, xs: np.ndarray, step: float) -> np.ndarray:
+def _rk4(h: GeneratorJet, ts, xs: np.ndarray, step: float) -> np.ndarray:
+    """Flow of every row of ``xs`` at each of the increasing times ``ts``.
+
+    One trajectory is integrated piecewise through the times; each gap
+    takes ceil(gap/step) equal steps, so a single time t gets exactly the
+    steps of a direct integration to t.  Returns shape (len(ts),) + xs.shape.
+    """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    nsteps = max(1, math.ceil(t / step))
-    dt = t / nsteps
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise ValueError(f"times must be a sequence of finite numbers, got {ts}")
+    if ts.size and ts[0] < 0:
+        raise ValueError(f"times must be nonnegative, got {ts}")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError(f"times must be increasing, got {ts}")
     u = np.array(xs, dtype=complex)
-    for _ in range(nsteps):
-        k1 = -h.eval_many(u)
-        k2 = -h.eval_many(u + 0.5 * dt * k1)
-        k3 = -h.eval_many(u + 0.5 * dt * k2)
-        k4 = -h.eval_many(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if np.any(np.linalg.norm(u, axis=1) >= 1.0):
+    snapshots = []
+    prev = 0.0
+    for t in ts:
+        gap = float(t) - prev
+        nsteps = max(1, math.ceil(gap / step))
+        dt = gap / nsteps
+        for _ in range(nsteps):
+            k1 = -h.eval_many(u)
+            k2 = -h.eval_many(u + 0.5 * dt * k1)
+            k3 = -h.eval_many(u + 0.5 * dt * k2)
+            k4 = -h.eval_many(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        snapshots.append(u)
+        prev = float(t)
+    out = np.array(snapshots).reshape(ts.shape + u.shape)
+    if np.any(np.linalg.norm(out, axis=-1) >= 1.0):
         raise RuntimeError(
             "trajectory left the unit ball; the field is likely not a generator"
         )
-    return u
+    return out
 
 
 def flow_taylor_via_ode(
     h: GeneratorJet,
-    t: float,
+    t,
     direction,
-    degree: int,
+    degree,
     radius: float = 0.2,
     nodes: int = 16,
     step: float = 2e-3,
@@ -173,13 +193,21 @@ def flow_taylor_via_ode(
     Since the flow is holomorphic in the initial point, the coefficient is
     a Cauchy integral, evaluated by sampling on a circle of complex radii
     (roots of unity) and averaging.  Independent oracle for semigroup_jet.
+
+    ``t`` may be an increasing sequence of times and ``degree`` a sequence
+    of degrees: one integration then serves every pair, and the result
+    has shape (len(t), len(degree), n).  A scalar drops its axis, so
+    scalar ``t`` and ``degree`` give the (n,) coefficient.
     """
     e = _check_vector(direction, h.dim)
     zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     pts = zs[:, None] * e[None, :]
-    ut = _rk4(h, t, pts, step)
-    weights = np.exp(-2j * np.pi * degree * np.arange(nodes) / nodes)
-    return (weights[:, None] * ut).sum(axis=0) / (nodes * radius**degree)
+    ut = _rk4(h, np.ravel(t), pts, step)  # (times, nodes, n)
+    ks = [int(k) for k in np.ravel(degree)]
+    weights = np.array([np.exp(-2j * np.pi * k * np.arange(nodes) / nodes) for k in ks])
+    norms = np.array([nodes * radius**k for k in ks])
+    coef = (weights[None, :, :, None] * ut[:, None]).sum(axis=2) / norms[:, None]
+    return coef.reshape(np.shape(t) + np.shape(degree) + (h.dim,))
 
 
 def starlike_from_generator(h: GeneratorJet) -> MappingJet:

@@ -7,14 +7,14 @@ multi-index (i1,...,ik), entries being m-vectors.  P(x) = T[x,...,x].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import polyops
 from .polyops import Exponent, ScalarPoly
 
 MultiIndex = tuple[int, ...]
@@ -85,6 +85,34 @@ class HomPoly:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def _trusted(
+        cls,
+        degree: int,
+        domain_dim: int,
+        codomain_dim: int,
+        coeffs: Mapping[MultiIndex, np.ndarray],
+    ) -> "HomPoly":
+        """Constructor for coefficients the library computed itself: sorted,
+        in-range multi-indices of length ``degree`` and complex arrays of
+        shape (codomain_dim,) that no caller writes to afterwards.  Drops
+        exact zeros and freezes the arrays; the checks of ``__post_init__``,
+        which guard outside input, are skipped."""
+        clean: dict[MultiIndex, np.ndarray] = {}
+        for idx, arr in coeffs.items():
+            if arr.any():
+                arr.flags.writeable = False
+                clean[idx] = arr
+        obj = object.__new__(cls)
+        for name, value in (
+            ("degree", degree),
+            ("domain_dim", domain_dim),
+            ("codomain_dim", codomain_dim),
+            ("coeffs", clean),
+        ):
+            object.__setattr__(obj, name, value)
+        return obj
+
+    @classmethod
     def zero(cls, degree: int, domain_dim: int, codomain_dim: int) -> "HomPoly":
         return cls(degree, domain_dim, codomain_dim, {})
 
@@ -97,13 +125,23 @@ class HomPoly:
         monomials: Mapping[Exponent, Iterable[complex]],
     ) -> "HomPoly":
         """Build from monomial coefficients: P(x) = sum_a c_a x^a."""
+        if degree < 1:
+            raise ValueError(f"degree must be positive, got {degree}")
         coeffs = {}
         for exps, vec in monomials.items():
-            if sum(exps) != degree:
-                raise ValueError(f"monomial {exps} is not of degree {degree}")
+            if len(exps) != domain_dim or min(exps) < 0 or sum(exps) != degree:
+                raise ValueError(
+                    f"monomial {exps} is not of degree {degree} in {domain_dim} variables"
+                )
+            arr = np.asarray(list(vec), dtype=complex)
+            if arr.shape != (codomain_dim,):
+                raise ValueError(
+                    f"coefficient of {exps} has shape {arr.shape}, "
+                    f"expected ({codomain_dim},)"
+                )
             idx = exponents_to_multi_index(exps)
-            coeffs[idx] = np.asarray(list(vec), dtype=complex) / multinomial(idx)
-        return cls(degree, domain_dim, codomain_dim, coeffs)
+            coeffs[idx] = arr / multinomial(idx)
+        return cls._trusted(degree, domain_dim, codomain_dim, coeffs)
 
     def to_monomials(self) -> dict[Exponent, np.ndarray]:
         return {
@@ -129,13 +167,14 @@ class HomPoly:
             other.codomain_dim,
         ):
             raise ValueError("cannot add tensors of different shape")
-        coeffs = {idx: np.array(v) for idx, v in self.coeffs.items()}
+        # stored arrays are read-only, so the sum can share the unpaired ones
+        coeffs = dict(self.coeffs)
         for idx, v in other.coeffs.items():
-            coeffs[idx] = coeffs.get(idx, 0) + v
-        return HomPoly(self.degree, self.domain_dim, self.codomain_dim, coeffs)
+            coeffs[idx] = coeffs[idx] + v if idx in coeffs else v
+        return HomPoly._trusted(self.degree, self.domain_dim, self.codomain_dim, coeffs)
 
     def scale(self, c: complex) -> "HomPoly":
-        return HomPoly(
+        return HomPoly._trusted(
             self.degree,
             self.domain_dim,
             self.codomain_dim,
@@ -220,13 +259,27 @@ class HomPoly:
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        n, k = self.domain_dim, self.degree
-        out = np.zeros((n,) * k + (self.codomain_dim,), dtype=complex)
-        for idx, vec in self.coeffs.items():
-            for perm in polyops.multiset_permutations(idx):
-                out[tuple(i - 1 for i in perm)] = vec
+        n, k, m = self.domain_dim, self.degree, self.codomain_dim
+        rank, position_rank = _dense_layout(n, k)
+        vals = np.zeros((len(rank) + 1, m), dtype=complex)  # last row: zero
+        if self.coeffs:
+            vals[[rank[idx] for idx in self.coeffs]] = list(self.coeffs.values())
+        out = vals[position_rank].reshape((n,) * k + (m,))
         out.flags.writeable = False
         return out
+
+
+@cache
+def _dense_layout(n: int, k: int) -> tuple[dict[MultiIndex, int], np.ndarray]:
+    """Rank of each sorted multi-index of degree k over 1..n, and for each
+    position (i_1..i_k) of an (n,)*k tensor in C order the rank of its
+    sorted indices: the position holds the entry stored at that index."""
+    combos = itertools.combinations_with_replacement(range(1, n + 1), k)
+    rank = {idx: r for r, idx in enumerate(combos)}
+    positions = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0) + 1
+    position_rank = np.array([rank[tuple(p)] for p in positions.T.tolist()], dtype=np.intp)
+    position_rank.flags.writeable = False
+    return rank, position_rank
 
 
 class ScalarHomPoly(HomPoly):
@@ -239,10 +292,9 @@ class ScalarHomPoly(HomPoly):
     def from_scalar_monomials(
         cls, degree: int, domain_dim: int, monomials: Mapping[Exponent, complex]
     ) -> "ScalarHomPoly":
-        base = HomPoly.from_monomials(
+        return cls.from_monomials(
             degree, domain_dim, 1, {e: [c] for e, c in monomials.items()}
         )
-        return cls(degree, domain_dim, base.coeffs)
 
     def eval_scalar(self, x):
         """The scalar value at a point (n,), or the values (N,) at rows (N, n)."""
@@ -276,7 +328,7 @@ def slot_product(M, Q: HomPoly) -> HomPoly:
             idx = tuple(sorted(j + (a,)))
             term = ((j.count(a) + 1) / (q + 1)) * rows[a - 1]
             out[idx] = out[idx] + term if idx in out else term
-    return HomPoly(q + 1, Q.domain_dim, M.shape[2], out)
+    return HomPoly._trusted(q + 1, Q.domain_dim, M.shape[2], out)
 
 
 def polarization_check(P: HomPoly, x1, x2) -> float:

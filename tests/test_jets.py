@@ -173,3 +173,39 @@ def test_components_round_trip():
     f = random_jet(3, 4, rng)
     g = MappingJet.from_components(f.components(), f.dim, f.order)
     assert f.allclose(g, atol=1e-14)
+
+
+def _taylor_along(F, e, top_degree, radius):
+    """Taylor coefficients 0..top_degree of the polynomial z -> F(z e).
+
+    Evaluates at radius * (roots of unity) with more nodes than
+    ``top_degree``, so the FFT recovers every coefficient without aliasing.
+    """
+    nodes = 1 << top_degree.bit_length()
+    zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    vals = F(zs[:, None] * e[None, :])
+    coef = np.fft.fft(vals, axis=0) / nodes
+    return coef / radius ** np.arange(nodes)[:, None]
+
+
+@pytest.mark.parametrize("n,K", [(2, 7), (3, 6), (4, 5)])
+def test_compose_invert_iterate_against_cauchy_oracle(n, K):
+    # pointwise evaluation of the jets only; shares no code with the
+    # substitution kernel of compose
+    rng = np.random.default_rng(28 + n)
+    f, g = random_jet(n, K, rng), random_jet(n, K, rng)
+    inv = invert(f)
+    cases = (
+        (compose(f, g), lambda xs: f.eval_many(g.eval_many(xs)), K**2),
+        (iterate(f, 3), lambda xs: f.eval_many(f.eval_many(f.eval_many(xs))), K**3),
+        # f o f^-1 and f^-1 o f are the identity through degree K
+        (MappingJet.identity(n, K), lambda xs: f.eval_many(inv.eval_many(xs)), K**2),
+        (MappingJet.identity(n, K), lambda xs: inv.eval_many(f.eval_many(xs)), K**2),
+    )
+    for e in sample_sphere(rng, 2, n):
+        for jet, pointwise, top in cases:
+            coef = _taylor_along(pointwise, e, top, radius=0.5)
+            want = np.array([e] + [jet.poly(k).eval(e) for k in range(2, K + 1)])
+            tol = 1e-10 * (1.0 + np.abs(want).max())
+            assert np.abs(coef[1 : K + 1] - want).max() <= tol
+            assert np.abs(coef[0]).max() <= tol

@@ -55,8 +55,3 @@ def test_exponents_of_degree_count():
     assert len(exps) == 15
     assert all(sum(e) == 4 for e in exps)
     assert len(set(exps)) == len(exps)
-
-
-def test_multiset_permutations_distinct():
-    perms = list(polyops.multiset_permutations((1, 1, 2)))
-    assert sorted(perms) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]

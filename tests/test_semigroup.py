@@ -118,6 +118,36 @@ def test_ode_rejects_bad_inputs():
         semigroup_ode(h, 1.0, np.array([0.1, 0.0]), step=0.0)
 
 
+@pytest.mark.parametrize(
+    "times", [-0.1, np.nan, np.inf, (0.1, -0.2), (0.5, 0.5), (0.7, 0.1), (0.1, np.nan)]
+)
+def test_ode_rejects_bad_times(times):
+    # a negative time used to integrate backwards in one step of size |t|
+    h = _example_generator()
+    e = np.array([1.0, 0.0], dtype=complex)
+    if np.ndim(times) == 0:
+        with pytest.raises(ValueError):
+            semigroup_ode(h, times, np.array([0.1, 0.0]))
+    with pytest.raises(ValueError):
+        flow_taylor_via_ode(h, times, e, 2)
+
+
+def test_flow_taylor_sequence_matches_scalar_calls():
+    rng = np.random.default_rng(55)
+    h = sample_generator(3, rng)
+    e = np.array([0.6, 0.0, 0.8j])
+    times, degrees = (0.0, 0.1, 0.7, 2.0), (2, 3)
+    both = flow_taylor_via_ode(h, times, e, degrees, step=5e-3)
+    assert both.shape == (4, 2, 3)
+    assert flow_taylor_via_ode(h, times, e, 3, step=5e-3).shape == (4, 3)
+    assert flow_taylor_via_ode(h, 0.7, e, degrees, step=5e-3).shape == (2, 3)
+    for i, t in enumerate(times):
+        for j, k in enumerate(degrees):
+            single = flow_taylor_via_ode(h, t, e, k, step=5e-3)
+            assert single.shape == (3,)
+            assert np.abs(both[i, j] - single).max() <= 1e-14 * np.abs(single).max()
+
+
 def test_starlike_pairing_example():
     # the example generator pairs with the example starlike map
     h = _example_generator()

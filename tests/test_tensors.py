@@ -262,3 +262,74 @@ def test_eval_of_zero_poly_and_bad_shapes():
         Z.eval_many(np.ones((4, 3)))
     with pytest.raises(ValueError):
         Z.eval_many(np.ones(2))
+
+
+@pytest.mark.parametrize("n,k", [(2, 7), (3, 5), (4, 7)])
+def test_dense_matches_positionwise_reference(n, k):
+    rng = np.random.default_rng(18 + 10 * n + k)
+    full = _random_hompoly(rng, k, n, 2)
+    # drop every other entry, so that positions without a stored entry
+    # must read zero
+    sparse = HomPoly(k, n, 2, dict(list(full.coeffs.items())[::2]))
+    for P in (full, sparse, HomPoly.zero(k, n, 2)):
+        want = np.zeros((n,) * k + (2,), dtype=complex)
+        for pos in np.ndindex(*(n,) * k):
+            idx = tuple(sorted(i + 1 for i in pos))
+            if idx in P.coeffs:
+                want[pos] = P.coeffs[idx]
+        assert np.array_equal(P.dense(), want)
+
+
+def _snapshot(P):
+    return {idx: v.copy() for idx, v in P.coeffs.items()}
+
+
+def _assert_same_coeffs(P, snapshot):
+    assert P.coeffs.keys() == snapshot.keys()
+    assert all(np.array_equal(P.coeffs[i], v) for i, v in snapshot.items())
+
+
+def test_arithmetic_outputs_pass_public_validation():
+    from fsjet.jets import MappingJet, linear_conjugate
+
+    rng = np.random.default_rng(19)
+    P = _random_hompoly(rng, 3, 3, 3)
+    Q = _random_hompoly(rng, 3, 3, 3)
+    B = _random_hompoly(rng, 2, 3, 3)
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    inputs = (P, Q, B)
+    before = [_snapshot(X) for X in inputs]
+    conj = linear_conjugate(MappingJet(3, 3, {2: B, 3: P}), A, A.T)
+    outputs = {
+        "scale": P.scale(2.5j),
+        "scale by 0": P.scale(0.0),
+        "add": P + Q,
+        "add cancelling": P + P.scale(-1.0),
+        "slot_product": slot_product(B.dense(), B),
+        "from_monomials": HomPoly.from_monomials(3, 3, 3, P.to_monomials()),
+        "linear_conjugate 2": conj.poly(2),
+        "linear_conjugate 3": conj.poly(3),
+    }
+    assert not outputs["scale by 0"].coeffs and not outputs["add cancelling"].coeffs
+    for name, R in outputs.items():
+        rebuilt = HomPoly(R.degree, R.domain_dim, R.codomain_dim, R.coeffs)
+        _assert_same_coeffs(R, _snapshot(rebuilt))
+        assert all(not v.flags.writeable for v in R.coeffs.values()), name
+    for X, snapshot in zip(inputs, before):
+        _assert_same_coeffs(X, snapshot)
+        assert all(not v.flags.writeable for v in X.coeffs.values())
+    p = ScalarHomPoly.from_scalar_monomials(2, 2, {(2, 0): 3.0, (1, 1): 0.0})
+    assert type(p) is ScalarHomPoly
+    assert list(p.coeffs) == [(1, 1)]
+
+
+def test_from_monomials_rejects_bad_input():
+    for degree, monos in (
+        (2, {(1, 0, 1): [1.0, 0.0]}),  # three variables for a two-dimensional domain
+        (2, {(3, -1): [1.0, 0.0]}),  # negative exponent
+        (2, {(1, 0): [1.0, 0.0]}),  # wrong total degree
+        (2, {(1, 1): [1.0, 0.0, 0.0]}),  # wrong codomain
+        (0, {(0, 0): [1.0, 0.0]}),  # degree 0
+    ):
+        with pytest.raises(ValueError):
+            HomPoly.from_monomials(degree, 2, 2, monos)
