@@ -8,8 +8,9 @@ same file times an older checkout: copy ``bench/`` into it and run
 import numpy as np
 import pytest
 
+from fsjet.fekete import operator_norm_bilinear
 from fsjet.jets import compose, random_jet
-from fsjet.verify import suite_semigroup
+from fsjet.verify import suite_error_bound, suite_semigroup
 
 
 def _jets(n, K, count, seed):
@@ -27,6 +28,20 @@ def bench_semigroup_oracle(benchmark):
     # closed-form flow jets against RK4 Cauchy extraction, as in
     # `fsjet verify semigroup`, at 2 trials
     benchmark(suite_semigroup, 2, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def bench_operator_norm_bilinear(benchmark, n):
+    (f,) = _jets(n, 2, 1, seed=20 + n)
+    B = f.poly(2)
+    B.dense()  # built once per polynomial; time the estimate alone
+    benchmark(operator_norm_bilinear, B)
+
+
+def bench_error_bound_suite(benchmark):
+    # the composition defect against its bound: two norm estimates per
+    # trial, 200 trials in `fsjet verify all`, 10 here
+    benchmark(suite_error_bound, 10, 0)
 
 
 @pytest.mark.parametrize("n,K", [(3, 5), (4, 7)])

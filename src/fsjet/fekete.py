@@ -131,46 +131,104 @@ def operator_norm_bilinear(
 ) -> BilinearNormEstimate:
     """sup over unit u, v of ||B[u, v]|| by multistart alternating maximization.
 
-    With one argument fixed the problem is a largest-singular-value
-    computation, so each sweep alternates exact SVD solves.  All starts
-    sweep together, one stacked SVD per half-sweep; a start stops at the
-    first sweep that changes its value by at most 1e-14 relative.
-    Deterministic for a given seed; returns the best witness pair (the
-    first start that attains the largest value).
+    The starts are the basis vectors, then seeded random unit vectors.  They
+    run as one batch through three steps:
+
+    1. one exact sweep: v maximizes ||B[u, v]|| at fixed u, then u at fixed
+       v, each a largest-singular-vector solve (one stacked SVD per half);
+    2. sweeps of the higher-order power method (HOPM): the half-steps
+       v <- B[u, .]* B[u, v] and u <- B[., v]* B[u, v], each normalised
+       (De Lathauwer, De Moor & Vandewalle, "On the best rank-1 and
+       rank-(R1,...,RN) approximation of higher-order tensors", SIAM J.
+       Matrix Anal. Appl. 21(4), 2000);
+    3. exact sweeps again, on the start with the largest value only.
+
+    A start stops at the first sweep that changes its value by at most
+    1e-14 relative; a start whose exact sweep gives 0 stops there.  Steps 1
+    and 2 run at most ``iters`` sweeps, step 3 at most ``iters`` more.  The
+    value is the last singular value of step 3 and the returned unit pair
+    attains it, ||B[u, v]|| = value, so it is a lower bound on the norm.
+    Deterministic for a given seed.
     """
     if B.degree != 2:
         raise ValueError(f"expected a degree-2 tensor, got degree {B.degree}")
     if starts < 1:
         raise ValueError(f"starts must be positive, got {starts}")
+    if iters < 1:
+        raise ValueError(f"iters must be positive, got {iters}")
     n = B.domain_dim
     dense = B.dense()  # (n, n, m)
     if not np.any(dense):
         return BilinearNormEstimate(0.0, np.zeros(n, complex), np.zeros(n, complex))
-    rng = np.random.default_rng(seed)
-    inits = [np.eye(n, dtype=complex)[i] for i in range(n)]
-    while len(inits) < starts:
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        inits.append(u / np.linalg.norm(u))
-    us = np.array(inits[:starts])  # (starts, n)
-    vs = us.copy()
-    vals = np.zeros(len(us))
-    active = np.arange(len(us))
-    for _ in range(iters):
+    # each random start draws its n real parts, then its n imaginary parts
+    z = np.random.default_rng(seed).standard_normal((max(starts - n, 0), 2, n))
+    z = z[:, 0] + 1j * z[:, 1]
+    inits = np.concatenate([np.eye(n, dtype=complex), z / _row_norms(z)[:, None]])
+
+    vals, us, vs = _svd_sweep(dense, inits[:starts])
+    # B[u, v] != 0 on every active start, so no power step divides by 0
+    active = np.flatnonzero(~_converged(vals, 0.0))
+    D = dense.reshape(n, -1)  # D[a, (b, k)] = B[e_a, e_b]_k
+    u, v, val = us[active], vs[active], vals[active]
+    for _ in range(iters - 1):
         if active.size == 0:
             break
-        # fix u: v -> B[u, v] is the matrix M with M[:, b] = sum_a T[a,b,:] u_a
-        M = np.einsum("abm,sa->smb", dense, us[active])
-        _, _, vh = np.linalg.svd(M)
-        v = vh[:, 0].conj()
-        M2 = np.einsum("abm,sb->sma", dense, v)
-        _, s2, uh = np.linalg.svd(M2)
-        new_vals = s2[:, 0]
-        us[active], vs[active] = uh[:, 0].conj(), v
-        converged = np.abs(new_vals - vals[active]) <= 1e-14 * np.maximum(1.0, new_vals)
-        vals[active] = new_vals
-        active = active[~converged]
+        v, _ = _power_half_step(D, u, v)
+        u, w = _power_half_step(D, v, u)
+        new_val = _row_norms(w)
+        done = _converged(new_val, val)
+        val = new_val
+        if done.any():
+            us[active[done]], vals[active[done]] = u[done], val[done]
+            keep = ~done
+            active, u, v, val = active[keep], u[keep], v[keep], val[keep]
+    us[active], vals[active] = u, val
+
     i = int(np.argmax(vals))
-    return BilinearNormEstimate(float(vals[i]), us[i].copy(), vs[i].copy())
+    value, u = vals[i], us[i : i + 1]
+    for _ in range(iters):
+        new_vals, u, v = _svd_sweep(dense, u)
+        done = _converged(new_vals[0], value)
+        value = new_vals[0]
+        if done:
+            break
+    return BilinearNormEstimate(float(value), u[0], v[0])
+
+
+def _converged(new, old):
+    """The stopping rule: a change of at most 1e-14 relative."""
+    return np.abs(new - old) <= 1e-14 * np.maximum(1.0, new)
+
+
+def _svd_sweep(dense: np.ndarray, us: np.ndarray):
+    """One exact alternating sweep for each row of ``us``: v maximizes
+    ||B[u, v]|| at fixed u, then u at fixed v, each by an SVD of the matrix
+    with the other argument fixed.  Returns (values, us, vs)."""
+    # fix u: v -> B[u, v] is the matrix M with M[:, b] = sum_a T[a,b,:] u_a
+    M = np.einsum("abm,sa->smb", dense, us)
+    _, _, vh = np.linalg.svd(M)
+    vs = vh[:, 0].conj()
+    M2 = np.einsum("abm,sb->sma", dense, vs)
+    _, s2, uh = np.linalg.svd(M2)
+    return s2[:, 0], uh[:, 0].conj(), vs
+
+
+def _power_half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """y <- B[x, .]* B[x, y], normalised, for each row; also B[x, y].
+
+    B is symmetric, so the same step updates either argument."""
+    S, n = x.shape
+    Bx = (x @ D).reshape(S, n, -1)  # Bx[s, b] = B[x_s, e_b]
+    w = np.matmul(y[:, None, :], Bx)  # (S, 1, m): B[x_s, y_s]
+    y = np.matmul(Bx.conj(), w.transpose(0, 2, 1))[:, :, 0]
+    y /= _row_norms(y)[:, None]
+    return y, w[:, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a, with less overhead than np.linalg.norm."""
+    a = np.abs(a)
+    return np.sqrt((a * a).sum(axis=1))
 
 
 def ell(lam: complex, mu: complex) -> float:

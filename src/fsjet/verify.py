@@ -8,6 +8,8 @@ vacuously.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import polyops
@@ -69,6 +71,14 @@ def random_onedim_jet(
     return OneDimJet(dim, order, polys)
 
 
+def _worst(*values: float) -> float:
+    """The largest value, NaN if any value is NaN.
+
+    Builtin max drops a NaN that is not its first argument, which would
+    let a NaN residual pass its check."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _dims_cycle(dims, i):
     return dims[i % len(dims)]
 
@@ -90,9 +100,7 @@ def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         scale = (1.0 + np.linalg.norm(x1) ** 2 + np.linalg.norm(x2) ** 2) * (
             1.0 + P.max_coeff()
         )
-        res /= scale
-        if res > worst:
-            worst = res
+        worst = _worst(worst, res / scale)
     return [make_report("polarization", trials, seed, 1e-12, worst)]
 
 
@@ -121,7 +129,7 @@ def suite_compose(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         ctx = FSContext(e, lam, mu)
         lhs = fs_mapping(compose(f, g), ctx).vector
         rhs = _psi_compo_rhs(f, g, ctx)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
     return [make_report("compose/psi-composition-identity", trials, seed, 1e-11, worst)]
 
 
@@ -137,11 +145,11 @@ def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lam, mu = sample_params(rng, 2)
         lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
         rhs = -fs_mapping(f, FSContext(e, 2.0 - lam, 2.0 - mu)).vector
-        worst_dual = max(worst_dual, float(np.linalg.norm(lhs - rhs)))
+        worst_dual = _worst(worst_dual, float(np.linalg.norm(lhs - rhs)))
         # degree-3 part of the inverse along e equals -Psi_e(f, 2, 2)
         q3 = g.poly(3).eval(e)
         psi22 = fs_mapping(f, FSContext(e, 2.0, 2.0)).vector
-        worst_q3 = max(worst_q3, float(np.linalg.norm(q3 + psi22)))
+        worst_q3 = _worst(worst_q3, float(np.linalg.norm(q3 + psi22)))
     return [
         make_report("inverse/psi-duality", trials, seed, 1e-11, worst_dual),
         make_report("inverse/third-derivative", trials, seed, 1e-11, worst_q3),
@@ -162,10 +170,10 @@ def suite_iterate(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             rhs = m * fs_mapping(
                 f, FSContext(e, m * lam - m + 1, m * mu - m + 1)
             ).vector
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+            worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
             # degree-2 part scales linearly in the iteration count
             t2 = fm.poly(2) + f.poly(2).scale(-float(m))
-            worst = max(worst, t2.max_coeff())
+            worst = _worst(worst, t2.max_coeff())
     return [make_report("iterate/psi-scaling", trials, seed, 1e-10, worst)]
 
 
@@ -181,7 +189,7 @@ def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lam, mu = sample_params(rng, 2)
         lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
         rhs = U.conj().T @ fs_mapping(f, FSContext(U @ e, lam, mu)).vector
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
     return [make_report("unitary/psi-conjugation", trials, seed, 1e-11, worst)]
 
 
@@ -197,9 +205,9 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             g = root_transform(od, nroot, e)
             for k in g.polys:
                 if (k - 1) % nroot != 0:
-                    worst = max(worst, g.poly(k).max_coeff())
+                    worst = _worst(worst, g.poly(k).max_coeff())
             qn1 = g.poly(nroot + 1).eval(e)
-            worst = max(
+            worst = _worst(
                 worst,
                 float(np.linalg.norm(qn1 - f.poly(2).eval(e) / nroot)),
             )
@@ -207,7 +215,7 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             lam = (nroot - 1) / (2.0 * nroot)
             for mu in sample_params(rng, 5):
                 psi = fs_mapping(f, FSContext(e, lam, mu)).vector
-                worst = max(worst, float(np.linalg.norm(q2n1 - psi / nroot)))
+                worst = _worst(worst, float(np.linalg.norm(q2n1 - psi / nroot)))
     reports = [make_report("root/jet-relations", trials, seed, 1e-10, worst)]
 
     # golden series: the square-root transform of the Koebe function
@@ -216,7 +224,7 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         g = root_transform(koebe_onedim(), 2, np.array([1.0 + 0j]))
         got = [complex(g.poly(k).eval(np.array([1.0 + 0j]))[0]) for k in (2, 3, 4, 5)]
         expect = [0.0, 1.0, 0.0, 1.0]
-        koebe_res = max(abs(a - b) for a, b in zip(got, expect))
+        koebe_res = _worst(*(abs(a - b) for a, b in zip(got, expect)))
     reports.append(
         make_report("root/koebe-golden", min(trials, 1), seed, 1e-12, koebe_res)
     )
@@ -235,10 +243,10 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         e = sample_sphere(rng, 1, n)[0]
         lam, mu = sample_params(rng, 2)
         R, bound = fs_error_term(f, g, FSContext(e, lam, mu), norm_seed=seed)
-        worst_violation = max(worst_violation, float(np.linalg.norm(R)) - bound)
+        worst_violation = _worst(worst_violation, float(np.linalg.norm(R)) - bound)
     reports = [
         make_report(
-            "error-bound/ell-bound", trials, seed, 1e-9, max(0.0, worst_violation)
+            "error-bound/ell-bound", trials, seed, 1e-9, _worst(0.0, worst_violation)
         )
     ]
 
@@ -260,7 +268,7 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         expect = 2.0 * abs(1.0 - lam) * abs(
             fo.scalar_part(1).eval_scalar(e) * go.scalar_part(1).eval_scalar(e)
         )
-        worst_eq = max(worst_eq, abs(float(np.linalg.norm(R)) - expect))
+        worst_eq = _worst(worst_eq, abs(float(np.linalg.norm(R)) - expect))
     reports.append(
         make_report("error-bound/onedim-equality", trials, seed, 1e-11, worst_eq)
     )
@@ -280,7 +288,7 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
             flow = semigroup_jet(h, t)
             for k, coef in zip(degrees, by_degree):
                 closed = flow.poly(k).eval(e)
-                worst = max(worst, float(np.linalg.norm(closed - coef)))
+                worst = _worst(worst, float(np.linalg.norm(closed - coef)))
     reports = [make_report("semigroup/closed-form-vs-ode", trials, seed, 1e-6, worst)]
 
     rng2 = _rng(seed, 9)
@@ -293,7 +301,7 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
         direct = semigroup_jet(h, 0.8)
         for k in (2, 3):
             diff = combined.poly(k) + direct.poly(k).scale(-1.0)
-            worst_comp = max(worst_comp, diff.max_coeff())
+            worst_comp = _worst(worst_comp, diff.max_coeff())
     reports.append(
         make_report("semigroup/flow-property", trials, seed, 1e-10, worst_comp)
     )
@@ -311,12 +319,12 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lam, mu = sample_params(rng, 2)
         lhs = fs_mapping(h.jet, FSContext(e, 2 * lam, 2 * mu)).vector
         rhs = -2.0 * fs_mapping(f, FSContext(e, 1 - lam, 1 - mu)).vector
-        worst_pair = max(worst_pair, float(np.linalg.norm(lhs - rhs)))
+        worst_pair = _worst(worst_pair, float(np.linalg.norm(lhs - rhs)))
         # round trip through the pairing
         back = generator_from_starlike(f)
         for k in (2, 3):
             diff = back.jet.poly(k) + h.jet.poly(k).scale(-1.0)
-            worst_pair = max(worst_pair, diff.max_coeff())
+            worst_pair = _worst(worst_pair, diff.max_coeff())
     reports = [make_report("duality/psi-pairing", trials, seed, 1e-11, worst_pair)]
 
     rng2 = _rng(seed, 11)
@@ -328,14 +336,14 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lam = sample_params(rng2, 1)[0]
         val = abs(fs_mapping(h.jet, FSContext(e, lam, 0.0)).scalar_projection)
         bound = 2.0 * max(1.0, abs(2.0 * lam - 1.0))
-        worst_bound = max(worst_bound, val - bound)
+        worst_bound = _worst(worst_bound, val - bound)
     reports.append(
         make_report(
             "duality/generator-scalar-bound",
             trials,
             seed,
             1e-9,
-            max(0.0, worst_bound),
+            _worst(0.0, worst_bound),
         )
     )
 
@@ -368,10 +376,10 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         report = check_bounded_onedim_bound(
             od, od.s_eval, lam, seed=int(rng.integers(0, 2**31))
         )
-        worst_margin = max(worst_margin, -report.margin)
+        worst_margin = _worst(worst_margin, -report.margin)
     reports = [
         make_report(
-            "bounds/bounded-onedim", trials, seed, 1e-6, max(0.0, worst_margin)
+            "bounds/bounded-onedim", trials, seed, 1e-6, _worst(0.0, worst_margin)
         )
     ]
 
@@ -385,10 +393,10 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lam, mu = sample_params(rng2, 2)
         val = float(np.linalg.norm(fs_mapping(f, FSContext(e, lam, mu)).vector))
         bound = max(1.0, abs(4.0 * lam - 3.0))
-        worst_star = max(worst_star, val - bound)
+        worst_star = _worst(worst_star, val - bound)
     reports.append(
         make_report(
-            "bounds/starlike-onedim", trials, seed, 1e-9, max(0.0, worst_star)
+            "bounds/starlike-onedim", trials, seed, 1e-9, _worst(0.0, worst_star)
         )
     )
     return reports

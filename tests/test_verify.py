@@ -1,8 +1,11 @@
 """Suite runner behavior: dispatch, determinism, vacuous passes."""
 
+import math
+
+import numpy as np
 import pytest
 
-from fsjet import verify
+from fsjet import fekete, verify
 from fsjet.verify import DEFAULT_TRIALS, SUITE_NAMES, run_suite
 
 
@@ -56,6 +59,26 @@ def test_dims_override(monkeypatch):
     run_suite("semigroup", trials=1, dims=[2, 3])
     run_suite("semigroup", trials=1)
     assert seen == [{"dims": (2, 3)}, {}]
+
+
+def test_nan_norm_estimate_fails_the_error_bound(monkeypatch):
+    # max(0.0, nan) is 0.0, so a NaN estimate used to pass silently
+    nan_estimate = fekete.BilinearNormEstimate(math.nan, np.zeros(2), np.zeros(2))
+    monkeypatch.setattr(
+        fekete, "operator_norm_bilinear", lambda B, **kw: nan_estimate
+    )
+    bound = next(
+        r for r in run_suite("error-bound", trials=4, seed=0)
+        if r.suite == "error-bound/ell-bound"
+    )
+    assert math.isnan(bound.max_residual)
+    assert not bound.passed
+
+
+def test_worst_propagates_nan_in_any_position():
+    assert verify._worst(0.0, 2.0, 1.0) == 2.0
+    for values in ((math.nan, 1.0), (1.0, math.nan), (0.0, 1.0, math.nan)):
+        assert math.isnan(verify._worst(*values))
 
 
 def test_unknown_suite():
