@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fsjet.fekete import operator_norm_bilinear
-from fsjet.jets import compose, random_jet
+from fsjet.jets import compose, invert, iterate, random_jet
 from fsjet.verify import suite_error_bound, suite_semigroup
 
 
@@ -18,16 +18,32 @@ def _jets(n, K, count, seed):
     return [random_jet(n, K, rng) for _ in range(count)]
 
 
-@pytest.mark.parametrize("n,K", [(2, 3), (3, 5), (4, 5)])
+JET_SIZES = [(2, 3), (3, 5), (4, 5)]
+
+
+@pytest.mark.parametrize("n,K", JET_SIZES)
 def bench_compose(benchmark, n, K):
     f, g = _jets(n, K, 2, seed=10 * n + K)
     benchmark(compose, f, g)
 
 
-def bench_semigroup_oracle(benchmark):
+@pytest.mark.parametrize("n,K", JET_SIZES)
+def bench_invert(benchmark, n, K):
+    (f,) = _jets(n, K, 1, seed=30 + 10 * n + K)
+    benchmark(invert, f)
+
+
+@pytest.mark.parametrize("n,K", JET_SIZES)
+def bench_iterate_3(benchmark, n, K):
+    (f,) = _jets(n, K, 1, seed=40 + 10 * n + K)
+    benchmark(iterate, f, 3)
+
+
+@pytest.mark.parametrize("trials", [2, 20])
+def bench_semigroup_oracle(benchmark, trials):
     # closed-form flow jets against RK4 Cauchy extraction, as in
-    # `fsjet verify semigroup`, at 2 trials
-    benchmark(suite_semigroup, 2, 0)
+    # `fsjet verify semigroup` (20 trials there)
+    benchmark(suite_semigroup, trials, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -38,10 +54,11 @@ def bench_operator_norm_bilinear(benchmark, n):
     benchmark(operator_norm_bilinear, B)
 
 
-def bench_error_bound_suite(benchmark):
+@pytest.mark.parametrize("trials", [10, 50])
+def bench_error_bound_suite(benchmark, trials):
     # the composition defect against its bound: two norm estimates per
-    # trial, 200 trials in `fsjet verify all`, 10 here
-    benchmark(suite_error_bound, 10, 0)
+    # trial, 200 trials in `fsjet verify all`
+    benchmark(suite_error_bound, trials, 0)
 
 
 @pytest.mark.parametrize("n,K", [(3, 5), (4, 7)])

@@ -10,16 +10,19 @@ equals 2 B[u, v].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jets import MappingJet
+from .jets import MappingJet, compose
 from .tensors import HomPoly, _check_vector
 
 E_NORM_TOL = 1e-6
 
 SCALAR_VARIANT_MU = {1: 0.0, 2: 1.0, 3: 2.0 / 3.0, 4: 2.0}
+
+NORM_BLOCK_CELLS = 1024
 
 
 def _inner(x: np.ndarray, e: np.ndarray) -> complex:
@@ -124,18 +127,19 @@ class BilinearNormEstimate(NamedTuple):
 
 
 def operator_norm_bilinear(
-    B: HomPoly,
+    B: HomPoly | Sequence[HomPoly],
     starts: int = 32,
     iters: int = 200,
-    seed: int = 0,
-) -> BilinearNormEstimate:
+    seed: int | Sequence[int] = 0,
+) -> BilinearNormEstimate | list[BilinearNormEstimate]:
     """sup over unit u, v of ||B[u, v]|| by multistart alternating maximization.
 
     The starts are the basis vectors, then seeded random unit vectors.  They
     run as one batch through three steps:
 
     1. one exact sweep: v maximizes ||B[u, v]|| at fixed u, then u at fixed
-       v, each a largest-singular-vector solve (one stacked SVD per half);
+       v, each a largest-singular-vector solve (one stacked Hermitian
+       eigensolve of an n x n Gram matrix per half);
     2. sweeps of the higher-order power method (HOPM): the half-steps
        v <- B[u, .]* B[u, v] and u <- B[., v]* B[u, v], each normalised
        (De Lathauwer, De Moor & Vandewalle, "On the best rank-1 and
@@ -149,50 +153,173 @@ def operator_norm_bilinear(
     value is the last singular value of step 3 and the returned unit pair
     attains it, ||B[u, v]|| = value, so it is a lower bound on the norm.
     Deterministic for a given seed.
+
+    ``B`` may also be a sequence of degree-2 tensors of one shape, with
+    ``seed`` one int for all of them or a sequence of one seed per tensor.
+    The result is then the list of estimates, each equal within rounding
+    to the lone call on its tensor and seed; all tensors and starts run
+    through the three steps as one batch.  An empty sequence gives [].
+    A tensor with a NaN or infinite entry raises ``ValueError`` naming
+    its index.
     """
-    if B.degree != 2:
-        raise ValueError(f"expected a degree-2 tensor, got degree {B.degree}")
     if starts < 1:
         raise ValueError(f"starts must be positive, got {starts}")
     if iters < 1:
         raise ValueError(f"iters must be positive, got {iters}")
-    n = B.domain_dim
-    dense = B.dense()  # (n, n, m)
-    if not np.any(dense):
-        return BilinearNormEstimate(0.0, np.zeros(n, complex), np.zeros(n, complex))
-    # each random start draws its n real parts, then its n imaginary parts
+    single = isinstance(B, HomPoly)
+    polys = [B] if single else list(B)
+    seeds = [seed] * len(polys) if np.ndim(seed) == 0 else [int(s) for s in seed]
+    if len(seeds) != len(polys):
+        raise ValueError(f"got {len(seeds)} seeds for {len(polys)} tensors")
+    if not polys:
+        return []
+    shape = None
+    for i, P in enumerate(polys):
+        if not isinstance(P, HomPoly) or P.degree != 2:
+            got = f"degree {P.degree}" if isinstance(P, HomPoly) else type(P).__name__
+            raise ValueError(f"expected a degree-2 tensor{_at(single, i)}, got {got}")
+        shape = shape or (P.domain_dim, P.codomain_dim)
+        if (P.domain_dim, P.codomain_dim) != shape:
+            raise ValueError(
+                f"tensors of one shape expected: C^{shape[0]} -> C^{shape[1]} "
+                f"at index 0, C^{P.domain_dim} -> C^{P.codomain_dim}{_at(single, i)}"
+            )
+    n = shape[0]
+    dense = np.array([P.dense() for P in polys]).reshape(len(polys), n, -1)
+    if not np.isfinite(dense).all():
+        i = int(np.argmin(np.isfinite(dense).all(axis=(1, 2))))
+        raise ValueError(f"the tensor{_at(single, i)} has a non-finite entry")
+    out = [
+        BilinearNormEstimate(0.0, np.zeros(n, complex), np.zeros(n, complex))
+        for _ in polys
+    ]
+    live = dense.any(axis=(1, 2)).nonzero()[0].tolist()
+    # blocks of tensors bound the (cells, n, m) buffers, which would
+    # otherwise dominate the peak memory of a large stack
+    block = max(1, NORM_BLOCK_CELLS // starts)
+    for lo in range(0, len(live), block):
+        tensors = live[lo : lo + block]
+        inits = np.array([_starts(n, starts, seeds[i]) for i in tensors])
+        values, us, vs = _estimate(dense[tensors], inits, iters)
+        for j, i in enumerate(tensors):
+            out[i] = BilinearNormEstimate(float(values[j]), us[j], vs[j])
+    return out[0] if single else out
+
+
+def _at(single: bool, i: int) -> str:
+    """Where in a stack an error lies, for error messages."""
+    return "" if single else f" at index {i}"
+
+
+@lru_cache(maxsize=256)
+def _starts(n: int, starts: int, seed: int) -> np.ndarray:
+    """The (starts, n) start points: basis vectors, then seeded random unit
+    vectors, each drawing its n real parts, then its n imaginary parts.
+    Read-only, as one array serves every call with the same arguments."""
     z = np.random.default_rng(seed).standard_normal((max(starts - n, 0), 2, n))
     z = z[:, 0] + 1j * z[:, 1]
     inits = np.concatenate([np.eye(n, dtype=complex), z / _row_norms(z)[:, None]])
+    inits = inits[:starts]
+    inits.flags.writeable = False
+    return inits
 
-    vals, us, vs = _svd_sweep(dense, inits[:starts])
-    # B[u, v] != 0 on every active start, so no power step divides by 0
-    active = np.flatnonzero(~_converged(vals, 0.0))
-    D = dense.reshape(n, -1)  # D[a, (b, k)] = B[e_a, e_b]_k
-    u, v, val = us[active], vs[active], vals[active]
+
+def _estimate(D: np.ndarray, inits: np.ndarray, iters: int):
+    """The three steps for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
+    = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n).
+
+    The power steps run on a grid of cells, one per (tensor, start) that
+    has not stopped, with the cells of each tensor side by side; see
+    ``_pack`` for how it shrinks.  Returns (values, us, vs)."""
+    L, S, n = inits.shape
+    vals, us, vs = _exact_sweep(D, inits)  # (L, S), (L, S, n)
+    # B[u, v] != 0 on every active cell, and a power step never lowers
+    # ||B[u, v]||, so no power step divides by 0; an inactive start is
+    # replaced by a copy of its tensor's best one, as padding
+    active = ~_converged(vals, 0.0)
+    u, v, val = us, vs, vals
+    if not active.all():
+        t, s = (~active).nonzero()
+        best = vals.argmax(axis=1)[t]
+        u, v, val = us.copy(), vs.copy(), vals.copy()
+        u[t, s], v[t, s], val[t, s] = us[t, best], vs[t, best], vals[t, best]
+    # cell i of the grid is (tensor, start) number cell[i]; a cell that
+    # stops writes its result there at once
+    us_flat, vals_flat = us.reshape(-1, n), vals.reshape(-1)
+    D2, width, padded = D, S, False
+    active, cell = active.reshape(-1), np.arange(L * S)
+    u, v, val = u.reshape(-1, n), v.reshape(-1, n), val.reshape(-1)
+    if not active.all():
+        D2, width, padded, grid = _pack(D2, width, [active, cell, u, v, val])
+        active, cell, u, v, val = grid
     for _ in range(iters - 1):
-        if active.size == 0:
+        if width == 0:
             break
-        v, _ = _power_half_step(D, u, v)
-        u, w = _power_half_step(D, v, u)
+        v, _ = _power_half_step(D2, u, v)
+        u, w = _power_half_step(D2, v, u)
         new_val = _row_norms(w)
         done = _converged(new_val, val)
+        if padded:
+            done &= active
         val = new_val
-        if done.any():
-            us[active[done]], vals[active[done]] = u[done], val[done]
-            keep = ~done
-            active, u, v, val = active[keep], u[keep], v[keep], val[keep]
-    us[active], vals[active] = u, val
+        if np.count_nonzero(done):
+            c = cell[done]
+            us_flat[c], vals_flat[c] = u[done], val[done]
+            active ^= done
+            D2, width, padded, grid = _pack(D2, width, [active, cell, u, v, val])
+            active, cell, u, v, val = grid
+    c = cell[active]
+    us_flat[c], vals_flat[c] = u[active], val[active]
+    us, vals = us_flat.reshape(L, S, n), vals_flat.reshape(L, S)
 
-    i = int(np.argmax(vals))
-    value, u = vals[i], us[i : i + 1]
+    # step 3: exact sweeps from each tensor's best start
+    rows = np.arange(L)
+    i = vals.argmax(axis=1)
+    value, u = vals[rows, i], us[rows, i][:, None]  # (L,), (L, 1, n)
+    # value and u are rebound below, so these arrays keep the results
+    out_value, out_u, out_v = value, u, np.empty_like(u)
+    D2 = D
     for _ in range(iters):
-        new_vals, u, v = _svd_sweep(dense, u)
-        done = _converged(new_vals[0], value)
-        value = new_vals[0]
-        if done:
-            break
-    return BilinearNormEstimate(float(value), u[0], v[0])
+        new_vals, u, v = _exact_sweep(D2, u)
+        done = _converged(new_vals[:, 0], value)
+        value = new_vals[:, 0]
+        stopped = np.count_nonzero(done)
+        if stopped:
+            r = rows[done]
+            out_value[r], out_u[r], out_v[r] = value[done], u[done], v[done]
+            if stopped == rows.size:
+                break
+            keep = ~done
+            rows, D2, value = rows[keep], D2[keep], value[keep]
+            u, v = u[keep], v[keep]
+    else:
+        out_value[rows], out_u[rows], out_v[rows] = value, u, v
+    return out_value, out_u[:, 0], out_v[:, 0]
+
+
+def _pack(D, width, cells):
+    """Shrink the grid of the power steps after some cells stopped.
+
+    The grid holds len(D) tensors of ``width`` consecutive cells each, and
+    each array of ``cells`` has one entry per cell, the first marking the
+    active ones.  If every tensor has the same number of active cells,
+    only those are kept.  Otherwise stopped cells stay as padding until
+    the tensor with the most active cells holds at most half of ``width``:
+    then each tensor keeps its active cells, in order, padded to that
+    count.  Tensors without an active cell leave.  Returns
+    (D, width, padded, cells)."""
+    active = cells[0]
+    by_tensor = active.reshape(len(D), width)
+    count = np.add.reduce(by_tensor, axis=1)
+    top = np.maximum.reduce(count)
+    if top == np.minimum.reduce(count):
+        return D, top, False, [x[active] for x in cells]
+    if 2 * top > width and count.all():
+        return D, width, True, cells
+    keep = count.nonzero()[0]
+    order = np.argsort(~by_tensor[keep], axis=1, kind="stable")[:, :top]
+    take = (order + width * keep[:, None]).ravel()
+    return D[keep], top, True, [x[take] for x in cells]
 
 
 def _converged(new, old):
@@ -200,35 +327,47 @@ def _converged(new, old):
     return np.abs(new - old) <= 1e-14 * np.maximum(1.0, new)
 
 
-def _svd_sweep(dense: np.ndarray, us: np.ndarray):
-    """One exact alternating sweep for each row of ``us``: v maximizes
-    ||B[u, v]|| at fixed u, then u at fixed v, each by an SVD of the matrix
-    with the other argument fixed.  Returns (values, us, vs)."""
-    # fix u: v -> B[u, v] is the matrix M with M[:, b] = sum_a T[a,b,:] u_a
-    M = np.einsum("abm,sa->smb", dense, us)
-    _, _, vh = np.linalg.svd(M)
-    vs = vh[:, 0].conj()
-    M2 = np.einsum("abm,sb->sma", dense, vs)
-    _, s2, uh = np.linalg.svd(M2)
-    return s2[:, 0], uh[:, 0].conj(), vs
+def _exact_sweep(D: np.ndarray, us: np.ndarray):
+    """One exact alternating sweep for each row of ``us`` (shape (L, S, n)):
+    v maximizes ||B[u, v]|| at fixed u, then u at fixed v.  B is symmetric,
+    so B[., v] is B[v, .].  Returns (values, us, vs)."""
+    _, vs = _top_singular_pair(D, us)
+    values, us = _top_singular_pair(D, vs)
+    return values, us, vs
+
+
+def _top_singular_pair(D: np.ndarray, x: np.ndarray):
+    """max over unit y of ||B[x, y]||, and a unit y attaining it, for each
+    row of x.  B[x, y] = M^T y for M = B[x, .], so y is the top eigenvector
+    of the Hermitian n x n Gram matrix conj(M) M^T and the maximum is the
+    square root of its top eigenvalue: the top singular pair of M^T, at
+    about two thirds of the cost of an SVD for n <= 4."""
+    M = (x @ D).reshape(x.shape + (-1,))  # M[l, s, b] = B_l[x_ls, e_b]
+    w, V = np.linalg.eigh(np.matmul(M.conj(), M.swapaxes(-1, -2)))
+    return np.sqrt(np.maximum(w[..., -1], 0.0)), V[..., -1]
 
 
 def _power_half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):
     """y <- B[x, .]* B[x, y], normalised, for each row; also B[x, y].
 
-    B is symmetric, so the same step updates either argument."""
-    S, n = x.shape
-    Bx = (x @ D).reshape(S, n, -1)  # Bx[s, b] = B[x_s, e_b]
-    w = np.matmul(y[:, None, :], Bx)  # (S, 1, m): B[x_s, y_s]
+    Rows of x and y (shape (R, n)) come in len(D) equal blocks, block l
+    for the tensor D[l].  B is symmetric, so the same step updates either
+    argument."""
+    R, n = x.shape
+    # Bx[r, b] = B[x_r, e_b], one matrix product per tensor
+    Bx = (x.reshape(len(D), -1, n) @ D).reshape(R, n, -1)
+    w = np.matmul(y[:, None, :], Bx)  # (R, 1, m): B[x_r, y_r]
     y = np.matmul(Bx.conj(), w.transpose(0, 2, 1))[:, :, 0]
     y /= _row_norms(y)[:, None]
     return y, w[:, 0]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a, with less overhead than np.linalg.norm."""
-    a = np.abs(a)
-    return np.sqrt((a * a).sum(axis=1))
+    """Euclidean norms along the last axis, which must be contiguous, with
+    less overhead than np.linalg.norm: the sum of squares of the real and
+    imaginary parts, read as one float array."""
+    f = a.view(np.float64)
+    return np.sqrt(np.add.reduce(f * f, axis=-1))
 
 
 def ell(lam: complex, mu: complex) -> float:
@@ -242,18 +381,22 @@ def fs_error_term(
     """Defect R of additivity of Psi under composition, with its bound.
 
     R = Psi_e(f o g) - Psi_e(f) - Psi_e(g); the bound is ell(lam, mu) N_f N_g
-    where N_f is the operator norm of the degree-2 tensor.
+    where N_f is the operator norm of the degree-2 tensor, estimated with
+    seed ``norm_seed`` for f and ``norm_seed + 1`` for g.
     """
+    R = _composition_defect(f, g, ctx)
+    nf, ng = operator_norm_bilinear(
+        [f.poly(2), g.poly(2)], seed=[norm_seed, norm_seed + 1]
+    )
+    return R, ell(ctx.lam, ctx.mu) * nf.value * ng.value
+
+
+def _composition_defect(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
+    """R = Psi_e(f o g) - Psi_e(f) - Psi_e(g)."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    from .jets import compose
-
-    fg = compose(f, g)
-    R = (
-        fs_mapping(fg, ctx).vector
+    return (
+        fs_mapping(compose(f, g), ctx).vector
         - fs_mapping(f, ctx).vector
         - fs_mapping(g, ctx).vector
     )
-    nf = operator_norm_bilinear(f.poly(2), seed=norm_seed).value
-    ng = operator_norm_bilinear(g.poly(2), seed=norm_seed + 1).value
-    return R, ell(ctx.lam, ctx.mu) * nf * ng

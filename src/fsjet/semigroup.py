@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .jets import MappingJet, compose
 from .reporting import Report
 from .sampling import sample_ball
-from .tensors import HomPoly, _check_vector, slot_product
+from .tensors import (
+    HomPoly,
+    _check_vector,
+    basis_coefficients,
+    monomials,
+    slot_product,
+)
 
 
 @dataclass(frozen=True)
@@ -117,8 +124,8 @@ def semigroup_jet(h: GeneratorJet, t: float) -> FlowJet:
     S_3(t, x) = (exp(-2t) - 1)/2 * [H_3(x) - q(t) D^2 h(0)[x, H_2(x)]]
     with q(t) = (1 - exp(-t)) / (1 + exp(-t)).
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     et = math.exp(-t)
     H2 = h.jet.poly(2)
     H3 = h.jet.poly(3)
@@ -137,11 +144,12 @@ def semigroup_ode(
     x0 = _check_vector(x0, h.dim)
     if np.linalg.norm(x0) >= 1:
         raise ValueError("initial point must lie in the open unit ball")
-    return _rk4(h, (t,), x0[None, :], step)[0, 0]
+    return _rk4([h], (t,), x0[None, None, :], step)[0, 0, 0]
 
 
-def _rk4(h: GeneratorJet, ts, xs: np.ndarray, step: float) -> np.ndarray:
-    """Flow of every row of ``xs`` at each of the increasing times ``ts``.
+def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
+    """Flow of each generator hs[j] from every row of xs[j] at each of the
+    increasing times ``ts``.
 
     One trajectory is integrated piecewise through the times; each gap
     takes ceil(gap/step) equal steps, so a single time t gets exactly the
@@ -156,6 +164,7 @@ def _rk4(h: GeneratorJet, ts, xs: np.ndarray, step: float) -> np.ndarray:
         raise ValueError(f"times must be nonnegative, got {ts}")
     if np.any(np.diff(ts) <= 0):
         raise ValueError(f"times must be increasing, got {ts}")
+    field = _field(hs)
     u = np.array(xs, dtype=complex)
     snapshots = []
     prev = 0.0
@@ -164,23 +173,48 @@ def _rk4(h: GeneratorJet, ts, xs: np.ndarray, step: float) -> np.ndarray:
         nsteps = max(1, math.ceil(gap / step))
         dt = gap / nsteps
         for _ in range(nsteps):
-            k1 = -h.eval_many(u)
-            k2 = -h.eval_many(u + 0.5 * dt * k1)
-            k3 = -h.eval_many(u + 0.5 * dt * k2)
-            k4 = -h.eval_many(u + dt * k3)
+            k1 = -field(u)
+            k2 = -field(u + 0.5 * dt * k1)
+            k3 = -field(u + 0.5 * dt * k2)
+            k4 = -field(u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         snapshots.append(u)
         prev = float(t)
     out = np.array(snapshots).reshape(ts.shape + u.shape)
-    if np.any(np.linalg.norm(out, axis=-1) >= 1.0):
+    # "not < 1" also catches a trajectory that overflowed to inf or NaN
+    inside = (np.linalg.norm(out, axis=-1) < 1.0).all(axis=(0, 2))
+    if not inside.all():
         raise RuntimeError(
-            "trajectory left the unit ball; the field is likely not a generator"
+            f"the trajectory of generator {int(np.argmin(inside))} left the unit "
+            "ball; the field is likely not a generator"
         )
     return out
 
 
+def _field(hs):
+    """The fields x -> h_j(x) of generators of one (dim, order), as one
+    function of a (J, N, n) array whose slice j holds points for h_j.
+
+    Each degree k has one coefficient array over the sorted multi-index
+    basis (``tensors.basis_coefficients``), so a stage costs one gather of
+    monomials and one batched product per degree, whatever J is."""
+    degrees = []
+    for k in range(2, hs[0].order + 1):
+        cols, coef = basis_coefficients([h.jet.poly(k) for h in hs])
+        if coef.any():
+            degrees.append((cols, coef))
+
+    def field(x: np.ndarray) -> np.ndarray:
+        out = x.copy()
+        for cols, coef in degrees:
+            out += np.matmul(monomials(x, cols), coef)
+        return out
+
+    return field
+
+
 def flow_taylor_via_ode(
-    h: GeneratorJet,
+    h: GeneratorJet | Sequence[GeneratorJet],
     t,
     direction,
     degree,
@@ -197,17 +231,43 @@ def flow_taylor_via_ode(
     ``t`` may be an increasing sequence of times and ``degree`` a sequence
     of degrees: one integration then serves every pair, and the result
     has shape (len(t), len(degree), n).  A scalar drops its axis, so
-    scalar ``t`` and ``degree`` give the (n,) coefficient.
+    scalar ``t`` and ``degree`` give the (n,) coefficient.  A degree must
+    satisfy 0 <= k < ``nodes``; others would alias and raise ``ValueError``.
+
+    ``h`` may also be a sequence of J generators of one dim and order,
+    with ``direction`` a (J, n) array of one direction per generator.  One
+    integration then carries all of them, and the result gains a leading
+    axis of length J; each element equals the lone call on its generator
+    and direction within rounding.
     """
-    e = _check_vector(direction, h.dim)
-    zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    pts = zs[:, None] * e[None, :]
-    ut = _rk4(h, np.ravel(t), pts, step)  # (times, nodes, n)
+    single = isinstance(h, GeneratorJet)
+    hs = [h] if single else list(h)
+    if not hs:
+        raise ValueError("expected at least one generator")
+    dim, order = hs[0].dim, hs[0].order
+    for j, g in enumerate(hs):
+        if (g.dim, g.order) != (dim, order):
+            raise ValueError(
+                f"generators of one dim and order expected: ({dim}, {order}) "
+                f"at index 0, ({g.dim}, {g.order}) at index {j}"
+            )
+    es = np.asarray(direction, dtype=complex)
+    expected = (dim,) if single else (len(hs), dim)
+    if es.shape != expected:
+        raise ValueError(f"expected directions of shape {expected}, got {es.shape}")
     ks = [int(k) for k in np.ravel(degree)]
+    if any(not 0 <= k < nodes for k in ks):
+        raise ValueError(f"degrees must lie in 0..{nodes - 1}, got {degree}")
+    zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    pts = zs[:, None] * es[..., None, :]  # ([J,] nodes, n)
+    ut = _rk4(hs, np.ravel(t), pts.reshape(len(hs), nodes, dim), step)
     weights = np.array([np.exp(-2j * np.pi * k * np.arange(nodes) / nodes) for k in ks])
     norms = np.array([nodes * radius**k for k in ks])
-    coef = (weights[None, :, :, None] * ut[:, None]).sum(axis=2) / norms[:, None]
-    return coef.reshape(np.shape(t) + np.shape(degree) + (h.dim,))
+    # ut: (times, J, nodes, n) -> coef: (J, times, degrees, n)
+    coef = (weights[:, :, None] * ut[:, :, None]).sum(axis=3) / norms[:, None]
+    shape = np.shape(t) + np.shape(degree) + (dim,)
+    coef = np.moveaxis(coef, 1, 0)
+    return coef.reshape(shape) if single else coef.reshape((len(hs),) + shape)
 
 
 def starlike_from_generator(h: GeneratorJet) -> MappingJet:

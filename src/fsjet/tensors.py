@@ -231,11 +231,7 @@ class HomPoly:
                 ]
             )
         cols, coef = self._compiled
-        # monomial values (N, T), one index column multiplied in at a time
-        terms = xs[:, cols[0]]
-        for col in cols[1:]:
-            terms *= xs[:, col]
-        return terms @ coef
+        return monomials(xs, cols) @ coef
 
     def multilinear_eval(self, args) -> np.ndarray:
         """T[x_1,...,x_k], linear in each slot, symmetric in the slots.
@@ -267,6 +263,37 @@ class HomPoly:
         out = vals[position_rank].reshape((n,) * k + (m,))
         out.flags.writeable = False
         return out
+
+
+def monomials(xs: np.ndarray, cols) -> np.ndarray:
+    """Values (..., T) at the points xs (..., n) of the T monomials whose
+    0-based variable indices are the rows of the index columns ``cols``,
+    one column multiplied in at a time."""
+    terms = xs[..., cols[0]]
+    for col in cols[1:]:
+        terms *= xs[..., col]
+    return terms
+
+
+def basis_coefficients(polys) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The polynomials of one degree k and shape C^n -> C^m over one basis.
+
+    Returns the k index columns of every sorted multi-index of degree k
+    over 1..n, in rank order, and a (len(polys), T, m) coefficient array
+    with the multinomial counts folded in and zeros where a polynomial
+    stores no entry, so that ``monomials(xs, cols) @ coef[j]`` evaluates
+    polys[j] at the rows of xs as ``HomPoly.eval_many`` does."""
+    P0 = polys[0]
+    n, k, m = P0.domain_dim, P0.degree, P0.codomain_dim
+    rank, _ = _dense_layout(n, k)
+    coef = np.zeros((len(polys), len(rank), m), dtype=complex)
+    for j, P in enumerate(polys):
+        if (P.domain_dim, P.degree, P.codomain_dim) != (n, k, m):
+            raise ValueError("polynomials of one degree and shape expected")
+        if P.coeffs:
+            coef[j, [rank[idx] for idx in P.coeffs]] = P._compiled[1]
+    idx = np.array(list(rank), dtype=np.intp).reshape(-1, k) - 1
+    return tuple(idx.T.copy()), coef
 
 
 @cache

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import polyops
+from . import fekete, polyops
 from .estimates import check_bounded_onedim_bound
 from .fekete import FSContext, _inner, fs_mapping
 from .jets import MappingJet, compose, invert, iterate, random_jet, unitary_conjugate
@@ -232,18 +232,27 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
 
 
 def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    from .fekete import ell, fs_error_term
-
     rng = _rng(seed, 6)
-    worst_violation = 0.0
+    # per dimension: (||R||, ell(lam, mu)) of each trial and its two
+    # degree-2 tensors, whose norms are then estimated in one call
+    by_dim: dict[int, tuple[list, list]] = {}
     for i in range(trials):
         n = _dims_cycle(dims, i)
         f = random_jet(n, 3, rng)
         g = random_jet(n, 3, rng)
         e = sample_sphere(rng, 1, n)[0]
         lam, mu = sample_params(rng, 2)
-        R, bound = fs_error_term(f, g, FSContext(e, lam, mu), norm_seed=seed)
-        worst_violation = _worst(worst_violation, float(np.linalg.norm(R)) - bound)
+        ctx = FSContext(e, lam, mu)
+        R = fekete._composition_defect(f, g, ctx)
+        defects, tensors = by_dim.setdefault(n, ([], []))
+        defects.append((float(np.linalg.norm(R)), fekete.ell(ctx.lam, ctx.mu)))
+        tensors += [f.poly(2), g.poly(2)]
+    worst_violation = 0.0
+    for defects, tensors in by_dim.values():
+        seeds = [seed, seed + 1] * len(defects)
+        est = fekete.operator_norm_bilinear(tensors, seed=seeds)
+        for (r, coef), nf, ng in zip(defects, est[::2], est[1::2]):
+            worst_violation = _worst(worst_violation, r - coef * nf.value * ng.value)
     reports = [
         make_report(
             "error-bound/ell-bound", trials, seed, 1e-9, _worst(0.0, worst_violation)
@@ -277,18 +286,25 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
 
 def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
     rng = _rng(seed, 8)
-    worst = 0.0
     times, degrees = (0.1, 0.7, 2.0), (2, 3)
+    # every generator and direction first, then one integration per dim
+    by_dim: dict[int, tuple[list, list]] = {}
     for i in range(trials):
         n = _dims_cycle(dims, i)
-        h = sample_generator(n, rng)
-        e = sample_sphere(rng, 1, n)[0]
-        extracted = flow_taylor_via_ode(h, times, e, degrees, step=5e-3)
-        for t, by_degree in zip(times, extracted):
-            flow = semigroup_jet(h, t)
-            for k, coef in zip(degrees, by_degree):
-                closed = flow.poly(k).eval(e)
-                worst = _worst(worst, float(np.linalg.norm(closed - coef)))
+        gens, dirs = by_dim.setdefault(n, ([], []))
+        gens.append(sample_generator(n, rng))
+        dirs.append(sample_sphere(rng, 1, n)[0])
+    worst = 0.0
+    for gens, dirs in by_dim.values():
+        extracted = flow_taylor_via_ode(
+            gens, times, np.array(dirs), degrees, step=5e-3
+        )
+        for h, e, by_time in zip(gens, dirs, extracted):
+            for t, by_degree in zip(times, by_time):
+                flow = semigroup_jet(h, t)
+                for k, coef in zip(degrees, by_degree):
+                    closed = flow.poly(k).eval(e)
+                    worst = _worst(worst, float(np.linalg.norm(closed - coef)))
     reports = [make_report("semigroup/closed-form-vs-ode", trials, seed, 1e-6, worst)]
 
     rng2 = _rng(seed, 9)

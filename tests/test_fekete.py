@@ -20,6 +20,7 @@ from fsjet.gallery import example_gallery
 from fsjet.jets import compose, random_jet
 from fsjet.sampling import sample_sphere
 from fsjet.tensors import HomPoly
+from fsjet.transforms import koebe_onedim
 
 
 def test_context_normalizes_direction():
@@ -225,6 +226,31 @@ def _assert_dominates_per_start_loop(B, **kwargs):
     _assert_unit_witness(B, est)
 
 
+def _error_bound_tensors(count):
+    """Degree-2 parts drawn as the error-bound suite draws them (at seed 3),
+    with the suite's seeds for the two norms of each trial, by dimension."""
+    rng = np.random.default_rng([3, 6])
+    stacks = {2: ([], []), 3: ([], [])}
+    for i in range(count // 2):
+        n = (2, 3)[i % 2]
+        tensors, seeds = stacks[n]
+        for seed in (3, 4):
+            tensors.append(random_jet(n, 3, rng).poly(2))
+            seeds.append(seed)
+    return stacks
+
+
+def _assert_stack_matches_lone_calls(tensors, seeds, **kwargs):
+    stacked = operator_norm_bilinear(tensors, seed=seeds, **kwargs)
+    assert isinstance(stacked, list) and len(stacked) == len(tensors)
+    for B, seed, est in zip(tensors, seeds, stacked):
+        lone = operator_norm_bilinear(B, seed=seed, **kwargs)
+        assert abs(est.value - lone.value) <= 1e-14 * max(1.0, lone.value)
+        if est.value > 0:
+            _assert_unit_witness(B, est)
+    return stacked
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("starts", [1, 4, 32])
 def test_operator_norm_matches_per_start_loop(n, starts):
@@ -238,13 +264,13 @@ def test_operator_norm_matches_per_start_loop(n, starts):
 
 def test_operator_norm_dominates_per_start_loop_on_error_bound_tensors():
     # degree-2 parts drawn as the error-bound suite draws them, at its
-    # seeds for the two norms of a trial
-    rng = np.random.default_rng([3, 6])
-    for i in range(10):
-        n = (2, 3)[i % 2]
-        for seed in (3, 4):
-            B = random_jet(n, 3, rng).poly(2)
-            _assert_dominates_per_start_loop(B, seed=seed)
+    # seeds for the two norms of a trial; the stacked call, one per
+    # dimension as in the suite, gives each lone call's estimate
+    for tensors, seeds in _error_bound_tensors(20).values():
+        stacked = _assert_stack_matches_lone_calls(tensors, seeds)
+        for B, seed, est in zip(tensors, seeds, stacked):
+            ref, _, _ = _operator_norm_per_start(B, seed=seed)
+            assert est.value >= ref - 1e-13 * max(1.0, ref)
 
 
 def test_operator_norm_iteration_cap_matches_per_start_loop():
@@ -298,3 +324,128 @@ def test_operator_norm_zero_tensor_and_bad_starts():
     assert not np.any(est.u) and not np.any(est.v)
     with pytest.raises(ValueError):
         operator_norm_bilinear(random_jet(2, 2, np.random.default_rng(0)).poly(2), starts=0)
+
+
+@pytest.mark.parametrize("starts", [1, 2, 32])
+def test_operator_norm_mixed_stack_without_nan_or_warning(starts):
+    # zero tensors, sparse tensors on which basis starts give B[u, v] = 0,
+    # and random tensors share one batch
+    rng = np.random.default_rng(120)
+    swap = np.zeros((2, 2, 2), complex)
+    swap[0, 1, 0] = swap[1, 0, 0] = 0.5
+    stacks = [
+        [
+            HomPoly.zero(2, 1, 1),
+            example_gallery("koebe1d").jet.poly(2),
+            random_jet(1, 2, rng).poly(2),
+        ],
+        [
+            random_jet(2, 2, rng).poly(2),
+            HomPoly.zero(2, 2, 2),
+            example_gallery("example_5_6").jet.poly(2),
+            _hompoly_from_dense(swap),
+            koebe_onedim(dim=2).to_mapping_jet().poly(2),
+            random_jet(2, 2, rng).poly(2),
+        ],
+    ]
+    for tensors in stacks:
+        seeds = list(range(len(tensors)))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = _assert_stack_matches_lone_calls(tensors, seeds, starts=starts)
+        for B, est in zip(tensors, stacked):
+            if B.is_zero(atol=0.0):
+                assert est.value == 0.0 and not np.any(est.u) and not np.any(est.v)
+    if starts >= 2:
+        assert abs(stacked[2].value - np.sqrt(2.0) / 2.0) <= 1e-12
+        assert abs(stacked[4].value - 2.0) <= 1e-12
+
+
+def test_operator_norm_stack_shares_an_int_seed():
+    tensors, _ = _error_bound_tensors(8)[3]
+    shared = operator_norm_bilinear(tensors, seed=7)
+    each = _assert_stack_matches_lone_calls(tensors, [7] * len(tensors))
+    assert [e.value for e in shared] == [e.value for e in each]
+
+
+def test_operator_norm_stack_rejects_bad_input():
+    rng = np.random.default_rng(121)
+    good = [random_jet(2, 2, rng).poly(2) for _ in range(3)]
+    assert operator_norm_bilinear([]) == []
+    for bad_value in (np.nan, np.inf, -np.inf * 1j):
+        bad = HomPoly(2, 2, 2, {(1, 2): [bad_value, 0.0]})
+        with pytest.raises(ValueError, match="index 2"):
+            operator_norm_bilinear(good[:2] + [bad] + good[2:])
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norm_bilinear(bad)
+    with pytest.raises(ValueError, match="index 1"):
+        operator_norm_bilinear([good[0], random_jet(3, 2, rng).poly(2)])
+    with pytest.raises(ValueError, match="index 2"):
+        operator_norm_bilinear(good[:2] + [random_jet(2, 3, rng).poly(3)])
+    with pytest.raises(ValueError):
+        operator_norm_bilinear(random_jet(2, 3, rng).poly(3))
+    with pytest.raises(ValueError):
+        operator_norm_bilinear(good, seed=[1, 2])
+
+
+def _three_steps_per_start(B, starts=32, iters=200, seed=0):
+    """Reference: the three steps of ``operator_norm_bilinear`` written one
+    start at a time with dense contractions."""
+    n = B.domain_dim
+    dense = B.dense()
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((max(starts - n, 0), 2, n))
+    z = z[:, 0] + 1j * z[:, 1]
+    inits = list(np.eye(n, dtype=complex)) + [r / np.linalg.norm(r) for r in z]
+
+    def exact_sweep(u):
+        _, _, vh = np.linalg.svd(np.einsum("abm,a->mb", dense, u))
+        v = vh[0].conj()
+        _, s, uh = np.linalg.svd(np.einsum("abm,b->ma", dense, v))
+        return s[0], uh[0].conj(), v
+
+    def power_half_step(x, y):
+        Bx = np.einsum("abm,a->bm", dense, x)
+        w = y @ Bx  # B[x, y]
+        y = Bx.conj() @ w
+        return y / np.linalg.norm(y), w
+
+    def stops(new, old):
+        return abs(new - old) <= 1e-14 * max(1.0, new)
+
+    best_val, best_u = -1.0, None
+    for u in inits[:starts]:
+        val, u, v = exact_sweep(u)
+        if not stops(val, 0.0):
+            for _ in range(iters - 1):
+                v, _ = power_half_step(u, v)
+                u, w = power_half_step(v, u)
+                new_val = float(np.linalg.norm(w))
+                stopped, val = stops(new_val, val), new_val
+                if stopped:
+                    break
+        if val > best_val:
+            best_val, best_u = val, u
+    value, u = best_val, best_u
+    for _ in range(iters):
+        new_val, u, v = exact_sweep(u)
+        stopped, value = stops(new_val, value), new_val
+        if stopped:
+            break
+    return value
+
+
+@pytest.mark.parametrize(
+    "starts,iters,count", [(32, 1, 8), (32, 2, 8), (32, 3, 8), (32, 200, 8), (4, 200, 20)]
+)
+def test_operator_norm_follows_its_three_steps(starts, iters, count):
+    # lone and stacked calls agree with the steps run start by start, also
+    # when the iteration cap stops them before convergence
+    kwargs = {"starts": starts, "iters": iters}
+    for tensors, seeds in _error_bound_tensors(count).values():
+        stacked = operator_norm_bilinear(tensors, seed=seeds, **kwargs)
+        for B, seed, est in zip(tensors, seeds, stacked):
+            ref = _three_steps_per_start(B, seed=seed, **kwargs)
+            lone = operator_norm_bilinear(B, seed=seed, **kwargs)
+            for value in (est.value, lone.value):
+                assert abs(value - ref) <= 1e-12 * max(1.0, ref)

@@ -7,6 +7,7 @@ import pytest
 
 from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet, random_jet
+from fsjet.sampling import sample_sphere
 from fsjet.semigroup import (
     FlowJet,
     GeneratorJet,
@@ -202,3 +203,68 @@ def test_flow_jet_scale_and_eval():
     x = np.array([0.2 + 0j])
     expect = math.exp(-0.5) * (x + x**2)
     assert np.allclose(flow.eval(x), expect, atol=1e-14)
+
+
+def test_semigroup_jet_rejects_non_finite_time():
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            semigroup_jet(_example_generator(), t)
+
+
+def test_flow_taylor_rejects_degrees_it_cannot_extract():
+    # a degree outside 0..nodes-1 aliases onto another one
+    h = _example_generator()
+    e = np.array([1.0, 0.0], dtype=complex)
+    for degree in (-1, 16, 17, (2, 17)):
+        with pytest.raises(ValueError):
+            flow_taylor_via_ode(h, 0.3, e, degree, nodes=16)
+    assert flow_taylor_via_ode(h, 0.3, e, (0, 15), nodes=16).shape == (2, 2)
+
+
+def test_flow_taylor_stack_matches_lone_calls():
+    rng = np.random.default_rng(56)
+    gens = [sample_generator(2, rng) for _ in range(3)]
+    dirs = sample_sphere(rng, 3, 2)
+    times, degrees = (0.1, 0.7), (2, 3)
+    stacked = flow_taylor_via_ode(gens, times, dirs, degrees, step=1e-2)
+    assert stacked.shape == (3, 2, 2, 2)
+    for h, e, got in zip(gens, dirs, stacked):
+        lone = flow_taylor_via_ode(h, times, e, degrees, step=1e-2)
+        assert lone.shape == (2, 2, 2)
+        assert np.abs(got - lone).max() <= 1e-14 * np.abs(lone).max()
+    # scalar t and degree drop their axes; the generator axis stays, also
+    # for a stack of one, while a lone generator has none
+    assert flow_taylor_via_ode(gens, 0.7, dirs, 3, step=1e-2).shape == (3, 2)
+    one = flow_taylor_via_ode(gens[:1], times, dirs[:1], degrees, step=1e-2)
+    assert one.shape == (1, 2, 2, 2)
+    assert np.array_equal(
+        one[0], flow_taylor_via_ode(gens[0], times, dirs[0], degrees, step=1e-2)
+    )
+
+
+def test_flow_taylor_stack_rejects_mixed_generators():
+    rng = np.random.default_rng(57)
+    h2, h3 = sample_generator(2, rng), sample_generator(3, rng)
+    h2_order4 = sample_generator(2, rng, order=4)
+    e2 = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    for gens in ([h2, h3], [h2, h2_order4]):
+        with pytest.raises(ValueError):
+            flow_taylor_via_ode(gens, 0.3, e2, 2)
+    with pytest.raises(ValueError):
+        flow_taylor_via_ode([h2, h2], 0.3, e2[0], 2)  # one direction per generator
+    with pytest.raises(ValueError):
+        flow_taylor_via_ode([], 0.3, np.zeros((0, 2)), 2)
+
+
+def test_flow_leaving_the_ball_raises_and_names_the_generator():
+    # x - 10 x^2 pushes points of radius 0.2 outward until they overflow,
+    # which used to come back as a NaN coefficient
+    H2 = HomPoly.from_monomials(2, 1, 1, {(2,): [-10.0]})
+    bad = GeneratorJet(MappingJet(1, 3, {2: H2}))
+    good = GeneratorJet(MappingJet(1, 3, {}))
+    e = np.array([[1.0 + 0j], [1.0 + 0j]])
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match="generator 1"):
+            flow_taylor_via_ode([good, bad], 2.0, e, 2, step=5e-3)
+        with pytest.raises(RuntimeError):
+            semigroup_ode(bad, 2.0, np.array([0.2 + 0j]), step=5e-3)

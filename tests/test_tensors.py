@@ -6,8 +6,10 @@ import pytest
 from fsjet.tensors import (
     HomPoly,
     ScalarHomPoly,
+    basis_coefficients,
     exponents_to_multi_index,
     multi_index_to_exponents,
+    monomials,
     multinomial,
     polarization_check,
     slot_product,
@@ -333,3 +335,26 @@ def test_from_monomials_rejects_bad_input():
     ):
         with pytest.raises(ValueError):
             HomPoly.from_monomials(degree, 2, 2, monos)
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 3), (3, 2), (4, 3)])
+def test_basis_coefficients_evaluate_like_eval_many(n, k):
+    # one coefficient array over the full sorted basis, zeros where a
+    # polynomial stores nothing, evaluates each polynomial of the stack
+    rng = np.random.default_rng(60 + n + k)
+    full = _random_hompoly(rng, k, n, n)
+    sparse = HomPoly(k, n, n, {(1,) * k: full.coeffs[(1,) * k]})
+    polys = [full, HomPoly.zero(k, n, n), sparse]
+    cols, coef = basis_coefficients(polys)
+    assert coef.shape == (3, len(full.coeffs), n)
+    xs = rng.standard_normal((2, 5, n)) + 1j * rng.standard_normal((2, 5, n))
+    values = monomials(xs, cols)  # (2, 5, T) at once
+    for j, P in enumerate(polys):
+        for x in xs:
+            expect = P.eval_many(x)
+            assert np.abs(monomials(x, cols) @ coef[j] - expect).max() <= 1e-14 * (
+                1.0 + np.abs(expect).max()
+            )
+        assert np.array_equal(values[1] @ coef[j], monomials(xs[1], cols) @ coef[j])
+    with pytest.raises(ValueError):
+        basis_coefficients([full, _random_hompoly(rng, k + 1, n, n)])

@@ -65,7 +65,7 @@ def test_nan_norm_estimate_fails_the_error_bound(monkeypatch):
     # max(0.0, nan) is 0.0, so a NaN estimate used to pass silently
     nan_estimate = fekete.BilinearNormEstimate(math.nan, np.zeros(2), np.zeros(2))
     monkeypatch.setattr(
-        fekete, "operator_norm_bilinear", lambda B, **kw: nan_estimate
+        fekete, "operator_norm_bilinear", lambda B, **kw: [nan_estimate] * len(B)
     )
     bound = next(
         r for r in run_suite("error-bound", trials=4, seed=0)
