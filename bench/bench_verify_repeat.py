@@ -10,7 +10,8 @@ import pytest
 
 from fsjet.fekete import operator_norm_bilinear
 from fsjet.jets import compose, invert, iterate, random_jet
-from fsjet.verify import suite_error_bound, suite_semigroup
+from fsjet.transforms import detect_onedim
+from fsjet.verify import random_onedim_jet, suite_error_bound, suite_semigroup
 
 
 def _jets(n, K, count, seed):
@@ -21,8 +22,9 @@ def _jets(n, K, count, seed):
 JET_SIZES = [(2, 3), (3, 5), (4, 5)]
 
 
-@pytest.mark.parametrize("n,K", JET_SIZES)
+@pytest.mark.parametrize("n,K", JET_SIZES + [(3, 3)])
 def bench_compose(benchmark, n, K):
+    # (2,3) and (3,3) are the order-3 jets of `fsjet verify all`
     f, g = _jets(n, K, 2, seed=10 * n + K)
     benchmark(compose, f, g)
 
@@ -67,10 +69,31 @@ def bench_hompoly_scale(benchmark, n, K):
     benchmark(f.poly(K).scale, 2.5j)
 
 
-@pytest.mark.parametrize("n,K", [(3, 5), (4, 7)])
+@pytest.mark.parametrize("n,K", [(3, 3), (3, 5), (4, 7)])
 def bench_hompoly_add(benchmark, n, K):
     f, g = _jets(n, K, 2, seed=n + K)
     benchmark(f.poly(K).__add__, g.poly(K))
+
+
+@pytest.mark.parametrize("n,K", [(3, 3), (4, 7)])
+def bench_hompoly_allclose(benchmark, n, K):
+    f, g = _jets(n, K, 2, seed=n * K)
+    P, Q = f.poly(K), g.poly(K)
+    benchmark(P.allclose, P + Q.scale(1e-12))
+
+
+def bench_random_jet(benchmark):
+    rng = np.random.default_rng(3)
+    benchmark(random_jet, 3, 3, rng)
+
+
+@pytest.mark.parametrize("kind", ["onedim", "generic"])
+def bench_detect_onedim(benchmark, kind):
+    # a one-dimensional jet solves every degree, a generic one stops at
+    # the first; `fsjet verify duality` meets both
+    rng = np.random.default_rng(5)
+    f = random_onedim_jet(3, 3, rng).to_mapping_jet() if kind == "onedim" else random_jet(3, 3, rng)
+    benchmark(detect_onedim, f)
 
 
 @pytest.mark.parametrize("n,K", [(2, 7), (4, 7)])

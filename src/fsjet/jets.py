@@ -7,16 +7,23 @@ unitary conjugation all happen at the jet level with truncation at K.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping
 
 import numpy as np
 
 from . import polyops
 from .polyops import ScalarPoly
-from .tensors import DEFAULT_ATOL, HomPoly, _check_vector, slot_product
+from .tensors import (
+    DEFAULT_ATOL,
+    HomPoly,
+    _check_vector,
+    entries_close,
+    layout,
+    slot_product,
+)
 
 UNITARY_TOL = 1e-12
 
@@ -38,7 +45,7 @@ class MappingJet:
                 raise ValueError(f"poly at degree {k} has degree {P.degree}")
             if P.domain_dim != self.dim or P.codomain_dim != self.dim:
                 raise ValueError(f"poly at degree {k} has wrong dimensions")
-            if P.coeffs:
+            if P.entries.any():
                 clean[k] = P
         object.__setattr__(self, "polys", clean)
 
@@ -61,7 +68,10 @@ class MappingJet:
         return all(P.is_zero(atol) for P in self.polys.values())
 
     def max_coeff(self) -> float:
-        return max((P.max_coeff() for P in self.polys.values()), default=0.0)
+        """Largest entry modulus of any degree; NaN if any entry is NaN."""
+        if not self.polys:
+            return 0.0
+        return float(np.abs(np.concatenate([P.entries for P in self.polys.values()])).max())
 
     def allclose(self, other: "MappingJet", atol: float = DEFAULT_ATOL) -> bool:
         if self.dim != other.dim:
@@ -92,34 +102,67 @@ class MappingJet:
     # -- monomial view ----------------------------------------------------
 
     def components(self) -> list[ScalarPoly]:
-        comps = polyops.identity_map(self.dim)
-        for P in self.polys.values():
-            comps = [polyops.padd(a, b) for a, b in zip(comps, P.components())]
-        return comps
+        n = self.dim
+        exps = layout(n, 1).exponents
+        blocks = [np.eye(n)]
+        for k, P in self.polys.items():
+            basis = layout(n, k)
+            exps += basis.exponents
+            blocks.append(P.entries * basis.multinomials[:, None])
+        columns = np.concatenate(blocks).T.tolist()
+        return [{e: c for e, c in zip(exps, col) if c} for col in columns]
 
     @classmethod
     def from_components(
         cls, comps: list[ScalarPoly], dim: int, order: int
     ) -> "MappingJet":
-        """Rebuild a normalized jet; the degree-1 part must be the identity."""
-        polys: dict[int, HomPoly] = {}
-        for k in range(2, order + 1):
-            monos: dict[tuple, np.ndarray] = {}
-            for i, comp in enumerate(comps):
-                for exps, c in polyops.degree_part(comp, k).items():
-                    vec = monos.setdefault(exps, np.zeros(dim, dtype=complex))
-                    vec[i] += c
-            if monos:
-                polys[k] = HomPoly.from_monomials(k, dim, dim, monos)
-        for i, comp in enumerate(comps):
-            lin = polyops.degree_part(comp, 1)
-            expect = polyops.variable(i, dim)
-            for exps in set(lin) | set(expect):
-                if abs(lin.get(exps, 0) - expect.get(exps, 0)) > 1e-9:
-                    raise ValueError("degree-1 part is not the identity")
-            if any(abs(c) > 1e-12 for c in polyops.degree_part(comp, 0).values()):
-                raise ValueError("jet has a nonzero constant term")
+        """Rebuild a normalized jet; the degree-1 part must be the identity.
+        Terms above ``order`` are truncated."""
+        if len(comps) != dim:
+            raise ValueError(f"expected {dim} components, got {len(comps)}")
+        rows, offsets, low, low_tol = _monomial_rows(dim, order)
+        dense = []
+        for comp in comps:
+            row = [0j] * offsets[-1]
+            for e, c in comp.items():
+                r = rows.get(e)
+                if r is not None:
+                    row[r] = c
+                elif len(e) != dim or min(e) < 0:
+                    raise ValueError(f"monomial {e} is not one of {dim} variables")
+            dense.append(row)
+        values = np.array(dense, dtype=complex).T
+        off = np.abs(values[: dim + 1] - low) > low_tol
+        if off[1:].any():
+            raise ValueError("degree-1 part is not the identity")
+        if off[0].any():
+            raise ValueError("jet has a nonzero constant term")
+        polys = {
+            k: HomPoly._trusted(
+                k,
+                dim,
+                dim,
+                values[offsets[k] : offsets[k + 1]] / layout(dim, k).multinomials[:, None],
+            )
+            for k in range(2, order + 1)
+        }
         return cls(dim, order, polys)
+
+
+@cache
+def _monomial_rows(dim: int, order: int):
+    """Row of each exponent of degree 0..order in one stack of the degree
+    blocks (degree k in rank order of ``layout(dim, k)``), the offset of
+    each block (degree k occupies rows offsets[k]:offsets[k + 1]), and the
+    normalized degree-0 and degree-1 rows with their tolerances."""
+    exps = [(0,) * dim]
+    offsets = [0, 1]
+    for k in range(1, order + 1):
+        exps.extend(layout(dim, k).exponents)
+        offsets.append(len(exps))
+    low = np.vstack([np.zeros(dim), np.eye(dim)])
+    low_tol = np.array([[1e-12]] + [[1e-9]] * dim)
+    return {e: r for r, e in enumerate(exps)}, offsets, low, low_tol
 
 
 def compose(f: MappingJet, g: MappingJet) -> MappingJet:
@@ -138,12 +181,13 @@ def _check_low_degree_composition(f: MappingJet, g: MappingJet, r: MappingJet):
     # closed forms for the composed degree-2/3 parts; cross-check of the
     # generic substitution on the degrees where they are known
     scale = 1.0 + f.max_coeff() + g.max_coeff()
-    R2 = f.poly(2) + g.poly(2)
-    assert r.poly(2).allclose(R2, atol=1e-9 * scale)
+    f2, g2 = f.poly(2), g.poly(2)
+    R2 = f2.entries + g2.entries
+    assert entries_close(r.poly(2).entries, R2, atol=1e-9 * scale)
     if r.order >= 3:
-        cross = slot_product(f.poly(2).dense(), g.poly(2)).scale(2.0)
-        R3 = cross + f.poly(3) + g.poly(3)
-        assert r.poly(3).allclose(R3, atol=1e-9 * scale * scale)
+        cross = 2.0 * slot_product(f2.dense(), g2).entries
+        R3 = cross + f.poly(3).entries + g.poly(3).entries
+        assert entries_close(r.poly(3).entries, R3, atol=1e-9 * scale * scale)
 
 
 def invert(f: MappingJet) -> MappingJet:
@@ -193,11 +237,7 @@ def linear_conjugate(f: MappingJet, A: np.ndarray, B: np.ndarray) -> MappingJet:
         for _ in range(k):
             T = np.tensordot(T, B, axes=([1], [0]))
         T = np.moveaxis(T, 0, -1)
-        idx = list(itertools.combinations_with_replacement(range(n), k))
-        rows = T[tuple(np.array(idx).T)]  # (len(idx), n) copy of the sorted entries
-        polys[k] = HomPoly._trusted(
-            k, n, n, {tuple(i + 1 for i in j): row for j, row in zip(idx, rows)}
-        )
+        polys[k] = HomPoly._trusted(k, n, n, T[layout(n, k).cols])
     return MappingJet(f.dim, f.order, polys)
 
 
@@ -207,13 +247,7 @@ def random_jet(
     """Random jet with complex Gaussian tensor entries, for test suites."""
     polys = {}
     for k in range(2, order + 1):
-        coeffs = {}
-        for exps in polyops.exponents_of_degree(dim, k):
-            idx = tuple(
-                i + 1 for i, p in enumerate(exps) for _ in range(p)
-            )
-            coeffs[idx] = scale * (
-                rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            )
-        polys[k] = HomPoly(k, dim, dim, coeffs)
+        # per entry in rank order: dim real parts, then dim imaginary parts
+        z = rng.standard_normal((len(layout(dim, k).indices), 2, dim))
+        polys[k] = HomPoly._trusted(k, dim, dim, scale * (z[:, 0] + 1j * z[:, 1]))
     return MappingJet(dim, order, polys)

@@ -18,30 +18,8 @@ def zero_exponent(nvars: int) -> Exponent:
     return (0,) * nvars
 
 
-def variable(i: int, nvars: int) -> ScalarPoly:
-    """The monomial x_i (0-based)."""
-    exps = [0] * nvars
-    exps[i] = 1
-    return {tuple(exps): 1.0 + 0.0j}
-
-
-def identity_map(nvars: int) -> list[ScalarPoly]:
-    return [variable(i, nvars) for i in range(nvars)]
-
-
 def total_degree(exps: Exponent) -> int:
     return sum(exps)
-
-
-def padd(a: ScalarPoly, b: ScalarPoly) -> ScalarPoly:
-    out = dict(a)
-    for exps, c in b.items():
-        v = out.get(exps, 0.0) + c
-        if v == _DROP:
-            out.pop(exps, None)
-        else:
-            out[exps] = v
-    return out
 
 
 def pmul(a: ScalarPoly, b: ScalarPoly, max_deg: int) -> ScalarPoly:
@@ -54,10 +32,6 @@ def pmul(a: ScalarPoly, b: ScalarPoly, max_deg: int) -> ScalarPoly:
             exps = tuple(x + y for x, y in zip(ea, eb))
             out[exps] = out.get(exps, 0.0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
-
-
-def degree_part(a: ScalarPoly, k: int) -> ScalarPoly:
-    return {e: c for e, c in a.items() if total_degree(e) == k}
 
 
 def peval(a: ScalarPoly, x) -> complex:

@@ -133,7 +133,7 @@ def semigroup_jet(h: GeneratorJet, t: float) -> FlowJet:
     q = (1.0 - et) / (1.0 + et)
     d2h_x_H2x = slot_product(H2.dense(), H2).scale(2.0)
     S3 = (H3 + d2h_x_H2x.scale(-q)).scale(0.5 * (et * et - 1.0))
-    bracket = MappingJet(h.dim, 3, {k: P for k, P in ((2, S2), (3, S3)) if P.coeffs})
+    bracket = MappingJet(h.dim, 3, {2: S2, 3: S3})
     return FlowJet(t, bracket)
 
 
@@ -277,8 +277,7 @@ def starlike_from_generator(h: GeneratorJet) -> MappingJet:
     H3 = h.jet.poly(3)
     P2 = H2.scale(-1.0)
     P3 = H3.scale(-0.5) + slot_product(H2.dense(), H2)
-    polys = {k: P for k, P in ((2, P2), (3, P3)) if P.coeffs}
-    return MappingJet(h.dim, 3, polys)
+    return MappingJet(h.dim, 3, {2: P2, 3: P3})
 
 
 def generator_from_starlike(f: MappingJet) -> GeneratorJet:
@@ -289,8 +288,7 @@ def generator_from_starlike(f: MappingJet) -> GeneratorJet:
     H2 = P2.scale(-1.0)
     # P3 = -H3/2 + TH2[x, H2(x)]  with  TH2 = tensor of H2
     H3 = (slot_product(H2.dense(), H2) + P3.scale(-1.0)).scale(2.0)
-    polys = {k: P for k, P in ((2, H2), (3, H3)) if P.coeffs}
-    return GeneratorJet(MappingJet(f.dim, 3, polys))
+    return GeneratorJet(MappingJet(f.dim, 3, {2: H2, 3: H3}))
 
 
 def starlike_residual(f: MappingJet, h: GeneratorJet, x) -> float:

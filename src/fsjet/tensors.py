@@ -1,21 +1,24 @@
-"""Symmetric multilinear tensors over C^n, stored sparsely.
+"""Symmetric multilinear tensors over C^n, stored as one array per degree.
 
 A degree-k vector-valued homogeneous polynomial P(x) is kept as the
 symmetric tensor T with T[e_{i1},...,e_{ik}] indexed by the sorted
 multi-index (i1,...,ik), entries being m-vectors.  P(x) = T[x,...,x].
+The entries of every sorted multi-index sit in one (len, m) array, in the
+rank order of the basis ``layout(n, k)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .polyops import Exponent, ScalarPoly
+from .polyops import Exponent
 
 MultiIndex = tuple[int, ...]
 
@@ -49,67 +52,128 @@ def multinomial(idx: MultiIndex) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """The sorted multi-indices of degree k over 1..n, in rank order.
+
+    ``variables`` is the (T, k) array of their 0-based variables and
+    ``cols`` its columns; ``drop_rank[r, s]`` is the rank in
+    ``layout(n, k - 1)`` of multi-index r without its slot s (k >= 2
+    only).  Every array is read-only.
+    """
+
+    dim: int
+    indices: tuple[MultiIndex, ...]
+    exponents: tuple[Exponent, ...]
+    rank: Mapping[MultiIndex, int]
+    multinomials: np.ndarray  # (T,) float
+    variables: np.ndarray
+    cols: tuple[np.ndarray, ...]
+    drop_rank: np.ndarray | None
+
+    def rank_of(self, rows: np.ndarray) -> np.ndarray:
+        """Ranks of sorted 0-based multi-index rows (..., k): the basis is in
+        lexicographic order, so its base-n codes increase with the rank."""
+        weights = self.dim ** np.arange(len(self.cols) - 1, -1, -1, dtype=np.intp)
+        return np.searchsorted(self.variables @ weights, rows @ weights)
+
+    @cached_property
+    def position_rank(self) -> np.ndarray:
+        """For each position (i_1..i_k) of an (n,)*k tensor in C order, the
+        rank of its sorted indices: the position holds that entry."""
+        n, k = self.dim, len(self.cols)
+        positions = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)
+        return _frozen(self.rank_of(positions.T))
+
+
+@cache
+def layout(n: int, k: int) -> Layout:
+    """The basis of degree-k symmetric tensors over C^n, built once."""
+    idx = np.array(
+        list(itertools.combinations_with_replacement(range(n), k)), dtype=np.intp
+    ).reshape(-1, k)
+    exps = (idx[:, :, None] == np.arange(n)).sum(axis=1)
+    fact = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.int64)
+    mult = (fact[k] // np.prod(fact[exps], axis=1)).astype(float)
+    drop = None
+    if k >= 2:
+        lower = layout(n, k - 1)
+        drop = np.stack([lower.rank_of(np.delete(idx, s, axis=1)) for s in range(k)], axis=1)
+    indices = tuple(map(tuple, (idx + 1).tolist()))
+    return Layout(
+        dim=n,
+        indices=indices,
+        exponents=tuple(map(tuple, exps.tolist())),
+        rank=MappingProxyType({j: r for r, j in enumerate(indices)}),
+        multinomials=_frozen(mult),
+        variables=_frozen(idx),
+        cols=tuple(_frozen(c) for c in idx.T.copy()),
+        drop_rank=None if drop is None else _frozen(drop),
+    )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class HomPoly:
-    """Degree-k homogeneous polynomial C^n -> C^m as a symmetric tensor."""
+    """Degree-k homogeneous polynomial C^n -> C^m as a symmetric tensor.
+
+    ``entries`` is one read-only (T, m) complex array: row r holds the
+    tensor entry at the r-th sorted multi-index of ``layout(n, k)``, zero
+    where the polynomial has no term.  ``coeffs`` is a read-only view of
+    the nonzero rows keyed by multi-index, the form spec files use.
+    """
 
     degree: int
     domain_dim: int
     codomain_dim: int
-    coeffs: Mapping[MultiIndex, np.ndarray] = field(default_factory=dict)
+    entries: np.ndarray
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be positive, got {self.degree}")
-        clean: dict[MultiIndex, np.ndarray] = {}
-        for idx, vec in self.coeffs.items():
+    def __init__(
+        self,
+        degree: int,
+        domain_dim: int,
+        codomain_dim: int,
+        coeffs: Mapping[MultiIndex, Iterable[complex]] | None = None,
+    ):
+        if degree < 1:
+            raise ValueError(f"degree must be positive, got {degree}")
+        rank = layout(domain_dim, degree).rank
+        entries = np.zeros((len(rank), codomain_dim), dtype=complex)
+        for idx, vec in (coeffs or {}).items():
             idx = tuple(int(i) for i in idx)
-            if len(idx) != self.degree:
-                raise ValueError(f"multi-index {idx} has length != degree {self.degree}")
+            if len(idx) != degree:
+                raise ValueError(f"multi-index {idx} has length != degree {degree}")
             if idx != tuple(sorted(idx)):
                 raise ValueError(f"multi-index {idx} is not sorted")
-            if any(i < 1 or i > self.domain_dim for i in idx):
-                raise ValueError(f"multi-index {idx} out of range 1..{self.domain_dim}")
+            if any(i < 1 or i > domain_dim for i in idx):
+                raise ValueError(f"multi-index {idx} out of range 1..{domain_dim}")
             arr = np.asarray(vec, dtype=complex)
-            if arr.shape != (self.codomain_dim,):
+            if arr.shape != (codomain_dim,):
                 raise ValueError(
                     f"coefficient at {idx} has shape {arr.shape}, "
-                    f"expected ({self.codomain_dim},)"
+                    f"expected ({codomain_dim},)"
                 )
-            if np.any(arr != 0):
-                arr = arr.copy()
-                arr.flags.writeable = False
-                clean[idx] = arr
-        object.__setattr__(self, "coeffs", clean)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"coefficient at {idx} is not finite")
+            entries[rank[idx]] = arr
+        _fill(self, degree, domain_dim, codomain_dim, entries)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def _trusted(
-        cls,
-        degree: int,
-        domain_dim: int,
-        codomain_dim: int,
-        coeffs: Mapping[MultiIndex, np.ndarray],
+        cls, degree: int, domain_dim: int, codomain_dim: int, entries: np.ndarray
     ) -> "HomPoly":
-        """Constructor for coefficients the library computed itself: sorted,
-        in-range multi-indices of length ``degree`` and complex arrays of
-        shape (codomain_dim,) that no caller writes to afterwards.  Drops
-        exact zeros and freezes the arrays; the checks of ``__post_init__``,
-        which guard outside input, are skipped."""
-        clean: dict[MultiIndex, np.ndarray] = {}
-        for idx, arr in coeffs.items():
-            if arr.any():
-                arr.flags.writeable = False
-                clean[idx] = arr
+        """Constructor for an entries array the library computed itself: a
+        complex (T, m) array in the rank order of ``layout(domain_dim,
+        degree)`` that no caller writes to afterwards.  Freezes the array;
+        the checks of ``__init__``, which guard outside input, are skipped."""
         obj = object.__new__(cls)
-        for name, value in (
-            ("degree", degree),
-            ("domain_dim", domain_dim),
-            ("codomain_dim", codomain_dim),
-            ("coeffs", clean),
-        ):
-            object.__setattr__(obj, name, value)
+        _fill(obj, degree, domain_dim, codomain_dim, entries)
         return obj
 
     @classmethod
@@ -127,7 +191,8 @@ class HomPoly:
         """Build from monomial coefficients: P(x) = sum_a c_a x^a."""
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
-        coeffs = {}
+        basis = layout(domain_dim, degree)
+        values = np.zeros((len(basis.indices), codomain_dim), dtype=complex)
         for exps, vec in monomials.items():
             if len(exps) != domain_dim or min(exps) < 0 or sum(exps) != degree:
                 raise ValueError(
@@ -139,62 +204,58 @@ class HomPoly:
                     f"coefficient of {exps} has shape {arr.shape}, "
                     f"expected ({codomain_dim},)"
                 )
-            idx = exponents_to_multi_index(exps)
-            coeffs[idx] = arr / multinomial(idx)
-        return cls._trusted(degree, domain_dim, codomain_dim, coeffs)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"coefficient of {exps} is not finite")
+            values[basis.rank[exponents_to_multi_index(exps)]] = arr
+        entries = values / basis.multinomials[:, None]
+        return cls._trusted(degree, domain_dim, codomain_dim, entries)
+
+    @cached_property
+    def coeffs(self) -> Mapping[MultiIndex, np.ndarray]:
+        """Read-only mapping of the nonzero entries, by sorted multi-index."""
+        indices = layout(self.domain_dim, self.degree).indices
+        rows = np.flatnonzero(self.entries.any(axis=1)).tolist()
+        return MappingProxyType({indices[r]: self.entries[r] for r in rows})
 
     def to_monomials(self) -> dict[Exponent, np.ndarray]:
-        return {
-            multi_index_to_exponents(idx, self.domain_dim): multinomial(idx) * vec
-            for idx, vec in self.coeffs.items()
-        }
-
-    def components(self) -> list[ScalarPoly]:
-        """Monomial form, one scalar polynomial per output component."""
-        out: list[ScalarPoly] = [{} for _ in range(self.codomain_dim)]
-        for exps, vec in self.to_monomials().items():
-            for c, comp in zip(vec, out):
-                if c != 0:
-                    comp[exps] = complex(c)
-        return out
+        basis = layout(self.domain_dim, self.degree)
+        values = self.entries * basis.multinomials[:, None]
+        rows = np.flatnonzero(values.any(axis=1)).tolist()
+        return {basis.exponents[r]: values[r] for r in rows}
 
     # -- algebra ----------------------------------------------------------
 
-    def __add__(self, other: "HomPoly") -> "HomPoly":
+    def _check_same_shape(self, other: "HomPoly") -> None:
         if (self.degree, self.domain_dim, self.codomain_dim) != (
             other.degree,
             other.domain_dim,
             other.codomain_dim,
         ):
-            raise ValueError("cannot add tensors of different shape")
-        # stored arrays are read-only, so the sum can share the unpaired ones
-        coeffs = dict(self.coeffs)
-        for idx, v in other.coeffs.items():
-            coeffs[idx] = coeffs[idx] + v if idx in coeffs else v
-        return HomPoly._trusted(self.degree, self.domain_dim, self.codomain_dim, coeffs)
+            raise ValueError("tensors of different shape")
+
+    def __add__(self, other: "HomPoly") -> "HomPoly":
+        self._check_same_shape(other)
+        return self._trusted(
+            self.degree, self.domain_dim, self.codomain_dim, self.entries + other.entries
+        )
 
     def scale(self, c: complex) -> "HomPoly":
-        return HomPoly._trusted(
-            self.degree,
-            self.domain_dim,
-            self.codomain_dim,
-            {idx: c * v for idx, v in self.coeffs.items()},
+        return self._trusted(
+            self.degree, self.domain_dim, self.codomain_dim, c * self.entries
         )
 
     def is_zero(self, atol: float = DEFAULT_ATOL) -> bool:
-        return all(np.max(np.abs(v)) <= atol for v in self.coeffs.values())
+        return self.max_coeff() <= atol
 
     def max_coeff(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(float(np.max(np.abs(v))) for v in self.coeffs.values())
+        """Largest entry modulus; NaN if any entry is NaN."""
+        return float(np.abs(self.entries).max(initial=0.0))
 
     def allclose(
         self, other: "HomPoly", atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL
     ) -> bool:
-        diff = self + other.scale(-1)
-        scale = max(self.max_coeff(), other.max_coeff())
-        return diff.max_coeff() <= atol + rtol * scale
+        self._check_same_shape(other)
+        return entries_close(self.entries, other.entries, atol, rtol)
 
     # -- evaluation -------------------------------------------------------
 
@@ -202,12 +263,11 @@ class HomPoly:
     def _compiled(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Index columns (k arrays of length T, 0-based) and the (T, m)
         coefficient matrix with the multinomial counts folded in, one row
-        per stored multi-index.  Built on first evaluation."""
-        idx = np.array(list(self.coeffs), dtype=np.intp).reshape(-1, self.degree) - 1
-        coef = np.array(
-            [multinomial(i) * v for i, v in self.coeffs.items()], dtype=complex
-        ).reshape(-1, self.codomain_dim)
-        return tuple(idx.T.copy()), coef
+        per nonzero entry.  Built on first evaluation."""
+        basis = layout(self.domain_dim, self.degree)
+        rows = np.flatnonzero(self.entries.any(axis=1))
+        coef = self.entries[rows] * basis.multinomials[rows, None]
+        return tuple(c[rows] for c in basis.cols), coef
 
     def eval(self, x) -> np.ndarray:
         """T[x,...,x]; homogeneous of degree k."""
@@ -256,13 +316,24 @@ class HomPoly:
     @cached_property
     def _dense(self) -> np.ndarray:
         n, k, m = self.domain_dim, self.degree, self.codomain_dim
-        rank, position_rank = _dense_layout(n, k)
-        vals = np.zeros((len(rank) + 1, m), dtype=complex)  # last row: zero
-        if self.coeffs:
-            vals[[rank[idx] for idx in self.coeffs]] = list(self.coeffs.values())
-        out = vals[position_rank].reshape((n,) * k + (m,))
-        out.flags.writeable = False
-        return out
+        out = self.entries[layout(n, k).position_rank].reshape((n,) * k + (m,))
+        return _frozen(out)
+
+
+def _fill(obj: HomPoly, degree: int, domain_dim: int, codomain_dim: int, entries):
+    entries.flags.writeable = False
+    # the instance dict, not __setattr__, which is frozen
+    obj.__dict__.update(
+        degree=degree, domain_dim=domain_dim, codomain_dim=codomain_dim, entries=entries
+    )
+
+
+def entries_close(a, b, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> bool:
+    """max|a - b| <= atol + rtol * max(max|a|, max|b|) over entry arrays of
+    one shape; False if any entry is NaN or infinite."""
+    mods = np.abs(np.stack((a, b, a - b))).reshape(3, -1).max(axis=1, initial=0.0)
+    scale = mods[:2].max()
+    return bool(mods[2] <= atol + rtol * scale) and math.isfinite(scale)
 
 
 def monomials(xs: np.ndarray, cols) -> np.ndarray:
@@ -281,32 +352,15 @@ def basis_coefficients(polys) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     Returns the k index columns of every sorted multi-index of degree k
     over 1..n, in rank order, and a (len(polys), T, m) coefficient array
     with the multinomial counts folded in and zeros where a polynomial
-    stores no entry, so that ``monomials(xs, cols) @ coef[j]`` evaluates
+    has no term, so that ``monomials(xs, cols) @ coef[j]`` evaluates
     polys[j] at the rows of xs as ``HomPoly.eval_many`` does."""
     P0 = polys[0]
     n, k, m = P0.domain_dim, P0.degree, P0.codomain_dim
-    rank, _ = _dense_layout(n, k)
-    coef = np.zeros((len(polys), len(rank), m), dtype=complex)
-    for j, P in enumerate(polys):
-        if (P.domain_dim, P.degree, P.codomain_dim) != (n, k, m):
-            raise ValueError("polynomials of one degree and shape expected")
-        if P.coeffs:
-            coef[j, [rank[idx] for idx in P.coeffs]] = P._compiled[1]
-    idx = np.array(list(rank), dtype=np.intp).reshape(-1, k) - 1
-    return tuple(idx.T.copy()), coef
-
-
-@cache
-def _dense_layout(n: int, k: int) -> tuple[dict[MultiIndex, int], np.ndarray]:
-    """Rank of each sorted multi-index of degree k over 1..n, and for each
-    position (i_1..i_k) of an (n,)*k tensor in C order the rank of its
-    sorted indices: the position holds the entry stored at that index."""
-    combos = itertools.combinations_with_replacement(range(1, n + 1), k)
-    rank = {idx: r for r, idx in enumerate(combos)}
-    positions = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0) + 1
-    position_rank = np.array([rank[tuple(p)] for p in positions.T.tolist()], dtype=np.intp)
-    position_rank.flags.writeable = False
-    return rank, position_rank
+    if any((P.domain_dim, P.degree, P.codomain_dim) != (n, k, m) for P in polys):
+        raise ValueError("polynomials of one degree and shape expected")
+    basis = layout(n, k)
+    coef = np.array([P.entries for P in polys]) * basis.multinomials[:, None]
+    return basis.cols, coef
 
 
 class ScalarHomPoly(HomPoly):
@@ -336,7 +390,7 @@ def slot_product(M, Q: HomPoly) -> HomPoly:
 
     ``M`` is an (n, Q.codomain_dim, m) array.  With M = B.dense() this is
     x -> B[x, Q(x)]; with M[a] the row e_a it is x -> Q(x) x for a scalar
-    Q.  The symmetric entries are written directly from Q's stored ones,
+    Q.  The symmetric entries are written directly from Q's,
     T[i_0..i_q] = (1/(q+1)) sum_s Q[i without i_s] @ M[i_s].
     """
     M = np.asarray(M, dtype=complex)
@@ -346,16 +400,10 @@ def slot_product(M, Q: HomPoly) -> HomPoly:
             f"got shape {M.shape}"
         )
     q = Q.degree
-    out: dict[MultiIndex, np.ndarray] = {}
-    for j, v in Q.coeffs.items():
-        rows = v @ M  # rows[a - 1] = Q[j] @ M[a - 1]
-        for a in range(1, Q.domain_dim + 1):
-            if not rows[a - 1].any():
-                continue
-            idx = tuple(sorted(j + (a,)))
-            term = ((j.count(a) + 1) / (q + 1)) * rows[a - 1]
-            out[idx] = out[idx] + term if idx in out else term
-    return HomPoly._trusted(q + 1, Q.domain_dim, M.shape[2], out)
+    basis = layout(Q.domain_dim, q + 1)
+    rows = Q.entries @ M  # rows[a, j] = Q[j] @ M[a]
+    terms = rows[basis.variables, basis.drop_rank]  # (T, q+1, m)
+    return HomPoly._trusted(q + 1, Q.domain_dim, M.shape[2], terms.sum(axis=1) / (q + 1))
 
 
 def polarization_check(P: HomPoly, x1, x2) -> float:

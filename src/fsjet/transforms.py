@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Mapping
 
 import numpy as np
 
-from . import polyops
 from .jets import MappingJet
 from .reporting import Report
 from .sampling import sample_ball
-from .tensors import ScalarHomPoly, slot_product
+from .tensors import ScalarHomPoly, layout, slot_product
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class OneDimJet:
                 raise ValueError(f"scalar degree {k} outside 1..{self.order - 1}")
             if p.degree != k or p.domain_dim != self.dim or p.codomain_dim != 1:
                 raise ValueError(f"scalar poly at degree {k} has wrong shape")
-            if p.coeffs:
+            if p.entries.any():
                 clean[k] = p
         object.__setattr__(self, "scalar_polys", clean)
 
@@ -63,8 +63,10 @@ class OneDimJet:
         return MappingJet(self.dim, self.order, polys)
 
 
+@cache
 def _probe_directions(dim: int, extra: int = 16, seed: int = 2024) -> np.ndarray:
-    """2n canonical directions plus seeded random unit vectors."""
+    """2n canonical directions plus seeded random unit vectors; read-only,
+    built once per dimension."""
     rng = np.random.default_rng(seed)
     probes = []
     for i in range(dim):
@@ -76,7 +78,9 @@ def _probe_directions(dim: int, extra: int = 16, seed: int = 2024) -> np.ndarray
     for _ in range(extra):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         probes.append(v / np.linalg.norm(v))
-    return np.array(probes)
+    probes = np.array(probes)
+    probes.flags.writeable = False
+    return probes
 
 
 def detect_onedim(f: MappingJet, tol: float = 1e-9) -> OneDimJet | None:
@@ -89,26 +93,19 @@ def detect_onedim(f: MappingJet, tol: float = 1e-9) -> OneDimJet | None:
     probes = _probe_directions(f.dim)
     scalar_polys: dict[int, ScalarHomPoly] = {}
     for k, P in sorted(f.polys.items()):
-        exps_list = list(polyops.exponents_of_degree(f.dim, k - 1))
-        # unknowns: monomial coefficients of p_{k-1}
-        rows = []
-        rhs = []
-        for x in probes:
-            monom_vals = np.array(
-                [np.prod(x**np.array(e)) for e in exps_list], dtype=complex
-            )
-            Pk = P.eval(x)
-            for i in range(f.dim):
-                rows.append(monom_vals * x[i])
-                rhs.append(Pk[i])
-        A = np.array(rows)
-        b = np.array(rhs)
+        # unknowns: monomial coefficients of p_{k-1}; one row per probe
+        # and output component, monom(x) * x_i against P_k(x)_i
+        basis = layout(f.dim, k - 1)
+        monom_vals = np.prod(probes[:, None, :] ** np.array(basis.exponents), axis=2)
+        A = (monom_vals[:, None, :] * probes[:, :, None]).reshape(-1, monom_vals.shape[1])
+        b = P.eval_many(probes).reshape(-1)
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
         residual = np.max(np.abs(A @ coef - b))
         if residual > tol * (1.0 + P.max_coeff()):
             return None
-        monos = {e: c for e, c in zip(exps_list, coef) if c != 0}
-        scalar_polys[k - 1] = ScalarHomPoly.from_scalar_monomials(k - 1, f.dim, monos)
+        scalar_polys[k - 1] = ScalarHomPoly._trusted(
+            k - 1, f.dim, 1, (coef / basis.multinomials)[:, None]
+        )
     return OneDimJet(f.dim, f.order, scalar_polys)
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import fekete, polyops
+from . import fekete
 from .estimates import check_bounded_onedim_bound
 from .fekete import FSContext, _inner, fs_mapping
 from .jets import MappingJet, compose, invert, iterate, random_jet, unitary_conjugate
@@ -27,7 +27,7 @@ from .semigroup import (
     semigroup_jet,
     starlike_from_generator,
 )
-from .tensors import HomPoly, ScalarHomPoly, polarization_check
+from .tensors import ScalarHomPoly, layout, polarization_check
 from .transforms import OneDimJet, detect_onedim, koebe_onedim, root_transform
 
 SUITE_NAMES = (
@@ -63,11 +63,11 @@ def random_onedim_jet(
 ) -> OneDimJet:
     polys = {}
     for k in range(1, order):
-        monos = {
-            exps: scale * complex(rng.standard_normal(), rng.standard_normal())
-            for exps in polyops.exponents_of_degree(dim, k)
-        }
-        polys[k] = ScalarHomPoly.from_scalar_monomials(k, dim, monos)
+        # per monomial in rank order: the real part, then the imaginary part
+        basis = layout(dim, k)
+        z = rng.standard_normal((len(basis.indices), 2))
+        monos = scale * (z[:, 0] + 1j * z[:, 1])
+        polys[k] = ScalarHomPoly._trusted(k, dim, 1, (monos / basis.multinomials)[:, None])
     return OneDimJet(dim, order, polys)
 
 
@@ -422,10 +422,7 @@ def _sample_onedim_generator(dim: int, rng: np.random.Generator) -> GeneratorJet
     """One-dimensional-type member of the generator class, by rescaling."""
     od = random_onedim_jet(dim, 3, rng, scale=0.3)
     c = generator_shrink(od.to_mapping_jet(), rng)
-    polys = {
-        k: ScalarHomPoly(k, dim, {i: c * v for i, v in p.coeffs.items()})
-        for k, p in od.scalar_polys.items()
-    }
+    polys = {k: p.scale(c) for k, p in od.scalar_polys.items()}
     return GeneratorJet(OneDimJet(dim, 3, polys).to_mapping_jet())
 
 

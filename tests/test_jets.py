@@ -8,6 +8,7 @@ polynomial maps and fully independent of the substitution code.
 import numpy as np
 import pytest
 
+from fsjet import polyops
 from fsjet.jets import (
     MappingJet,
     compose,
@@ -19,7 +20,7 @@ from fsjet.jets import (
     unitary_conjugate,
 )
 from fsjet.sampling import sample_sphere
-from fsjet.tensors import HomPoly
+from fsjet.tensors import HomPoly, exponents_to_multi_index
 
 
 def _homogeneous_part_pointwise(f, g, e, degree, nodes=32, radius=0.3):
@@ -209,3 +210,76 @@ def test_compose_invert_iterate_against_cauchy_oracle(n, K):
             tol = 1e-10 * (1.0 + np.abs(want).max())
             assert np.abs(coef[1 : K + 1] - want).max() <= tol
             assert np.abs(coef[0]).max() <= tol
+
+
+def test_from_components_truncates_and_rejects_malformed_exponents():
+    comps = [{(1, 0): 1.0 + 0j, (4, 0): 5.0 + 0j}, {(0, 1): 1.0 + 0j, (2, 0): 0.5 + 0j}]
+    f = MappingJet.from_components(comps, 2, 3)
+    assert list(f.polys) == [2]
+    monos = f.poly(2).to_monomials()
+    assert list(monos) == [(2, 0)] and np.array_equal(monos[(2, 0)], [0.0, 0.5])
+    for bad in ((1, 0, 0), (3, -1)):
+        with pytest.raises(ValueError, match="monomial"):
+            MappingJet.from_components([{(1, 0): 1.0, bad: 1.0}, {(0, 1): 1.0}], 2, 3)
+    with pytest.raises(ValueError, match="components"):
+        MappingJet.from_components(comps[:1], 2, 3)
+
+
+def test_nan_entry_is_not_dropped_at_jet_level():
+    rng = np.random.default_rng(29)
+    f = random_jet(2, 3, rng)
+    nan3 = f.poly(3) + HomPoly(3, 2, 2, {(1, 2, 2): [1.0, 0.0]}).scale(np.nan)
+    g = f.with_poly(3, nan3)
+    # the NaN sits in degree 3, after a finite degree 2
+    assert np.isnan(g.max_coeff())
+    assert not g.allclose(f) and not f.allclose(g) and not g.allclose(g)
+    assert not g.with_poly(2, HomPoly.zero(2, 2, 2)).is_identity(atol=np.inf)
+
+
+@pytest.mark.skipif(not __debug__, reason="the cross-check runs only without -O")
+@pytest.mark.parametrize("degree", [2, 3])
+def test_compose_cross_check_catches_a_moved_coefficient(monkeypatch, degree):
+    real = polyops.substitute
+
+    def moved(f, g, max_deg):
+        comps = real(f, g, max_deg)
+        exps = next(e for e in comps[0] if sum(e) == degree)
+        comps[0][exps] += 1e-6
+        return comps
+
+    rng = np.random.default_rng(30 + degree)
+    f, g = random_jet(3, 3, rng), random_jet(3, 3, rng)
+    compose(f, g)
+    monkeypatch.setattr(polyops, "substitute", moved)
+    with pytest.raises(AssertionError):
+        compose(f, g)
+
+
+def _random_jet_per_entry(dim, order, rng, scale=0.3):
+    """The per-entry draw loop ``random_jet`` replaced, kept as reference:
+    for each sorted multi-index, dim real parts, then dim imaginary parts."""
+    polys = {}
+    for k in range(2, order + 1):
+        coeffs = {}
+        for exps in polyops.exponents_of_degree(dim, k):
+            coeffs[exponents_to_multi_index(exps)] = scale * (
+                rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            )
+        polys[k] = coeffs
+    return polys
+
+
+@pytest.mark.parametrize("dim,order", [(1, 7), (2, 3), (3, 5), (4, 4)])
+def test_random_jet_is_bitwise_the_per_entry_draw(dim, order):
+    want = _random_jet_per_entry(dim, order, np.random.default_rng(dim + order))
+    rng = np.random.default_rng(dim + order)
+    got = random_jet(dim, order, rng)
+    assert sorted(got.polys) == sorted(want)
+    for k, coeffs in want.items():
+        assert list(got.poly(k).coeffs) == list(coeffs)
+        for idx, vec in coeffs.items():
+            assert np.array_equal(got.poly(k).coeffs[idx], vec)
+    # the stream is left where the per-entry loop leaves it
+    ref = np.random.default_rng(dim + order)
+    _random_jet_per_entry(dim, order, ref)
+    assert rng.standard_normal() == ref.standard_normal()

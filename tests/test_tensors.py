@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from fsjet import polyops
 from fsjet.tensors import (
     HomPoly,
     ScalarHomPoly,
     basis_coefficients,
     exponents_to_multi_index,
+    layout,
     multi_index_to_exponents,
     monomials,
     multinomial,
@@ -17,8 +19,6 @@ from fsjet.tensors import (
 
 
 def _random_hompoly(rng, degree, n, m):
-    from fsjet import polyops
-
     coeffs = {}
     for exps in polyops.exponents_of_degree(n, degree):
         idx = exponents_to_multi_index(exps)
@@ -152,7 +152,9 @@ def _dense_eval(P, x):
     return np.einsum(f"{letters}m," + ",".join(letters) + "->m", P.dense(), *[x] * P.degree)
 
 
-@pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3), (2, 6), (4, 6)])
+@pytest.mark.parametrize(
+    "n,q", [(2, 1), (3, 2), (2, 6)] + [(4, q) for q in range(1, 7)]
+)
 def test_slot_product_matches_dense_einsum(n, q):
     rng = np.random.default_rng(17 + 10 * n + q)
     B = _random_hompoly(rng, 2, n, 3)
@@ -358,3 +360,71 @@ def test_basis_coefficients_evaluate_like_eval_many(n, k):
         assert np.array_equal(values[1] @ coef[j], monomials(xs[1], cols) @ coef[j])
     with pytest.raises(ValueError):
         basis_coefficients([full, _random_hompoly(rng, k + 1, n, n)])
+
+
+def _with_nan_entry():
+    """[1, 0] at (1, 1) and NaN at (1, 2), made by arithmetic: the
+    constructor rejects a non-finite entry."""
+    P = HomPoly(2, 2, 2, {(1, 1): [1.0, 0.0]})
+    return P + HomPoly(2, 2, 2, {(1, 2): [1.0, 0.0]}).scale(np.nan)
+
+
+def test_nan_entry_is_not_dropped_by_max_or_allclose():
+    # builtin max drops a NaN that is not its first argument
+    P = _with_nan_entry()
+    Q = HomPoly(2, 2, 2, {(1, 1): [1.0 + 1e-12, 0.0]})
+    assert np.isnan(P.max_coeff())
+    assert not P.allclose(Q) and not Q.allclose(P)
+    assert not P.allclose(P)
+    assert not P.is_zero(atol=np.inf)
+    with np.errstate(invalid="ignore"):
+        inf = HomPoly(2, 2, 2, {(1, 2): [1.0, 0.0]}).scale(np.inf)
+    assert not inf.allclose(Q) and not Q.allclose(inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_public_constructors_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match=r"\(1, 2\).*not finite"):
+        HomPoly(2, 2, 2, {(1, 1): [1.0, 0.0], (1, 2): [0.0, bad]})
+    with pytest.raises(ValueError, match=r"\(1, 1\).*not finite"):
+        HomPoly.from_monomials(2, 2, 2, {(2, 0): [1.0, 0.0], (1, 1): [bad, 0.0]})
+    with pytest.raises(ValueError, match=r"\(2, 2\).*not finite"):
+        ScalarHomPoly(2, 2, {(2, 2): [bad]})
+    with pytest.raises(ValueError, match=r"\(0, 2\).*not finite"):
+        ScalarHomPoly.from_scalar_monomials(2, 2, {(0, 2): bad})
+
+
+@pytest.mark.parametrize("n,k", [(1, 7), (2, 7), (3, 5), (4, 7)])
+def test_coeffs_round_trip_through_entries_is_bitwise(n, k):
+    rng = np.random.default_rng(70 + 10 * n + k)
+    full = {
+        exponents_to_multi_index(e): rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        for e in polyops.exponents_of_degree(n, k)
+    }
+    half = dict(list(full.items())[1::2])
+    for given in (full, half, {}):
+        P = HomPoly(k, n, 3, given)
+        assert P.entries.shape == (len(full), 3) and not P.entries.flags.writeable
+        assert list(P.coeffs) == sorted(given)
+        for idx, vec in given.items():
+            assert np.array_equal(P.coeffs[idx], vec)
+            assert np.array_equal(P.entries[layout(n, k).rank[idx]], vec)
+        again = HomPoly(k, n, 3, P.coeffs)
+        assert np.array_equal(again.entries, P.entries)
+        with pytest.raises(TypeError):
+            P.coeffs[(1,) * k] = np.zeros(3)
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 5), (4, 3)])
+def test_layout_matches_per_index_helpers(n, k):
+    basis = layout(n, k)
+    assert list(basis.indices) == [
+        exponents_to_multi_index(e) for e in polyops.exponents_of_degree(n, k)
+    ]
+    for r, idx in enumerate(basis.indices):
+        assert basis.exponents[r] == multi_index_to_exponents(idx, n)
+        assert basis.multinomials[r] == multinomial(idx)
+        assert tuple(c[r] + 1 for c in basis.cols) == idx
+        for s in range(k):
+            dropped = layout(n, k - 1).indices[basis.drop_rank[r, s]]
+            assert dropped == idx[:s] + idx[s + 1 :]

@@ -11,8 +11,11 @@ from fsjet.transforms import (
     koebe_onedim,
     root_transform,
 )
+from fsjet import polyops
 from fsjet.gallery import example_gallery
+from fsjet.jets import random_jet
 from fsjet.tensors import ScalarHomPoly
+from fsjet.transforms import _probe_directions
 from fsjet.verify import random_onedim_jet
 
 
@@ -133,3 +136,47 @@ def test_injectivity_check_catches_collisions():
     report = check_injectivity_sampled(collapse, dim=2, samples=500, seed=2)
     assert not report.passed
     assert report.witnesses
+
+
+def _detect_onedim_per_probe(f, tol=1e-9):
+    """The per-probe loop ``detect_onedim`` replaced, kept as reference: the
+    scalar coefficients of each p_{k-1}, or None if a degree does not
+    factor."""
+    probes = _probe_directions(f.dim)
+    found = {}
+    for k, P in sorted(f.polys.items()):
+        exps_list = list(polyops.exponents_of_degree(f.dim, k - 1))
+        rows, rhs = [], []
+        for x in probes:
+            monom_vals = np.array([np.prod(x ** np.array(e)) for e in exps_list])
+            Pk = P.eval(x)
+            for i in range(f.dim):
+                rows.append(monom_vals * x[i])
+                rhs.append(Pk[i])
+        A, b = np.array(rows), np.array(rhs)
+        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if np.max(np.abs(A @ coef - b)) > tol * (1.0 + P.max_coeff()):
+            return None
+        found[k - 1] = dict(zip(exps_list, coef))
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_detect_onedim_decides_as_the_per_probe_loop(n):
+    rng = np.random.default_rng(45 + n)
+    jets = [random_onedim_jet(n, order, rng).to_mapping_jet() for order in (3, 4)]
+    jets += [random_jet(n, order, rng) for order in (3, 4)]
+    jets.append(jets[0].with_poly(3, jets[2].poly(3)))  # one-dim degree 2 only
+    decisions = []
+    for f in jets:
+        want, got = _detect_onedim_per_probe(f), detect_onedim(f)
+        decisions.append(got is not None)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        for k, monos in want.items():
+            have = {e: v[0] for e, v in got.scalar_part(k).to_monomials().items()}
+            for e, c in monos.items():
+                assert abs(have.get(e, 0.0) - c) <= 1e-12 * (1.0 + abs(c))
+    # every jet of C^1 is one-dimensional; above it random jets are not
+    assert decisions == [True, True] + [n == 1] * 3

@@ -85,3 +85,36 @@ def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("bogus")
     assert "all" in SUITE_NAMES
+
+
+def _random_onedim_per_monomial(dim, order, rng, scale=0.4):
+    """The per-monomial draw loop ``random_onedim_jet`` replaced, kept as
+    reference: a real then an imaginary part per monomial, divided by the
+    multinomial count into the tensor entry."""
+    from fsjet import polyops
+    from fsjet.tensors import exponents_to_multi_index, multinomial
+
+    polys = {}
+    for k in range(1, order):
+        polys[k] = {}
+        for exps in polyops.exponents_of_degree(dim, k):
+            c = scale * complex(rng.standard_normal(), rng.standard_normal())
+            idx = exponents_to_multi_index(exps)
+            polys[k][idx] = np.asarray([c], dtype=complex) / multinomial(idx)
+    return polys
+
+
+@pytest.mark.parametrize("dim,order", [(1, 5), (2, 3), (3, 4), (4, 3)])
+def test_random_onedim_jet_is_bitwise_the_per_monomial_draw(dim, order):
+    want = _random_onedim_per_monomial(dim, order, np.random.default_rng(dim * order))
+    rng = np.random.default_rng(dim * order)
+    got = verify.random_onedim_jet(dim, order, rng)
+    for k, coeffs in want.items():
+        p = got.scalar_part(k)
+        assert type(p).__name__ == "ScalarHomPoly"
+        assert list(p.coeffs) == list(coeffs)
+        for idx, vec in coeffs.items():
+            assert np.array_equal(p.coeffs[idx], vec)
+    ref = np.random.default_rng(dim * order)
+    _random_onedim_per_monomial(dim, order, ref)
+    assert rng.standard_normal() == ref.standard_normal()
