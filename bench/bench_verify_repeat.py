@@ -8,8 +8,11 @@ same file times an older checkout: copy ``bench/`` into it and run
 import numpy as np
 import pytest
 
-from fsjet.fekete import operator_norm_bilinear
+from fsjet.estimates import SupNormConfig, estimate_sup_modulus, sup_norm_fs
+from fsjet.fekete import fs_mapping_many, operator_norm_bilinear
 from fsjet.jets import compose, invert, iterate, random_jet
+from fsjet.sampling import sample_sphere
+from fsjet.semigroup import sample_generator, semigroup_ode
 from fsjet.transforms import detect_onedim
 from fsjet.verify import random_onedim_jet, suite_error_bound, suite_semigroup
 
@@ -54,6 +57,38 @@ def bench_operator_norm_bilinear(benchmark, n):
     B = f.poly(2)
     B.dense()  # built once per polynomial; time the estimate alone
     benchmark(operator_norm_bilinear, B)
+
+
+def bench_operator_norm_stack(benchmark):
+    # 40 tensors at 32 starts: 1,280 cells, more than one block
+    tensors = [f.poly(2) for f in _jets(3, 2, 40, seed=25)]
+    for B in tensors:
+        B.dense()
+    benchmark(operator_norm_bilinear, tensors, seed=list(range(40)))
+
+
+def bench_fs_mapping_many(benchmark):
+    (f,) = _jets(3, 3, 1, seed=26)
+    es = sample_sphere(np.random.default_rng(26), 64, 3)
+    f.poly(2).dense()
+    benchmark(fs_mapping_many, f, es, 0.3 - 0.2j, 0.8)
+
+
+def bench_sup_norm_fs(benchmark):
+    (f,) = _jets(2, 3, 1, seed=27)
+    benchmark(sup_norm_fs, f, 0.3 - 0.2j, 0.8, SupNormConfig(starts=4, steps=40))
+
+
+def bench_rk4_step(benchmark):
+    # semigroup_ode at t equal to its step takes exactly one RK4 step
+    h = sample_generator(3, np.random.default_rng(28))
+    x0 = 0.5 * sample_sphere(np.random.default_rng(29), 1, 3)[0]
+    benchmark(semigroup_ode, h, 1e-3, x0, step=1e-3)
+
+
+def bench_estimate_sup_modulus(benchmark):
+    od = random_onedim_jet(3, 3, np.random.default_rng(30))
+    benchmark(estimate_sup_modulus, od.s_eval, 3)
 
 
 @pytest.mark.parametrize("trials", [10, 50])

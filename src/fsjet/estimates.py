@@ -14,13 +14,20 @@ from .sampling import sample_sphere
 from .transforms import OneDimJet
 
 
+# the central-difference step of the gradient and the first ascent rate
+FD_STEP = 1e-6
+INIT_RATE = 0.1
+
+
 @dataclass
 class SupNormConfig:
     starts: int = 32
     steps: int = 200
     seed: int = 0
-    fd_step: float = 1e-6
-    init_rate: float = 0.1
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be positive, got {self.starts}")
 
 
 @dataclass
@@ -92,7 +99,7 @@ def sup_norm_fs(
         return float(fs_norm_at(f, e[None, :], lam, mu)[0]) ** 2
 
     def gradient(v: np.ndarray) -> np.ndarray:
-        h = config.fd_step
+        h = FD_STEP
         g = np.zeros_like(v)
         for i in range(v.size):
             dv = np.zeros_like(v)
@@ -106,7 +113,7 @@ def sup_norm_fs(
     for e0 in starts[: config.starts]:
         v = _realify(np.asarray(e0, dtype=complex))
         v /= np.linalg.norm(v)
-        rate = config.init_rate
+        rate = INIT_RATE
         fv = value(v)
         for _ in range(config.steps):
             g = gradient(v)

@@ -157,8 +157,10 @@ def operator_norm_bilinear(
     ``B`` may also be a sequence of degree-2 tensors of one shape, with
     ``seed`` one int for all of them or a sequence of one seed per tensor.
     The result is then the list of estimates, each equal within rounding
-    to the lone call on its tensor and seed; all tensors and starts run
-    through the three steps as one batch.  An empty sequence gives [].
+    to the lone call on its tensor and seed.  Each (tensor, start) pair is
+    a cell of the batch, which leaves it when it stops; a stack runs in
+    blocks of as many tensors as fit in ``NORM_BLOCK_CELLS`` cells, at
+    least one.  An empty sequence gives [].
     A tensor with a NaN or infinite entry raises ``ValueError`` naming
     its index.
     """
@@ -194,7 +196,7 @@ def operator_norm_bilinear(
         for _ in polys
     ]
     live = dense.any(axis=(1, 2)).nonzero()[0].tolist()
-    # blocks of tensors bound the (cells, n, m) buffers, which would
+    # blocks of tensors bound the per-cell tensor copies, which would
     # otherwise dominate the peak memory of a large stack
     block = max(1, NORM_BLOCK_CELLS // starts)
     for lo in range(0, len(live), block):
@@ -228,98 +230,42 @@ def _estimate(D: np.ndarray, inits: np.ndarray, iters: int):
     """The three steps for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
     = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n).
 
-    The power steps run on a grid of cells, one per (tensor, start) that
-    has not stopped, with the cells of each tensor side by side; see
-    ``_pack`` for how it shrinks.  Returns (values, us, vs)."""
+    Every step runs on cells, one per (tensor, start), each a row that
+    carries its own copy of its tensor.  Returns (values, us, vs)."""
     L, S, n = inits.shape
-    vals, us, vs = _exact_sweep(D, inits)  # (L, S), (L, S, n)
-    # B[u, v] != 0 on every active cell, and a power step never lowers
-    # ||B[u, v]||, so no power step divides by 0; an inactive start is
-    # replaced by a copy of its tensor's best one, as padding
-    active = ~_converged(vals, 0.0)
-    u, v, val = us, vs, vals
-    if not active.all():
-        t, s = (~active).nonzero()
-        best = vals.argmax(axis=1)[t]
-        u, v, val = us.copy(), vs.copy(), vals.copy()
-        u[t, s], v[t, s], val[t, s] = us[t, best], vs[t, best], vals[t, best]
-    # cell i of the grid is (tensor, start) number cell[i]; a cell that
-    # stops writes its result there at once
-    us_flat, vals_flat = us.reshape(-1, n), vals.reshape(-1)
-    D2, width, padded = D, S, False
-    active, cell = active.reshape(-1), np.arange(L * S)
-    u, v, val = u.reshape(-1, n), v.reshape(-1, n), val.reshape(-1)
-    if not active.all():
-        D2, width, padded, grid = _pack(D2, width, [active, cell, u, v, val])
-        active, cell, u, v, val = grid
-    for _ in range(iters - 1):
-        if width == 0:
+    cells = np.repeat(D, S, axis=0)
+    vals, us, vs = _exact_sweep(cells, inits.reshape(-1, n))
+    # B[u, v] != 0 on a cell of nonzero value, and a power step never
+    # lowers ||B[u, v]||, so no power step divides by 0
+    live = ~_converged(vals, 0.0)
+    vals[live], us[live], _ = _until_stable(
+        _power_sweep, cells[live], vals[live], us[live], vs[live], iters - 1
+    )
+    best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
+    return _until_stable(_exact_sweep, D, vals[best], us[best], vs[best], iters)
+
+
+def _until_stable(sweep, D, val, u, v, cap):
+    """Apply ``sweep`` to every cell, one per row of D, val, u and v, until
+    it stops or has had ``cap`` sweeps.  A cell stops at the first sweep
+    that changes its value by at most 1e-14 relative, and then leaves the
+    batch.  Writes each cell's last (value, u, v) into the arrays val, u
+    and v, and returns them."""
+    out_val, out_u, out_v = val, u, v
+    cells = np.arange(len(val))
+    for _ in range(cap):
+        if not cells.size:
             break
-        v, _ = _power_half_step(D2, u, v)
-        u, w = _power_half_step(D2, v, u)
-        new_val = _row_norms(w)
+        new_val, u, v = sweep(D, u, v)
         done = _converged(new_val, val)
-        if padded:
-            done &= active
         val = new_val
         if np.count_nonzero(done):
-            c = cell[done]
-            us_flat[c], vals_flat[c] = u[done], val[done]
-            active ^= done
-            D2, width, padded, grid = _pack(D2, width, [active, cell, u, v, val])
-            active, cell, u, v, val = grid
-    c = cell[active]
-    us_flat[c], vals_flat[c] = u[active], val[active]
-    us, vals = us_flat.reshape(L, S, n), vals_flat.reshape(L, S)
-
-    # step 3: exact sweeps from each tensor's best start
-    rows = np.arange(L)
-    i = vals.argmax(axis=1)
-    value, u = vals[rows, i], us[rows, i][:, None]  # (L,), (L, 1, n)
-    # value and u are rebound below, so these arrays keep the results
-    out_value, out_u, out_v = value, u, np.empty_like(u)
-    D2 = D
-    for _ in range(iters):
-        new_vals, u, v = _exact_sweep(D2, u)
-        done = _converged(new_vals[:, 0], value)
-        value = new_vals[:, 0]
-        stopped = np.count_nonzero(done)
-        if stopped:
-            r = rows[done]
-            out_value[r], out_u[r], out_v[r] = value[done], u[done], v[done]
-            if stopped == rows.size:
-                break
+            c = cells[done]
+            out_val[c], out_u[c], out_v[c] = val[done], u[done], v[done]
             keep = ~done
-            rows, D2, value = rows[keep], D2[keep], value[keep]
-            u, v = u[keep], v[keep]
-    else:
-        out_value[rows], out_u[rows], out_v[rows] = value, u, v
-    return out_value, out_u[:, 0], out_v[:, 0]
-
-
-def _pack(D, width, cells):
-    """Shrink the grid of the power steps after some cells stopped.
-
-    The grid holds len(D) tensors of ``width`` consecutive cells each, and
-    each array of ``cells`` has one entry per cell, the first marking the
-    active ones.  If every tensor has the same number of active cells,
-    only those are kept.  Otherwise stopped cells stay as padding until
-    the tensor with the most active cells holds at most half of ``width``:
-    then each tensor keeps its active cells, in order, padded to that
-    count.  Tensors without an active cell leave.  Returns
-    (D, width, padded, cells)."""
-    active = cells[0]
-    by_tensor = active.reshape(len(D), width)
-    count = np.add.reduce(by_tensor, axis=1)
-    top = np.maximum.reduce(count)
-    if top == np.minimum.reduce(count):
-        return D, top, False, [x[active] for x in cells]
-    if 2 * top > width and count.all():
-        return D, width, True, cells
-    keep = count.nonzero()[0]
-    order = np.argsort(~by_tensor[keep], axis=1, kind="stable")[:, :top]
-    take = (order + width * keep[:, None]).ravel()
-    return D[keep], top, True, [x[take] for x in cells]
+            cells, D, val, u, v = cells[keep], D[keep], val[keep], u[keep], v[keep]
+    out_val[cells], out_u[cells], out_v[cells] = val, u, v
+    return out_val, out_u, out_v
 
 
 def _converged(new, old):
@@ -327,35 +273,43 @@ def _converged(new, old):
     return np.abs(new - old) <= 1e-14 * np.maximum(1.0, new)
 
 
-def _exact_sweep(D: np.ndarray, us: np.ndarray):
-    """One exact alternating sweep for each row of ``us`` (shape (L, S, n)):
-    v maximizes ||B[u, v]|| at fixed u, then u at fixed v.  B is symmetric,
-    so B[., v] is B[v, .].  Returns (values, us, vs)."""
-    _, vs = _top_singular_pair(D, us)
-    values, us = _top_singular_pair(D, vs)
-    return values, us, vs
+def _exact_sweep(D: np.ndarray, u: np.ndarray, v=None):
+    """One exact alternating sweep for each row of ``u``, on the tensor
+    D[row]: v maximizes ||B[u, v]|| at fixed u, then u at fixed v; the
+    argument v is not used.  B is symmetric, so B[., v] is B[v, .].
+    Returns (values, us, vs)."""
+    _, v = _top_singular_pair(D, u)
+    values, u = _top_singular_pair(D, v)
+    return values, u, v
+
+
+def _power_sweep(D: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """One HOPM sweep for each row, v from u and then u from v.  Returns
+    (values, us, vs)."""
+    v, _ = _power_half_step(D, u, v)
+    u, w = _power_half_step(D, v, u)
+    return _row_norms(w), u, v
 
 
 def _top_singular_pair(D: np.ndarray, x: np.ndarray):
     """max over unit y of ||B[x, y]||, and a unit y attaining it, for each
-    row of x.  B[x, y] = M^T y for M = B[x, .], so y is the top eigenvector
-    of the Hermitian n x n Gram matrix conj(M) M^T and the maximum is the
-    square root of its top eigenvalue: the top singular pair of M^T, at
-    about two thirds of the cost of an SVD for n <= 4."""
-    M = (x @ D).reshape(x.shape + (-1,))  # M[l, s, b] = B_l[x_ls, e_b]
+    row of x and the tensor D[row].  B[x, y] = M^T y for M = B[x, .], so y
+    is the top eigenvector of the Hermitian n x n Gram matrix conj(M) M^T
+    and the maximum is the square root of its top eigenvalue: the top
+    singular pair of M^T, at about two thirds of the cost of an SVD for
+    n <= 4."""
+    R, n = x.shape
+    M = (x[:, None, :] @ D).reshape(R, n, -1)  # M[r, b] = B_r[x_r, e_b]
     w, V = np.linalg.eigh(np.matmul(M.conj(), M.swapaxes(-1, -2)))
-    return np.sqrt(np.maximum(w[..., -1], 0.0)), V[..., -1]
+    return np.sqrt(np.maximum(w[:, -1], 0.0)), V[:, :, -1]
 
 
 def _power_half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """y <- B[x, .]* B[x, y], normalised, for each row; also B[x, y].
-
-    Rows of x and y (shape (R, n)) come in len(D) equal blocks, block l
-    for the tensor D[l].  B is symmetric, so the same step updates either
+    """y <- B[x, .]* B[x, y], normalised, for each row and the tensor
+    D[row]; also B[x, y].  B is symmetric, so the same step updates either
     argument."""
     R, n = x.shape
-    # Bx[r, b] = B[x_r, e_b], one matrix product per tensor
-    Bx = (x.reshape(len(D), -1, n) @ D).reshape(R, n, -1)
+    Bx = (x[:, None, :] @ D).reshape(R, n, -1)  # Bx[r, b] = B_r[x_r, e_b]
     w = np.matmul(y[:, None, :], Bx)  # (R, 1, m): B[x_r, y_r]
     y = np.matmul(Bx.conj(), w.transpose(0, 2, 1))[:, :, 0]
     y /= _row_norms(y)[:, None]

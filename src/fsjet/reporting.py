@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 class Report:
     """Outcome of one verification suite run.
 
-    ``passed`` is equivalent to ``max_residual <= tolerance``; witnesses
-    list the offending inputs and are empty on pass.
+    ``passed`` is derived: it is ``max_residual <= tolerance``, so a NaN
+    residual fails.  Witnesses list the offending inputs and are empty on
+    pass.
     """
 
     suite: str
@@ -18,8 +19,14 @@ class Report:
     seed: int
     tolerance: float
     max_residual: float
-    passed: bool
+    passed: bool = field(init=False)
     witnesses: list = field(default_factory=list)
+
+    def __post_init__(self):
+        # a plain Python float, so that a residual computed in numpy still
+        # serializes to JSON
+        self.max_residual = float(self.max_residual)
+        self.passed = bool(self.max_residual <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -32,19 +39,3 @@ class Report:
             "witnesses": self.witnesses,
         }
 
-
-def make_report(
-    suite: str, trials: int, seed: int, tolerance: float, max_residual: float, witnesses=None
-) -> Report:
-    # plain Python scalars, so that a residual computed in numpy still
-    # serializes to JSON
-    max_residual = float(max_residual)
-    return Report(
-        suite=suite,
-        trials=trials,
-        seed=seed,
-        tolerance=tolerance,
-        max_residual=max_residual,
-        passed=bool(max_residual <= tolerance),
-        witnesses=witnesses or [],
-    )

@@ -112,7 +112,6 @@ def is_generator(
         seed=seed,
         tolerance=tolerance,
         max_residual=residual,
-        passed=residual <= tolerance,
         witnesses=witnesses,
     )
 

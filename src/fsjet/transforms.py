@@ -184,28 +184,26 @@ def check_injectivity_sampled(
     """Falsification test for injectivity on the ball of the given radius.
 
     Draws sample pairs and reports any pair mapped (numerically) to the
-    same point while being well separated.  PASS means no collision was
-    found, not a proof of univalence.
+    same point, within ``collision_tol``, while being well separated.  The
+    residual is the number of such pairs, against tolerance 0.  PASS means
+    no collision was found, not a proof of univalence.
     """
     rng = np.random.default_rng(seed)
     x1 = sample_ball(rng, samples, dim, radius)
     x2 = sample_ball(rng, samples, dim, radius)
     witnesses = []
-    worst = np.inf
     for a, b in zip(x1, x2):
         if np.linalg.norm(a - b) <= separation:
             continue
         gap = float(np.linalg.norm(f(a) - f(b)))
-        worst = min(worst, gap)
         if gap < collision_tol:
             witnesses.append({"x1": a.tolist(), "x2": b.tolist(), "gap": gap})
     return Report(
         suite="injectivity-sampled",
         trials=samples,
         seed=seed,
-        tolerance=collision_tol,
-        max_residual=0.0 if not witnesses else collision_tol,
-        passed=not witnesses,
+        tolerance=0.0,
+        max_residual=len(witnesses),
         witnesses=witnesses,
     )
 

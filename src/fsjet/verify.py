@@ -8,6 +8,7 @@ vacuously.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import fekete
 from .estimates import check_bounded_onedim_bound
 from .fekete import FSContext, _inner, fs_mapping
 from .jets import MappingJet, compose, invert, iterate, random_jet, unitary_conjugate
-from .reporting import Report, make_report
+from .reporting import Report
 from .sampling import sample_params, sample_sphere
 from .semigroup import (
     GeneratorJet,
@@ -101,7 +102,7 @@ def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             1.0 + P.max_coeff()
         )
         worst = _worst(worst, res / scale)
-    return [make_report("polarization", trials, seed, 1e-12, worst)]
+    return [Report("polarization", trials, seed, 1e-12, worst)]
 
 
 def _psi_compo_rhs(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
@@ -130,7 +131,7 @@ def suite_compose(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lhs = fs_mapping(compose(f, g), ctx).vector
         rhs = _psi_compo_rhs(f, g, ctx)
         worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
-    return [make_report("compose/psi-composition-identity", trials, seed, 1e-11, worst)]
+    return [Report("compose/psi-composition-identity", trials, seed, 1e-11, worst)]
 
 
 def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
@@ -151,8 +152,8 @@ def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         psi22 = fs_mapping(f, FSContext(e, 2.0, 2.0)).vector
         worst_q3 = _worst(worst_q3, float(np.linalg.norm(q3 + psi22)))
     return [
-        make_report("inverse/psi-duality", trials, seed, 1e-11, worst_dual),
-        make_report("inverse/third-derivative", trials, seed, 1e-11, worst_q3),
+        Report("inverse/psi-duality", trials, seed, 1e-11, worst_dual),
+        Report("inverse/third-derivative", trials, seed, 1e-11, worst_q3),
     ]
 
 
@@ -174,7 +175,7 @@ def suite_iterate(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             # degree-2 part scales linearly in the iteration count
             t2 = fm.poly(2) + f.poly(2).scale(-float(m))
             worst = _worst(worst, t2.max_coeff())
-    return [make_report("iterate/psi-scaling", trials, seed, 1e-10, worst)]
+    return [Report("iterate/psi-scaling", trials, seed, 1e-10, worst)]
 
 
 def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
@@ -190,7 +191,7 @@ def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
         rhs = U.conj().T @ fs_mapping(f, FSContext(U @ e, lam, mu)).vector
         worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
-    return [make_report("unitary/psi-conjugation", trials, seed, 1e-11, worst)]
+    return [Report("unitary/psi-conjugation", trials, seed, 1e-11, worst)]
 
 
 def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
@@ -216,7 +217,7 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             for mu in sample_params(rng, 5):
                 psi = fs_mapping(f, FSContext(e, lam, mu)).vector
                 worst = _worst(worst, float(np.linalg.norm(q2n1 - psi / nroot)))
-    reports = [make_report("root/jet-relations", trials, seed, 1e-10, worst)]
+    reports = [Report("root/jet-relations", trials, seed, 1e-10, worst)]
 
     # golden series: the square-root transform of the Koebe function
     koebe_res = 0.0
@@ -226,7 +227,7 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         expect = [0.0, 1.0, 0.0, 1.0]
         koebe_res = _worst(*(abs(a - b) for a, b in zip(got, expect)))
     reports.append(
-        make_report("root/koebe-golden", min(trials, 1), seed, 1e-12, koebe_res)
+        Report("root/koebe-golden", min(trials, 1), seed, 1e-12, koebe_res)
     )
     return reports
 
@@ -254,7 +255,7 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         for (r, coef), nf, ng in zip(defects, est[::2], est[1::2]):
             worst_violation = _worst(worst_violation, r - coef * nf.value * ng.value)
     reports = [
-        make_report(
+        Report(
             "error-bound/ell-bound", trials, seed, 1e-9, _worst(0.0, worst_violation)
         )
     ]
@@ -279,7 +280,7 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         )
         worst_eq = _worst(worst_eq, abs(float(np.linalg.norm(R)) - expect))
     reports.append(
-        make_report("error-bound/onedim-equality", trials, seed, 1e-11, worst_eq)
+        Report("error-bound/onedim-equality", trials, seed, 1e-11, worst_eq)
     )
     return reports
 
@@ -305,7 +306,7 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
                 for k, coef in zip(degrees, by_degree):
                     closed = flow.poly(k).eval(e)
                     worst = _worst(worst, float(np.linalg.norm(closed - coef)))
-    reports = [make_report("semigroup/closed-form-vs-ode", trials, seed, 1e-6, worst)]
+    reports = [Report("semigroup/closed-form-vs-ode", trials, seed, 1e-6, worst)]
 
     rng2 = _rng(seed, 9)
     worst_comp = 0.0
@@ -319,7 +320,7 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
             diff = combined.poly(k) + direct.poly(k).scale(-1.0)
             worst_comp = _worst(worst_comp, diff.max_coeff())
     reports.append(
-        make_report("semigroup/flow-property", trials, seed, 1e-10, worst_comp)
+        Report("semigroup/flow-property", trials, seed, 1e-10, worst_comp)
     )
     return reports
 
@@ -341,7 +342,7 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         for k in (2, 3):
             diff = back.jet.poly(k) + h.jet.poly(k).scale(-1.0)
             worst_pair = _worst(worst_pair, diff.max_coeff())
-    reports = [make_report("duality/psi-pairing", trials, seed, 1e-11, worst_pair)]
+    reports = [Report("duality/psi-pairing", trials, seed, 1e-11, worst_pair)]
 
     rng2 = _rng(seed, 11)
     worst_bound = 0.0
@@ -354,7 +355,7 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         bound = 2.0 * max(1.0, abs(2.0 * lam - 1.0))
         worst_bound = _worst(worst_bound, val - bound)
     reports.append(
-        make_report(
+        Report(
             "duality/generator-scalar-bound",
             trials,
             seed,
@@ -375,7 +376,7 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         if (detect_onedim(h.jet) is None) != (detect_onedim(f) is None):
             mismatches += 1
     reports.append(
-        make_report(
+        Report(
             "duality/onedim-equivalence", trials, seed, 0.0, float(mismatches)
         )
     )
@@ -394,7 +395,7 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         )
         worst_margin = _worst(worst_margin, -report.margin)
     reports = [
-        make_report(
+        Report(
             "bounds/bounded-onedim", trials, seed, 1e-6, _worst(0.0, worst_margin)
         )
     ]
@@ -411,7 +412,7 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         bound = max(1.0, abs(4.0 * lam - 3.0))
         worst_star = _worst(worst_star, val - bound)
     reports.append(
-        make_report(
+        Report(
             "bounds/starlike-onedim", trials, seed, 1e-9, _worst(0.0, worst_star)
         )
     )
@@ -457,6 +458,13 @@ DEFAULT_TRIALS = {
 }
 
 
+def check_dims(dims) -> None:
+    """Raise ``ValueError`` naming the first dimension below 1 in ``dims``."""
+    for d in dims or ():
+        if d < 1:
+            raise ValueError(f"dimension {d} is not positive")
+
+
 def run_suite(
     name: str,
     trials: int | None = None,
@@ -464,7 +472,10 @@ def run_suite(
     tol: float | None = None,
     dims=None,
 ) -> list[Report]:
-    """Run one named suite (or "all"); returns one Report per check."""
+    """Run one named suite (or "all"); returns one Report per check.
+
+    A dimension below 1 in ``dims`` raises ``ValueError``."""
+    check_dims(dims)
     if name == "all":
         out = []
         for key in _SUITES:
@@ -480,8 +491,5 @@ def run_suite(
         kwargs["dims"] = tuple(dims)
     reports = _SUITES[name](n_trials, seed, **kwargs)
     if tol is not None:
-        reports = [
-            make_report(r.suite, r.trials, r.seed, tol, r.max_residual, r.witnesses)
-            for r in reports
-        ]
+        reports = [dataclasses.replace(r, tolerance=tol) for r in reports]
     return reports

@@ -116,6 +116,15 @@ def test_verify_failure_exit_code(runner):
     assert "pass=false" in result.output
 
 
+def test_verify_bad_dims_is_usage_error(runner):
+    for dims in ("0", "2,-1"):
+        result = runner.invoke(
+            main, ["verify", "compose", "--trials", "2", "--dims", dims]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"dimension {dims.split(',')[-1]} is not positive" in result.output
+
+
 def test_verify_seed_env_var(runner):
     result = runner.invoke(
         main,

@@ -60,6 +60,13 @@ def test_sup_norm_one_dimensional_is_constant():
     assert abs(np.linalg.norm(witness) - 1.0) < 1e-10
 
 
+def test_sup_norm_rejects_no_starts():
+    f = example_gallery("koebe1d").jet
+    for starts in (0, -2):
+        with pytest.raises(ValueError, match="starts must be positive"):
+            sup_norm_fs(f, 0.2, 0.7, SupNormConfig(starts=starts))
+
+
 def test_sup_norm_matches_grid_oracle():
     rng = np.random.default_rng(60)
     f = random_jet(2, 3, rng)

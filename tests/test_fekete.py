@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fsjet.fekete import (
+    NORM_BLOCK_CELLS,
     FSContext,
     ell,
     fs_error_term,
@@ -359,6 +360,15 @@ def test_operator_norm_mixed_stack_without_nan_or_warning(starts):
     if starts >= 2:
         assert abs(stacked[2].value - np.sqrt(2.0) / 2.0) <= 1e-12
         assert abs(stacked[4].value - 2.0) <= 1e-12
+
+
+def test_operator_norm_stack_across_blocks():
+    # 40 tensors at 32 starts are 1,280 cells: a block of 32 tensors, then
+    # one of 8
+    rng = np.random.default_rng(122)
+    tensors = [random_jet(3, 2, rng).poly(2) for _ in range(40)]
+    assert 32 * len(tensors) > NORM_BLOCK_CELLS >= 32 * 32
+    _assert_stack_matches_lone_calls(tensors, list(range(40)))
 
 
 def test_operator_norm_stack_shares_an_int_seed():

@@ -136,6 +136,7 @@ def test_injectivity_check_catches_collisions():
     report = check_injectivity_sampled(collapse, dim=2, samples=500, seed=2)
     assert not report.passed
     assert report.witnesses
+    assert report.max_residual == len(report.witnesses) > report.tolerance
 
 
 def _detect_onedim_per_probe(f, tol=1e-9):

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from fsjet import fekete, verify
+from fsjet.gallery import example_gallery
+from fsjet.jets import MappingJet
+from fsjet.semigroup import GeneratorJet, is_generator
+from fsjet.tensors import HomPoly
+from fsjet.transforms import check_injectivity_sampled
 from fsjet.verify import DEFAULT_TRIALS, SUITE_NAMES, run_suite
 
 
@@ -59,6 +64,33 @@ def test_dims_override(monkeypatch):
     run_suite("semigroup", trials=1, dims=[2, 3])
     run_suite("semigroup", trials=1)
     assert seen == [{"dims": (2, 3)}, {}]
+
+
+def test_dims_below_one_are_rejected():
+    for dims in ([0], [2, -1]):
+        with pytest.raises(ValueError, match=f"dimension {dims[-1]}"):
+            run_suite("compose", trials=2, dims=dims)
+
+
+def test_passed_is_derived_from_the_residual():
+    # every report holds passed == (max_residual <= tolerance): the suites,
+    # the same after a tolerance override, and both sampled checks
+    generator = GeneratorJet(example_gallery("example_5_6_generator").jet)
+    non_generator = GeneratorJet(
+        MappingJet(1, 3, {2: HomPoly.from_monomials(2, 1, 1, {(2,): [-5.0]})})
+    )
+    reports = run_suite("all", trials=2, seed=3)
+    reports += run_suite("all", trials=2, seed=3, tol=1e-15)
+    reports += [
+        is_generator(generator),
+        is_generator(non_generator, seed=3),
+        check_injectivity_sampled(lambda x: x / (1.0 - x**2), dim=1, samples=200),
+        check_injectivity_sampled(np.zeros_like, dim=2, samples=200),
+    ]
+    assert {r.passed for r in reports} == {True, False}
+    for r in reports:
+        assert type(r.max_residual) is float
+        assert r.passed is (r.max_residual <= r.tolerance), r.suite
 
 
 def test_nan_norm_estimate_fails_the_error_bound(monkeypatch):
