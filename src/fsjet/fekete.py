@@ -230,19 +230,26 @@ def _estimate(D: np.ndarray, inits: np.ndarray, iters: int):
     """The three steps for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
     = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n).
 
-    Every step runs on cells, one per (tensor, start), each a row that
-    carries its own copy of its tensor.  Returns (values, us, vs)."""
+    Step 1 sweeps every start of a tensor at once.  Steps 2 and 3 run on
+    cells, one per (tensor, start), each a row that carries its own copy
+    of its tensor.  Returns (values, us, vs)."""
     L, S, n = inits.shape
-    cells = np.repeat(D, S, axis=0)
-    vals, us, vs = _exact_sweep(cells, inits.reshape(-1, n))
+    vals, us, vs = _exact_sweep(D, inits)  # (L, S), (L, S, n)
+    vals, us, vs = vals.reshape(-1), us.reshape(-1, n), vs.reshape(-1, n)
     # B[u, v] != 0 on a cell of nonzero value, and a power step never
     # lowers ||B[u, v]||, so no power step divides by 0
     live = ~_converged(vals, 0.0)
+    cells = np.repeat(np.arange(L), S)[live]  # the tensor of each cell
     vals[live], us[live], _ = _until_stable(
-        _power_sweep, cells[live], vals[live], us[live], vs[live], iters - 1
+        _power_sweep, D[cells], vals[live], us[live], vs[live], iters - 1
     )
+
+    def exact(D, u, v):  # v is recomputed from u
+        val, u, v = _exact_sweep(D, u[:, None])
+        return val[:, 0], u[:, 0], v[:, 0]
+
     best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
-    return _until_stable(_exact_sweep, D, vals[best], us[best], vs[best], iters)
+    return _until_stable(exact, D, vals[best], us[best], vs[best], iters)
 
 
 def _until_stable(sweep, D, val, u, v, cap):
@@ -273,11 +280,10 @@ def _converged(new, old):
     return np.abs(new - old) <= 1e-14 * np.maximum(1.0, new)
 
 
-def _exact_sweep(D: np.ndarray, u: np.ndarray, v=None):
-    """One exact alternating sweep for each row of ``u``, on the tensor
-    D[row]: v maximizes ||B[u, v]|| at fixed u, then u at fixed v; the
-    argument v is not used.  B is symmetric, so B[., v] is B[v, .].
-    Returns (values, us, vs)."""
+def _exact_sweep(D: np.ndarray, u: np.ndarray):
+    """One exact alternating sweep for each start u[l, s] on the tensor D[l]:
+    v maximizes ||B[u, v]|| at fixed u, then u at fixed v.  B is symmetric,
+    so B[., v] is B[v, .].  Returns (values, us, vs)."""
     _, v = _top_singular_pair(D, u)
     values, u = _top_singular_pair(D, v)
     return values, u, v
@@ -293,15 +299,14 @@ def _power_sweep(D: np.ndarray, u: np.ndarray, v: np.ndarray):
 
 def _top_singular_pair(D: np.ndarray, x: np.ndarray):
     """max over unit y of ||B[x, y]||, and a unit y attaining it, for each
-    row of x and the tensor D[row].  B[x, y] = M^T y for M = B[x, .], so y
-    is the top eigenvector of the Hermitian n x n Gram matrix conj(M) M^T
+    start x[l, s] and the tensor D[l].  B[x, y] = M^T y for M = B[x, .], so
+    y is the top eigenvector of the Hermitian n x n Gram matrix conj(M) M^T
     and the maximum is the square root of its top eigenvalue: the top
     singular pair of M^T, at about two thirds of the cost of an SVD for
     n <= 4."""
-    R, n = x.shape
-    M = (x[:, None, :] @ D).reshape(R, n, -1)  # M[r, b] = B_r[x_r, e_b]
+    M = (x @ D).reshape(x.shape + (-1,))  # M[l, s, b] = B_l[x_ls, e_b]
     w, V = np.linalg.eigh(np.matmul(M.conj(), M.swapaxes(-1, -2)))
-    return np.sqrt(np.maximum(w[:, -1], 0.0)), V[:, :, -1]
+    return np.sqrt(np.maximum(w[..., -1], 0.0)), V[..., -1]
 
 
 def _power_half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):

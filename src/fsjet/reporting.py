@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 class Report:
     """Outcome of one verification suite run.
 
-    ``passed`` is derived: it is ``max_residual <= tolerance``, so a NaN
-    residual fails.  Witnesses list the offending inputs and are empty on
-    pass.
+    ``passed`` defaults to ``max_residual <= tolerance``, so a NaN residual
+    fails; pass it explicitly only to build a deliberately inconsistent
+    report.  Witnesses list the offending inputs and are empty on pass.
     """
 
     suite: str
@@ -19,14 +19,15 @@ class Report:
     seed: int
     tolerance: float
     max_residual: float
-    passed: bool = field(init=False)
+    passed: bool | None = None
     witnesses: list = field(default_factory=list)
 
     def __post_init__(self):
         # a plain Python float, so that a residual computed in numpy still
         # serializes to JSON
         self.max_residual = float(self.max_residual)
-        self.passed = bool(self.max_residual <= self.tolerance)
+        if self.passed is None:
+            self.passed = bool(self.max_residual <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {

@@ -458,11 +458,8 @@ DEFAULT_TRIALS = {
 }
 
 
-def check_dims(dims) -> None:
-    """Raise ``ValueError`` naming the first dimension below 1 in ``dims``."""
-    for d in dims or ():
-        if d < 1:
-            raise ValueError(f"dimension {d} is not positive")
+class DimensionError(ValueError):
+    """A dimension below 1 given to ``run_suite``."""
 
 
 def run_suite(
@@ -474,8 +471,11 @@ def run_suite(
 ) -> list[Report]:
     """Run one named suite (or "all"); returns one Report per check.
 
-    A dimension below 1 in ``dims`` raises ``ValueError``."""
-    check_dims(dims)
+    A dimension below 1 in ``dims`` raises ``DimensionError``, a
+    ``ValueError``, before any suite runs."""
+    for d in dims or ():
+        if d < 1:
+            raise DimensionError(f"dimension {d} is not positive")
     if name == "all":
         out = []
         for key in _SUITES:
@@ -491,5 +491,5 @@ def run_suite(
         kwargs["dims"] = tuple(dims)
     reports = _SUITES[name](n_trials, seed, **kwargs)
     if tol is not None:
-        reports = [dataclasses.replace(r, tolerance=tol) for r in reports]
+        reports = [dataclasses.replace(r, tolerance=tol, passed=None) for r in reports]
     return reports

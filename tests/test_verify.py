@@ -1,5 +1,6 @@
 """Suite runner behavior: dispatch, determinism, vacuous passes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +92,15 @@ def test_passed_is_derived_from_the_residual():
     for r in reports:
         assert type(r.max_residual) is float
         assert r.passed is (r.max_residual <= r.tolerance), r.suite
+
+
+def test_explicit_passed_is_kept():
+    # dataclasses.replace can still set passed, e.g. to build an inconsistent
+    # report for a consumer's consistency check
+    r = run_suite("polarization", trials=2, seed=0)[0]
+    assert dataclasses.replace(r, max_residual=2 * r.tolerance, passed=False).passed is False
+    assert dataclasses.replace(r, max_residual=2 * r.tolerance).passed is True
+    assert dataclasses.replace(r, max_residual=2 * r.tolerance, passed=None).passed is False
 
 
 def test_nan_norm_estimate_fails_the_error_bound(monkeypatch):
