@@ -31,7 +31,6 @@ from .jets import (
 from .reporting import Report
 from .semigroup import (
     FlowJet,
-    GeneratorJet,
     generator_from_starlike,
     is_generator,
     sample_generator,
@@ -59,7 +58,6 @@ __all__ = [
     "FlowJet",
     "GALLERY_NAMES",
     "GalleryEntry",
-    "GeneratorJet",
     "HomPoly",
     "MappingJet",
     "MappingSpec",

@@ -19,10 +19,10 @@ from . import specfile
 from .fekete import FSContext, fs_mapping, fs_scalar, normalize_direction
 from .gallery import GALLERY_NAMES, example_gallery
 from .jets import invert, iterate, unitary_conjugate
-from .semigroup import GeneratorJet, semigroup_jet
+from .semigroup import semigroup_jet
 from .specfile import MappingSpec, SpecFileError
 from .transforms import root_transform
-from .verify import SUITE_NAMES, DimensionError, run_suite
+from .verify import SUITE_NAMES, SuiteArgumentError, run_suite
 
 def parse_complex(text: str) -> complex:
     """Parse "a+bi" with optional parts ("2", "-i", "0.5i", "1-2e-3i")."""
@@ -146,8 +146,8 @@ def verify(suite, trials, seed, tol, dims, as_json):
             raise click.UsageError(f"cannot parse dimension list {dims!r}")
     try:
         reports = run_suite(suite, trials=trials, seed=seed, tol=tol, dims=dim_list)
-    except DimensionError as exc:
-        raise click.UsageError(f"--dims: {exc}")
+    except SuiteArgumentError as exc:
+        raise click.UsageError(str(exc))
     if as_json:
         click.echo(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:
@@ -226,7 +226,7 @@ def transform(spec_path, op, output, direction):
         except (TypeError, ValueError):
             raise click.UsageError("semigroup needs a time, e.g. semigroup:0.5")
         try:
-            flow = semigroup_jet(GeneratorJet(spec.jet), t)
+            flow = semigroup_jet(spec.jet, t)
         except ValueError as exc:
             raise click.UsageError(str(exc))
         # emitted as the normalized bracket; u_t = exp(-t) * bracket

@@ -28,6 +28,8 @@ class SupNormConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError(f"starts must be positive, got {self.starts}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {self.steps}")
 
 
 @dataclass
@@ -152,6 +154,8 @@ def estimate_sup_modulus(
     ``s`` is batched: it is called once on the (samples, dim) array of
     sample points and must return their (samples,) values.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
     xs = radius * sample_sphere(rng, samples, dim)
     vals = np.asarray(s(xs))

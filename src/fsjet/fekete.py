@@ -61,13 +61,7 @@ class FSValue:
 def fs_mapping(f: MappingJet, ctx: FSContext) -> FSValue:
     """Psi_e(f, lambda, mu) = P3(e) - mu B[e, P2(e)] - (lam-mu)<P2(e),e> P2(e)."""
     e = _check_vector(ctx.e, f.dim)
-    P2e = f.poly(2).eval(e)
-    P3e = f.poly(3).eval(e)
-    vec = (
-        P3e
-        - ctx.mu * f.poly(2).multilinear_eval([e, P2e])
-        - (ctx.lam - ctx.mu) * _inner(P2e, e) * P2e
-    )
+    vec = fs_mapping_many(f, e[None], ctx.lam, ctx.mu)[0]
     return FSValue(vector=vec, scalar_projection=_inner(vec, e))
 
 
@@ -76,8 +70,8 @@ def fs_mapping_many(
 ) -> np.ndarray:
     """Psi over a batch of unit directions (rows of es), via dense tensors.
 
-    Independent dense-contraction route; also the hot path for the sphere
-    optimizer and grid oracles.
+    The one implementation of the formula: ``fs_mapping`` is its one-row
+    case, and the sphere optimizer and grid oracles call it on batches.
     """
     es = np.asarray(es, dtype=complex)
     B = f.poly(2).dense()  # (n, n, n)

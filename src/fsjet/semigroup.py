@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import MappingJet, compose
+from .jets import MappingJet, compose, random_jet
 from .reporting import Report
 from .sampling import sample_ball
 from .tensors import (
@@ -27,26 +27,10 @@ from .tensors import (
     slot_product,
 )
 
-
-@dataclass(frozen=True)
-class GeneratorJet:
-    """A jet regarded as a candidate semigroup generator."""
-
-    jet: MappingJet
-
-    @property
-    def dim(self) -> int:
-        return self.jet.dim
-
-    @property
-    def order(self) -> int:
-        return self.jet.order
-
-    def eval(self, x) -> np.ndarray:
-        return self.jet.eval(x)
-
-    def eval_many(self, xs) -> np.ndarray:
-        return self.jet.eval_many(xs)
+# the size of sample_generator's random parts, and the number of seeded
+# points on which generator_shrink tests the generator inequality
+SAMPLE_SCALE = 0.25
+SHRINK_PROBE = 2048
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,7 @@ class FlowJet:
 
 
 def is_generator(
-    h: GeneratorJet, samples: int = 4096, seed: int = 0
+    h: MappingJet, samples: int = 4096, seed: int = 0
 ) -> Report:
     """Sampled test of Re <h(x), x> >= 0 on the ball (falsification only)."""
     rng = np.random.default_rng(seed)
@@ -116,7 +100,7 @@ def is_generator(
     )
 
 
-def semigroup_jet(h: GeneratorJet, t: float) -> FlowJet:
+def semigroup_jet(h: MappingJet, t: float) -> FlowJet:
     """Closed-form order-3 jet of the semigroup element u_t.
 
     S_2(t, x) = (exp(-t) - 1) H_2(x) and
@@ -126,8 +110,8 @@ def semigroup_jet(h: GeneratorJet, t: float) -> FlowJet:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     et = math.exp(-t)
-    H2 = h.jet.poly(2)
-    H3 = h.jet.poly(3)
+    H2 = h.poly(2)
+    H3 = h.poly(3)
     S2 = H2.scale(et - 1.0)
     q = (1.0 - et) / (1.0 + et)
     d2h_x_H2x = slot_product(H2.dense(), H2).scale(2.0)
@@ -137,7 +121,7 @@ def semigroup_jet(h: GeneratorJet, t: float) -> FlowJet:
 
 
 def semigroup_ode(
-    h: GeneratorJet, t: float, x0, step: float = 1e-3
+    h: MappingJet, t: float, x0, step: float = 1e-3
 ) -> np.ndarray:
     """Flow point u_t(x0) by classical fixed-step RK4 on du/dt = -h(u)."""
     x0 = _check_vector(x0, h.dim)
@@ -199,7 +183,7 @@ def _field(hs):
     monomials and one batched product per degree, whatever J is."""
     degrees = []
     for k in range(2, hs[0].order + 1):
-        cols, coef = basis_coefficients([h.jet.poly(k) for h in hs])
+        cols, coef = basis_coefficients([h.poly(k) for h in hs])
         if coef.any():
             degrees.append((cols, coef))
 
@@ -213,7 +197,7 @@ def _field(hs):
 
 
 def flow_taylor_via_ode(
-    h: GeneratorJet | Sequence[GeneratorJet],
+    h: MappingJet | Sequence[MappingJet],
     t,
     direction,
     degree,
@@ -239,7 +223,7 @@ def flow_taylor_via_ode(
     axis of length J; each element equals the lone call on its generator
     and direction within rounding.
     """
-    single = isinstance(h, GeneratorJet)
+    single = isinstance(h, MappingJet)
     hs = [h] if single else list(h)
     if not hs:
         raise ValueError("expected at least one generator")
@@ -269,17 +253,17 @@ def flow_taylor_via_ode(
     return coef.reshape(shape) if single else coef.reshape((len(hs),) + shape)
 
 
-def starlike_from_generator(h: GeneratorJet) -> MappingJet:
+def starlike_from_generator(h: MappingJet) -> MappingJet:
     """The starlike jet paired with h by Df(x)[h(x)] = f(x), as an order-3
     jet: only degrees 2 and 3 are solved, so higher parts of h are ignored."""
-    H2 = h.jet.poly(2)
-    H3 = h.jet.poly(3)
+    H2 = h.poly(2)
+    H3 = h.poly(3)
     P2 = H2.scale(-1.0)
     P3 = H3.scale(-0.5) + slot_product(H2.dense(), H2)
     return MappingJet(h.dim, 3, {2: P2, 3: P3})
 
 
-def generator_from_starlike(f: MappingJet) -> GeneratorJet:
+def generator_from_starlike(f: MappingJet) -> MappingJet:
     """Inverse of starlike_from_generator at jet level, as an order-3 jet
     (degrees 2 and 3; higher parts of f are ignored)."""
     P2 = f.poly(2)
@@ -287,10 +271,10 @@ def generator_from_starlike(f: MappingJet) -> GeneratorJet:
     H2 = P2.scale(-1.0)
     # P3 = -H3/2 + TH2[x, H2(x)]  with  TH2 = tensor of H2
     H3 = (slot_product(H2.dense(), H2) + P3.scale(-1.0)).scale(2.0)
-    return GeneratorJet(MappingJet(f.dim, 3, {2: H2, 3: H3}))
+    return MappingJet(f.dim, 3, {2: H2, 3: H3})
 
 
-def starlike_residual(f: MappingJet, h: GeneratorJet, x) -> float:
+def starlike_residual(f: MappingJet, h: MappingJet, x) -> float:
     """|| Df(x)[h(x)] - f(x) ||, evaluated directly; O(||x||^4) for pairs."""
     x = _check_vector(x, f.dim)
     hx = h.eval(x)
@@ -303,37 +287,25 @@ def starlike_residual(f: MappingJet, h: GeneratorJet, x) -> float:
 
 
 def sample_generator(
-    dim: int,
-    rng: np.random.Generator,
-    order: int = 3,
-    scale: float = 0.25,
-    probe: int = 2048,
-) -> GeneratorJet:
-    """Random jet rescaled until the sampled generator inequality holds.
-
-    Draws small H_2, H_3 tensors and shrinks them by ``generator_shrink``.
-    """
-    from .jets import random_jet
-
-    base = random_jet(dim, order, rng, scale=scale)
-    c = generator_shrink(base, rng, probe)
-    polys = {k: P.scale(c) for k, P in base.polys.items()}
-    return GeneratorJet(MappingJet(dim, order, polys))
+    dim: int, rng: np.random.Generator, order: int = 3
+) -> MappingJet:
+    """Random jet with parts of size ``SAMPLE_SCALE``, shrunk into the
+    sampled generator class by ``generator_shrink``."""
+    return generator_shrink(random_jet(dim, order, rng, scale=SAMPLE_SCALE), rng)
 
 
-def generator_shrink(
-    jet: MappingJet, rng: np.random.Generator, probe: int = 2048
-) -> float:
-    """Factor c <= 1 for which x + c (jet(x) - x) is a sampled generator.
+def generator_shrink(jet: MappingJet, rng: np.random.Generator) -> MappingJet:
+    """The jet x + c (jet(x) - x) for a factor c <= 1 that makes it a
+    sampled generator.
 
     c is 0.9 times the largest factor keeping min Re <h(x), x> nonnegative
-    on ``probe`` seeded points of the ball (1 if the jet already passes).
+    on ``SHRINK_PROBE`` seeded points of the ball (1 if the jet already
+    passes).
     """
-    xs = sample_ball(rng, probe, jet.dim, radius=1.0 - 1e-3)
+    xs = sample_ball(rng, SHRINK_PROBE, jet.dim, radius=1.0 - 1e-3)
     pert = jet.eval_many(xs) - xs
     w = np.real(np.einsum("ij,ij->i", pert, xs.conj()))
     nrm2 = np.linalg.norm(xs, axis=1) ** 2
     neg = w < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, 0.9 * float(np.min(nrm2[neg] / (-w[neg]))))
+    c = min(1.0, 0.9 * float(np.min(nrm2[neg] / (-w[neg])))) if neg.any() else 1.0
+    return MappingJet(jet.dim, jet.order, {k: P.scale(c) for k, P in jet.polys.items()})

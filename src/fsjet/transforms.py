@@ -13,7 +13,7 @@ import numpy as np
 from .jets import MappingJet
 from .reporting import Report
 from .sampling import sample_ball
-from .tensors import ScalarHomPoly, layout, slot_product
+from .tensors import ScalarHomPoly, layout, monomials, slot_product
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def detect_onedim(f: MappingJet, tol: float = 1e-9) -> OneDimJet | None:
         # unknowns: monomial coefficients of p_{k-1}; one row per probe
         # and output component, monom(x) * x_i against P_k(x)_i
         basis = layout(f.dim, k - 1)
-        monom_vals = np.prod(probes[:, None, :] ** np.array(basis.exponents), axis=2)
+        monom_vals = monomials(probes, basis.cols)
         A = (monom_vals[:, None, :] * probes[:, :, None]).reshape(-1, monom_vals.shape[1])
         b = P.eval_many(probes).reshape(-1)
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -110,26 +110,18 @@ def detect_onedim(f: MappingJet, tol: float = 1e-9) -> OneDimJet | None:
 
 
 def _series_root(coeffs: list[complex], n: int, terms: int) -> list[complex]:
-    """(1 + sum_{k>=1} a_k u^k)^(1/n) as a truncated series, principal branch."""
-    w = [0.0 + 0.0j] + [complex(c) for c in coeffs[1:]]
-    w += [0.0j] * (terms - len(w))
-    out = [0.0j] * terms
-    out[0] = 1.0 + 0.0j
-    wpow = [0.0j] * terms
-    wpow[0] = 1.0 + 0.0j  # w^0
-    binom = 1.0
+    """(1 + sum_{k>=1} a_k u^k)^(1/n) as a truncated series, principal branch.
+
+    Miller's power recurrence: b_0 = 1 and
+    b_m = (1/m) sum_{k=1}^{m} (k/n - (m - k)) a_k b_{m-k}
+    (Knuth, TAOCP vol. 2, section 4.7).
+    """
+    a = [complex(c) for c in coeffs[:terms]]
+    a += [0.0j] * (terms - len(a))
+    b = [1.0 + 0.0j]
     for m in range(1, terms):
-        binom *= (1.0 / n - (m - 1)) / m
-        new = [0.0j] * terms
-        for a in range(terms):
-            if wpow[a] == 0:
-                continue
-            for b in range(1, terms - a):
-                new[a + b] += wpow[a] * w[b]
-        wpow = new
-        for j in range(terms):
-            out[j] += binom * wpow[j]
-    return out
+        b.append(sum((k / n - (m - k)) * a[k] * b[m - k] for k in range(1, m + 1)) / m)
+    return b
 
 
 def root_transform(

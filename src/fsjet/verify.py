@@ -20,7 +20,6 @@ from .jets import MappingJet, compose, invert, iterate, random_jet, unitary_conj
 from .reporting import Report
 from .sampling import sample_params, sample_sphere
 from .semigroup import (
-    GeneratorJet,
     flow_taylor_via_ode,
     generator_from_starlike,
     generator_shrink,
@@ -330,17 +329,17 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     worst_pair = 0.0
     for i in range(trials):
         n = _dims_cycle(dims, i)
-        h = GeneratorJet(random_jet(n, 3, rng))
+        h = random_jet(n, 3, rng)
         f = starlike_from_generator(h)
         e = sample_sphere(rng, 1, n)[0]
         lam, mu = sample_params(rng, 2)
-        lhs = fs_mapping(h.jet, FSContext(e, 2 * lam, 2 * mu)).vector
+        lhs = fs_mapping(h, FSContext(e, 2 * lam, 2 * mu)).vector
         rhs = -2.0 * fs_mapping(f, FSContext(e, 1 - lam, 1 - mu)).vector
         worst_pair = _worst(worst_pair, float(np.linalg.norm(lhs - rhs)))
         # round trip through the pairing
         back = generator_from_starlike(f)
         for k in (2, 3):
-            diff = back.jet.poly(k) + h.jet.poly(k).scale(-1.0)
+            diff = back.poly(k) + h.poly(k).scale(-1.0)
             worst_pair = _worst(worst_pair, diff.max_coeff())
     reports = [Report("duality/psi-pairing", trials, seed, 1e-11, worst_pair)]
 
@@ -351,7 +350,7 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         h = sample_generator(n, rng2)
         e = sample_sphere(rng2, 1, n)[0]
         lam = sample_params(rng2, 1)[0]
-        val = abs(fs_mapping(h.jet, FSContext(e, lam, 0.0)).scalar_projection)
+        val = abs(fs_mapping(h, FSContext(e, lam, 0.0)).scalar_projection)
         bound = 2.0 * max(1.0, abs(2.0 * lam - 1.0))
         worst_bound = _worst(worst_bound, val - bound)
     reports.append(
@@ -369,11 +368,11 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     for i in range(trials):
         n = _dims_cycle(dims, i)
         if i % 2 == 0:
-            h = GeneratorJet(random_onedim_jet(n, 3, rng3).to_mapping_jet())
+            h = random_onedim_jet(n, 3, rng3).to_mapping_jet()
         else:
-            h = GeneratorJet(random_jet(n, 3, rng3))
+            h = random_jet(n, 3, rng3)
         f = starlike_from_generator(h)
-        if (detect_onedim(h.jet) is None) != (detect_onedim(f) is None):
+        if (detect_onedim(h) is None) != (detect_onedim(f) is None):
             mismatches += 1
     reports.append(
         Report(
@@ -404,7 +403,8 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     worst_star = 0.0
     for i in range(trials):
         n = _dims_cycle(dims, i)
-        h = _sample_onedim_generator(n, rng2)
+        base = random_onedim_jet(n, 3, rng2, scale=0.3).to_mapping_jet()
+        h = generator_shrink(base, rng2)
         f = starlike_from_generator(h)
         e = sample_sphere(rng2, 1, n)[0]
         lam, mu = sample_params(rng2, 2)
@@ -417,14 +417,6 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         )
     )
     return reports
-
-
-def _sample_onedim_generator(dim: int, rng: np.random.Generator) -> GeneratorJet:
-    """One-dimensional-type member of the generator class, by rescaling."""
-    od = random_onedim_jet(dim, 3, rng, scale=0.3)
-    c = generator_shrink(od.to_mapping_jet(), rng)
-    polys = {k: p.scale(c) for k, p in od.scalar_polys.items()}
-    return GeneratorJet(OneDimJet(dim, 3, polys).to_mapping_jet())
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +450,8 @@ DEFAULT_TRIALS = {
 }
 
 
-class DimensionError(ValueError):
-    """A dimension below 1 given to ``run_suite``."""
+class SuiteArgumentError(ValueError):
+    """A dimension below 1 or a negative seed given to ``run_suite``."""
 
 
 def run_suite(
@@ -471,11 +463,13 @@ def run_suite(
 ) -> list[Report]:
     """Run one named suite (or "all"); returns one Report per check.
 
-    A dimension below 1 in ``dims`` raises ``DimensionError``, a
-    ``ValueError``, before any suite runs."""
+    A dimension below 1 in ``dims`` or a negative ``seed`` raises
+    ``SuiteArgumentError``, a ``ValueError``, before any suite runs."""
     for d in dims or ():
         if d < 1:
-            raise DimensionError(f"dimension {d} is not positive")
+            raise SuiteArgumentError(f"dimension {d} is not positive")
+    if seed < 0:
+        raise SuiteArgumentError(f"seed {seed} is negative")
     if name == "all":
         out = []
         for key in _SUITES:

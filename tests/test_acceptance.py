@@ -14,7 +14,7 @@ from fsjet.estimates import SupNormConfig, fs_norm_at, sup_norm_fs
 from fsjet.fekete import FSContext, fs_mapping
 from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet, random_jet
-from fsjet.semigroup import GeneratorJet, is_generator, semigroup_jet, semigroup_ode
+from fsjet.semigroup import is_generator, semigroup_jet, semigroup_ode
 from fsjet.tensors import HomPoly
 from fsjet.verify import run_suite
 
@@ -98,8 +98,8 @@ def test_07_semigroup_closed_form():
     H3 = HomPoly.from_monomials(3, 1, 1, {(3,): [1.0]})
     for t in (0.1, 0.7, 2.0):
         et = math.exp(-t)
-        flow2 = semigroup_jet(GeneratorJet(MappingJet(1, 3, {2: H2})), t)
-        flow3 = semigroup_jet(GeneratorJet(MappingJet(1, 3, {3: H3})), t)
+        flow2 = semigroup_jet(MappingJet(1, 3, {2: H2}), t)
+        flow3 = semigroup_jet(MappingJet(1, 3, {3: H3}), t)
         factors_ok &= complex(flow2.poly(2).eval(one)[0]) == et * (et - 1.0)
         factors_ok &= complex(flow3.poly(3).eval(one)[0]) == et * (
             0.5 * (et * et - 1.0)
@@ -141,7 +141,7 @@ def test_09_worked_examples():
                 worst, abs(np.linalg.norm(got) - abs(1.0 - mu) / 2.0)
             )
     gen_report = is_generator(
-        GeneratorJet(example_gallery("example_5_6_generator").jet), seed=SEED
+        example_gallery("example_5_6_generator").jet, seed=SEED
     )
     flagged = f57.expected.get("printed_norm_discrepancy") is True
     ok = worst < 1e-12 and gen_report.passed and flagged
@@ -209,7 +209,7 @@ def test_11b_hygiene_sup_norm_vs_grid():
 
 
 def test_11c_hygiene_rk4_order():
-    h = GeneratorJet(example_gallery("example_5_6_generator").jet)
+    h = example_gallery("example_5_6_generator").jet
     x0 = np.array([0.3, 0.2 + 0.1j])
     t = 1.0
     u1 = semigroup_ode(h, t, x0, step=0.1)

@@ -125,6 +125,19 @@ def test_verify_bad_dims_is_usage_error(runner):
         assert f"dimension {dims.split(',')[-1]} is not positive" in result.output
 
 
+def test_verify_negative_seed_is_usage_error(runner):
+    result = runner.invoke(main, ["verify", "compose", "--trials", "2", "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "seed -1 is negative" in result.output
+    result = runner.invoke(
+        main,
+        ["verify", "polarization", "--trials", "1"],
+        env={"FSJET_SEED": "-2"},
+    )
+    assert result.exit_code == 2, result.output
+    assert "seed -2 is negative" in result.output
+
+
 def test_verify_seed_env_var(runner):
     result = runner.invoke(
         main,

@@ -67,6 +67,15 @@ def test_sup_norm_rejects_no_starts():
             sup_norm_fs(f, 0.2, 0.7, SupNormConfig(starts=starts))
 
 
+def test_sup_norm_rejects_negative_steps():
+    # a negative step count used to run no ascent and return the best start
+    f = random_jet(2, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        SupNormConfig(starts=4, steps=-1)
+    value, _ = sup_norm_fs(f, 0.3, 0.8, SupNormConfig(starts=4, steps=0))
+    assert value > 0.0
+
+
 def test_sup_norm_matches_grid_oracle():
     rng = np.random.default_rng(60)
     f = random_jet(2, 3, rng)
@@ -140,3 +149,12 @@ def test_estimate_sup_modulus_rejects_wrong_shape():
     for s in (lambda x: 1.0 + 0.5 * x, lambda x: 1.0, lambda x: np.ones((len(x), 1))):
         with pytest.raises(ValueError, match="shape"):
             estimate_sup_modulus(s, dim=2, samples=100, seed=1)
+
+
+def test_sup_modulus_rejects_no_samples():
+    od = random_onedim_jet(2, 3, np.random.default_rng(64), scale=0.15)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            estimate_sup_modulus(od.s_eval, dim=2, samples=samples)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            check_bounded_onedim_bound(od, od.s_eval, lam=0.4, samples=samples)

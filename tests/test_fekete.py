@@ -68,6 +68,19 @@ def test_scalar_projection_consistent():
     assert abs(v.scalar_projection - np.vdot(e, v.vector)) < 1e-14
 
 
+def _psi_by_evaluation(f, e, lam, mu):
+    """Psi_e(f, lam, mu) = P3(e) - mu B[e, P2(e)] - (lam-mu)<P2(e),e> P2(e)
+    through ``eval`` and ``multilinear_eval``, the route ``fs_mapping`` took
+    before it became the one-row case of ``fs_mapping_many``; kept as the
+    reference that shares no code with the dense contractions."""
+    P2e = f.poly(2).eval(e)
+    return (
+        f.poly(3).eval(e)
+        - mu * f.poly(2).multilinear_eval([e, P2e])
+        - (lam - mu) * np.vdot(e, P2e) * P2e
+    )
+
+
 def test_fs_mapping_many_matches_single():
     rng = np.random.default_rng(31)
     f = random_jet(2, 3, rng)
@@ -75,8 +88,24 @@ def test_fs_mapping_many_matches_single():
     lam, mu = 0.4 - 0.2j, 1.1
     batch = fs_mapping_many(f, es, lam, mu)
     for i, e in enumerate(es):
-        single = fs_mapping(f, FSContext(e, lam, mu)).vector
-        assert np.allclose(batch[i], single, atol=1e-12)
+        assert np.allclose(batch[i], _psi_by_evaluation(f, e, lam, mu), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fs_mapping_matches_evaluation_route(n):
+    rng = np.random.default_rng(35 + n)
+    jets = [random_jet(n, order, rng) for order in (2, 3, 4)]
+    jets.append(random_jet(n, 3, rng, scale=0.0))  # the zero jet
+    lam, mu = 0.6 + 0.3j, -0.8
+    for f in jets:
+        for e in sample_sphere(rng, 4, n):
+            want = _psi_by_evaluation(f, e, lam, mu)
+            got = fs_mapping(f, FSContext(e, lam, mu))
+            assert np.abs(got.vector - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+            assert abs(got.scalar_projection - np.vdot(e, want)) <= 1e-13
+    assert not fs_mapping(jets[-1], FSContext(e, lam, mu)).vector.any()
+    with pytest.raises(ValueError):
+        fs_mapping(jets[0], FSContext(np.ones(n + 1) / np.sqrt(n + 1), lam, mu))
 
 
 def test_global_phase_invariance_of_norm():

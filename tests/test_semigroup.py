@@ -1,5 +1,6 @@
 """Flow jets, the ODE oracle, and the generator/starlike pairing."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 
 from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet, random_jet
-from fsjet.sampling import sample_sphere
+from fsjet.sampling import sample_ball, sample_sphere
 from fsjet.semigroup import (
+    SHRINK_PROBE,
     FlowJet,
-    GeneratorJet,
     flow_taylor_via_ode,
     generator_from_starlike,
+    generator_shrink,
     is_generator,
     sample_generator,
     semigroup_jet,
@@ -21,10 +23,12 @@ from fsjet.semigroup import (
     starlike_residual,
 )
 from fsjet.tensors import HomPoly
+from fsjet.transforms import detect_onedim
+from fsjet.verify import random_onedim_jet
 
 
-def _example_generator() -> GeneratorJet:
-    return GeneratorJet(example_gallery("example_5_6_generator").jet)
+def _example_generator() -> MappingJet:
+    return example_gallery("example_5_6_generator").jet
 
 
 def test_is_generator_accepts_example():
@@ -33,7 +37,7 @@ def test_is_generator_accepts_example():
 
 def test_is_generator_rejects_large_perturbation():
     H2 = HomPoly.from_monomials(2, 1, 1, {(2,): [-5.0]})
-    h = GeneratorJet(MappingJet(1, 3, {2: H2}))
+    h = MappingJet(1, 3, {2: H2})
     report = is_generator(h, seed=3)
     assert not report.passed
     assert report.witnesses
@@ -56,11 +60,11 @@ def test_closed_form_coefficient_factors_exact():
     H3 = HomPoly.from_monomials(3, 1, 1, {(3,): [1.0]})
     for t in (0.1, 0.7, 2.0):
         et = math.exp(-t)
-        h2only = GeneratorJet(MappingJet(1, 3, {2: H2}))
+        h2only = MappingJet(1, 3, {2: H2})
         flow = semigroup_jet(h2only, t)
         got2 = complex(flow.poly(2).eval(np.array([1.0 + 0j]))[0])
         assert got2 == et * (et - 1.0)
-        h3only = GeneratorJet(MappingJet(1, 3, {3: H3}))
+        h3only = MappingJet(1, 3, {3: H3})
         flow = semigroup_jet(h3only, t)
         got3 = complex(flow.poly(3).eval(np.array([1.0 + 0j]))[0])
         assert got3 == et * (0.5 * (et * et - 1.0))
@@ -160,17 +164,17 @@ def test_starlike_pairing_example():
 def test_starlike_pairing_round_trip():
     rng = np.random.default_rng(51)
     for n in (2, 3):
-        h = GeneratorJet(random_jet(n, 3, rng))
+        h = random_jet(n, 3, rng)
         f = starlike_from_generator(h)
         back = generator_from_starlike(f)
-        assert back.jet.allclose(h.jet, atol=1e-13)
+        assert back.allclose(h, atol=1e-13)
 
 
 def test_starlike_pairing_output_is_order_3():
     # only degrees 2 and 3 are solved, so a higher-order input must not
     # come back labelled with its own order
     rng = np.random.default_rng(54)
-    h = GeneratorJet(random_jet(2, 5, rng))
+    h = random_jet(2, 5, rng)
     f = starlike_from_generator(h)
     assert f.order == 3
     assert generator_from_starlike(random_jet(2, 5, rng)).order == 3
@@ -178,7 +182,7 @@ def test_starlike_pairing_output_is_order_3():
 
 def test_starlike_residual_vanishes_to_third_order():
     rng = np.random.default_rng(52)
-    h = GeneratorJet(random_jet(2, 3, rng))
+    h = random_jet(2, 3, rng)
     f = starlike_from_generator(h)
     x = 0.01 * np.array([0.7, -0.5 + 0.3j])
     # Df(x)[h(x)] - f(x) = O(||x||^4)
@@ -194,6 +198,42 @@ def test_sample_generator_members_pass():
     for _ in range(5):
         h = sample_generator(2, rng)
         assert is_generator(h, samples=2048, seed=7).passed
+
+
+def test_generator_shrink_scales_the_nonlinear_part():
+    rng = np.random.default_rng(58)
+    for n in (2, 3):
+        base = random_jet(n, 3, rng, scale=2.0)  # far from the generator class
+        probes = sample_ball(copy.deepcopy(rng), SHRINK_PROBE, n, radius=1.0 - 1e-3)
+        h = generator_shrink(base, rng)
+        assert isinstance(h, MappingJet) and (h.dim, h.order) == (n, 3)
+        c = h.poly(2).max_coeff() / base.poly(2).max_coeff()
+        assert 0.0 < c < 1.0
+        for k in (2, 3):
+            assert h.poly(k).allclose(base.poly(k).scale(c), atol=1e-15)
+        # c is 0.9 of the largest factor, so on its own probe points
+        # Re <h(x), x> >= ||x||^2 / 10, with equality at the worst point
+        hx = h.eval_many(probes)
+        re_inner = np.real(np.einsum("ij,ij->i", hx, probes.conj()))
+        nrm2 = np.linalg.norm(probes, axis=1) ** 2
+        assert np.all(re_inner >= 0.1 * nrm2 - 1e-12)
+        assert np.min((re_inner - 0.1 * nrm2) / nrm2) <= 1e-12
+    # a jet that already passes comes back unscaled
+    identity = MappingJet(2, 3, {})
+    assert generator_shrink(identity, rng).allclose(identity, atol=0.0)
+
+
+def test_both_generator_samplers_give_generators():
+    rng = np.random.default_rng(59)
+    for n in (2, 3):
+        h = sample_generator(n, rng)
+        assert isinstance(h, MappingJet)
+        assert is_generator(h, samples=2048, seed=7).passed
+        # the one-dimensional sampler of the bounds suite
+        od = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
+        h = generator_shrink(od, rng)
+        assert is_generator(h, samples=2048, seed=7).passed
+        assert detect_onedim(h) is not None
 
 
 def test_flow_jet_scale_and_eval():
@@ -260,8 +300,8 @@ def test_flow_leaving_the_ball_raises_and_names_the_generator():
     # x - 10 x^2 pushes points of radius 0.2 outward until they overflow,
     # which used to come back as a NaN coefficient
     H2 = HomPoly.from_monomials(2, 1, 1, {(2,): [-10.0]})
-    bad = GeneratorJet(MappingJet(1, 3, {2: H2}))
-    good = GeneratorJet(MappingJet(1, 3, {}))
+    bad = MappingJet(1, 3, {2: H2})
+    good = MappingJet(1, 3, {})
     e = np.array([[1.0 + 0j], [1.0 + 0j]])
     with np.errstate(all="ignore"):
         with pytest.raises(RuntimeError, match="generator 1"):

@@ -15,7 +15,7 @@ from fsjet import polyops
 from fsjet.gallery import example_gallery
 from fsjet.jets import random_jet
 from fsjet.tensors import ScalarHomPoly
-from fsjet.transforms import _probe_directions
+from fsjet.transforms import _probe_directions, _series_root
 from fsjet.verify import random_onedim_jet
 
 
@@ -66,6 +66,40 @@ def test_root_transform_koebe_golden_series():
     assert sorted(g.polys) == [3, 5]
     assert abs(g.poly(3).eval(one)[0] - 1.0) < 1e-14
     assert abs(g.poly(5).eval(one)[0] - 1.0) < 1e-14
+
+
+def _series_root_by_powers(coeffs, n, terms):
+    """The binomial-power loop ``_series_root`` replaced, kept as reference:
+    sum_m binom(1/n, m) w^m with w = sum_{k>=1} a_k u^k, truncated."""
+    w = [0.0j] + [complex(c) for c in coeffs[1:]]
+    w += [0.0j] * (terms - len(w))
+    out = [1.0 + 0.0j] + [0.0j] * (terms - 1)
+    wpow = [1.0 + 0.0j] + [0.0j] * (terms - 1)
+    binom = 1.0
+    for m in range(1, terms):
+        binom *= (1.0 / n - (m - 1)) / m
+        new = [0.0j] * terms
+        for a in range(terms):
+            for b in range(1, terms - a):
+                new[a + b] += wpow[a] * w[b]
+        wpow = new
+        for j in range(terms):
+            out[j] += binom * wpow[j]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("terms", [2, 3, 4, 5])
+def test_series_root_matches_binomial_powers(n, terms):
+    rng = np.random.default_rng(10 * n + terms)
+    for _ in range(20):
+        z = rng.standard_normal((2, terms - 1))
+        a = [1.0] + list(z[0] + 1j * z[1])
+        got = np.array(_series_root(a, n, terms))
+        want = np.array(_series_root_by_powers(a, n, terms))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # fewer coefficients than terms are padded with zeros: (1 + u)^(1/2)
+    assert np.allclose(_series_root([1.0, 1.0], 2, 4), [1.0, 0.5, -0.125, 0.0625])
 
 
 def test_root_transform_sparsity_pattern():

@@ -9,7 +9,7 @@ import pytest
 from fsjet import fekete, verify
 from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet
-from fsjet.semigroup import GeneratorJet, is_generator
+from fsjet.semigroup import is_generator
 from fsjet.tensors import HomPoly
 from fsjet.transforms import check_injectivity_sampled
 from fsjet.verify import DEFAULT_TRIALS, SUITE_NAMES, run_suite
@@ -73,12 +73,27 @@ def test_dims_below_one_are_rejected():
             run_suite("compose", trials=2, dims=dims)
 
 
+def test_negative_seed_is_rejected_before_any_suite(monkeypatch):
+    seen = []
+    monkeypatch.setitem(
+        verify._SUITES, "compose", lambda trials, seed, **kw: seen.append(seed) or []
+    )
+    for name in ("compose", "all"):
+        with pytest.raises(verify.SuiteArgumentError, match="seed -1 is negative"):
+            run_suite(name, trials=2, seed=-1)
+    assert seen == []
+    # the one argument-error class is a ValueError, for dims as for seeds
+    with pytest.raises(verify.SuiteArgumentError, match="dimension 0"):
+        run_suite("compose", trials=2, dims=[0])
+    assert issubclass(verify.SuiteArgumentError, ValueError)
+
+
 def test_passed_is_derived_from_the_residual():
     # every report holds passed == (max_residual <= tolerance): the suites,
     # the same after a tolerance override, and both sampled checks
-    generator = GeneratorJet(example_gallery("example_5_6_generator").jet)
-    non_generator = GeneratorJet(
-        MappingJet(1, 3, {2: HomPoly.from_monomials(2, 1, 1, {(2,): [-5.0]})})
+    generator = example_gallery("example_5_6_generator").jet
+    non_generator = MappingJet(
+        1, 3, {2: HomPoly.from_monomials(2, 1, 1, {(2,): [-5.0]})}
     )
     reports = run_suite("all", trials=2, seed=3)
     reports += run_suite("all", trials=2, seed=3, tol=1e-15)
