@@ -32,7 +32,7 @@ def bench_compose(benchmark, n, K):
     benchmark(compose, f, g)
 
 
-@pytest.mark.parametrize("n,K", JET_SIZES)
+@pytest.mark.parametrize("n,K", JET_SIZES + [(4, 6)])
 def bench_invert(benchmark, n, K):
     (f,) = _jets(n, K, 1, seed=30 + 10 * n + K)
     benchmark(invert, f)
@@ -42,6 +42,12 @@ def bench_invert(benchmark, n, K):
 def bench_iterate_3(benchmark, n, K):
     (f,) = _jets(n, K, 1, seed=40 + 10 * n + K)
     benchmark(iterate, f, 3)
+
+
+@pytest.mark.parametrize("n,K", [(2, 5), (3, 5)])
+def bench_iterate_16(benchmark, n, K):
+    (f,) = _jets(n, K, 1, seed=50 + 10 * n + K)
+    benchmark(iterate, f, 16)
 
 
 @pytest.mark.parametrize("trials", [2, 20])

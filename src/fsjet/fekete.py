@@ -142,11 +142,14 @@ def operator_norm_bilinear(
     3. exact sweeps again, on the start with the largest value only.
 
     A start stops at the first sweep that changes its value by at most
-    1e-14 relative; a start whose exact sweep gives 0 stops there.  Steps 1
-    and 2 run at most ``iters`` sweeps, step 3 at most ``iters`` more.  The
-    value is the last singular value of step 3 and the returned unit pair
-    attains it, ||B[u, v]|| = value, so it is a lower bound on the norm.
-    Deterministic for a given seed.
+    1e-14 relative; a start whose exact sweep gives 0 stops there.  The
+    rule bounds the last step, not the distance to the maximum: a slowly
+    converging start can stop about 1e-13 relative below its local
+    maximum, so two versions of this estimate may differ at that level.
+    Steps 1 and 2 run at most ``iters`` sweeps, step 3 at most ``iters``
+    more.  The value is the last singular value of step 3 and the returned
+    unit pair attains it, ||B[u, v]|| = value, so it is a lower bound on
+    the norm.  Deterministic for a given seed.
 
     ``B`` may also be a sequence of degree-2 tensors of one shape, with
     ``seed`` one int for all of them or a sequence of one seed per tensor.

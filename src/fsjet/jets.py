@@ -7,6 +7,7 @@ unitary conjugation all happen at the jet level with truncation at K.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
@@ -20,9 +21,7 @@ from .tensors import (
     DEFAULT_ATOL,
     HomPoly,
     _check_vector,
-    entries_close,
     layout,
-    slot_product,
 )
 
 UNITARY_TOL = 1e-12
@@ -171,44 +170,54 @@ def compose(f: MappingJet, g: MappingJet) -> MappingJet:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     order = min(f.order, g.order)
     comps = polyops.substitute(f.components(), g.components(), order)
-    result = MappingJet.from_components(comps, f.dim, order)
-    if __debug__ and order >= 2:
-        _check_low_degree_composition(f, g, result)
-    return result
-
-
-def _check_low_degree_composition(f: MappingJet, g: MappingJet, r: MappingJet):
-    # closed forms for the composed degree-2/3 parts; cross-check of the
-    # generic substitution on the degrees where they are known
-    scale = 1.0 + f.max_coeff() + g.max_coeff()
-    f2, g2 = f.poly(2), g.poly(2)
-    R2 = f2.entries + g2.entries
-    assert entries_close(r.poly(2).entries, R2, atol=1e-9 * scale)
-    if r.order >= 3:
-        cross = 2.0 * slot_product(f2.dense(), g2).entries
-        R3 = cross + f.poly(3).entries + g.poly(3).entries
-        assert entries_close(r.poly(3).entries, R3, atol=1e-9 * scale * scale)
+    return MappingJet.from_components(comps, f.dim, order)
 
 
 def invert(f: MappingJet) -> MappingJet:
-    """Jet g with f o g = g o f = identity up to the jet order."""
-    g = MappingJet.identity(f.dim, f.order)
+    """Jet g with f o g = g o f = identity up to the jet order.
+
+    Degree by degree: once g is the inverse below degree k, the degree-k
+    part of f o g is G_k plus a remainder that depends only on the degrees
+    <= k of f and < k of g, so G_k is minus that remainder.  Step k
+    composes f and g truncated at order k, so no step recomputes the
+    degrees above the one it settles (Brent & Kung, "Fast algorithms for
+    manipulating formal power series", J. ACM 25(4), 1978): one
+    composition at each order 2..K.
+    """
+    polys = {}
     for k in range(2, f.order + 1):
-        residual = compose(f, g).poly(k)
-        g = g.with_poly(k, g.poly(k) + residual.scale(-1))
-    return g
+        low = {j: P for j, P in f.polys.items() if j <= k}
+        residual = compose(MappingJet(f.dim, k, low), MappingJet(f.dim, k, polys)).poly(k)
+        polys[k] = residual.scale(-1)
+    return MappingJet(f.dim, f.order, polys)
 
 
 def iterate(f: MappingJet, m: int) -> MappingJet:
-    """m-th iterate; negative m iterates the jet inverse."""
+    """m-th iterate; negative m iterates the jet inverse.
+
+    Binary powering (Brent & Kung, J. ACM 25(4), 1978): floor(log2 |m|)
+    squarings give the powers f^(2^j), and one composition per further
+    set bit of |m| multiplies them in, so at most 2 floor(log2 |m|)
+    compositions, each at the full order, plus one ``invert`` for negative
+    m.  m = 2 and m = 3 take one and two.  ``m`` must be an integer
+    (anything ``operator.index`` accepts), else ``TypeError``.
+    """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise TypeError(f"iteration count must be an integer, got {m!r}") from None
     if m == 0:
         return MappingJet.identity(f.dim, f.order)
     if m < 0:
         return iterate(invert(f), -m)
-    out = f
-    for _ in range(m - 1):
-        out = compose(f, out)
-    return out
+    out, power = None, f
+    while True:
+        if m & 1:
+            out = power if out is None else compose(out, power)
+        m >>= 1
+        if not m:
+            return out
+        power = compose(power, power)
 
 
 def unitarity_residual(U: np.ndarray) -> float:

@@ -170,6 +170,12 @@ def test_transform_iterate_identity(runner, koebe_spec, tmp_path):
     assert by_degree[2][0]["value"][0] == [4.0, 0.0]
 
 
+def test_transform_iterate_rejects_a_fractional_count(runner, koebe_spec):
+    result = runner.invoke(main, ["transform", koebe_spec, "--op", "iterate:2.5"])
+    assert result.exit_code == 2
+    assert "integer count" in result.output
+
+
 def test_transform_root(runner, koebe_spec):
     result = runner.invoke(main, ["transform", koebe_spec, "--op", "root:2"])
     assert result.exit_code == 0
