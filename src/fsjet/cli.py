@@ -1,12 +1,14 @@
 """Command-line front end: compute, verify, transform, gallery.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
+an unreadable spec or matrix file, or a result that cannot be written.
 Complex numbers are written "a+bi" on the command line and printed with
 17 significant digits.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -25,32 +27,19 @@ from .transforms import root_transform
 from .verify import SUITE_NAMES, SuiteArgumentError, run_suite
 
 def parse_complex(text: str) -> complex:
-    """Parse "a+bi" with optional parts ("2", "-i", "0.5i", "1-2e-3i")."""
-    t = text.strip()
-    if not t:
-        raise ValueError("empty complex literal")
+    """Parse a complex number in Python's ``complex()`` grammar with ``i``
+    in place of ``j``: "2", "-i", "0.5i", "1-2e-3i", "(1+2i)", surrounding
+    whitespace allowed.  A ``j``, a non-finite value or any other text
+    raises ValueError."""
     try:
-        if not t.endswith("i"):
-            return complex(float(t), 0.0)
-        body = t[:-1]
-        # split at the last sign that is not an exponent sign; everything
-        # before it is the real part
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                re_part = float(body[:pos])
-                im_text = body[pos:]
-                if im_text == "+":
-                    return complex(re_part, 1.0)
-                if im_text == "-":
-                    return complex(re_part, -1.0)
-                return complex(re_part, float(im_text))
-        if body in ("", "+"):
-            return 1.0j
-        if body == "-":
-            return -1.0j
-        return complex(0.0, float(body))
+        if "j" in text.lower():
+            raise ValueError
+        z = complex(text.replace("i", "j"))
     except ValueError:
         raise ValueError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex number {text!r} is not finite")
+    return z
 
 
 def format_real(x: float) -> str:
@@ -78,29 +67,47 @@ class ComplexParam(click.ParamType):
 COMPLEX = ComplexParam()
 
 
+# what reading a spec or matrix file, or writing a result, may raise
+_FILE_ERRORS = (OSError, UnicodeDecodeError, SpecFileError)
+
+
 def _load_spec(path: str) -> MappingSpec:
     try:
         return specfile.load(path)
-    except FileNotFoundError:
-        raise click.UsageError(f"spec file not found: {path}")
-    except SpecFileError as exc:
-        raise click.UsageError(f"{path}: {exc}")
+    except _FILE_ERRORS as exc:
+        raise click.UsageError(f"cannot read spec {path}: {exc}")
+
+
+def _emit(spec: MappingSpec, output: str | None) -> None:
+    """Write SPEC to OUTPUT, or to stdout; nothing is written if it cannot
+    be serialized."""
+    try:
+        if output:
+            specfile.save(spec, output)
+        else:
+            click.echo(specfile.dumps(spec), nl=False)
+    except _FILE_ERRORS as exc:
+        raise click.UsageError(f"cannot write the result: {exc}")
 
 
 def _parse_direction(text: str, dim: int) -> np.ndarray:
     try:
-        parts = [parse_complex(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    e = np.array(parts, dtype=complex)
-    if e.shape != (dim,):
-        raise click.UsageError(
-            f"direction has {e.size} components, the mapping has dimension {dim}"
-        )
-    try:
+        e = np.array([parse_complex(p) for p in text.split(",")])
+        if e.shape != (dim,):
+            raise ValueError(
+                f"direction has {e.size} components, the mapping has dimension {dim}"
+            )
         return normalize_direction(e)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _op_arg(arg: str | None, kind, usage: str):
+    """The argument of an --op converted by KIND; exit 2 with USAGE if it fails."""
+    try:
+        return kind(arg)
+    except (TypeError, ValueError):
+        raise click.UsageError(usage) from None
 
 
 @click.group()
@@ -180,68 +187,42 @@ def transform(spec_path, op, output, direction):
     if not m:
         raise click.UsageError(f"cannot parse operation {op!r}")
     name, arg = m.group("name"), m.group("arg")
-    if name == "invert":
-        result = MappingSpec(jet=invert(spec.jet))
-    elif name == "iterate":
-        try:
-            count = int(arg)
-        except (TypeError, ValueError):
-            raise click.UsageError("iterate needs an integer count, e.g. iterate:2")
-        result = MappingSpec(jet=iterate(spec.jet, count))
-    elif name == "root":
-        try:
-            n = int(arg)
-        except (TypeError, ValueError):
-            raise click.UsageError("root needs an integer order, e.g. root:2")
-        if spec.onedim is None:
-            raise click.UsageError(
-                "root transform needs a spec with a onedim block"
-            )
-        if direction is None:
-            e = np.zeros(spec.jet.dim, dtype=complex)
-            e[0] = 1.0
+    try:
+        if name == "invert":
+            result = invert(spec.jet)
+        elif name == "iterate":
+            count = _op_arg(arg, int, "iterate needs an integer count, e.g. iterate:2")
+            result = iterate(spec.jet, count)
+        elif name == "root":
+            n = _op_arg(arg, int, "root needs an integer order, e.g. root:2")
+            if spec.onedim is None:
+                raise click.UsageError("root transform needs a spec with a onedim block")
+            if direction is None:
+                e = np.zeros(spec.jet.dim, dtype=complex)
+                e[0] = 1.0
+            else:
+                e = _parse_direction(direction, spec.jet.dim)
+            result = root_transform(spec.onedim, n, e)
+        elif name == "conjugate":
+            if not arg:
+                raise click.UsageError("conjugate needs a matrix file, e.g. conjugate:U.json")
+            try:
+                U = specfile.load_matrix(arg, spec.jet.dim)
+            except _FILE_ERRORS as exc:
+                raise click.UsageError(f"cannot read unitary matrix from {arg}: {exc}")
+            result = unitary_conjugate(spec.jet, U)
+        elif name == "semigroup":
+            t = _op_arg(arg, float, "semigroup needs a time, e.g. semigroup:0.5")
+            # emitted as the normalized bracket; u_t = exp(-t) * bracket
+            result = semigroup_jet(spec.jet, t).bracket
+            click.echo(f"# semigroup scale factor exp(-t)={format_real(math.exp(-t))}", err=True)
         else:
-            e = _parse_direction(direction, spec.jet.dim)
-        try:
-            result = MappingSpec(jet=root_transform(spec.onedim, n, e))
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-    elif name == "conjugate":
-        if not arg:
-            raise click.UsageError("conjugate needs a matrix file, e.g. conjugate:U.json")
-        try:
-            rows = json.loads(open(arg).read())
-            U = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
+            raise click.UsageError(
+                f"unknown operation {name!r}; expected root, invert, iterate, conjugate or semigroup"
             )
-        except (OSError, ValueError, TypeError, IndexError) as exc:
-            raise click.UsageError(f"cannot read unitary matrix from {arg}: {exc}")
-        try:
-            result = MappingSpec(jet=unitary_conjugate(spec.jet, U))
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-    elif name == "semigroup":
-        try:
-            t = float(arg)
-        except (TypeError, ValueError):
-            raise click.UsageError("semigroup needs a time, e.g. semigroup:0.5")
-        try:
-            flow = semigroup_jet(spec.jet, t)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        # emitted as the normalized bracket; u_t = exp(-t) * bracket
-        click.echo(f"# semigroup scale factor exp(-t)={format_real(math.exp(-t))}", err=True)
-        result = MappingSpec(jet=flow.bracket)
-    else:
-        raise click.UsageError(
-            f"unknown operation {name!r}; expected root, invert, iterate, conjugate or semigroup"
-        )
-    text = specfile.dumps(result)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except ValueError as exc:  # the transform rejects its arguments
+        raise click.UsageError(str(exc))
+    _emit(MappingSpec(jet=result), output)
 
 
 @main.command()
@@ -250,13 +231,8 @@ def transform(spec_path, op, output, direction):
 def gallery(name, output):
     """Emit the spec file of a named example mapping."""
     entry = example_gallery(name)
-    text = specfile.dumps(MappingSpec(jet=entry.jet, onedim=entry.onedim))
     click.echo(f"# {entry.description}", err=True)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(MappingSpec(jet=entry.jet, onedim=entry.onedim), output)
 
 
 if __name__ == "__main__":

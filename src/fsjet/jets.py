@@ -231,7 +231,7 @@ def unitary_conjugate(f: MappingJet, U: np.ndarray) -> MappingJet:
     if U.shape != (f.dim, f.dim):
         raise ValueError(f"expected a {f.dim}x{f.dim} matrix, got {U.shape}")
     res = unitarity_residual(U)
-    if res > UNITARY_TOL:
+    if not res <= UNITARY_TOL:  # also true for a NaN residual
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
     return linear_conjugate(f, U.conj().T, U)
 

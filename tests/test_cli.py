@@ -30,7 +30,8 @@ def test_parse_complex_forms():
     assert parse_complex("1+2i") == 1.0 + 2.0j
     assert parse_complex("1-2e-3i") == 1.0 - 0.002j
     assert parse_complex("3e2") == 300.0
-    for bad in ("", "abc", "1+2j", "++1"):
+    assert parse_complex(" (1+2i) ") == 1.0 + 2.0j
+    for bad in ("", "abc", "1+2j", "2J", "++1", "nan", "inf", "1+nani", "1e400"):
         with pytest.raises(ValueError):
             parse_complex(bad)
 
@@ -215,3 +216,48 @@ def test_transform_conjugate(runner, tmp_path):
     # swapping coordinates moves the x1^2 monomial to x2^2
     by_degree = {p["degree"]: p["entries"] for p in data["polys"]}
     assert by_degree[2][0]["index"] == [2, 2]
+
+
+def test_compute_rejects_a_non_finite_lambda(runner, koebe_spec):
+    result = runner.invoke(main, ["compute", koebe_spec, "-e", "1", "--lam", "nan"])
+    assert result.exit_code == 2
+    assert "not finite" in result.output
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_transform_iterate_overflow_exits_2(runner, koebe_spec, tmp_path):
+    out = tmp_path / "huge.json"
+    op = "iterate:1" + "0" * 189
+    result = runner.invoke(main, ["transform", koebe_spec, "--op", op, "-o", str(out)])
+    assert result.exit_code == 2
+    assert "polys degree-3 entry [1, 1, 1]" in result.output
+    assert "not finite" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_transform_conjugate_rejects_a_non_finite_matrix(runner, koebe_spec, tmp_path, bad):
+    U = tmp_path / "U.json"
+    U.write_text(json.dumps([[[bad, 0.0]]]))
+    result = runner.invoke(main, ["transform", koebe_spec, "--op", f"conjugate:{U}"])
+    assert result.exit_code == 2
+    assert "not unitary" in result.output
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    ['[[[1.0, 0.0]], [[0.0, 1.0]]]', '[[1.0, 0.0]]', '{"U": 1}', "[[[1, 0", "[[[true, 0]]]"],
+)
+def test_transform_conjugate_rejects_a_malformed_matrix(runner, koebe_spec, tmp_path, matrix):
+    U = tmp_path / "U.json"
+    U.write_text(matrix)
+    result = runner.invoke(main, ["transform", koebe_spec, "--op", f"conjugate:{U}"])
+    assert result.exit_code == 2
+    assert "cannot read unitary matrix" in result.output
+
+
+def test_gallery_to_a_directory_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["gallery", "koebe1d", "-o", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "cannot write" in result.output

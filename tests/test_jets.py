@@ -245,6 +245,14 @@ def test_unitary_conjugate_rejects_non_unitary():
         unitary_conjugate(f, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unitary_conjugate_rejects_non_finite(bad):
+    f = random_jet(2, 3, np.random.default_rng(26))
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_conjugate(f, np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_linear_conjugate_diagonal():
     # with A = D^{-1}, B = D the degree-k part picks up D^{k-1} on x1^k
     f = _koebe_jet()

@@ -1,12 +1,17 @@
 """Mapping spec file serialization round trips and validation errors."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsjet import specfile
-from fsjet.gallery import example_gallery
+from fsjet.gallery import GALLERY_NAMES, example_gallery
 from fsjet.jets import random_jet
 from fsjet.specfile import MappingSpec, SpecFileError
+from fsjet.tensors import HomPoly
 from fsjet.transforms import koebe_onedim
 from fsjet.verify import random_onedim_jet
 
@@ -104,6 +109,60 @@ BAD_SPECS = {
      "polys": [{"degree": 2,
                 "entries": [{"index": [1, 1], "value": [[NaN, 0.0]]}]}]}
     """,
+    "entry-without-index": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2, "entries": [{"value": [[1.0, 0.0]]}]}]}
+    """,
+    "non-integer-index": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2,
+                "entries": [{"index": [1, 1.5], "value": [[1.0, 0.0]]}]}]}
+    """,
+    "index-not-a-list": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2, "entries": [{"index": 11, "value": [[1.0, 0.0]]}]}]}
+    """,
+    "value-not-a-list": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2, "entries": [{"index": [1, 1], "value": 5}]}]}
+    """,
+    "polys-a-number": '{"dim": 1, "order": 3, "polys": 5}',
+    "polys-null": '{"dim": 1, "order": 3, "polys": null}',
+    "entry-not-an-object": """
+    {"dim": 1, "order": 3, "polys": [{"degree": 2, "entries": [5]}]}
+    """,
+    "onedim-entry-without-index": """
+    {"dim": 1, "order": 3,
+     "onedim": {"polys": [{"degree": 1, "entries": [{"value": [1.0, 0.0]}]}]}}
+    """,
+    "boolean-dim": '{"dim": true, "order": 3}',
+    "fractional-dim": '{"dim": 1.5, "order": 3}',
+    "two-blocks-of-one-degree": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2, "entries": [{"index": [1, 1], "value": [[1.0, 0.0]]}]},
+               {"degree": 2, "entries": [{"index": [1, 1], "value": [[2.0, 0.0]]}]}]}
+    """,
+    "one-index-twice": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2,
+                "entries": [{"index": [1, 1], "value": [[1.0, 0.0]]},
+                            {"index": [1, 1], "value": [[2.0, 0.0]]}]}]}
+    """,
+    "degree-above-order": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2000, "entries": []}]}
+    """,
+    "onedim-degree-above-order": """
+    {"dim": 1, "order": 3,
+     "onedim": {"polys": [{"degree": 2000, "entries": []}]}}
+    """,
+    "pair-overflowing-a-float": """
+    {"dim": 1, "order": 3,
+     "polys": [{"degree": 2,
+                "entries": [{"index": [1, 1], "value": [[1%s, 0]]}]}]}
+    """ % ("0" * 400),
+    "integer-past-the-digit-limit": '{"dim": 1%s, "order": 3}' % ("0" * 5000),
+    "nesting-past-the-recursion-limit": "[" * 100_000,
 }
 
 
@@ -124,3 +183,112 @@ def test_compute_exits_2_on_bad_spec(case, tmp_path):
     result = CliRunner().invoke(main, ["compute", str(path), "-e", "1"])
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("case", ["not-utf-8", "directory"])
+def test_compute_exits_2_on_unreadable_file(case, tmp_path):
+    from click.testing import CliRunner
+
+    from fsjet.cli import main
+
+    path = tmp_path
+    if case == "not-utf-8":
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"dim": 1, "order": 3, "polys": [], "x": "\xff"}')
+    result = CliRunner().invoke(main, ["compute", str(path), "-e", "1"])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_dumps_rejects_a_non_finite_coefficient():
+    jet = random_jet(2, 3, np.random.default_rng(0))
+    P = jet.poly(3)
+    entries = P.entries.copy()
+    entries[1, 0] = np.inf
+    bad = jet.with_poly(3, HomPoly._trusted(3, 2, 2, entries))
+    with pytest.raises(SpecFileError, match=r"polys degree-3 entry \[1, 1, 2\]"):
+        specfile.dumps(MappingSpec(jet=bad))
+
+
+# Property tests of the spec boundary.  Integers drawn into a document stay
+# at most 8 and dims at most 4, so that no example asks tensors.layout for
+# a large basis (a large spec is a known, separate limit).
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+SPEC_KEYS = ["dim", "order", "polys", "onedim", "degree", "entries", "index", "value"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def specs(draw, max_order=7):
+    dim = draw(st.integers(1, 4))
+    order = draw(st.integers(1, max_order))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jet = random_jet(dim, order, rng)
+    with_onedim = order >= 2 and draw(st.booleans())
+    return MappingSpec(jet=jet, onedim=random_onedim_jet(dim, order, rng) if with_onedim else None)
+
+
+def _loads_cleanly(text):
+    try:
+        assert isinstance(specfile.loads(text), MappingSpec)
+    except SpecFileError:
+        pass
+
+
+@PROPERTY_SETTINGS
+@given(json_values)
+def test_loads_any_json_value_cleanly(value):
+    _loads_cleanly(json.dumps(value))
+
+
+def _mutate(node, data):
+    """Replace or delete one field below NODE, reached by a random walk."""
+    key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    child = node[key]
+    # descend three times in four, so that entries deep in a block are reached
+    if isinstance(child, (dict, list)) and child and data.draw(st.integers(0, 3)) > 0:
+        _mutate(child, data)
+    elif isinstance(node, dict) and data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(json_values)
+
+
+@PROPERTY_SETTINGS
+@given(specs(max_order=8), st.data())
+def test_loads_a_spec_with_one_field_mutated_cleanly(spec, data):
+    doc = specfile.spec_to_dict(spec)
+    _mutate(doc, data)
+    _loads_cleanly(json.dumps(doc))
+
+
+def _assert_same_entries(a: MappingSpec, b: MappingSpec):
+    assert (a.jet.dim, a.jet.order) == (b.jet.dim, b.jet.order)
+    assert (a.onedim is None) == (b.onedim is None)
+    blocks = [(a.jet.polys, b.jet.polys)]
+    if a.onedim is not None:
+        blocks.append((a.onedim.scalar_polys, b.onedim.scalar_polys))
+    for x, y in blocks:
+        assert x.keys() == y.keys()
+        for k in x:
+            assert np.array_equal(x[k].entries, y[k].entries)
+
+
+@PROPERTY_SETTINGS
+@given(specs())
+def test_round_trip_random_specs(spec):
+    _assert_same_entries(specfile.loads(specfile.dumps(spec)), spec)
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_round_trip_gallery(name):
+    entry = example_gallery(name)
+    spec = MappingSpec(jet=entry.jet, onedim=entry.onedim)
+    _assert_same_entries(specfile.loads(specfile.dumps(spec)), spec)
