@@ -14,7 +14,13 @@ from fsjet.jets import compose, invert, iterate, random_jet
 from fsjet.sampling import sample_sphere
 from fsjet.semigroup import sample_generator, semigroup_ode
 from fsjet.transforms import detect_onedim
-from fsjet.verify import random_onedim_jet, suite_error_bound, suite_semigroup
+from fsjet.verify import (
+    DEFAULT_TRIALS,
+    random_onedim_jet,
+    run_suite,
+    suite_error_bound,
+    suite_semigroup,
+)
 
 
 def _jets(n, K, count, seed):
@@ -102,6 +108,12 @@ def bench_error_bound_suite(benchmark, trials):
     # the composition defect against its bound: two norm estimates per
     # trial, 200 trials in `fsjet verify all`
     benchmark(suite_error_bound, trials, 0)
+
+
+@pytest.mark.parametrize("suite", list(DEFAULT_TRIALS))
+def bench_run_suite(benchmark, suite):
+    # each suite's trial loop at a tenth to a twentieth of its default trials
+    benchmark(run_suite, suite, trials=10)
 
 
 @pytest.mark.parametrize("n,K", [(3, 5), (4, 7)])

@@ -57,9 +57,7 @@ class Layout:
     """The sorted multi-indices of degree k over 1..n, in rank order.
 
     ``variables`` is the (T, k) array of their 0-based variables and
-    ``cols`` its columns; ``drop_rank[r, s]`` is the rank in
-    ``layout(n, k - 1)`` of multi-index r without its slot s (k >= 2
-    only).  Every array is read-only.
+    ``cols`` its columns.  Every array is read-only.
     """
 
     dim: int
@@ -69,7 +67,6 @@ class Layout:
     multinomials: np.ndarray  # (T,) float
     variables: np.ndarray
     cols: tuple[np.ndarray, ...]
-    drop_rank: np.ndarray | None
 
     def rank_of(self, rows: np.ndarray) -> np.ndarray:
         """Ranks of sorted 0-based multi-index rows (..., k): the basis is in
@@ -85,6 +82,16 @@ class Layout:
         positions = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)
         return _frozen(self.rank_of(positions.T))
 
+    @cached_property
+    def drop_rank(self) -> np.ndarray:
+        """``drop_rank[r, s]``: the rank in ``layout(n, k - 1)`` of
+        multi-index r without its slot s (k >= 2 only).  Built on first
+        use, so a layout of any degree builds no layout below it."""
+        lower = layout(self.dim, len(self.cols) - 1)
+        slots = range(len(self.cols))
+        drop = [lower.rank_of(np.delete(self.variables, s, axis=1)) for s in slots]
+        return _frozen(np.stack(drop, axis=1))
+
 
 @cache
 def layout(n: int, k: int) -> Layout:
@@ -93,13 +100,9 @@ def layout(n: int, k: int) -> Layout:
         list(itertools.combinations_with_replacement(range(n), k)), dtype=np.intp
     ).reshape(-1, k)
     exps = (idx[:, :, None] == np.arange(n)).sum(axis=1)
-    fact = np.array([math.factorial(i) for i in range(k + 1)], dtype=np.int64)
-    mult = (fact[k] // np.prod(fact[exps], axis=1)).astype(float)
-    drop = None
-    if k >= 2:
-        lower = layout(n, k - 1)
-        drop = np.stack([lower.rank_of(np.delete(idx, s, axis=1)) for s in range(k)], axis=1)
     indices = tuple(map(tuple, (idx + 1).tolist()))
+    # exact Python integers, rounded once: 21! does not fit in an int64
+    mult = np.array([multinomial(i) for i in indices], dtype=float)
     return Layout(
         dim=n,
         indices=indices,
@@ -108,7 +111,6 @@ def layout(n: int, k: int) -> Layout:
         multinomials=_frozen(mult),
         variables=_frozen(idx),
         cols=tuple(_frozen(c) for c in idx.T.copy()),
-        drop_rank=None if drop is None else _frozen(drop),
     )
 
 

@@ -1,9 +1,19 @@
 """Seeded verification suites for every identity and inequality the
 library implements.
 
-Each suite returns a list of Reports (one per named check) and is fully
-deterministic for a given seed.  Suites accept ``trials=0`` and then pass
-vacuously.
+Each suite returns a list of Reports, one per named check, and is fully
+deterministic for a given seed.  Every check keeps one contract, and the
+runner (``_run``, then ``_report``) keeps it for all but two of them:
+
+- each check draws from its own stream, ``_rng(seed, stream)``, so its
+  inputs do not depend on which other checks ran;
+- trial i runs in dimension ``dims[i % len(dims)]``;
+- the residual is the worst of everything the trials yield, NaN if any
+  of it is NaN, so a NaN fails the check;
+- ``trials=0`` runs no trial and passes vacuously.
+
+``duality/onedim-equivalence`` keeps its own loop, because its residual
+counts mismatches, and ``root/koebe-golden`` is one evaluation.
 """
 
 from __future__ import annotations
@@ -29,20 +39,6 @@ from .semigroup import (
 )
 from .tensors import ScalarHomPoly, layout, polarization_check
 from .transforms import OneDimJet, detect_onedim, koebe_onedim, root_transform
-
-SUITE_NAMES = (
-    "polarization",
-    "compose",
-    "inverse",
-    "iterate",
-    "unitary",
-    "root",
-    "error-bound",
-    "semigroup",
-    "duality",
-    "bounds",
-    "all",
-)
 
 ITERATE_RANGE = (-3, -2, -1, 1, 2, 3)
 
@@ -79,8 +75,31 @@ def _worst(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _dims_cycle(dims, i):
-    return dims[i % len(dims)]
+def _run(trial, trials: int, seed: int, stream: int, dims) -> list[list]:
+    """What each trial of a check yields, listed trial by trial.
+
+    Trial i calls ``trial(rng, n)`` with the check's own generator
+    ``_rng(seed, stream)`` and the dimension ``n = dims[i % len(dims)]``;
+    a trial returns or yields its residuals, or the draws of a stacked
+    check."""
+    rng = _rng(seed, stream)
+    return [list(trial(rng, dims[i % len(dims)])) for i in range(trials)]
+
+
+def _report(check: str, tol: float, seed: int, rows: list) -> Report:
+    """The Report of a check whose trial i gave the residuals ``rows[i]``:
+    its residual is their NaN-aware worst, 0.0 when no trial ran."""
+    return Report(check, len(rows), seed, tol, _worst(0.0, *(r for row in rows for r in row)))
+
+
+def _draw_point(rng: np.random.Generator, n: int):
+    """A direction e on the unit sphere of C^n, then lambda and mu.
+
+    e is returned as drawn: an ``FSContext`` normalizes it once more, which
+    can change its last bits."""
+    e = sample_sphere(rng, 1, n)[0]
+    lam, mu = sample_params(rng, 2)
+    return e, lam, mu
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +108,16 @@ def _dims_cycle(dims, i):
 
 
 def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 0)
-    worst = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def trial(rng, n):
         P = random_jet(n, 2, rng).poly(2)
         x1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        res = polarization_check(P, x1, x2)
         scale = (1.0 + np.linalg.norm(x1) ** 2 + np.linalg.norm(x2) ** 2) * (
             1.0 + P.max_coeff()
         )
-        worst = _worst(worst, res / scale)
-    return [Report("polarization", trials, seed, 1e-12, worst)]
+        yield polarization_check(P, x1, x2) / scale
+
+    return [_report("polarization", 1e-12, seed, _run(trial, trials, seed, 0, dims))]
 
 
 def _psi_compo_rhs(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
@@ -118,86 +134,67 @@ def _psi_compo_rhs(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
 
 
 def suite_compose(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 1)
-    worst = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def trial(rng, n):
         f = random_jet(n, 3, rng)
         g = random_jet(n, 3, rng)
-        e = sample_sphere(rng, 1, n)[0]
-        lam, mu = sample_params(rng, 2)
-        ctx = FSContext(e, lam, mu)
+        ctx = FSContext(*_draw_point(rng, n))
         lhs = fs_mapping(compose(f, g), ctx).vector
-        rhs = _psi_compo_rhs(f, g, ctx)
-        worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
-    return [Report("compose/psi-composition-identity", trials, seed, 1e-11, worst)]
+        yield float(np.linalg.norm(lhs - _psi_compo_rhs(f, g, ctx)))
+
+    rows = _run(trial, trials, seed, 1, dims)
+    return [_report("compose/psi-composition-identity", 1e-11, seed, rows)]
 
 
 def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 2)
-    worst_dual = 0.0
-    worst_q3 = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def trial(rng, n):
         f = random_jet(n, 3, rng)
         g = invert(f)
-        e = sample_sphere(rng, 1, n)[0]
-        lam, mu = sample_params(rng, 2)
+        e, lam, mu = _draw_point(rng, n)
         lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
         rhs = -fs_mapping(f, FSContext(e, 2.0 - lam, 2.0 - mu)).vector
-        worst_dual = _worst(worst_dual, float(np.linalg.norm(lhs - rhs)))
+        yield float(np.linalg.norm(lhs - rhs))
         # degree-3 part of the inverse along e equals -Psi_e(f, 2, 2)
-        q3 = g.poly(3).eval(e)
         psi22 = fs_mapping(f, FSContext(e, 2.0, 2.0)).vector
-        worst_q3 = _worst(worst_q3, float(np.linalg.norm(q3 + psi22)))
+        yield float(np.linalg.norm(g.poly(3).eval(e) + psi22))
+
+    # one trial feeds both checks: its duality residual, then its degree-3 one
+    rows = _run(trial, trials, seed, 2, dims)
     return [
-        Report("inverse/psi-duality", trials, seed, 1e-11, worst_dual),
-        Report("inverse/third-derivative", trials, seed, 1e-11, worst_q3),
+        _report("inverse/psi-duality", 1e-11, seed, [row[:1] for row in rows]),
+        _report("inverse/third-derivative", 1e-11, seed, [row[1:] for row in rows]),
     ]
 
 
 def suite_iterate(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 3)
-    worst = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def trial(rng, n):
         f = random_jet(n, 3, rng)
-        e = sample_sphere(rng, 1, n)[0]
-        lam, mu = sample_params(rng, 2)
+        e, lam, mu = _draw_point(rng, n)
         for m in ITERATE_RANGE:
             fm = iterate(f, m)
             lhs = fs_mapping(fm, FSContext(e, lam, mu)).vector
-            rhs = m * fs_mapping(
-                f, FSContext(e, m * lam - m + 1, m * mu - m + 1)
-            ).vector
-            worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
+            rhs = m * fs_mapping(f, FSContext(e, m * lam - m + 1, m * mu - m + 1)).vector
+            yield float(np.linalg.norm(lhs - rhs))
             # degree-2 part scales linearly in the iteration count
-            t2 = fm.poly(2) + f.poly(2).scale(-float(m))
-            worst = _worst(worst, t2.max_coeff())
-    return [Report("iterate/psi-scaling", trials, seed, 1e-10, worst)]
+            yield (fm.poly(2) + f.poly(2).scale(-float(m))).max_coeff()
+
+    return [_report("iterate/psi-scaling", 1e-10, seed, _run(trial, trials, seed, 3, dims))]
 
 
 def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 4)
-    worst = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def trial(rng, n):
         f = random_jet(n, 3, rng)
         U = _random_unitary(n, rng)
         g = unitary_conjugate(f, U)
-        e = sample_sphere(rng, 1, n)[0]
-        lam, mu = sample_params(rng, 2)
+        e, lam, mu = _draw_point(rng, n)
         lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
         rhs = U.conj().T @ fs_mapping(f, FSContext(U @ e, lam, mu)).vector
-        worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
-    return [Report("unitary/psi-conjugation", trials, seed, 1e-11, worst)]
+        yield float(np.linalg.norm(lhs - rhs))
+
+    return [_report("unitary/psi-conjugation", 1e-11, seed, _run(trial, trials, seed, 4, dims))]
 
 
 def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 5)
-    worst = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def trial(rng, n):
         od = random_onedim_jet(n, 3, rng)
         f = od.to_mapping_jet()
         e = sample_sphere(rng, 1, n)[0]
@@ -205,69 +202,41 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             g = root_transform(od, nroot, e)
             for k in g.polys:
                 if (k - 1) % nroot != 0:
-                    worst = _worst(worst, g.poly(k).max_coeff())
+                    yield g.poly(k).max_coeff()
             qn1 = g.poly(nroot + 1).eval(e)
-            worst = _worst(
-                worst,
-                float(np.linalg.norm(qn1 - f.poly(2).eval(e) / nroot)),
-            )
+            yield float(np.linalg.norm(qn1 - f.poly(2).eval(e) / nroot))
             q2n1 = g.poly(2 * nroot + 1).eval(e)
             lam = (nroot - 1) / (2.0 * nroot)
             for mu in sample_params(rng, 5):
                 psi = fs_mapping(f, FSContext(e, lam, mu)).vector
-                worst = _worst(worst, float(np.linalg.norm(q2n1 - psi / nroot)))
-    reports = [Report("root/jet-relations", trials, seed, 1e-10, worst)]
+                yield float(np.linalg.norm(q2n1 - psi / nroot))
 
     # golden series: the square-root transform of the Koebe function
-    koebe_res = 0.0
+    golden = []
     if trials > 0:
-        g = root_transform(koebe_onedim(), 2, np.array([1.0 + 0j]))
-        got = [complex(g.poly(k).eval(np.array([1.0 + 0j]))[0]) for k in (2, 3, 4, 5)]
-        expect = [0.0, 1.0, 0.0, 1.0]
-        koebe_res = _worst(*(abs(a - b) for a, b in zip(got, expect)))
-    reports.append(
-        Report("root/koebe-golden", min(trials, 1), seed, 1e-12, koebe_res)
-    )
-    return reports
+        one = np.array([1.0 + 0j])
+        g = root_transform(koebe_onedim(), 2, one)
+        got = [complex(g.poly(k).eval(one)[0]) for k in (2, 3, 4, 5)]
+        golden.append([abs(a - b) for a, b in zip(got, (0.0, 1.0, 0.0, 1.0))])
+    return [
+        _report("root/jet-relations", 1e-10, seed, _run(trial, trials, seed, 5, dims)),
+        _report("root/koebe-golden", 1e-12, seed, golden),
+    ]
 
 
 def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 6)
-    # per dimension: (||R||, ell(lam, mu)) of each trial and its two
-    # degree-2 tensors, whose norms are then estimated in one call
-    by_dim: dict[int, tuple[list, list]] = {}
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def defect(rng, n):
         f = random_jet(n, 3, rng)
         g = random_jet(n, 3, rng)
-        e = sample_sphere(rng, 1, n)[0]
-        lam, mu = sample_params(rng, 2)
-        ctx = FSContext(e, lam, mu)
+        ctx = FSContext(*_draw_point(rng, n))
         R = fekete._composition_defect(f, g, ctx)
-        defects, tensors = by_dim.setdefault(n, ([], []))
-        defects.append((float(np.linalg.norm(R)), fekete.ell(ctx.lam, ctx.mu)))
-        tensors += [f.poly(2), g.poly(2)]
-    worst_violation = 0.0
-    for defects, tensors in by_dim.values():
-        seeds = [seed, seed + 1] * len(defects)
-        est = fekete.operator_norm_bilinear(tensors, seed=seeds)
-        for (r, coef), nf, ng in zip(defects, est[::2], est[1::2]):
-            worst_violation = _worst(worst_violation, r - coef * nf.value * ng.value)
-    reports = [
-        Report(
-            "error-bound/ell-bound", trials, seed, 1e-9, _worst(0.0, worst_violation)
-        )
-    ]
+        return n, float(np.linalg.norm(R)), fekete.ell(ctx.lam, ctx.mu), f.poly(2), g.poly(2)
 
-    rng2 = _rng(seed, 7)
-    worst_eq = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
-        fo = random_onedim_jet(n, 3, rng2)
-        go = random_onedim_jet(n, 3, rng2)
+    def onedim_defect(rng, n):
+        fo = random_onedim_jet(n, 3, rng)
+        go = random_onedim_jet(n, 3, rng)
         f, g = fo.to_mapping_jet(), go.to_mapping_jet()
-        e = sample_sphere(rng2, 1, n)[0]
-        lam, mu = sample_params(rng2, 2)
+        e, lam, mu = _draw_point(rng, n)
         ctx = FSContext(e, lam, mu)
         R = (
             fs_mapping(compose(f, g), ctx).vector
@@ -277,96 +246,92 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         expect = 2.0 * abs(1.0 - lam) * abs(
             fo.scalar_part(1).eval_scalar(e) * go.scalar_part(1).eval_scalar(e)
         )
-        worst_eq = _worst(worst_eq, abs(float(np.linalg.norm(R)) - expect))
-    reports.append(
-        Report("error-bound/onedim-equality", trials, seed, 1e-11, worst_eq)
-    )
-    return reports
+        yield abs(float(np.linalg.norm(R)) - expect)
+
+    # per dimension: (||R||, ell(lam, mu)) of each trial and its two
+    # degree-2 tensors, whose norms are then estimated in one call
+    by_dim: dict[int, tuple[list, list]] = {}
+    for n, r, coef, B, C in _run(defect, trials, seed, 6, dims):
+        defects, tensors = by_dim.setdefault(n, ([], []))
+        defects.append((r, coef))
+        tensors += [B, C]
+    rows = []
+    for defects, tensors in by_dim.values():
+        seeds = [seed, seed + 1] * len(defects)
+        est = fekete.operator_norm_bilinear(tensors, seed=seeds)
+        for (r, coef), nf, ng in zip(defects, est[::2], est[1::2]):
+            rows.append([r - coef * nf.value * ng.value])
+    return [
+        _report("error-bound/ell-bound", 1e-9, seed, rows),
+        _report(
+            "error-bound/onedim-equality", 1e-11, seed, _run(onedim_defect, trials, seed, 7, dims)
+        ),
+    ]
 
 
 def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
-    rng = _rng(seed, 8)
+    def flow_property(rng, n):
+        h = sample_generator(n, rng)
+        combined = semigroup_jet(h, 0.3).compose(semigroup_jet(h, 0.5))
+        direct = semigroup_jet(h, 0.8)
+        for k in (2, 3):
+            yield (combined.poly(k) + direct.poly(k).scale(-1.0)).max_coeff()
+
+    def draw(rng, n):
+        return n, sample_generator(n, rng), sample_sphere(rng, 1, n)[0]
+
     times, degrees = (0.1, 0.7, 2.0), (2, 3)
     # every generator and direction first, then one integration per dim
     by_dim: dict[int, tuple[list, list]] = {}
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    for n, h, e in _run(draw, trials, seed, 8, dims):
         gens, dirs = by_dim.setdefault(n, ([], []))
-        gens.append(sample_generator(n, rng))
-        dirs.append(sample_sphere(rng, 1, n)[0])
-    worst = 0.0
+        gens.append(h)
+        dirs.append(e)
+    rows = []
     for gens, dirs in by_dim.values():
         extracted = flow_taylor_via_ode(
             gens, times, np.array(dirs), degrees, step=5e-3
         )
         for h, e, by_time in zip(gens, dirs, extracted):
+            row = []
             for t, by_degree in zip(times, by_time):
                 flow = semigroup_jet(h, t)
                 for k, coef in zip(degrees, by_degree):
-                    closed = flow.poly(k).eval(e)
-                    worst = _worst(worst, float(np.linalg.norm(closed - coef)))
-    reports = [Report("semigroup/closed-form-vs-ode", trials, seed, 1e-6, worst)]
-
-    rng2 = _rng(seed, 9)
-    worst_comp = 0.0
-    for i in range(max(1, trials // 4) if trials else 0):
-        n = _dims_cycle(dims, i)
-        h = sample_generator(n, rng2)
-        a, b = semigroup_jet(h, 0.3), semigroup_jet(h, 0.5)
-        combined = a.compose(b)
-        direct = semigroup_jet(h, 0.8)
-        for k in (2, 3):
-            diff = combined.poly(k) + direct.poly(k).scale(-1.0)
-            worst_comp = _worst(worst_comp, diff.max_coeff())
-    reports.append(
-        Report("semigroup/flow-property", trials, seed, 1e-10, worst_comp)
-    )
-    return reports
+                    row.append(float(np.linalg.norm(flow.poly(k).eval(e) - coef)))
+            rows.append(row)
+    flow_trials = max(1, trials // 4) if trials else 0
+    return [
+        _report("semigroup/closed-form-vs-ode", 1e-6, seed, rows),
+        _report(
+            "semigroup/flow-property", 1e-10, seed, _run(flow_property, flow_trials, seed, 9, dims)
+        ),
+    ]
 
 
 def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 10)
-    worst_pair = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def pairing(rng, n):
         h = random_jet(n, 3, rng)
         f = starlike_from_generator(h)
-        e = sample_sphere(rng, 1, n)[0]
-        lam, mu = sample_params(rng, 2)
+        e, lam, mu = _draw_point(rng, n)
         lhs = fs_mapping(h, FSContext(e, 2 * lam, 2 * mu)).vector
         rhs = -2.0 * fs_mapping(f, FSContext(e, 1 - lam, 1 - mu)).vector
-        worst_pair = _worst(worst_pair, float(np.linalg.norm(lhs - rhs)))
+        yield float(np.linalg.norm(lhs - rhs))
         # round trip through the pairing
         back = generator_from_starlike(f)
         for k in (2, 3):
-            diff = back.poly(k) + h.poly(k).scale(-1.0)
-            worst_pair = _worst(worst_pair, diff.max_coeff())
-    reports = [Report("duality/psi-pairing", trials, seed, 1e-11, worst_pair)]
+            yield (back.poly(k) + h.poly(k).scale(-1.0)).max_coeff()
 
-    rng2 = _rng(seed, 11)
-    worst_bound = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
-        h = sample_generator(n, rng2)
-        e = sample_sphere(rng2, 1, n)[0]
-        lam = sample_params(rng2, 1)[0]
+    def generator_bound(rng, n):
+        h = sample_generator(n, rng)
+        e = sample_sphere(rng, 1, n)[0]
+        lam = sample_params(rng, 1)[0]
         val = abs(fs_mapping(h, FSContext(e, lam, 0.0)).scalar_projection)
-        bound = 2.0 * max(1.0, abs(2.0 * lam - 1.0))
-        worst_bound = _worst(worst_bound, val - bound)
-    reports.append(
-        Report(
-            "duality/generator-scalar-bound",
-            trials,
-            seed,
-            1e-9,
-            _worst(0.0, worst_bound),
-        )
-    )
+        yield val - 2.0 * max(1.0, abs(2.0 * lam - 1.0))
 
     rng3 = _rng(seed, 12)
     mismatches = 0
     for i in range(trials):
-        n = _dims_cycle(dims, i)
+        n = dims[i % len(dims)]
         if i % 2 == 0:
             h = random_onedim_jet(n, 3, rng3).to_mapping_jet()
         else:
@@ -374,49 +339,38 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         f = starlike_from_generator(h)
         if (detect_onedim(h) is None) != (detect_onedim(f) is None):
             mismatches += 1
-    reports.append(
-        Report(
-            "duality/onedim-equivalence", trials, seed, 0.0, float(mismatches)
-        )
-    )
-    return reports
+    return [
+        _report("duality/psi-pairing", 1e-11, seed, _run(pairing, trials, seed, 10, dims)),
+        _report(
+            "duality/generator-scalar-bound",
+            1e-9,
+            seed,
+            _run(generator_bound, trials, seed, 11, dims),
+        ),
+        Report("duality/onedim-equivalence", trials, seed, 0.0, float(mismatches)),
+    ]
 
 
 def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    rng = _rng(seed, 13)
-    worst_margin = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
+    def bounded(rng, n):
         od = random_onedim_jet(n, 3, rng, scale=0.3 / n)
         lam = sample_params(rng, 1)[0]
         report = check_bounded_onedim_bound(
             od, od.s_eval, lam, seed=int(rng.integers(0, 2**31))
         )
-        worst_margin = _worst(worst_margin, -report.margin)
-    reports = [
-        Report(
-            "bounds/bounded-onedim", trials, seed, 1e-6, _worst(0.0, worst_margin)
-        )
-    ]
+        yield -report.margin
 
-    rng2 = _rng(seed, 14)
-    worst_star = 0.0
-    for i in range(trials):
-        n = _dims_cycle(dims, i)
-        base = random_onedim_jet(n, 3, rng2, scale=0.3).to_mapping_jet()
-        h = generator_shrink(base, rng2)
-        f = starlike_from_generator(h)
-        e = sample_sphere(rng2, 1, n)[0]
-        lam, mu = sample_params(rng2, 2)
+    def starlike(rng, n):
+        base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
+        f = starlike_from_generator(generator_shrink(base, rng))
+        e, lam, mu = _draw_point(rng, n)
         val = float(np.linalg.norm(fs_mapping(f, FSContext(e, lam, mu)).vector))
-        bound = max(1.0, abs(4.0 * lam - 3.0))
-        worst_star = _worst(worst_star, val - bound)
-    reports.append(
-        Report(
-            "bounds/starlike-onedim", trials, seed, 1e-9, _worst(0.0, worst_star)
-        )
-    )
-    return reports
+        yield val - max(1.0, abs(4.0 * lam - 3.0))
+
+    return [
+        _report("bounds/bounded-onedim", 1e-6, seed, _run(bounded, trials, seed, 13, dims)),
+        _report("bounds/starlike-onedim", 1e-9, seed, _run(starlike, trials, seed, 14, dims)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +389,8 @@ _SUITES = {
     "duality": suite_duality,
     "bounds": suite_bounds,
 }
+
+SUITE_NAMES = (*_SUITES, "all")
 
 DEFAULT_TRIALS = {
     "polarization": 100,

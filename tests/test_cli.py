@@ -185,6 +185,30 @@ def test_transform_root(runner, koebe_spec):
     assert degrees == {3, 5}
 
 
+def test_transform_root_past_degree_20(runner, koebe_spec):
+    result = runner.invoke(main, ["transform", koebe_spec, "--op", "root:10", "-e", "1"])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.stdout)
+    assert data["order"] == 21
+    values = {p["degree"]: p["entries"][0]["value"][0] for p in data["polys"]}
+    # z (1 + 2u + 3u^2)^(1/10) with u = z^10 is z + u z / 5 + 3 u^2 z / 25 + ...
+    assert values[11] == [pytest.approx(1 / 5), 0.0]
+    assert values[21] == [pytest.approx(3 / 25), 0.0]
+
+
+def test_compute_a_degree_2000_block(runner, tmp_path):
+    spec = {
+        "dim": 1,
+        "order": 3000,
+        "polys": [{"degree": 2000, "entries": [{"index": [1] * 2000, "value": [[1.0, 0.0]]}]}],
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["compute", str(path), "-e", "1", "--lam", "0", "--mu", "0"])
+    assert result.exit_code == 0, result.output
+    assert "psi_vector=0+0i" in result.output
+
+
 def test_transform_semigroup(runner, tmp_path):
     gen = tmp_path / "gen.json"
     res = runner.invoke(

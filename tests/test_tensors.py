@@ -1,5 +1,7 @@
 """Symmetric tensor storage: construction, evaluation, multilinearity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -428,3 +430,19 @@ def test_layout_matches_per_index_helpers(n, k):
         for s in range(k):
             dropped = layout(n, k - 1).indices[basis.drop_rank[r, s]]
             assert dropped == idx[:s] + idx[s + 1 :]
+
+
+@pytest.mark.parametrize("n,k", [(1, 21), (2, 25), (3, 22)])
+def test_layout_counts_are_exact_past_int64_factorials(n, k):
+    # 21! does not fit in an int64
+    basis = layout(n, k)
+    for count, exps in zip(basis.multinomials, basis.exponents):
+        assert count == math.factorial(k) // math.prod(map(math.factorial, exps))
+
+
+def test_layout_of_degree_2000_builds_no_lower_degree():
+    basis = layout(1, 2000)
+    assert basis.indices == ((1,) * 2000,)
+    assert basis.multinomials.tolist() == [1.0]
+    # the one lower degree drop_rank reads, built on first use
+    assert basis.drop_rank.tolist() == [[0] * 2000]
