@@ -29,9 +29,11 @@ def _jets(n, K, count, seed):
 
 
 JET_SIZES = [(2, 3), (3, 5), (4, 5)]
+# the sizes of the perfbench `jet-algebra` workload besides (4,5)
+ALGEBRA_SIZES = [(2, 7), (3, 6)]
 
 
-@pytest.mark.parametrize("n,K", JET_SIZES + [(3, 3)])
+@pytest.mark.parametrize("n,K", JET_SIZES + [(3, 3)] + ALGEBRA_SIZES + [(4, 6)])
 def bench_compose(benchmark, n, K):
     # (2,3) and (3,3) are the order-3 jets of `fsjet verify all`
     f, g = _jets(n, K, 2, seed=10 * n + K)
@@ -44,7 +46,7 @@ def bench_invert(benchmark, n, K):
     benchmark(invert, f)
 
 
-@pytest.mark.parametrize("n,K", JET_SIZES)
+@pytest.mark.parametrize("n,K", JET_SIZES + ALGEBRA_SIZES)
 def bench_iterate_3(benchmark, n, K):
     (f,) = _jets(n, K, 1, seed=40 + 10 * n + K)
     benchmark(iterate, f, 3)

@@ -8,41 +8,29 @@ degree, which is what makes jet composition well defined.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
+from operator import add
+
 Exponent = tuple[int, ...]
 ScalarPoly = dict[Exponent, complex]
 
-_DROP = 0.0  # exact zeros only; callers clean up with their own tolerance
-
-
-def zero_exponent(nvars: int) -> Exponent:
-    return (0,) * nvars
-
-
-def total_degree(exps: Exponent) -> int:
-    return sum(exps)
-
 
 def pmul(a: ScalarPoly, b: ScalarPoly, max_deg: int) -> ScalarPoly:
+    """a * b truncated at total degree ``max_deg``.
+
+    b's terms are sorted by total degree once, keeping their order within
+    a degree, so each term of a multiplies only the prefix of b that fits
+    under ``max_deg`` with it: no pair is formed only to be dropped.
+    """
+    terms = sorted(b.items(), key=lambda t: sum(t[0]))
+    degrees = [sum(e) for e, _ in terms]
     out: ScalarPoly = {}
     for ea, ca in a.items():
-        da = total_degree(ea)
-        for eb, cb in b.items():
-            if da + total_degree(eb) > max_deg:
-                continue
-            exps = tuple(x + y for x, y in zip(ea, eb))
+        for eb, cb in islice(terms, bisect_right(degrees, max_deg - sum(ea))):
+            exps = tuple(map(add, ea, eb))
             out[exps] = out.get(exps, 0.0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
-
-
-def peval(a: ScalarPoly, x) -> complex:
-    val = 0.0 + 0.0j
-    for exps, c in a.items():
-        term = c
-        for xi, p in zip(x, exps):
-            if p:
-                term *= xi**p
-        val += term
-    return val
 
 
 def substitute(
@@ -51,20 +39,20 @@ def substitute(
     """Components of f(g(x)), truncated at total degree ``max_deg``.
 
     ``f`` is a polynomial map in as many variables as ``g`` has components;
-    ``g`` is a polynomial map in the final variables x.
+    ``g`` is a polynomial map in the final variables x.  Each monomial of f
+    multiplies its power factors g_i^p in turn, each partial product
+    truncated at ``max_deg`` minus the lowest total degree of the factors
+    still to come (p per g_i^p of a jet, whose components start at degree
+    1), so no partial product keeps a term that cannot survive.
     """
-    nargs = len(g)
-    # cache powers of each g component up to the largest exponent used
-    max_pow = [0] * nargs
-    for comp in f:
-        for exps in comp:
-            for i, p in enumerate(exps):
-                max_pow[i] = max(max_pow[i], p)
-    powers: list[list[ScalarPoly]] = []
-    for i in range(nargs):
-        row = [{zero_exponent(_nvars(g)): 1.0 + 0.0j}]
-        for k in range(1, max_pow[i] + 1):
-            row.append(pmul(row[-1], g[i], max_deg))
+    # cache powers of each g component up to the largest exponent used,
+    # each with its lowest total degree
+    powers: list[list[tuple[ScalarPoly, int]]] = []
+    for i in range(len(g)):
+        row = [({(0,) * _nvars(g): 1.0 + 0.0j}, 0)]
+        for _ in range(max((e[i] for comp in f for e in comp), default=0)):
+            power = pmul(row[-1][0], g[i], max_deg)
+            row.append((power, min(map(sum, power), default=0)))
         powers.append(row)
 
     # g^a is built once per distinct exponent a and shared by every
@@ -76,14 +64,16 @@ def substitute(
         for exps, c in comp.items():
             if exps not in monomials:
                 factors = [powers[i][p] for i, p in enumerate(exps) if p] or [powers[0][0]]
-                term = factors[0]
-                for fac in factors[1:]:
-                    term = pmul(term, fac, max_deg)
+                term, _ = factors[0]
+                later = sum(low for _, low in factors[1:])
+                for fac, low in factors[1:]:
+                    later -= low
+                    term = pmul(term, fac, max_deg - later)
                 monomials[exps] = term
             for e, v in monomials[exps].items():
                 acc[e] = acc.get(e, 0.0) + c * v
-        # pmul already truncated every product at max_deg
-        out.append({e: v for e, v in acc.items() if v != _DROP})
+        # exact zeros only; callers clean up with their own tolerance
+        out.append({e: v for e, v in acc.items() if v != 0})
     return out
 
 

@@ -69,10 +69,20 @@ class Layout:
     cols: tuple[np.ndarray, ...]
 
     def rank_of(self, rows: np.ndarray) -> np.ndarray:
-        """Ranks of sorted 0-based multi-index rows (..., k): the basis is in
-        lexicographic order, so its base-n codes increase with the rank."""
-        weights = self.dim ** np.arange(len(self.cols) - 1, -1, -1, dtype=np.intp)
-        return np.searchsorted(self.variables @ weights, rows @ weights)
+        """Ranks of sorted 0-based multi-index rows (..., k), counted exactly:
+        the rows ranked before (i_1..i_k) agree with it before some slot t
+        and are smaller at t; ``_before[t, v]`` counts tails with i_t < v."""
+        t = np.arange(len(self.cols))
+        return self._before[t, rows].sum(-1) - self._before[t[1:], rows[..., :-1]].sum(-1)
+
+    @cached_property
+    def _before(self) -> np.ndarray:
+        """Sum over u < v of C(n - u + m - 1, m), the sorted tails starting
+        at u when m = k - 1 - t slots follow slot t (a telescoping sum)."""
+        n, k = self.dim, len(self.cols)
+        counts = [[math.comb(n + m, m + 1) - math.comb(n - v + m, m + 1) for v in range(n)]
+                  for m in range(k - 1, -1, -1)]
+        return _frozen(np.array(counts, dtype=np.intp))
 
     @cached_property
     def position_rank(self) -> np.ndarray:

@@ -446,3 +446,16 @@ def test_layout_of_degree_2000_builds_no_lower_degree():
     assert basis.multinomials.tolist() == [1.0]
     # the one lower degree drop_rank reads, built on first use
     assert basis.drop_rank.tolist() == [[0] * 2000]
+
+
+@pytest.mark.parametrize("n,k", [(2, 64), (3, 40)])
+def test_rank_of_is_exact_past_int64_codes(n, k):
+    # the largest base-n code of these rows, n ** k - 1, does not fit an int64
+    basis = layout(n, k)
+    assert np.array_equal(basis.rank_of(basis.variables), np.arange(len(basis.indices)))
+
+
+def test_drop_rank_is_exact_past_int64_codes():
+    basis, lower = layout(2, 66), layout(2, 65)
+    want = [[lower.rank[idx[:s] + idx[s + 1 :]] for s in range(66)] for idx in basis.indices]
+    assert basis.drop_rank.tolist() == want
