@@ -40,13 +40,14 @@ def bench_compose(benchmark, n, K):
     benchmark(compose, f, g)
 
 
-@pytest.mark.parametrize("n,K", JET_SIZES + [(4, 6)])
+# (3,3) is the order-3 size of `fsjet verify all`
+@pytest.mark.parametrize("n,K", JET_SIZES + [(3, 3)] + ALGEBRA_SIZES + [(4, 6)])
 def bench_invert(benchmark, n, K):
     (f,) = _jets(n, K, 1, seed=30 + 10 * n + K)
     benchmark(invert, f)
 
 
-@pytest.mark.parametrize("n,K", JET_SIZES + ALGEBRA_SIZES)
+@pytest.mark.parametrize("n,K", JET_SIZES + [(3, 3)] + ALGEBRA_SIZES)
 def bench_iterate_3(benchmark, n, K):
     (f,) = _jets(n, K, 1, seed=40 + 10 * n + K)
     benchmark(iterate, f, 3)

@@ -6,7 +6,7 @@ the bench files of this directory once against each tree, the order
 alternating from pair to pair, and a case counts as a win for the second
 tree when its median in that pair is lower.
 
-    python bench/paired.py OLD_ROOT NEW_ROOT [--pairs 5]
+    python bench/paired.py OLD_ROOT NEW_ROOT [--pairs 10]
 
 OLD_ROOT and NEW_ROOT are checkouts with the package under ``src/``.
 Prints, per case, the median over pairs of each tree's per-run median,
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

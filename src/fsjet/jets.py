@@ -176,31 +176,57 @@ def compose(f: MappingJet, g: MappingJet) -> MappingJet:
 def invert(f: MappingJet) -> MappingJet:
     """Jet g with f o g = g o f = identity up to the jet order.
 
-    Degree by degree: once g is the inverse below degree k, the degree-k
-    part of f o g is G_k plus a remainder that depends only on the degrees
-    <= k of f and < k of g, so G_k is minus that remainder.  Step k
-    composes f and g truncated at order k, so no step recomputes the
-    degrees above the one it settles (Brent & Kung, "Fast algorithms for
-    manipulating formal power series", J. ACM 25(4), 1978): one
-    composition at each order 2..K.
+    A normalized jet's left inverse is also its right inverse, so g solves
+    g o f = identity degree by degree.  With f = x + sum F_k and
+    g = x + sum G_k, the degree-k part of g(f(x)) = x reads
+
+        G_k = -F_k - sum_{2 <= j < k} [G_j(f)]_k,
+
+    so the inner map is f at every step: one table of the powers f^a,
+    for the exponents a of degrees 2..K-1 truncated at K, serves every
+    degree, and step k reads only the degree-k terms of its entries
+    (Brent & Kung, "Fast algorithms for manipulating formal power
+    series", J. ACM 25(4), 1978).
     """
-    polys = {}
-    for k in range(2, f.order + 1):
-        low = {j: P for j, P in f.polys.items() if j <= k}
-        residual = compose(MappingJet(f.dim, k, low), MappingJet(f.dim, k, polys)).poly(k)
-        polys[k] = residual.scale(-1)
-    return MappingJet(f.dim, f.order, polys)
+    n, K = f.dim, f.order
+    if K < 2:
+        return MappingJet.identity(n, K)
+    F = f.components()
+    exponents = [e for j in range(2, K) for e in layout(n, j).exponents]
+    by_degree = {k: {a: {} for a in exponents} for k in range(2, K + 1)}
+    for a, power in polyops.power_table(F, exponents, K).items():
+        j = sum(a)
+        for e, v in power.items():
+            k = sum(e)
+            if k > j:
+                by_degree[k][a][e] = v
+    G: list[ScalarPoly] = [{} for _ in range(n)]
+    for k in range(2, K + 1):
+        lower = polyops.combine(G, by_degree[k])
+        for Gi, Fi, Li in zip(G, F, lower):
+            for e in layout(n, k).exponents:
+                v = -(Fi.get(e, 0.0) + Li.get(e, 0.0))
+                if v:
+                    Gi[e] = v
+    for i, Gi in enumerate(G):
+        Gi[tuple(int(j == i) for j in range(n))] = 1.0
+    return MappingJet.from_components(G, n, K)
 
 
 def iterate(f: MappingJet, m: int) -> MappingJet:
     """m-th iterate; negative m iterates the jet inverse.
 
-    Binary powering (Brent & Kung, J. ACM 25(4), 1978): floor(log2 |m|)
-    squarings give the powers f^(2^j), and one composition per further
-    set bit of |m| multiplies them in, so at most 2 floor(log2 |m|)
-    compositions, each at the full order, plus one ``invert`` for negative
-    m.  m = 2 and m = 3 take one and two.  ``m`` must be an integer
-    (anything ``operator.index`` accepts), else ``TypeError``.
+    Left-to-right binary powering (Brent & Kung, J. ACM 25(4), 1978):
+    starting from f, each bit of |m| after the leading one squares the
+    result and, when the bit is set, composes the square with f.  The
+    first squaring and every composition with f read one table of the
+    powers of f, and each later squaring builds the table of what it
+    squares, so ``iterate`` builds bit_length(|m|) - 1 power tables, all
+    at the full order (one for m = 2 and m = 3), plus ``invert``'s for
+    negative m.  When f is sparse, a composite can use exponents f does
+    not, and f's table grows by those entries when a composition with f
+    first needs them.  ``m`` must be an integer (anything
+    ``operator.index`` accepts), else ``TypeError``.
     """
     try:
         m = operator.index(m)
@@ -210,14 +236,24 @@ def iterate(f: MappingJet, m: int) -> MappingJet:
         return MappingJet.identity(f.dim, f.order)
     if m < 0:
         return iterate(invert(f), -m)
-    out, power = None, f
-    while True:
-        if m & 1:
-            out = power if out is None else compose(out, power)
-        m >>= 1
-        if not m:
-            return out
-        power = compose(power, power)
+    n, K = f.dim, f.order
+    inner = f.components()
+    table: dict[polyops.Exponent, ScalarPoly] = {}
+
+    def after_f(comps: list[ScalarPoly]) -> MappingJet:
+        # the first call builds f's table; a sparse f's composites can
+        # then use exponents that f does not
+        missing = {e for comp in comps for e in comp} - table.keys()
+        if missing:
+            table.update(polyops.power_table(inner, missing, K))
+        return MappingJet.from_components(polyops.combine(comps, table), n, K)
+
+    out = f
+    for i, bit in enumerate(bin(m)[3:]):
+        out = compose(out, out) if i else after_f(inner)
+        if bit == "1":
+            out = after_f(out.components())
+    return out
 
 
 def unitarity_residual(U: np.ndarray) -> float:

@@ -3,7 +3,8 @@
 An exact expansion of f(g(x)) in sympy's Gaussian rationals, which shares
 no code with the substitution kernel, checks every coefficient of
 ``compose`` on small rational jets.  Hypothesis checks the group laws on
-small random jets: associativity, the inverse on both sides, and
+small random jets: associativity, the inverse on both sides, the inverse
+of the inverse, iterate(f, -m) = invert(iterate(f, m)), and
 iterate(f, a + b) = iterate(f, a) o iterate(f, b).
 """
 
@@ -162,6 +163,23 @@ def test_invert_is_a_two_sided_inverse(fs):
     identity = MappingJet.identity(f.dim, f.order)
     _assert_close(compose(f, g), identity, f, g)
     _assert_close(compose(g, f), identity, f, g)
+
+
+@PROPERTY_SETTINGS
+@given(_jets(1))
+def test_invert_is_an_involution(fs):
+    # invert solves g o f = identity, so the inverse of g is f again
+    (f,) = fs
+    g = invert(f)
+    _assert_close(invert(g), f, f, g)
+
+
+@PROPERTY_SETTINGS
+@given(_jets(1), st.integers(-3, 3))
+def test_iterate_of_minus_m_inverts_iterate_of_m(fs, m):
+    (f,) = fs
+    fm = iterate(f, m)
+    _assert_close(iterate(f, -m), invert(fm), f, fm)
 
 
 @PROPERTY_SETTINGS

@@ -8,7 +8,7 @@ polynomial maps and fully independent of the substitution code.
 import numpy as np
 import pytest
 
-from fsjet import jets, polyops
+from fsjet import polyops
 from fsjet.jets import (
     MappingJet,
     compose,
@@ -143,14 +143,14 @@ def _relative_gap(a, b):
     return gap / max(a.max_coeff(), b.max_coeff(), np.finfo(float).tiny)
 
 
-# every m in -5..9 where a composition takes milliseconds; the inverse
-# alone at (3,6) and (4,5), where one takes 0.1 and 0.35 s
+# every m in -5..9 where a composition takes milliseconds; -3..3 at
+# (3,6) and (4,5), the larger sizes of the perfbench jet-algebra workload
 @pytest.mark.parametrize("n,K,counts", [
     (2, 3, range(-5, 10)),
     (3, 3, range(-5, 10)),
     (2, 7, range(-5, 10)),
-    (3, 6, ()),
-    (4, 5, ()),
+    (3, 6, range(-3, 4)),
+    (4, 5, range(-3, 4)),
 ], ids=["2-3", "3-3", "2-7", "3-6", "4-5"])
 def test_invert_and_iterate_match_the_sequential_loops(n, K, counts):
     rng = np.random.default_rng(40 + 10 * n + K)
@@ -165,44 +165,57 @@ def test_invert_and_iterate_match_the_sequential_loops(n, K, counts):
         assert _relative_gap(iterate(f, m), want[m]) <= 1e-12, m
 
 
-def _count_compositions(monkeypatch):
+def _count_tables(monkeypatch):
+    """The truncation order of every power table built from now on."""
     orders = []
-    real = jets.compose
+    real = polyops.power_table
 
-    def counting(f, g):
-        orders.append(min(f.order, g.order))
-        return real(f, g)
+    def counting(g, exponents, max_deg):
+        orders.append(max_deg)
+        return real(g, exponents, max_deg)
 
-    monkeypatch.setattr(jets, "compose", counting)
+    monkeypatch.setattr(polyops, "power_table", counting)
     return orders
 
 
 @pytest.mark.parametrize("n,K", [(1, 1), (2, 2), (2, 5), (3, 4)])
-def test_invert_composes_once_at_each_order(monkeypatch, n, K):
+def test_invert_builds_one_power_table(monkeypatch, n, K):
     f = random_jet(n, K, np.random.default_rng(n + K))
-    orders = _count_compositions(monkeypatch)
+    orders = _count_tables(monkeypatch)
     g = invert(f)
-    assert orders == list(range(2, K + 1))
+    assert orders == ([K] if K >= 2 else [])
     assert g.order == K
 
 
-def test_iterate_composes_by_binary_powering(monkeypatch):
+def test_iterate_builds_one_power_table_per_squaring(monkeypatch):
     f = random_jet(2, 4, np.random.default_rng(41))
-    orders = _count_compositions(monkeypatch)
+    orders = _count_tables(monkeypatch)
     for m in range(-20, 21):
         orders.clear()
         iterate(f, m)
-        # a negative count inverts first: one composition per order 2..K
-        if m < 0:
-            assert orders[:3] == [2, 3, 4]
-            del orders[:3]
-        bound = 2 * (abs(m).bit_length() - 1) if m else 0
-        assert len(orders) <= bound, m
+        # a negative count inverts first, with one table of its own
+        inverse = int(m < 0)
+        assert len(orders) == max(0, abs(m).bit_length() - 1) + inverse, m
         assert all(order == 4 for order in orders)
         if abs(m) in (2, 3):
-            assert len(orders) == abs(m) - 1
+            assert len(orders) == 1 + inverse
         if m > 0 and m & (m - 1) == 0:
             assert len(orders) == m.bit_length() - 1  # squarings only
+
+
+def test_iterate_of_a_sparse_jet_matches_the_sequential_loop():
+    # two monomials per degree: f o f uses exponents that f does not, so
+    # the compositions with f grow f's table by those entries
+    n, K = 3, 5
+    polys = {k: HomPoly.from_monomials(k, n, n, {
+        (k, 0, 0): [0.3, 0, 0.1],
+        (0, k - 1, 1): [0, 0.2j, 0],
+    }) for k in range(2, K + 1)}
+    f = MappingJet(n, K, polys)
+    want = list(_iterates_sequential(f, 7))
+    for m in range(1, 8):
+        assert _relative_gap(iterate(f, m), want[m - 1]) <= 1e-12, m
+    assert iterate(f, 2).allclose(compose(f, f), atol=0.0)
 
 
 @pytest.mark.parametrize("m", [2.5, "3", None])

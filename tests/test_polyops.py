@@ -155,3 +155,17 @@ def test_substitute_of_compose_inputs_matches_reference(n, K):
     f, g = random_jet(n, K, rng).components(), random_jet(n, K, rng).components()
     for got, want in zip(polyops.substitute(f, g, K), _substitute_reference(f, g, K)):
         _assert_matches(got, want)
+
+
+def test_a_shared_power_table_combines_like_substitute():
+    # invert and iterate read one table for several outer maps, built over
+    # more exponents than any one of them uses; each entry depends on its
+    # exponent alone, so every outer map combines bitwise as substitute
+    rng = np.random.default_rng(90)
+    g = random_jet(3, 4, rng).components()
+    outers = [random_jet(3, 4, rng).components(), [_gapped_poly(rng, 3, [1, 3])] * 3]
+    every = [e for k in range(5) for e in polyops.exponents_of_degree(3, k)]
+    table = polyops.power_table(g, every, 4)
+    assert table.keys() == set(every)
+    for f in outers:
+        assert polyops.combine(f, table) == polyops.substitute(f, g, 4)
