@@ -12,7 +12,8 @@ from bisect import bisect_right
 from itertools import islice
 from operator import add
 
-Exponent = tuple[int, ...]
+from .tensors import Exponent
+
 ScalarPoly = dict[Exponent, complex]
 
 
@@ -104,14 +105,3 @@ def _nvars(g: list[ScalarPoly]) -> int:
         for exps in comp:
             return len(exps)
     raise ValueError("cannot infer variable count from an all-empty map")
-
-
-def exponents_of_degree(nvars: int, degree: int):
-    """All exponent tuples with the given total degree, lexicographic."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in exponents_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
-

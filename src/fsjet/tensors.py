@@ -18,20 +18,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .polyops import Exponent
-
+Exponent = tuple[int, ...]
 MultiIndex = tuple[int, ...]
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-10
 EVAL_BLOCK_ROWS = 1024
-
-
-def multi_index_to_exponents(idx: MultiIndex, nvars: int) -> Exponent:
-    exps = [0] * nvars
-    for i in idx:
-        exps[i - 1] += 1
-    return tuple(exps)
 
 
 def exponents_to_multi_index(exps: Exponent) -> MultiIndex:

@@ -407,7 +407,8 @@ DEFAULT_TRIALS = {
 
 
 class SuiteArgumentError(ValueError):
-    """A dimension below 1 or a negative seed given to ``run_suite``."""
+    """A dimension below 1, a negative seed or a negative trial count given
+    to ``run_suite``."""
 
 
 def run_suite(
@@ -419,13 +420,16 @@ def run_suite(
 ) -> list[Report]:
     """Run one named suite (or "all"); returns one Report per check.
 
-    A dimension below 1 in ``dims`` or a negative ``seed`` raises
-    ``SuiteArgumentError``, a ``ValueError``, before any suite runs."""
+    A dimension below 1 in ``dims``, a negative ``seed`` or a negative
+    ``trials`` raises ``SuiteArgumentError``, a ``ValueError``, before any
+    suite runs."""
     for d in dims or ():
         if d < 1:
             raise SuiteArgumentError(f"dimension {d} is not positive")
     if seed < 0:
         raise SuiteArgumentError(f"seed {seed} is negative")
+    if trials is not None and trials < 0:
+        raise SuiteArgumentError(f"trials {trials} is negative")
     if name == "all":
         out = []
         for key in _SUITES:

@@ -18,6 +18,8 @@ from fsjet.semigroup import is_generator, semigroup_jet, semigroup_ode
 from fsjet.tensors import HomPoly
 from fsjet.verify import run_suite
 
+from sphere_grid import grid_sup_dim2
+
 SEED = 20240824
 
 
@@ -178,27 +180,7 @@ def test_11b_hygiene_sup_norm_vs_grid():
     lam, mu = 0.6 - 0.3j, 1.2
     # dense-grid oracle over the sphere of C^2 modulo the global phase,
     # refined around the coarse argmax
-    def patch(alphas, phis):
-        A, P = np.meshgrid(alphas, phis, indexing="ij")
-        es = np.stack(
-            [
-                np.cos(A).ravel().astype(complex),
-                (np.sin(A) * np.exp(1j * P)).ravel(),
-            ],
-            axis=1,
-        )
-        return fs_norm_at(f, es, lam, mu).reshape(A.shape)
-
-    alphas = np.linspace(0.0, np.pi / 2.0, 300)
-    phis = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
-    vals = patch(alphas, phis)
-    ia, ip = np.unravel_index(np.argmax(vals), vals.shape)
-    da, dp = alphas[1] - alphas[0], phis[1] - phis[0]
-    fine = patch(
-        np.linspace(alphas[ia] - 2 * da, alphas[ia] + 2 * da, 201),
-        np.linspace(phis[ip] - 2 * dp, phis[ip] + 2 * dp, 201),
-    )
-    grid_sup = float(max(vals.max(), fine.max()))
+    grid_sup = grid_sup_dim2(lambda es: fs_norm_at(f, es, lam, mu))
     opt_sup, _ = sup_norm_fs(f, lam, mu, SupNormConfig(starts=12, steps=150))
     gap = abs(opt_sup - grid_sup)
     _report(

@@ -19,33 +19,7 @@ from fsjet.sampling import sample_sphere
 from fsjet.transforms import koebe_onedim
 from fsjet.verify import random_onedim_jet
 
-
-def _norms_on_patch(f, lam, mu, alphas, phis):
-    A, P = np.meshgrid(alphas, phis, indexing="ij")
-    es = np.stack(
-        [np.cos(A).ravel().astype(complex), (np.sin(A) * np.exp(1j * P)).ravel()],
-        axis=1,
-    )
-    return fs_norm_at(f, es, lam, mu).reshape(A.shape)
-
-
-def _grid_sup_dim2(f, lam, mu, n_alpha=300, n_phi=600):
-    """Dense-grid supremum of ||Psi_e|| over the unit sphere of C^2.
-
-    The norm is invariant under a global phase of e, so the sphere modulo
-    phase is covered by e = (cos a, sin a e^{i p}).  A second, much finer
-    pass zooms in around the coarse argmax.
-    """
-    alphas = np.linspace(0.0, np.pi / 2.0, n_alpha)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    vals = _norms_on_patch(f, lam, mu, alphas, phis)
-    ia, ip = np.unravel_index(np.argmax(vals), vals.shape)
-    da = alphas[1] - alphas[0]
-    dp = phis[1] - phis[0]
-    fine_a = np.linspace(alphas[ia] - 2 * da, alphas[ia] + 2 * da, 201)
-    fine_p = np.linspace(phis[ip] - 2 * dp, phis[ip] + 2 * dp, 201)
-    fine = _norms_on_patch(f, lam, mu, fine_a, fine_p)
-    return float(max(vals.max(), fine.max()))
+from sphere_grid import grid_sup_dim2
 
 
 def test_sup_norm_one_dimensional_is_constant():
@@ -80,7 +54,7 @@ def test_sup_norm_matches_grid_oracle():
     rng = np.random.default_rng(60)
     f = random_jet(2, 3, rng)
     lam, mu = 0.3 - 0.2j, 0.8
-    grid = _grid_sup_dim2(f, lam, mu)
+    grid = grid_sup_dim2(lambda es: fs_norm_at(f, es, lam, mu))
     got, _ = sup_norm_fs(f, lam, mu, SupNormConfig(starts=12, steps=120))
     assert abs(got - grid) < 1e-4
 

@@ -20,7 +20,7 @@ from fsjet.jets import (
     unitary_conjugate,
 )
 from fsjet.sampling import sample_sphere
-from fsjet.tensors import HomPoly, exponents_to_multi_index
+from fsjet.tensors import HomPoly, layout
 
 
 def _homogeneous_part_pointwise(f, g, e, degree, nodes=32, radius=0.3):
@@ -117,54 +117,6 @@ def test_iterate_consistency():
     assert both.is_identity(atol=1e-10)
 
 
-def _invert_full_order(f):
-    """The loop ``invert`` replaced, kept as reference: K - 1
-    compositions, each at the full order K."""
-    g = MappingJet.identity(f.dim, f.order)
-    for k in range(2, f.order + 1):
-        residual = compose(f, g).poly(k)
-        g = g.with_poly(k, g.poly(k) + residual.scale(-1))
-    return g
-
-
-def _iterates_sequential(f, top):
-    """The loop ``iterate`` replaced, kept as reference: its outputs for
-    m = 1..top, each m - 1 compositions f o (f o ... f)."""
-    out = f
-    yield out
-    for _ in range(top - 1):
-        out = compose(f, out)
-        yield out
-
-
-def _relative_gap(a, b):
-    gap = max((np.abs(a.poly(k).entries - b.poly(k).entries).max()
-               for k in range(2, max(a.order, b.order) + 1)), default=0.0)
-    return gap / max(a.max_coeff(), b.max_coeff(), np.finfo(float).tiny)
-
-
-# every m in -5..9 where a composition takes milliseconds; -3..3 at
-# (3,6) and (4,5), the larger sizes of the perfbench jet-algebra workload
-@pytest.mark.parametrize("n,K,counts", [
-    (2, 3, range(-5, 10)),
-    (3, 3, range(-5, 10)),
-    (2, 7, range(-5, 10)),
-    (3, 6, range(-3, 4)),
-    (4, 5, range(-3, 4)),
-], ids=["2-3", "3-3", "2-7", "3-6", "4-5"])
-def test_invert_and_iterate_match_the_sequential_loops(n, K, counts):
-    rng = np.random.default_rng(40 + 10 * n + K)
-    f = random_jet(n, K, rng)
-    inv = _invert_full_order(f)
-    assert _relative_gap(invert(f), inv) <= 1e-12
-    want = {0: MappingJet.identity(n, K)}
-    want.update(enumerate(_iterates_sequential(f, max(counts, default=1)), start=1))
-    backward = _iterates_sequential(inv, -min(counts, default=-1))
-    want.update((-m, g) for m, g in enumerate(backward, start=1))
-    for m in counts:
-        assert _relative_gap(iterate(f, m), want[m]) <= 1e-12, m
-
-
 def _count_tables(monkeypatch):
     """The truncation order of every power table built from now on."""
     orders = []
@@ -201,21 +153,6 @@ def test_iterate_builds_one_power_table_per_squaring(monkeypatch):
             assert len(orders) == 1 + inverse
         if m > 0 and m & (m - 1) == 0:
             assert len(orders) == m.bit_length() - 1  # squarings only
-
-
-def test_iterate_of_a_sparse_jet_matches_the_sequential_loop():
-    # two monomials per degree: f o f uses exponents that f does not, so
-    # the compositions with f grow f's table by those entries
-    n, K = 3, 5
-    polys = {k: HomPoly.from_monomials(k, n, n, {
-        (k, 0, 0): [0.3, 0, 0.1],
-        (0, k - 1, 1): [0, 0.2j, 0],
-    }) for k in range(2, K + 1)}
-    f = MappingJet(n, K, polys)
-    want = list(_iterates_sequential(f, 7))
-    for m in range(1, 8):
-        assert _relative_gap(iterate(f, m), want[m - 1]) <= 1e-12, m
-    assert iterate(f, 2).allclose(compose(f, f), atol=0.0)
 
 
 @pytest.mark.parametrize("m", [2.5, "3", None])
@@ -336,6 +273,37 @@ def test_compose_invert_iterate_against_cauchy_oracle(n, K, radius):
             assert np.abs(coef[0]).max() <= tol
 
 
+def test_iterate_of_a_sparse_jet_against_cauchy_oracle():
+    # two monomials per degree: f o f uses exponents that f does not, so
+    # the compositions with f grow f's table by those entries (m = 3, 5, 6)
+    n, K = 3, 5
+    polys = {k: HomPoly.from_monomials(k, n, n, {
+        (k, 0, 0): [0.3, 0, 0.1],
+        (0, k - 1, 1): [0, 0.2j, 0],
+    }) for k in range(2, K + 1)}
+    f = MappingJet(n, K, polys)
+
+    def pointwise(m):
+        def f_m(xs):
+            for _ in range(m):
+                xs = f.eval_many(xs)
+            return xs
+        return f_m
+
+    directions = sample_sphere(np.random.default_rng(43), 2, n)
+    for m in range(1, 7):
+        fm = iterate(f, m)
+        for e in directions:
+            # only degrees 0..K are read; the rescaled coefficients of the
+            # higher degrees leave the float range
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                coef = _taylor_along(pointwise(m), e, K**m, 0.5)
+            want = np.array([e] + [fm.poly(k).eval(e) for k in range(2, K + 1)])
+            tol = 1e-10 * (1.0 + np.abs(want).max())
+            assert np.abs(coef[1 : K + 1] - want).max() <= tol, m
+            assert np.abs(coef[0]).max() <= tol, m
+
+
 def test_from_components_truncates_and_rejects_malformed_exponents():
     comps = [{(1, 0): 1.0 + 0j, (4, 0): 5.0 + 0j}, {(0, 1): 1.0 + 0j, (2, 0): 0.5 + 0j}]
     f = MappingJet.from_components(comps, 2, 3)
@@ -366,8 +334,8 @@ def _random_jet_per_entry(dim, order, rng, scale=0.3):
     polys = {}
     for k in range(2, order + 1):
         coeffs = {}
-        for exps in polyops.exponents_of_degree(dim, k):
-            coeffs[exponents_to_multi_index(exps)] = scale * (
+        for idx in layout(dim, k).indices:
+            coeffs[idx] = scale * (
                 rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             )
         polys[k] = coeffs

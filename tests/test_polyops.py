@@ -1,11 +1,12 @@
-"""Sparse monomial arithmetic checks against direct evaluation and
-against the ungraded kernel it replaced."""
+"""Sparse monomial arithmetic checks against direct evaluation."""
 
 import numpy as np
 import pytest
 
 from fsjet import polyops
 from fsjet.jets import random_jet
+from fsjet.sampling import sample_sphere
+from fsjet.tensors import layout
 
 
 def _peval(a, x):
@@ -57,65 +58,9 @@ def test_substitute_matches_pointwise():
         assert abs(_peval(cc, x) - _peval(fc, gx)) < 1e-12
 
 
-def test_exponents_of_degree_count():
-    # stars and bars: C(degree + nvars - 1, nvars - 1)
-    exps = list(polyops.exponents_of_degree(3, 4))
-    assert len(exps) == 15
-    assert all(sum(e) == 4 for e in exps)
-    assert len(set(exps)) == len(exps)
-
-
-# -- the ungraded kernel, kept as a reference --------------------------------
-
-
-def _pmul_reference(a, b, max_deg):
-    """Tries every pair of terms and drops those above ``max_deg``."""
-    out = {}
-    for ea, ca in a.items():
-        da = sum(ea)
-        for eb, cb in b.items():
-            if da + sum(eb) > max_deg:
-                continue
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            out[exps] = out.get(exps, 0.0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _substitute_reference(f, g, max_deg):
-    """Truncates every partial product at ``max_deg`` itself."""
-    nvars = len(next(e for comp in g for e in comp))
-    powers = []
-    for i in range(len(g)):
-        row = [{(0,) * nvars: 1.0 + 0.0j}]
-        for _ in range(max((e[i] for comp in f for e in comp), default=0)):
-            row.append(_pmul_reference(row[-1], g[i], max_deg))
-        powers.append(row)
-    monomials = {}
-    out = []
-    for comp in f:
-        acc = {}
-        for exps, c in comp.items():
-            if exps not in monomials:
-                factors = [powers[i][p] for i, p in enumerate(exps) if p] or [powers[0][0]]
-                term = factors[0]
-                for fac in factors[1:]:
-                    term = _pmul_reference(term, fac, max_deg)
-                monomials[exps] = term
-            for e, v in monomials[exps].items():
-                acc[e] = acc.get(e, 0.0) + c * v
-        out.append({e: v for e, v in acc.items() if v != 0})
-    return out
-
-
-def _assert_matches(got, want):
-    assert got.keys() == want.keys()
-    scale = max(map(abs, want.values()), default=0.0)
-    assert all(abs(got[e] - c) <= 1e-15 * scale for e, c in want.items())
-
-
 def _gapped_poly(rng, nvars, degrees, terms=5):
-    """Random terms at the given total degrees only, so b's degree groups
-    have gaps between them."""
+    """Random terms at the given total degrees only, with gaps between the
+    degree groups."""
     out = {}
     for d in degrees:
         for _ in range(terms):
@@ -125,36 +70,55 @@ def _gapped_poly(rng, nvars, degrees, terms=5):
     return out
 
 
+def _taylor_along(F, e, nodes=16):
+    """Coefficients of z^0 .. z^(nodes-1) of the polynomial z -> F(z e), of
+    degree below ``nodes``, by an FFT over the roots of unity."""
+    zs = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return np.fft.fft(np.array([F(z * e) for z in zs]), axis=0) / nodes
+
+
+def _degree_part_at(a, k, e):
+    """The degree-k part of the scalar polynomial a, at the point e."""
+    return _peval({x: c for x, c in a.items() if sum(x) == k}, e)
+
+
 @pytest.mark.parametrize("max_deg", [0, 1, 2, 5, 9])
-def test_pmul_matches_ungraded_reference(max_deg):
+def test_pmul_of_gapped_factors_matches_cauchy_oracle(max_deg):
+    # b's degree groups have gaps, so the prefix of b that fits under
+    # max_deg with a term of a can end between two groups; a * b has
+    # degree at most 10, so the FFT reads each of its degree parts exactly
     rng = np.random.default_rng(40 + max_deg)
     for nvars in (1, 2, 3):
         a = _gapped_poly(rng, nvars, [0, 1, 4])
         b = _gapped_poly(rng, nvars, [1, 3, 6])
         constant = {(0,) * nvars: 0.5 - 0.25j}
+        e = sample_sphere(rng, 1, nvars)[0]
         for x, y in ((a, b), (b, a), (a, constant), (constant, b), (a, {}), ({}, b), ({}, {})):
-            _assert_matches(polyops.pmul(x, y, max_deg), _pmul_reference(x, y, max_deg))
+            got = polyops.pmul(x, y, max_deg)
+            assert all(sum(t) <= max_deg for t in got)
+            coef = _taylor_along(lambda p: _peval(x, p) * _peval(y, p), e)
+            scale = 1.0 + np.abs(coef).max()
+            for k in range(max_deg + 1):
+                assert abs(_degree_part_at(got, k, e) - coef[k]) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("max_deg", [0, 1, 3, 4])
-def test_substitute_with_constant_terms_matches_reference(max_deg):
+def test_substitute_with_constant_terms_matches_cauchy_oracle(max_deg):
     # g's components have constant terms, so a factor still to come can
-    # add degree 0: a partial product must keep the terms up to max_deg
+    # add degree 0: a partial product must keep the terms up to max_deg.
+    # f(g(x)) has degree 8, so the FFT reads each of its degree parts
+    # exactly
     rng = np.random.default_rng(60 + max_deg)
     f = [_gapped_poly(rng, 3, [0, 2, 4]), _gapped_poly(rng, 3, [1, 3]), {}]
     g = [_gapped_poly(rng, 3, [0, 1, 2]), _gapped_poly(rng, 3, [0, 2]), {(0, 0, 0): 0.3 + 0j}]
-    got, want = polyops.substitute(f, g, max_deg), _substitute_reference(f, g, max_deg)
-    assert len(got) == len(want) == 3
-    for got_comp, want_comp in zip(got, want):
-        _assert_matches(got_comp, want_comp)
-
-
-@pytest.mark.parametrize("n,K", [(2, 7), (3, 6), (4, 5)])
-def test_substitute_of_compose_inputs_matches_reference(n, K):
-    rng = np.random.default_rng(80 + 10 * n + K)
-    f, g = random_jet(n, K, rng).components(), random_jet(n, K, rng).components()
-    for got, want in zip(polyops.substitute(f, g, K), _substitute_reference(f, g, K)):
-        _assert_matches(got, want)
+    comp = polyops.substitute(f, g, max_deg)
+    assert all(sum(x) <= max_deg for c in comp for x in c)
+    for e in sample_sphere(rng, 3, 3):
+        coef = _taylor_along(lambda p: [_peval(fc, [_peval(gc, p) for gc in g]) for fc in f], e)
+        scale = 1.0 + np.abs(coef).max()
+        for k in range(max_deg + 1):
+            got = [_degree_part_at(cc, k, e) for cc in comp]
+            assert np.abs(np.array(got) - coef[k]).max() <= 1e-12 * scale
 
 
 def test_a_shared_power_table_combines_like_substitute():
@@ -164,7 +128,7 @@ def test_a_shared_power_table_combines_like_substitute():
     rng = np.random.default_rng(90)
     g = random_jet(3, 4, rng).components()
     outers = [random_jet(3, 4, rng).components(), [_gapped_poly(rng, 3, [1, 3])] * 3]
-    every = [e for k in range(5) for e in polyops.exponents_of_degree(3, k)]
+    every = [(0, 0, 0)] + [e for k in range(1, 5) for e in layout(3, k).exponents]
     table = polyops.power_table(g, every, 4)
     assert table.keys() == set(every)
     for f in outers:

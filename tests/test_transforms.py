@@ -11,10 +11,9 @@ from fsjet.transforms import (
     koebe_onedim,
     root_transform,
 )
-from fsjet import polyops
 from fsjet.gallery import example_gallery
 from fsjet.jets import random_jet
-from fsjet.tensors import ScalarHomPoly
+from fsjet.tensors import ScalarHomPoly, layout
 from fsjet.transforms import _probe_directions, _series_root
 from fsjet.verify import random_onedim_jet
 
@@ -180,7 +179,7 @@ def _detect_onedim_per_probe(f, tol=1e-9):
     probes = _probe_directions(f.dim)
     found = {}
     for k, P in sorted(f.polys.items()):
-        exps_list = list(polyops.exponents_of_degree(f.dim, k - 1))
+        exps_list = layout(f.dim, k - 1).exponents
         rows, rhs = [], []
         for x in probes:
             monom_vals = np.array([np.prod(x ** np.array(e)) for e in exps_list])

@@ -8,9 +8,7 @@ import pytest
 
 from fsjet import fekete, verify
 from fsjet.gallery import example_gallery
-from fsjet.fekete import FSContext, fs_mapping
 from fsjet.jets import MappingJet
-from fsjet.reporting import Report
 from fsjet.semigroup import is_generator
 from fsjet.tensors import HomPoly
 from fsjet.transforms import check_injectivity_sampled
@@ -90,6 +88,22 @@ def test_negative_seed_is_rejected_before_any_suite(monkeypatch):
     assert issubclass(verify.SuiteArgumentError, ValueError)
 
 
+def test_negative_trials_are_rejected_before_any_suite(monkeypatch):
+    # a negative count used to pass every check, still run one
+    # flow-property trial and report trials=-1
+    seen = []
+    for key in verify._SUITES:
+        monkeypatch.setitem(
+            verify._SUITES, key, lambda trials, seed, **kw: seen.append(trials) or []
+        )
+    for name in ("compose", "all"):
+        with pytest.raises(verify.SuiteArgumentError, match="trials -1 is negative"):
+            run_suite(name, trials=-1)
+    assert seen == []
+    run_suite("all", trials=0)
+    assert seen == [0] * len(verify._SUITES)
+
+
 def test_passed_is_derived_from_the_residual():
     # every report holds passed == (max_residual <= tolerance): the suites,
     # the same after a tolerance override, and both sampled checks
@@ -150,15 +164,13 @@ def _random_onedim_per_monomial(dim, order, rng, scale=0.4):
     """The per-monomial draw loop ``random_onedim_jet`` replaced, kept as
     reference: a real then an imaginary part per monomial, divided by the
     multinomial count into the tensor entry."""
-    from fsjet import polyops
-    from fsjet.tensors import exponents_to_multi_index, multinomial
+    from fsjet.tensors import layout, multinomial
 
     polys = {}
     for k in range(1, order):
         polys[k] = {}
-        for exps in polyops.exponents_of_degree(dim, k):
+        for idx in layout(dim, k).indices:
             c = scale * complex(rng.standard_normal(), rng.standard_normal())
-            idx = exponents_to_multi_index(exps)
             polys[k][idx] = np.asarray([c], dtype=complex) / multinomial(idx)
     return polys
 
@@ -179,212 +191,25 @@ def test_random_onedim_jet_is_bitwise_the_per_monomial_draw(dim, order):
     assert rng.standard_normal() == ref.standard_normal()
 
 
-# ---------------------------------------------------------------------------
-# The hand-written trial loops the runner replaced, kept as references: each
-# check's Report must come out field for field the same, with a bitwise equal
-# residual.
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("trials,ran", [(0, 0), (1, 1), (3, 1), (8, 2)])
+def test_flow_property_reports_the_trials_it_ran(trials, ran):
+    # a quarter of the trials, at least one unless none
+    reports = {r.suite: r for r in run_suite("semigroup", trials=trials)}
+    assert reports["semigroup/flow-property"].trials == ran
+    assert reports["semigroup/closed-form-vs-ode"].trials == trials
 
 
-def _reference_inverse(trials, seed, dims):
-    rng = verify._rng(seed, 2)
-    worst_dual = 0.0
-    worst_q3 = 0.0
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        f = verify.random_jet(n, 3, rng)
-        g = verify.invert(f)
-        e = verify.sample_sphere(rng, 1, n)[0]
-        lam, mu = verify.sample_params(rng, 2)
-        lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
-        rhs = -fs_mapping(f, FSContext(e, 2.0 - lam, 2.0 - mu)).vector
-        worst_dual = verify._worst(worst_dual, float(np.linalg.norm(lhs - rhs)))
-        q3 = g.poly(3).eval(e)
-        psi22 = fs_mapping(f, FSContext(e, 2.0, 2.0)).vector
-        worst_q3 = verify._worst(worst_q3, float(np.linalg.norm(q3 + psi22)))
-    return [
-        Report("inverse/psi-duality", trials, seed, 1e-11, worst_dual),
-        Report("inverse/third-derivative", trials, seed, 1e-11, worst_q3),
-    ]
-
-
-def _reference_error_bound(trials, seed, dims):
-    rng = verify._rng(seed, 6)
-    by_dim = {}
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        f = verify.random_jet(n, 3, rng)
-        g = verify.random_jet(n, 3, rng)
-        e = verify.sample_sphere(rng, 1, n)[0]
-        lam, mu = verify.sample_params(rng, 2)
-        ctx = FSContext(e, lam, mu)
-        R = fekete._composition_defect(f, g, ctx)
-        defects, tensors = by_dim.setdefault(n, ([], []))
-        defects.append((float(np.linalg.norm(R)), fekete.ell(ctx.lam, ctx.mu)))
-        tensors += [f.poly(2), g.poly(2)]
-    worst_violation = 0.0
-    for defects, tensors in by_dim.values():
-        seeds = [seed, seed + 1] * len(defects)
-        est = fekete.operator_norm_bilinear(tensors, seed=seeds)
-        for (r, coef), nf, ng in zip(defects, est[::2], est[1::2]):
-            worst_violation = verify._worst(worst_violation, r - coef * nf.value * ng.value)
-    reports = [
-        Report(
-            "error-bound/ell-bound", trials, seed, 1e-9, verify._worst(0.0, worst_violation)
-        )
-    ]
-
-    rng2 = verify._rng(seed, 7)
-    worst_eq = 0.0
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        fo = verify.random_onedim_jet(n, 3, rng2)
-        go = verify.random_onedim_jet(n, 3, rng2)
-        f, g = fo.to_mapping_jet(), go.to_mapping_jet()
-        e = verify.sample_sphere(rng2, 1, n)[0]
-        lam, mu = verify.sample_params(rng2, 2)
-        ctx = FSContext(e, lam, mu)
-        R = (
-            fs_mapping(verify.compose(f, g), ctx).vector
-            - fs_mapping(f, ctx).vector
-            - fs_mapping(g, ctx).vector
-        )
-        expect = 2.0 * abs(1.0 - lam) * abs(
-            fo.scalar_part(1).eval_scalar(e) * go.scalar_part(1).eval_scalar(e)
-        )
-        worst_eq = verify._worst(worst_eq, abs(float(np.linalg.norm(R)) - expect))
-    reports.append(Report("error-bound/onedim-equality", trials, seed, 1e-11, worst_eq))
-    return reports
-
-
-def _reference_semigroup(trials, seed, dims):
-    rng = verify._rng(seed, 8)
-    times, degrees = (0.1, 0.7, 2.0), (2, 3)
-    by_dim = {}
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        gens, dirs = by_dim.setdefault(n, ([], []))
-        gens.append(verify.sample_generator(n, rng))
-        dirs.append(verify.sample_sphere(rng, 1, n)[0])
-    worst = 0.0
-    for gens, dirs in by_dim.values():
-        extracted = verify.flow_taylor_via_ode(gens, times, np.array(dirs), degrees, step=5e-3)
-        for h, e, by_time in zip(gens, dirs, extracted):
-            for t, by_degree in zip(times, by_time):
-                flow = verify.semigroup_jet(h, t)
-                for k, coef in zip(degrees, by_degree):
-                    closed = flow.poly(k).eval(e)
-                    worst = verify._worst(worst, float(np.linalg.norm(closed - coef)))
-    reports = [Report("semigroup/closed-form-vs-ode", trials, seed, 1e-6, worst)]
-
-    rng2 = verify._rng(seed, 9)
-    worst_comp = 0.0
-    for i in range(max(1, trials // 4) if trials else 0):
-        n = dims[i % len(dims)]
-        h = verify.sample_generator(n, rng2)
-        a, b = verify.semigroup_jet(h, 0.3), verify.semigroup_jet(h, 0.5)
-        combined = a.compose(b)
-        direct = verify.semigroup_jet(h, 0.8)
-        for k in (2, 3):
-            diff = combined.poly(k) + direct.poly(k).scale(-1.0)
-            worst_comp = verify._worst(worst_comp, diff.max_coeff())
-    reports.append(Report("semigroup/flow-property", trials, seed, 1e-10, worst_comp))
-    return reports
-
-
-def _reference_duality(trials, seed, dims):
-    rng = verify._rng(seed, 10)
-    worst_pair = 0.0
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        h = verify.random_jet(n, 3, rng)
-        f = verify.starlike_from_generator(h)
-        e = verify.sample_sphere(rng, 1, n)[0]
-        lam, mu = verify.sample_params(rng, 2)
-        lhs = fs_mapping(h, FSContext(e, 2 * lam, 2 * mu)).vector
-        rhs = -2.0 * fs_mapping(f, FSContext(e, 1 - lam, 1 - mu)).vector
-        worst_pair = verify._worst(worst_pair, float(np.linalg.norm(lhs - rhs)))
-        back = verify.generator_from_starlike(f)
-        for k in (2, 3):
-            diff = back.poly(k) + h.poly(k).scale(-1.0)
-            worst_pair = verify._worst(worst_pair, diff.max_coeff())
-    reports = [Report("duality/psi-pairing", trials, seed, 1e-11, worst_pair)]
-
-    rng2 = verify._rng(seed, 11)
-    worst_bound = 0.0
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        h = verify.sample_generator(n, rng2)
-        e = verify.sample_sphere(rng2, 1, n)[0]
-        lam = verify.sample_params(rng2, 1)[0]
-        val = abs(fs_mapping(h, FSContext(e, lam, 0.0)).scalar_projection)
-        bound = 2.0 * max(1.0, abs(2.0 * lam - 1.0))
-        worst_bound = verify._worst(worst_bound, val - bound)
-    reports.append(
-        Report(
-            "duality/generator-scalar-bound", trials, seed, 1e-9, verify._worst(0.0, worst_bound)
-        )
-    )
-
-    rng3 = verify._rng(seed, 12)
-    mismatches = 0
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        if i % 2 == 0:
-            h = verify.random_onedim_jet(n, 3, rng3).to_mapping_jet()
-        else:
-            h = verify.random_jet(n, 3, rng3)
-        f = verify.starlike_from_generator(h)
-        if (verify.detect_onedim(h) is None) != (verify.detect_onedim(f) is None):
-            mismatches += 1
-    reports.append(Report("duality/onedim-equivalence", trials, seed, 0.0, float(mismatches)))
-    return reports
-
-
-@pytest.fixture
-def cheap_kernels(monkeypatch):
-    """The suites and the references reach their two stacked kernels
-    through these names; a step 20 times the suite's and 4 starts in place
-    of 32 make them cheap, while what a suite passes to them must still
-    agree with what its reference passes."""
-    ode, norm = verify.flow_taylor_via_ode, fekete.operator_norm_bilinear
+def test_every_trial_loop_draws_from_its_own_stream(monkeypatch):
+    # so no two checks see the same draws; the two inverse checks read one
+    # trial loop
+    streams = []
+    real = verify._rng
     monkeypatch.setattr(
-        verify, "flow_taylor_via_ode", lambda *a, **kw: ode(*a, **{**kw, "step": 0.1})
+        verify, "_rng", lambda seed, stream: streams.append(stream) or real(seed, stream)
     )
-    monkeypatch.setattr(fekete, "operator_norm_bilinear", lambda B, **kw: norm(B, starts=4, **kw))
-
-
-def _fields(report):
-    return {**dataclasses.asdict(report), "max_residual": report.max_residual.hex()}
-
-
-@pytest.mark.parametrize("dims", [(2, 3), (3,)])
-@pytest.mark.parametrize("seed", [0, 5])
-@pytest.mark.parametrize("trials", [0, 1, 7])
-@pytest.mark.parametrize(
-    "suite,reference",
-    [
-        (verify.suite_inverse, _reference_inverse),
-        (verify.suite_error_bound, _reference_error_bound),
-        (verify.suite_semigroup, _reference_semigroup),
-        (verify.suite_duality, _reference_duality),
-    ],
-)
-def test_runner_matches_the_hand_written_loops(
-    suite, reference, trials, seed, dims, cheap_kernels
-):
-    want = [_fields(r) for r in reference(trials, seed, dims)]
-    for w in want:
-        if w["suite"] == "semigroup/flow-property":
-            # the one intended change: the count of trials that ran
-            w["trials"] = max(1, trials // 4) if trials else 0
-    assert [_fields(r) for r in suite(trials, seed, dims)] == want
-
-
-def test_flow_property_reports_the_trials_it_ran(cheap_kernels):
-    reports = {r.suite: r for r in run_suite("semigroup", trials=8)}
-    assert reports["semigroup/flow-property"].trials == 2
-    assert reports["semigroup/closed-form-vs-ode"].trials == 8
+    run_suite("all", trials=0)
+    assert len(streams) > len(verify._SUITES)
+    assert len(set(streams)) == len(streams)
 
 
 def test_runner_lists_each_trial_and_reports_a_nan():
