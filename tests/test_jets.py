@@ -5,6 +5,9 @@ composition by averaging over roots of unity, which is exact for
 polynomial maps and fully independent of the substitution code.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,51 @@ def test_iterate_consistency():
     # m and -m cancel at jet level
     both = compose(iterate(f, 3), iterate(f, -3))
     assert both.is_identity(atol=1e-10)
+
+
+def _projective_jet(a, order):
+    """The jet of x -> x / (1 - l(x)) with l(x) = sum_j a_j x_j: its
+    degree-k part is x l(x)^(k-1), and its m-th iterate is the same map at
+    m a, for every integer m."""
+    n = len(a)
+    polys = {}
+    for k in range(2, order + 1):
+        monos = {}
+        # l(x)^(k-1) term by term, then times x_i in component i
+        for js in itertools.combinations_with_replacement(range(n), k - 1):
+            beta = [js.count(j) for j in range(n)]
+            c = math.factorial(k - 1) * np.prod(
+                [a[j] ** b / math.factorial(b) for j, b in enumerate(beta)]
+            )
+            for i in range(n):
+                alpha = tuple(b + (j == i) for j, b in enumerate(beta))
+                monos.setdefault(alpha, np.zeros(n, complex))[i] += c
+        polys[k] = HomPoly.from_monomials(k, n, n, monos)
+    return MappingJet(n, order, polys)
+
+
+# every m in -5..9 where a composition takes milliseconds; -3..3 at
+# (3,6) and (4,5), the larger sizes of the perfbench jet-algebra workload
+@pytest.mark.parametrize("n,K,counts", [
+    (2, 3, range(-5, 10)),
+    (3, 3, range(-5, 10)),
+    (2, 7, range(-5, 10)),
+    (3, 6, range(-3, 4)),
+    (4, 5, range(-3, 4)),
+], ids=["2-3", "3-3", "2-7", "3-6", "4-5"])
+def test_invert_and_iterate_of_a_projective_map_have_closed_forms(n, K, counts):
+    # x / (1 - l(x)) iterated m times is x / (1 - m l(x)), whose degree-k
+    # part is m^(k-1) times f's: an exact oracle for every count, negative
+    # and large ones included, that no composition computes (m = -1 is
+    # invert's output)
+    rng = np.random.default_rng(40 + 10 * n + K)
+    f = _projective_jet(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), K)
+    for m in counts:
+        got = iterate(f, m)
+        want = {k: float(m) ** (k - 1) * f.poly(k).entries for k in range(2, K + 1)}
+        scale = max(np.abs(w).max() for w in want.values())
+        for k, w in want.items():
+            assert np.abs(got.poly(k).entries - w).max() <= 1e-12 * scale, (m, k)
 
 
 def _count_tables(monkeypatch):

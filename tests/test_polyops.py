@@ -121,6 +121,25 @@ def test_substitute_with_constant_terms_matches_cauchy_oracle(max_deg):
             assert np.abs(np.array(got) - coef[k]).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n,K", [(2, 7), (3, 6), (4, 5)])
+def test_substitute_of_compose_inputs_matches_cauchy_oracle(n, K):
+    # the components of two jets at the sizes of the perfbench jet-algebra
+    # workload, against the jets' own pointwise evaluation; f(g(x)) has
+    # degree K^2 < 64, read on |z| = 0.5 as in the jet-level oracle
+    rng = np.random.default_rng(80 + 10 * n + K)
+    f, g = random_jet(n, K, rng), random_jet(n, K, rng)
+    comp = polyops.substitute(f.components(), g.components(), K)
+    assert len(comp) == n
+    assert all(sum(x) <= K for c in comp for x in c)
+    for e in sample_sphere(rng, 2, n):
+        coef = _taylor_along(lambda p: f.eval_many(g.eval_many(p[None]))[0], 0.5 * e, 64)
+        coef /= 0.5 ** np.arange(64)[:, None]
+        tol = 1e-10 * (1.0 + np.abs(coef[: K + 1]).max())
+        for k in range(K + 1):
+            got = [_degree_part_at(cc, k, e) for cc in comp]
+            assert np.abs(np.array(got) - coef[k]).max() <= tol, k
+
+
 def test_a_shared_power_table_combines_like_substitute():
     # invert and iterate read one table for several outer maps, built over
     # more exponents than any one of them uses; each entry depends on its

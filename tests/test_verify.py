@@ -212,6 +212,106 @@ def test_every_trial_loop_draws_from_its_own_stream(monkeypatch):
     assert len(set(streams)) == len(streams)
 
 
+# What trial i of each check of four suites draws in dimension n, by the
+# stream of its generator, and each check's name and tolerance.  The draws
+# are named by the sampler the suite calls: ("jet", n) for random_jet,
+# ("onedim", n) for random_onedim_jet, ("generator", n) for
+# sample_generator, ("sphere", n) for one direction and ("params", c) for
+# c parameters.
+def _point(n):
+    return [("sphere", n), ("params", 2)]
+
+
+_DRAWS = {
+    "inverse": {2: lambda i, n: [("jet", n), *_point(n)]},
+    "error-bound": {
+        6: lambda i, n: [("jet", n), ("jet", n), *_point(n)],
+        7: lambda i, n: [("onedim", n), ("onedim", n), *_point(n)],
+    },
+    "semigroup": {
+        8: lambda i, n: [("generator", n), ("sphere", n)],
+        9: lambda i, n: [("generator", n)],
+    },
+    "duality": {
+        10: lambda i, n: [("jet", n), *_point(n)],
+        11: lambda i, n: [("generator", n), ("sphere", n), ("params", 1)],
+        # one-dimensional-type and general generators in turn
+        12: lambda i, n: [("onedim", n) if i % 2 == 0 else ("jet", n)],
+    },
+}
+_CHECKS = {
+    "inverse": [("inverse/psi-duality", 1e-11), ("inverse/third-derivative", 1e-11)],
+    "error-bound": [("error-bound/ell-bound", 1e-9), ("error-bound/onedim-equality", 1e-11)],
+    "semigroup": [("semigroup/closed-form-vs-ode", 1e-6), ("semigroup/flow-property", 1e-10)],
+    "duality": [
+        ("duality/psi-pairing", 1e-11),
+        ("duality/generator-scalar-bound", 1e-9),
+        ("duality/onedim-equivalence", 0.0),
+    ],
+}
+
+
+def _record_draws(monkeypatch):
+    """Every draw of the verify module's samplers, as (kind, n or count),
+    listed by the stream of the generator it drew from; the seeds given to
+    ``_rng`` are listed under None."""
+    draws, streams = {None: []}, {}
+    real_rng = verify._rng
+
+    def rng(seed, stream):
+        g = real_rng(seed, stream)
+        draws[None].append(seed)
+        streams[id(g)] = stream
+        draws.setdefault(stream, [])
+        return g
+
+    def recording(name, kind, rng_arg, size_arg):
+        real = getattr(verify, name)
+
+        def draw(*args, **kwargs):
+            draws[streams[id(args[rng_arg])]].append((kind, args[size_arg]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, draw)
+
+    monkeypatch.setattr(verify, "_rng", rng)
+    recording("random_jet", "jet", 2, 0)
+    recording("random_onedim_jet", "onedim", 2, 0)
+    recording("sample_generator", "generator", 1, 0)
+    recording("sample_sphere", "sphere", 0, 2)
+    recording("sample_params", "params", 0, 1)
+    return draws
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3,)])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("trials", [0, 1, 7])
+@pytest.mark.parametrize("suite", list(_DRAWS))
+def test_suite_draws_follow_trials_seed_and_dims(suite, trials, seed, dims, monkeypatch):
+    # the draws fix a check's inputs, so they do not depend on the stacked
+    # kernels' accuracy: a coarse ODE step and 4 norm starts keep the 48
+    # cases cheap (passing at the real kernels is gated above)
+    ode, norm = verify.flow_taylor_via_ode, fekete.operator_norm_bilinear
+    monkeypatch.setattr(
+        verify, "flow_taylor_via_ode", lambda *a, **kw: ode(*a, **{**kw, "step": 0.1})
+    )
+    monkeypatch.setattr(fekete, "operator_norm_bilinear", lambda B, **kw: norm(B, starts=4, **kw))
+    draws = _record_draws(monkeypatch)
+    reports = run_suite(suite, trials=trials, seed=seed, dims=dims)
+
+    flow_trials = max(1, trials // 4) if trials else 0
+    assert [(r.suite, r.tolerance) for r in reports] == _CHECKS[suite]
+    for r in reports:
+        assert r.seed == seed
+        assert r.trials == (flow_trials if r.suite == "semigroup/flow-property" else trials)
+    assert set(draws.pop(None)) == {seed}
+    want = {}
+    for stream, per_trial in _DRAWS[suite].items():
+        count = flow_trials if stream == 9 else trials
+        want[stream] = [d for i in range(count) for d in per_trial(i, dims[i % len(dims)])]
+    assert draws == want
+
+
 def test_runner_lists_each_trial_and_reports_a_nan():
     seen = []
 
