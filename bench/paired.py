@@ -9,9 +9,9 @@ tree when its median in that pair is lower.
     python bench/paired.py OLD_ROOT NEW_ROOT [--pairs 10]
 
 OLD_ROOT and NEW_ROOT are checkouts with the package under ``src/``.
-Prints, per case, the median over pairs of each tree's per-run median,
-their ratio and the number of pairs the second tree won.  BLAS runs on one
-thread, as in ``perfbench``.
+Prints, per case, the quartiles over pairs of each tree's per-run median,
+the ratio of the medians, the number of pairs the second tree won and a
+verdict (see ``verdict``).  BLAS runs on one thread, as in ``perfbench``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,31 @@ def _prepare(root: Path, workdir: Path) -> Path:
     return bench
 
 
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of xs."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def verdict(old: list[float], new: list[float]) -> str:
+    """The verdict on one case, from its per-pair times in each tree:
+    "faster" when the new tree wins at least 9 of every 10 pairs (a tie
+    counts for neither tree) and its median is below the old one by more
+    than the old tree's interquartile range, "slower" for the same with
+    the trees swapped, and "unresolved" otherwise."""
+    q1, old_median, q3 = quartiles(old)
+    gap = statistics.median(new) - old_median
+    wins = sum(b < a for a, b in zip(old, new))
+    losses = sum(b > a for a, b in zip(old, new))
+    if 10 * wins >= 9 * len(old) and -gap > q3 - q1:
+        return "faster"
+    if 10 * losses >= 9 * len(old) and gap > q3 - q1:
+        return "slower"
+    return "unresolved"
+
+
 def _run(bench: Path, out: Path) -> dict[str, float]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
@@ -81,13 +106,16 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} done ({' then '.join(order)})", file=sys.stderr)
 
     cases = [c for c in runs["old"][0] if all(c in r for r in runs["old"] + runs["new"])]
-    print(f"{'case':45s} {'old ms':>10s} {'new ms':>10s} {'new/old':>8s} {'wins':>6s}")
+    quart = "q1 / median / q3 ms"
+    print(f"{'case':40s} {'old ' + quart:>30s} {'new ' + quart:>30s} {'new/old':>8s} {'wins':>6s}  verdict")
     for case in cases:
         old = [r[case] for r in runs["old"]]
         new = [r[case] for r in runs["new"]]
         wins = sum(b < a for a, b in zip(old, new))
-        mo, mn = statistics.median(old), statistics.median(new)
-        print(f"{case:45s} {1e3 * mo:10.4f} {1e3 * mn:10.4f} {mn / mo:8.3f} {wins:>3d}/{args.pairs}")
+        qo, qn = quartiles(old), quartiles(new)
+        spans = ["/".join(f"{1e3 * q:.4g}" for q in qs) for qs in (qo, qn)]
+        print(f"{case:40s} {spans[0]:>30s} {spans[1]:>30s} {qn[1] / qo[1]:8.3f} "
+              f"{wins:>3d}/{args.pairs}  {verdict(old, new)}")
     return 0
 
 

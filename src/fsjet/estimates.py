@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fekete import fs_mapping_many
+from .fekete import finite_params, fs_mapping_many
 from .jets import MappingJet
 from .sampling import sample_sphere
 from .transforms import OneDimJet
@@ -90,7 +90,9 @@ def sup_norm_fs(
     Multistart projected gradient ascent on the realified sphere; the
     ascent direction is the central finite-difference gradient of
     ||Psi_e||^2 projected to the tangent space.  Deterministic per seed.
+    A NaN or infinite lam or mu raises ``ValueError``.
     """
+    finite_params(lam, mu)
     if config is None:
         config = SupNormConfig()
     n = f.dim

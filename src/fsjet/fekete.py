@@ -9,6 +9,7 @@ equals 2 B[u, v].
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -33,9 +34,18 @@ def _inner(x: np.ndarray, e: np.ndarray) -> complex:
 def normalize_direction(e) -> np.ndarray:
     e = np.asarray(e, dtype=complex)
     norm = np.linalg.norm(e)
-    if abs(norm - 1.0) > E_NORM_TOL:
+    if not abs(norm - 1.0) <= E_NORM_TOL:  # also true for a NaN norm
         raise ValueError(f"direction must be a unit vector (norm {norm:.6g})")
     return e / norm
+
+
+def finite_params(lam, mu) -> tuple[complex, complex]:
+    """(lam, mu) as complex numbers; ValueError if either is NaN or infinite."""
+    lam, mu = complex(lam), complex(mu)
+    for name, z in (("lambda", lam), ("mu", mu)):
+        if not cmath.isfinite(z):
+            raise ValueError(f"{name} must be finite, got {z}")
+    return lam, mu
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,9 @@ class FSContext:
 
     def __post_init__(self):
         object.__setattr__(self, "e", normalize_direction(self.e))
-        object.__setattr__(self, "lam", complex(self.lam))
-        object.__setattr__(self, "mu", complex(self.mu))
+        lam, mu = finite_params(self.lam, self.mu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)

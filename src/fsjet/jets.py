@@ -9,20 +9,26 @@ from __future__ import annotations
 
 import operator
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import islice
+from operator import add
 from typing import Mapping
 
 import numpy as np
 
-from . import polyops
-from .polyops import ScalarPoly
 from .tensors import (
     DEFAULT_ATOL,
+    Exponent,
     HomPoly,
     _check_vector,
     layout,
 )
+
+# A jet component in monomial form: exponent tuple -> complex coefficient.
+# The substitution kernel of compose, invert and iterate works in this form.
+Monomials = dict[Exponent, complex]
 
 UNITARY_TOL = 1e-12
 
@@ -98,70 +104,123 @@ class MappingJet:
             out += P.eval_many(xs)
         return out
 
-    # -- monomial view ----------------------------------------------------
 
-    def components(self) -> list[ScalarPoly]:
-        n = self.dim
-        exps = layout(n, 1).exponents
-        blocks = [np.eye(n)]
-        for k, P in self.polys.items():
-            basis = layout(n, k)
-            exps += basis.exponents
-            blocks.append(P.entries * basis.multinomials[:, None])
-        columns = np.concatenate(blocks).T.tolist()
-        return [{e: c for e, c in zip(exps, col) if c} for col in columns]
+# -- substitution kernel ----------------------------------------------------
 
-    @classmethod
-    def from_components(
-        cls, comps: list[ScalarPoly], dim: int, order: int
-    ) -> "MappingJet":
-        """Rebuild a normalized jet; the degree-1 part must be the identity.
-        Terms above ``order`` are truncated."""
-        if len(comps) != dim:
-            raise ValueError(f"expected {dim} components, got {len(comps)}")
-        rows, offsets, low, low_tol = _monomial_rows(dim, order)
-        dense = []
-        for comp in comps:
-            row = [0j] * offsets[-1]
-            for e, c in comp.items():
-                r = rows.get(e)
-                if r is not None:
-                    row[r] = c
-                elif len(e) != dim or min(e) < 0:
-                    raise ValueError(f"monomial {e} is not one of {dim} variables")
-            dense.append(row)
-        values = np.array(dense, dtype=complex).T
-        off = np.abs(values[: dim + 1] - low) > low_tol
-        if off[1:].any():
-            raise ValueError("degree-1 part is not the identity")
-        if off[0].any():
-            raise ValueError("jet has a nonzero constant term")
-        polys = {
-            k: HomPoly._trusted(
-                k,
-                dim,
-                dim,
-                values[offsets[k] : offsets[k + 1]] / layout(dim, k).multinomials[:, None],
-            )
-            for k in range(2, order + 1)
-        }
-        return cls(dim, order, polys)
+
+def _monomials(f: MappingJet) -> list[Monomials]:
+    """The components of f in monomial form, the identity's terms first."""
+    n = f.dim
+    exps = layout(n, 1).exponents
+    blocks = [np.eye(n)]
+    for k, P in f.polys.items():
+        basis = layout(n, k)
+        exps += basis.exponents
+        blocks.append(P.entries * basis.multinomials[:, None])
+    columns = np.concatenate(blocks).T.tolist()
+    return [{e: c for e, c in zip(exps, col) if c} for col in columns]
+
+
+def _from_monomials(comps: list[Monomials], n: int, K: int) -> MappingJet:
+    """The order-K jet whose degree-2..K terms are those of ``comps``; the
+    kernel computes the identity's terms too, and they are not read."""
+    rows, offsets = _monomial_rows(n, K)
+    dense = []
+    for comp in comps:
+        row = [0j] * offsets[-1]
+        for e, c in comp.items():
+            r = rows.get(e)
+            if r is not None:
+                row[r] = c
+        dense.append(row)
+    values = np.array(dense, dtype=complex).T
+    polys = {
+        k: HomPoly._trusted(
+            k, n, n, values[offsets[k] : offsets[k + 1]] / layout(n, k).multinomials[:, None]
+        )
+        for k in range(2, K + 1)
+    }
+    return MappingJet(n, K, polys)
 
 
 @cache
-def _monomial_rows(dim: int, order: int):
-    """Row of each exponent of degree 0..order in one stack of the degree
-    blocks (degree k in rank order of ``layout(dim, k)``), the offset of
-    each block (degree k occupies rows offsets[k]:offsets[k + 1]), and the
-    normalized degree-0 and degree-1 rows with their tolerances."""
-    exps = [(0,) * dim]
-    offsets = [0, 1]
-    for k in range(1, order + 1):
-        exps.extend(layout(dim, k).exponents)
+def _monomial_rows(n: int, K: int):
+    """Row of each exponent of degree 2..K in one stack of the degree
+    blocks (degree k in rank order of ``layout(n, k)``), and the offset of
+    each block: degree k occupies rows offsets[k]:offsets[k + 1]."""
+    exps = []
+    offsets = [0, 0, 0]
+    for k in range(2, K + 1):
+        exps.extend(layout(n, k).exponents)
         offsets.append(len(exps))
-    low = np.vstack([np.zeros(dim), np.eye(dim)])
-    low_tol = np.array([[1e-12]] + [[1e-9]] * dim)
-    return {e: r for r, e in enumerate(exps)}, offsets, low, low_tol
+    return {e: r for r, e in enumerate(exps)}, offsets
+
+
+def _pmul(a: Monomials, b: Monomials, max_deg: int) -> Monomials:
+    """a * b truncated at total degree ``max_deg``.
+
+    b's terms are sorted by total degree once, keeping their order within
+    a degree, so each term of a multiplies only the prefix of b that fits
+    under ``max_deg`` with it: no pair is formed only to be dropped.
+    """
+    terms = sorted(b.items(), key=lambda t: sum(t[0]))
+    degrees = [sum(e) for e, _ in terms]
+    out: Monomials = {}
+    for ea, ca in a.items():
+        for eb, cb in islice(terms, bisect_right(degrees, max_deg - sum(ea))):
+            exps = tuple(map(add, ea, eb))
+            out[exps] = out.get(exps, 0.0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _power_table(g: list[Monomials], exponents, K: int) -> dict[Exponent, Monomials]:
+    """g^a = prod_i g_i^(a_i), truncated at total degree K, for each nonzero
+    exponent a in ``exponents``, where g is a jet in monomial form.
+
+    Each monomial multiplies its power factors g_i^p in turn.  A jet's g_i^p
+    starts at degree p, so each partial product is truncated at K minus the
+    degrees of the factors still to come, and keeps no term that cannot
+    survive.  The table depends only on g, so every map composed with the
+    same inner map g can share it.
+    """
+    exponents = list(exponents)
+    n = len(g)
+    # the powers of each component up to the largest exponent used
+    powers: list[list[Monomials]] = []
+    for i in range(n):
+        row = [{(0,) * n: 1.0 + 0.0j}]
+        for _ in range(max((e[i] for e in exponents), default=0)):
+            row.append(_pmul(row[-1], g[i], K))
+        powers.append(row)
+
+    table: dict[Exponent, Monomials] = {}
+    for exps in exponents:
+        factors = [(powers[i][p], p) for i, p in enumerate(exps) if p]
+        term, first = factors[0]
+        later = sum(exps) - first
+        for fac, p in factors[1:]:
+            later -= p
+            term = _pmul(term, fac, K - later)
+        table[exps] = term
+    return table
+
+
+def _combine(f: list[Monomials], table: dict[Exponent, Monomials]) -> list[Monomials]:
+    """Components of sum_a f_a g^a: each monomial of f scales the power of g
+    that ``table`` holds for its exponent.  Every exponent of f must be in
+    ``table``."""
+    out: list[Monomials] = []
+    for comp in f:
+        acc: Monomials = {}
+        for exps, c in comp.items():
+            for e, v in table[exps].items():
+                acc[e] = acc.get(e, 0.0) + c * v
+        # exact zeros only; callers clean up with their own tolerance
+        out.append({e: v for e, v in acc.items() if v != 0})
+    return out
+
+
+# -- jet algebra ------------------------------------------------------------
 
 
 def compose(f: MappingJet, g: MappingJet) -> MappingJet:
@@ -169,8 +228,9 @@ def compose(f: MappingJet, g: MappingJet) -> MappingJet:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     order = min(f.order, g.order)
-    comps = polyops.substitute(f.components(), g.components(), order)
-    return MappingJet.from_components(comps, f.dim, order)
+    F = _monomials(f)
+    table = _power_table(_monomials(g), {e for comp in F for e in comp}, order)
+    return _from_monomials(_combine(F, table), f.dim, order)
 
 
 def invert(f: MappingJet) -> MappingJet:
@@ -191,26 +251,24 @@ def invert(f: MappingJet) -> MappingJet:
     n, K = f.dim, f.order
     if K < 2:
         return MappingJet.identity(n, K)
-    F = f.components()
+    F = _monomials(f)
     exponents = [e for j in range(2, K) for e in layout(n, j).exponents]
     by_degree = {k: {a: {} for a in exponents} for k in range(2, K + 1)}
-    for a, power in polyops.power_table(F, exponents, K).items():
+    for a, power in _power_table(F, exponents, K).items():
         j = sum(a)
         for e, v in power.items():
             k = sum(e)
             if k > j:
                 by_degree[k][a][e] = v
-    G: list[ScalarPoly] = [{} for _ in range(n)]
+    G: list[Monomials] = [{} for _ in range(n)]
     for k in range(2, K + 1):
-        lower = polyops.combine(G, by_degree[k])
+        lower = _combine(G, by_degree[k])
         for Gi, Fi, Li in zip(G, F, lower):
             for e in layout(n, k).exponents:
                 v = -(Fi.get(e, 0.0) + Li.get(e, 0.0))
                 if v:
                     Gi[e] = v
-    for i, Gi in enumerate(G):
-        Gi[tuple(int(j == i) for j in range(n))] = 1.0
-    return MappingJet.from_components(G, n, K)
+    return _from_monomials(G, n, K)
 
 
 def iterate(f: MappingJet, m: int) -> MappingJet:
@@ -237,22 +295,22 @@ def iterate(f: MappingJet, m: int) -> MappingJet:
     if m < 0:
         return iterate(invert(f), -m)
     n, K = f.dim, f.order
-    inner = f.components()
-    table: dict[polyops.Exponent, ScalarPoly] = {}
+    inner = _monomials(f)
+    table: dict[Exponent, Monomials] = {}
 
-    def after_f(comps: list[ScalarPoly]) -> MappingJet:
+    def after_f(comps: list[Monomials]) -> MappingJet:
         # the first call builds f's table; a sparse f's composites can
         # then use exponents that f does not
         missing = {e for comp in comps for e in comp} - table.keys()
         if missing:
-            table.update(polyops.power_table(inner, missing, K))
-        return MappingJet.from_components(polyops.combine(comps, table), n, K)
+            table.update(_power_table(inner, missing, K))
+        return _from_monomials(_combine(comps, table), n, K)
 
     out = f
     for i, bit in enumerate(bin(m)[3:]):
         out = compose(out, out) if i else after_f(inner)
         if bit == "1":
-            out = after_f(out.components())
+            out = after_f(_monomials(out))
     return out
 
 

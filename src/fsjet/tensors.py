@@ -24,6 +24,10 @@ MultiIndex = tuple[int, ...]
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-10
 EVAL_BLOCK_ROWS = 1024
+# the most rows x max(dim, degree) a basis may have: that bounds both the
+# (rows, dim) entries of a C^n -> C^n polynomial and the basis's own
+# (rows, degree) index arrays, at a few MB each
+LAYOUT_BUDGET = 1 << 18
 
 
 def exponents_to_multi_index(exps: Exponent) -> MultiIndex:
@@ -95,9 +99,22 @@ class Layout:
         return _frozen(np.stack(drop, axis=1))
 
 
+def check_layout_size(n: int, k: int) -> None:
+    """ValueError unless the degree-k basis over C^n fits ``LAYOUT_BUDGET``;
+    counted, not enumerated."""
+    rows = math.comb(n + k - 1, k)
+    if rows * max(n, k) > LAYOUT_BUDGET:
+        raise ValueError(
+            f"the degree-{k} basis over C^{n} has {rows} rows, over the size "
+            f"budget: rows x max(dim, degree) must be at most {LAYOUT_BUDGET}"
+        )
+
+
 @cache
 def layout(n: int, k: int) -> Layout:
-    """The basis of degree-k symmetric tensors over C^n, built once."""
+    """The basis of degree-k symmetric tensors over C^n, built once.  A
+    basis over ``LAYOUT_BUDGET`` raises ValueError before it is built."""
+    check_layout_size(n, k)
     idx = np.array(
         list(itertools.combinations_with_replacement(range(n), k)), dtype=np.intp
     ).reshape(-1, k)
@@ -220,12 +237,6 @@ class HomPoly:
         indices = layout(self.domain_dim, self.degree).indices
         rows = np.flatnonzero(self.entries.any(axis=1)).tolist()
         return MappingProxyType({indices[r]: self.entries[r] for r in rows})
-
-    def to_monomials(self) -> dict[Exponent, np.ndarray]:
-        basis = layout(self.domain_dim, self.degree)
-        values = self.entries * basis.multinomials[:, None]
-        rows = np.flatnonzero(values.any(axis=1)).tolist()
-        return {basis.exponents[r]: values[r] for r in rows}
 
     # -- algebra ----------------------------------------------------------
 

@@ -37,7 +37,7 @@ from .semigroup import (
     semigroup_jet,
     starlike_from_generator,
 )
-from .tensors import ScalarHomPoly, layout, polarization_check
+from .tensors import ScalarHomPoly, check_layout_size, layout, polarization_check
 from .transforms import OneDimJet, detect_onedim, koebe_onedim, root_transform
 
 ITERATE_RANGE = (-3, -2, -1, 1, 2, 3)
@@ -193,12 +193,17 @@ def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     return [_report("unitary/psi-conjugation", 1e-11, seed, _run(trial, trials, seed, 4, dims))]
 
 
+ROOT_ORDERS = (2, 3)
+# the root suite's order-(2n+1) jets have the highest degree of any suite
+SUITE_MAX_DEGREE = 2 * max(ROOT_ORDERS) + 1
+
+
 def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     def trial(rng, n):
         od = random_onedim_jet(n, 3, rng)
         f = od.to_mapping_jet()
         e = sample_sphere(rng, 1, n)[0]
-        for nroot in (2, 3):
+        for nroot in ROOT_ORDERS:
             g = root_transform(od, nroot, e)
             for k in g.polys:
                 if (k - 1) % nroot != 0:
@@ -407,8 +412,8 @@ DEFAULT_TRIALS = {
 
 
 class SuiteArgumentError(ValueError):
-    """A dimension below 1, a negative seed or a negative trial count given
-    to ``run_suite``."""
+    """A dimension below 1 or over the size budget, a negative seed or a
+    negative trial count given to ``run_suite``."""
 
 
 def run_suite(
@@ -420,12 +425,17 @@ def run_suite(
 ) -> list[Report]:
     """Run one named suite (or "all"); returns one Report per check.
 
-    A dimension below 1 in ``dims``, a negative ``seed`` or a negative
-    ``trials`` raises ``SuiteArgumentError``, a ``ValueError``, before any
-    suite runs."""
+    A dimension below 1 in ``dims``, or one whose degree-``SUITE_MAX_DEGREE``
+    basis is over ``tensors.LAYOUT_BUDGET``, a negative ``seed`` or a
+    negative ``trials`` raises ``SuiteArgumentError``, a ``ValueError``,
+    before any suite runs."""
     for d in dims or ():
         if d < 1:
             raise SuiteArgumentError(f"dimension {d} is not positive")
+        try:
+            check_layout_size(d, SUITE_MAX_DEGREE)
+        except ValueError as exc:
+            raise SuiteArgumentError(f"dimension {d} is too large: {exc}") from None
     if seed < 0:
         raise SuiteArgumentError(f"seed {seed} is negative")
     if trials is not None and trials < 0:

@@ -1,6 +1,7 @@
 """CLI behavior: parsing, output formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -207,6 +208,28 @@ def test_compute_a_degree_2000_block(runner, tmp_path):
     result = runner.invoke(main, ["compute", str(path), "-e", "1", "--lam", "0", "--mu", "0"])
     assert result.exit_code == 0, result.output
     assert "psi_vector=0+0i" in result.output
+
+
+def _invoke_timed(runner, args):
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    return result, time.perf_counter() - start
+
+
+def test_over_budget_inputs_exit_2_within_a_second(runner, koebe_spec, tmp_path):
+    # each would otherwise enumerate a basis of 5e11 rows, build a
+    # degree-10^6 basis, or ask for a 500,500 x 1000 complex array
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"dim": 1000000, "order": 3, "polys": [{"degree": 2}]}))
+    for args in (
+        ["compute", str(wide), "-e", "1"],
+        ["transform", koebe_spec, "--op", "root:1000000"],
+        ["verify", "all", "--dims", "1000"],
+    ):
+        result, seconds = _invoke_timed(runner, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert "size budget" in result.output, args
+        assert seconds < 1.0, (args, seconds)
 
 
 def test_transform_semigroup(runner, tmp_path):

@@ -132,3 +132,11 @@ def test_sup_modulus_rejects_no_samples():
             estimate_sup_modulus(od.s_eval, dim=2, samples=samples)
         with pytest.raises(ValueError, match="samples must be positive"):
             check_bounded_onedim_bound(od, od.s_eval, lam=0.4, samples=samples)
+
+
+@pytest.mark.parametrize("lam,mu", [(np.nan, 0.5), (0.5, np.inf), (complex(np.nan, 1.0), 0.0)])
+def test_sup_norm_rejects_a_non_finite_parameter(lam, mu):
+    # a NaN parameter used to give (0.0, e_1), as if it were the supremum
+    f = random_jet(2, 3, np.random.default_rng(7))
+    with pytest.raises(ValueError, match="must be finite"):
+        sup_norm_fs(f, lam, mu, SupNormConfig(starts=2, steps=1))

@@ -15,6 +15,7 @@ from fsjet.fekete import (
     fs_mapping_many,
     fs_operator_variant,
     fs_scalar,
+    normalize_direction,
     operator_norm_bilinear,
 )
 from fsjet.gallery import example_gallery
@@ -31,6 +32,23 @@ def test_context_normalizes_direction():
     assert abs(np.linalg.norm(ctx.e) - 1.0) < 1e-14
     with pytest.raises(ValueError):
         FSContext(np.array([2.0, 0.0]), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_direction_is_rejected(bad):
+    with pytest.raises(ValueError, match="unit vector"):
+        normalize_direction(np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="unit vector"):
+        FSContext(np.array([1.0, bad]), 0.5, 0.25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_context_rejects_a_non_finite_parameter(bad):
+    e = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        FSContext(e, bad, 0.25)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        FSContext(e, 0.5, bad)
 
 
 def test_koebe_scalar_value():

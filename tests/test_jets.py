@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from fsjet import polyops
+from fsjet import jets
 from fsjet.jets import (
     MappingJet,
     compose,
@@ -168,13 +168,13 @@ def test_invert_and_iterate_of_a_projective_map_have_closed_forms(n, K, counts):
 def _count_tables(monkeypatch):
     """The truncation order of every power table built from now on."""
     orders = []
-    real = polyops.power_table
+    real = jets._power_table
 
     def counting(g, exponents, max_deg):
         orders.append(max_deg)
         return real(g, exponents, max_deg)
 
-    monkeypatch.setattr(polyops, "power_table", counting)
+    monkeypatch.setattr(jets, "_power_table", counting)
     return orders
 
 
@@ -261,20 +261,10 @@ def test_linear_conjugate_diagonal():
     assert abs(g.poly(3).eval(one)[0] - 3.0 * 0.25) < 1e-13
 
 
-def test_from_components_validates_normalization():
-    # degree-1 part must be the identity and constant term must vanish
-    comps = [{(1, 0): 2.0 + 0j}, {(0, 1): 1.0 + 0j}]
-    with pytest.raises(ValueError):
-        MappingJet.from_components(comps, 2, 3)
-    comps = [{(1, 0): 1.0 + 0j, (0, 0): 0.1 + 0j}, {(0, 1): 1.0 + 0j}]
-    with pytest.raises(ValueError):
-        MappingJet.from_components(comps, 2, 3)
-
-
 def test_components_round_trip():
     rng = np.random.default_rng(27)
     f = random_jet(3, 4, rng)
-    g = MappingJet.from_components(f.components(), f.dim, f.order)
+    g = jets._from_monomials(jets._monomials(f), f.dim, f.order)
     assert f.allclose(g, atol=1e-14)
 
 
@@ -350,19 +340,6 @@ def test_iterate_of_a_sparse_jet_against_cauchy_oracle():
             tol = 1e-10 * (1.0 + np.abs(want).max())
             assert np.abs(coef[1 : K + 1] - want).max() <= tol, m
             assert np.abs(coef[0]).max() <= tol, m
-
-
-def test_from_components_truncates_and_rejects_malformed_exponents():
-    comps = [{(1, 0): 1.0 + 0j, (4, 0): 5.0 + 0j}, {(0, 1): 1.0 + 0j, (2, 0): 0.5 + 0j}]
-    f = MappingJet.from_components(comps, 2, 3)
-    assert list(f.polys) == [2]
-    monos = f.poly(2).to_monomials()
-    assert list(monos) == [(2, 0)] and np.array_equal(monos[(2, 0)], [0.0, 0.5])
-    for bad in ((1, 0, 0), (3, -1)):
-        with pytest.raises(ValueError, match="monomial"):
-            MappingJet.from_components([{(1, 0): 1.0, bad: 1.0}, {(0, 1): 1.0}], 2, 3)
-    with pytest.raises(ValueError, match="components"):
-        MappingJet.from_components(comps[:1], 2, 3)
 
 
 def test_nan_entry_is_not_dropped_at_jet_level():

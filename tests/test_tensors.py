@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fsjet.tensors import (
+    LAYOUT_BUDGET,
     HomPoly,
     ScalarHomPoly,
     basis_coefficients,
@@ -50,10 +51,17 @@ def test_validation_rejects_bad_indices():
         HomPoly(2, 2, 2, {(1, 1): np.ones(3)})  # wrong codomain
 
 
+def _monomial_coefficients(P):
+    """The coefficient of every monomial of P's basis: the entries times
+    their multinomial counts, keyed by exponent."""
+    basis = layout(P.domain_dim, P.degree)
+    return dict(zip(basis.exponents, P.entries * basis.multinomials[:, None]))
+
+
 def test_from_monomials_round_trip():
     rng = np.random.default_rng(4)
     P = _random_hompoly(rng, 3, 2, 2)
-    Q = HomPoly.from_monomials(3, 2, 2, P.to_monomials())
+    Q = HomPoly.from_monomials(3, 2, 2, _monomial_coefficients(P))
     assert P.allclose(Q, atol=0.0, rtol=1e-15)
 
 
@@ -143,7 +151,7 @@ def test_scalar_hompoly():
     expect = 3.0 * x[0] ** 2 - 1.0j * x[0] * x[1]
     assert abs(p.eval_scalar(x) - expect) < 1e-13
     assert p.codomain_dim == 1
-    monos = {e: complex(v[0]) for e, v in p.to_monomials().items()}
+    monos = {e: complex(v[0]) for e, v in _monomial_coefficients(p).items() if v.any()}
     assert monos == {(2, 0): 3.0 + 0j, (1, 1): -1.0j}
 
 
@@ -311,7 +319,7 @@ def test_arithmetic_outputs_pass_public_validation():
         "add": P + Q,
         "add cancelling": P + P.scale(-1.0),
         "slot_product": slot_product(B.dense(), B),
-        "from_monomials": HomPoly.from_monomials(3, 3, 3, P.to_monomials()),
+        "from_monomials": HomPoly.from_monomials(3, 3, 3, _monomial_coefficients(P)),
         "linear_conjugate 2": conj.poly(2),
         "linear_conjugate 3": conj.poly(3),
     }
@@ -459,3 +467,20 @@ def test_drop_rank_is_exact_past_int64_codes():
     basis, lower = layout(2, 66), layout(2, 65)
     want = [[lower.rank[idx[:s] + idx[s + 1 :]] for s in range(66)] for idx in basis.indices]
     assert basis.drop_rank.tolist() == want
+
+
+@pytest.mark.parametrize("n,k", [(1000000, 2), (81, 2), (1, 1000000), (1, LAYOUT_BUDGET + 1)])
+def test_layout_over_the_size_budget_is_refused_before_it_is_built(n, k):
+    # a wide basis (rows x dim) and a long one (rows x degree), counted
+    # without enumerating: 5e11 rows at (10^6, 2)
+    for build in (lambda: layout(n, k), lambda: HomPoly(k, n, n), lambda: HomPoly(k, n, 1)):
+        with pytest.raises(ValueError, match="size budget"):
+            build()
+
+
+@pytest.mark.parametrize("n,k", [(4, 7), (1, 2000), (1, 21), (3, 40), (2, 66), (80, 2)])
+def test_layout_within_the_size_budget_is_built(n, k):
+    # (80, 2) has 3,240 rows of 80 entries, just under the budget; (81, 2)
+    # above is just over it
+    assert len(layout(n, k).indices) * max(n, k) <= LAYOUT_BUDGET
+    assert len(layout(n, k).indices) == math.comb(n + k - 1, k)

@@ -73,6 +73,22 @@ def test_dims_below_one_are_rejected():
             run_suite("compose", trials=2, dims=dims)
 
 
+def test_dims_over_the_size_budget_are_rejected_before_any_suite(monkeypatch):
+    # the root suite builds degree-7 jets: at dim 12 that basis has 31,824
+    # rows of 12 entries, at dim 1000 the polarization suite alone would ask for a
+    # 500,500 x 1000 complex array
+    seen = []
+    monkeypatch.setitem(
+        verify._SUITES, "compose", lambda trials, seed, **kw: seen.append(kw) or []
+    )
+    for dims in ([1000], [2, 12]):
+        with pytest.raises(verify.SuiteArgumentError, match=f"dimension {dims[-1]} is too large"):
+            run_suite("all", trials=1, dims=dims)
+    assert seen == []
+    run_suite("compose", trials=1, dims=[11])
+    assert seen == [{"dims": (11,)}]
+
+
 def test_negative_seed_is_rejected_before_any_suite(monkeypatch):
     seen = []
     monkeypatch.setitem(
