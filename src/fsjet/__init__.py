@@ -11,10 +11,8 @@ from .fekete import (
     FSContext,
     FSValue,
     ell,
-    fs_error_term,
     fs_mapping,
     fs_mapping_many,
-    fs_operator_variant,
     fs_scalar,
     operator_norm_bilinear,
 )
@@ -42,7 +40,6 @@ from .specfile import MappingSpec, SpecFileError
 from .tensors import HomPoly, ScalarHomPoly, polarization_check
 from .transforms import (
     OneDimJet,
-    check_injectivity_sampled,
     detect_onedim,
     koebe_onedim,
     root_transform,
@@ -69,15 +66,12 @@ __all__ = [
     "SupNormConfig",
     "bounded_onedim_bound",
     "check_bounded_onedim_bound",
-    "check_injectivity_sampled",
     "compose",
     "detect_onedim",
     "ell",
     "example_gallery",
-    "fs_error_term",
     "fs_mapping",
     "fs_mapping_many",
-    "fs_operator_variant",
     "fs_scalar",
     "generator_from_starlike",
     "invert",

@@ -17,6 +17,8 @@ from .transforms import OneDimJet
 # the central-difference step of the gradient and the first ascent rate
 FD_STEP = 1e-6
 INIT_RATE = 0.1
+# the radius of the sphere on which estimate_sup_modulus samples s
+SUP_SAMPLE_RADIUS = 0.999
 
 
 @dataclass
@@ -149,9 +151,9 @@ def estimate_sup_modulus(
     dim: int,
     samples: int = 10_000,
     seed: int = 0,
-    radius: float = 0.999,
 ) -> float:
-    """max |s(x)| over boundary-adjacent samples; a falsifiable estimate.
+    """max |s(x)| over samples on the sphere of radius ``SUP_SAMPLE_RADIUS``,
+    next to the boundary; a falsifiable estimate.
 
     ``s`` is batched: it is called once on the (samples, dim) array of
     sample points and must return their (samples,) values.
@@ -159,7 +161,7 @@ def estimate_sup_modulus(
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
-    xs = radius * sample_sphere(rng, samples, dim)
+    xs = SUP_SAMPLE_RADIUS * sample_sphere(rng, samples, dim)
     vals = np.asarray(s(xs))
     if vals.shape != (samples,):
         raise ValueError(

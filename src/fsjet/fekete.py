@@ -1,5 +1,6 @@
-"""The Fekete-Szego mapping of a jet, its scalar variants, and the
-composition error term with its explicit bound.
+"""The Fekete-Szego mapping of a jet, its scalar variants, the composition
+defect R = Psi_e(f o g) - Psi_e(f) - Psi_e(g), and the operator norm of a
+bilinear tensor, which bounds R together with ``ell``.
 
 Conventions: the ambient space is C^n with the Euclidean inner product
 <x, y> = sum x_i conj(y_i), so the support functional at a unit vector e
@@ -99,30 +100,6 @@ def fs_scalar(f: MappingJet, e, lam: complex, variant: int = 1) -> complex:
         raise ValueError(f"unknown variant {variant!r}; expected 1..4")
     ctx = FSContext(e, lam, SCALAR_VARIANT_MU[variant])
     return fs_mapping(f, ctx).scalar_projection
-
-
-def fs_operator_variant(f: MappingJet, e, A: np.ndarray, lam: complex) -> complex:
-    """psi_e^A(f, lam) = a3A - (lam-1) a2A^2 - a22A for an n x n matrix A."""
-    e = normalize_direction(np.asarray(e, dtype=complex))
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (f.dim, f.dim) or e.shape != (f.dim,):
-        raise ValueError("dimension mismatch between jet, direction and operator")
-    B2 = f.poly(2)
-    T3 = f.poly(3)
-    Ae = A @ e
-    P2e = B2.eval(e)
-    P3e = T3.eval(e)
-    d2_e_Ae = 2.0 * B2.multilinear_eval([e, Ae])
-    d3_e2_Ae = 6.0 * T3.multilinear_eval([e, e, Ae])
-    a2 = _inner(d2_e_Ae - A @ P2e, e)
-    a3 = 0.25 * _inner(d3_e2_Ae - 2.0 * (A @ P3e), e)
-    # the quadratic correction; the inner evaluation point is read as e
-    a22 = 0.5 * _inner(
-        2.0 * B2.multilinear_eval([e, d2_e_Ae])
-        - 2.0 * B2.multilinear_eval([e, A @ P2e]),
-        e,
-    )
-    return a3 - (lam - 1.0) * a2**2 - a22
 
 
 class BilinearNormEstimate(NamedTuple):
@@ -342,24 +319,8 @@ def ell(lam: complex, mu: complex) -> float:
     return 2.0 * abs(lam - mu) + abs(mu) + abs(mu - 2.0)
 
 
-def fs_error_term(
-    f: MappingJet, g: MappingJet, ctx: FSContext, norm_seed: int = 0
-) -> tuple[np.ndarray, float]:
-    """Defect R of additivity of Psi under composition, with its bound.
-
-    R = Psi_e(f o g) - Psi_e(f) - Psi_e(g); the bound is ell(lam, mu) N_f N_g
-    where N_f is the operator norm of the degree-2 tensor, estimated with
-    seed ``norm_seed`` for f and ``norm_seed + 1`` for g.
-    """
-    R = _composition_defect(f, g, ctx)
-    nf, ng = operator_norm_bilinear(
-        [f.poly(2), g.poly(2)], seed=[norm_seed, norm_seed + 1]
-    )
-    return R, ell(ctx.lam, ctx.mu) * nf.value * ng.value
-
-
 def _composition_defect(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
-    """R = Psi_e(f o g) - Psi_e(f) - Psi_e(g)."""
+    """R = Psi_e(f o g) - Psi_e(f) - Psi_e(g), the one place R is formed."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     return (

@@ -31,6 +31,10 @@ from .tensors import (
 # points on which generator_shrink tests the generator inequality
 SAMPLE_SCALE = 0.25
 SHRINK_PROBE = 2048
+# flow_taylor_via_ode's circle of initial points z e: its radius, and its
+# number of nodes, which bounds the degrees it can extract
+FLOW_TAYLOR_RADIUS = 0.2
+FLOW_TAYLOR_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -201,21 +205,21 @@ def flow_taylor_via_ode(
     t,
     direction,
     degree,
-    radius: float = 0.2,
-    nodes: int = 16,
     step: float = 2e-3,
 ) -> np.ndarray:
     """Degree-k Taylor coefficient of z -> u_t(z e) extracted from the ODE.
 
     Since the flow is holomorphic in the initial point, the coefficient is
-    a Cauchy integral, evaluated by sampling on a circle of complex radii
-    (roots of unity) and averaging.  Independent oracle for semigroup_jet.
+    a Cauchy integral, evaluated by averaging over ``FLOW_TAYLOR_NODES``
+    points of the circle of radius ``FLOW_TAYLOR_RADIUS``.  Independent
+    oracle for semigroup_jet.
 
     ``t`` may be an increasing sequence of times and ``degree`` a sequence
     of degrees: one integration then serves every pair, and the result
     has shape (len(t), len(degree), n).  A scalar drops its axis, so
     scalar ``t`` and ``degree`` give the (n,) coefficient.  A degree must
-    satisfy 0 <= k < ``nodes``; others would alias and raise ``ValueError``.
+    satisfy 0 <= k < ``FLOW_TAYLOR_NODES``; others would alias and raise
+    ``ValueError``.
 
     ``h`` may also be a sequence of J generators of one dim and order,
     with ``direction`` a (J, n) array of one direction per generator.  One
@@ -239,6 +243,7 @@ def flow_taylor_via_ode(
     if es.shape != expected:
         raise ValueError(f"expected directions of shape {expected}, got {es.shape}")
     ks = [int(k) for k in np.ravel(degree)]
+    radius, nodes = FLOW_TAYLOR_RADIUS, FLOW_TAYLOR_NODES
     if any(not 0 <= k < nodes for k in ks):
         raise ValueError(f"degrees must lie in 0..{nodes - 1}, got {degree}")
     zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)

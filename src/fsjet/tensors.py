@@ -38,13 +38,14 @@ def exponents_to_multi_index(exps: Exponent) -> MultiIndex:
 
 
 def multinomial(idx: MultiIndex) -> int:
-    """Number of ordered arrangements of the multi-index."""
+    """Ordered arrangements of the multi-index, as a product of binomials."""
     counts: dict[int, int] = {}
     for i in idx:
         counts[i] = counts.get(i, 0) + 1
-    out = math.factorial(len(idx))
+    out, total = 1, 0
     for c in counts.values():
-        out //= math.factorial(c)
+        total += c
+        out *= math.comb(total, c)
     return out
 
 

@@ -1,18 +1,17 @@
-"""One-dimensional-type mappings: detection, the n-th root transform, and
-sampled injectivity checking."""
+"""One-dimensional-type mappings f(x) = s(x) x: their jets, detection in
+a mapping jet, and the n-th root transform."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
+from .fekete import normalize_direction
 from .jets import MappingJet
-from .reporting import Report
-from .sampling import sample_ball
 from .tensors import ScalarHomPoly, layout, monomials, slot_product
 
 
@@ -134,8 +133,6 @@ def root_transform(
     """
     if n < 2:
         raise ValueError(f"root order must be >= 2, got {n}")
-    from .fekete import normalize_direction
-
     e = normalize_direction(e)
     if e.shape != (f.dim,):
         raise ValueError("direction dimension does not match the jet")
@@ -162,42 +159,6 @@ def root_transform(
         )
         polys[n * m + 1] = slot_product(lift, Q)
     return MappingJet(f.dim, order, polys)
-
-
-def check_injectivity_sampled(
-    f: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    samples: int = 10_000,
-    seed: int = 0,
-    radius: float = 0.95,
-    collision_tol: float = 1e-9,
-    separation: float = 1e-3,
-) -> Report:
-    """Falsification test for injectivity on the ball of the given radius.
-
-    Draws sample pairs and reports any pair mapped (numerically) to the
-    same point, within ``collision_tol``, while being well separated.  The
-    residual is the number of such pairs, against tolerance 0.  PASS means
-    no collision was found, not a proof of univalence.
-    """
-    rng = np.random.default_rng(seed)
-    x1 = sample_ball(rng, samples, dim, radius)
-    x2 = sample_ball(rng, samples, dim, radius)
-    witnesses = []
-    for a, b in zip(x1, x2):
-        if np.linalg.norm(a - b) <= separation:
-            continue
-        gap = float(np.linalg.norm(f(a) - f(b)))
-        if gap < collision_tol:
-            witnesses.append({"x1": a.tolist(), "x2": b.tolist(), "gap": gap})
-    return Report(
-        suite="injectivity-sampled",
-        trials=samples,
-        seed=seed,
-        tolerance=0.0,
-        max_residual=len(witnesses),
-        witnesses=witnesses,
-    )
 
 
 def koebe_onedim(dim: int = 1, order: int = 3) -> OneDimJet:

@@ -242,12 +242,7 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         go = random_onedim_jet(n, 3, rng)
         f, g = fo.to_mapping_jet(), go.to_mapping_jet()
         e, lam, mu = _draw_point(rng, n)
-        ctx = FSContext(e, lam, mu)
-        R = (
-            fs_mapping(compose(f, g), ctx).vector
-            - fs_mapping(f, ctx).vector
-            - fs_mapping(g, ctx).vector
-        )
+        R = fekete._composition_defect(f, g, FSContext(e, lam, mu))
         expect = 2.0 * abs(1.0 - lam) * abs(
             fo.scalar_part(1).eval_scalar(e) * go.scalar_part(1).eval_scalar(e)
         )

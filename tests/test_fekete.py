@@ -1,5 +1,5 @@
-"""The Fekete-Szego mapping, scalar variants, operator variant, and the
-bilinear operator norm estimator."""
+"""The Fekete-Szego mapping, scalar variants, and the bilinear operator
+norm estimator."""
 
 import warnings
 
@@ -10,16 +10,14 @@ from fsjet.fekete import (
     NORM_BLOCK_CELLS,
     FSContext,
     ell,
-    fs_error_term,
     fs_mapping,
     fs_mapping_many,
-    fs_operator_variant,
     fs_scalar,
     normalize_direction,
     operator_norm_bilinear,
 )
 from fsjet.gallery import example_gallery
-from fsjet.jets import compose, random_jet
+from fsjet.jets import random_jet
 from fsjet.sampling import sample_sphere
 from fsjet.tensors import HomPoly
 from fsjet.transforms import koebe_onedim
@@ -145,43 +143,6 @@ def test_fs_scalar_variant_validation():
         fs_scalar(f, np.array([1.0, 0.0]), 0.0, variant=5)
 
 
-def test_operator_variant_identity_reduces_to_variant_two():
-    rng = np.random.default_rng(34)
-    for n in (2, 3):
-        f = random_jet(n, 3, rng)
-        e = sample_sphere(rng, 1, n)[0]
-        for lam in (0.0, 0.6 - 0.1j, 2.0):
-            got = fs_operator_variant(f, e, np.eye(n), lam)
-            expect = fs_scalar(f, e, lam, variant=2)
-            assert abs(got - expect) < 1e-12
-
-
-def test_operator_variant_dense_second_path():
-    # recompute every ingredient with dense einsum contractions
-    rng = np.random.default_rng(35)
-    f = random_jet(2, 3, rng)
-    e = sample_sphere(rng, 1, 2)[0]
-    A = np.array([[2.0, 0.3j], [0.0, 3.0]], dtype=complex)
-    lam = 0.4 + 0.2j
-    B = f.poly(2).dense()
-    T = f.poly(3).dense()
-    Ae = A @ e
-    P2e = np.einsum("abm,a,b->m", B, e, e)
-    P3e = np.einsum("abcm,a,b,c->m", T, e, e, e)
-    d2 = 2.0 * np.einsum("abm,a,b->m", B, e, Ae)
-    d3 = 6.0 * np.einsum("abcm,a,b,c->m", T, e, e, Ae)
-    a2 = np.vdot(e, d2 - A @ P2e)
-    a3 = 0.25 * np.vdot(e, d3 - 2.0 * (A @ P3e))
-    a22 = 0.5 * np.vdot(
-        e,
-        2.0 * np.einsum("abm,a,b->m", B, e, d2)
-        - 2.0 * np.einsum("abm,a,b->m", B, e, A @ P2e),
-    )
-    expect = a3 - (lam - 1.0) * a2**2 - a22
-    got = fs_operator_variant(f, e, A, lam)
-    assert abs(got - expect) < 1e-12
-
-
 def test_operator_norm_known_tensors():
     koebe = example_gallery("koebe1d").jet
     est = operator_norm_bilinear(koebe.poly(2))
@@ -215,22 +176,6 @@ def test_ell_values():
     assert abs(ell(1.0, 1.0) - 2.0) < 1e-15
     assert abs(ell(2.0, 0.0) - 6.0) < 1e-15
     assert abs(ell(1.0j, 0.0) - 4.0) < 1e-15
-
-
-def test_error_term_definition_and_bound():
-    rng = np.random.default_rng(37)
-    f = random_jet(2, 3, rng)
-    g = random_jet(2, 3, rng)
-    e = sample_sphere(rng, 1, 2)[0]
-    ctx = FSContext(e, 0.3 - 0.4j, 1.2)
-    R, bound = fs_error_term(f, g, ctx)
-    direct = (
-        fs_mapping(compose(f, g), ctx).vector
-        - fs_mapping(f, ctx).vector
-        - fs_mapping(g, ctx).vector
-    )
-    assert np.allclose(R, direct, atol=1e-13)
-    assert float(np.linalg.norm(R)) <= bound + 1e-9
 
 
 def _assert_unit_witness(B, est):

@@ -1,4 +1,5 @@
-"""The python examples of README.md run as written.
+"""README.md matches the code: its python examples run as written, and
+its table of key entry points names only what ``fsjet`` exports.
 
 The ```python blocks run in order in one namespace, as a reader would
 paste them into one interpreter, and every ``print(...)  # shown`` comment
@@ -9,6 +10,8 @@ import contextlib
 import io
 import re
 from pathlib import Path
+
+import fsjet
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +32,13 @@ def test_readme_python_blocks_run_in_order():
             shown = SHOWN.match(line)
             if shown:
                 assert shown.group(1).strip() in printed, (i + 1, line, printed)
+
+
+def test_key_entry_points_are_exported():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Key entry points:", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+    assert len(rows) >= 8 and len(names) >= 20
+    missing = [name for name in names if not hasattr(fsjet, name)]
+    assert not missing, missing

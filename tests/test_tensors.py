@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -446,6 +447,25 @@ def test_layout_counts_are_exact_past_int64_factorials(n, k):
     basis = layout(n, k)
     for count, exps in zip(basis.multinomials, basis.exponents):
         assert count == math.factorial(k) // math.prod(map(math.factorial, exps))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multinomial_matches_the_factorial_formula(n):
+    for k in range(1, 8):
+        basis = layout(n, k)
+        for r, (idx, exps) in enumerate(zip(basis.indices, basis.exponents)):
+            count = math.factorial(k) // math.prod(map(math.factorial, exps))
+            assert multinomial(idx) == count
+            assert basis.multinomials[r] == float(count)
+
+
+def test_one_row_layout_at_the_budget_edge_builds_within_a_second():
+    # the largest degree the budget allows over C^1: its one count is 1,
+    # which no factorial of the degree should be needed to find
+    start = time.perf_counter()
+    basis = layout.__wrapped__(1, LAYOUT_BUDGET)  # uncached
+    assert time.perf_counter() - start < 1.0
+    assert basis.multinomials.tolist() == [1.0]
 
 
 def test_layout_of_degree_2000_builds_no_lower_degree():

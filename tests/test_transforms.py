@@ -1,12 +1,10 @@
-"""One-dimensional-type jets, detection, the root transform, and the
-sampled injectivity check."""
+"""One-dimensional-type jets, detection, and the root transform."""
 
 import numpy as np
 import pytest
 
 from fsjet.transforms import (
     OneDimJet,
-    check_injectivity_sampled,
     detect_onedim,
     koebe_onedim,
     root_transform,
@@ -152,24 +150,6 @@ def test_root_transform_validation():
         root_transform(od, 1, np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         root_transform(od, 2, np.array([1.0 + 0j]), order=3)
-
-
-def test_injectivity_check_passes_for_univalent_map():
-    def f(x):
-        return x / (1.0 - x**2)
-
-    report = check_injectivity_sampled(f, dim=1, samples=2000, seed=1)
-    assert report.passed
-
-
-def test_injectivity_check_catches_collisions():
-    def collapse(x):
-        return np.zeros_like(x)
-
-    report = check_injectivity_sampled(collapse, dim=2, samples=500, seed=2)
-    assert not report.passed
-    assert report.witnesses
-    assert report.max_residual == len(report.witnesses) > report.tolerance
 
 
 def _detect_onedim_per_probe(f, tol=1e-9):

@@ -11,7 +11,6 @@ from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet
 from fsjet.semigroup import is_generator
 from fsjet.tensors import HomPoly
-from fsjet.transforms import check_injectivity_sampled
 from fsjet.verify import DEFAULT_TRIALS, SUITE_NAMES, run_suite
 
 
@@ -122,7 +121,7 @@ def test_negative_trials_are_rejected_before_any_suite(monkeypatch):
 
 def test_passed_is_derived_from_the_residual():
     # every report holds passed == (max_residual <= tolerance): the suites,
-    # the same after a tolerance override, and both sampled checks
+    # the same after a tolerance override, and the sampled generator check
     generator = example_gallery("example_5_6_generator").jet
     non_generator = MappingJet(
         1, 3, {2: HomPoly.from_monomials(2, 1, 1, {(2,): [-5.0]})}
@@ -132,8 +131,6 @@ def test_passed_is_derived_from_the_residual():
     reports += [
         is_generator(generator),
         is_generator(non_generator, seed=3),
-        check_injectivity_sampled(lambda x: x / (1.0 - x**2), dim=1, samples=200),
-        check_injectivity_sampled(np.zeros_like, dim=2, samples=200),
     ]
     assert {r.passed for r in reports} == {True, False}
     for r in reports:
