@@ -7,28 +7,24 @@ unitary conjugation all happen at the jet level with truncation at K.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
 from operator import add
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .tensors import (
     DEFAULT_ATOL,
-    Exponent,
+    LAYOUT_BUDGET,
     HomPoly,
     _check_vector,
     layout,
 )
-
-# A jet component in monomial form: exponent tuple -> complex coefficient.
-# The substitution kernel of compose, invert and iterate works in this form.
-Monomials = dict[Exponent, complex]
 
 UNITARY_TOL = 1e-12
 
@@ -108,32 +104,69 @@ class MappingJet:
 # -- substitution kernel ----------------------------------------------------
 
 
-def _monomials(f: MappingJet) -> list[Monomials]:
-    """The components of f in monomial form, the identity's terms first."""
+class _Graded(NamedTuple):
+    exponents: tuple[tuple[int, ...], ...]
+    degree: tuple[int, ...]
+    offsets: tuple[int, ...]
+    pairs: tuple[tuple[int, ...], ...]
+
+
+@cache
+def _graded(n: int, K: int) -> _Graded:
+    """The exponents of degrees 0..K over C^n and their truncated pair table.
+
+    Rank r is the r-th exponent, degree by degree and in the rank order of
+    ``layout(n, k)`` within degree k, so a rank does not depend on K.
+    Degree k occupies ranks offsets[k]:offsets[k + 1], and ``degree[r]``
+    is the degree of rank r.  ``pairs[a][b]`` is the rank of exponent
+    a + b, for every b below offsets[K - degree[a] + 1]: the ranks whose
+    sum with a stays within degree K.  The table holds C(2n + K, K) pairs,
+    counted before anything is built; over ``LAYOUT_BUDGET`` it raises
+    ValueError, as ``layout`` does.
+    """
+    count = math.comb(2 * n + K, K)
+    if count > LAYOUT_BUDGET:
+        raise ValueError(
+            f"the order-{K} pair table over C^{n} has {count} pairs, over the "
+            f"size budget: pairs must be at most {LAYOUT_BUDGET}"
+        )
+    exponents = [(0,) * n]
+    offsets = [0]
+    for k in range(1, K + 1):
+        offsets.append(len(exponents))
+        exponents += layout(n, k).exponents
+    offsets.append(len(exponents))
+    degree = tuple(k for k in range(K + 1) for _ in range(offsets[k], offsets[k + 1]))
+    rank = {e: r for r, e in enumerate(exponents)}
+    pairs = tuple(
+        tuple(rank[tuple(map(add, a, b))] for b in exponents[: offsets[K - d + 1]])
+        for a, d in zip(exponents, degree)
+    )
+    return _Graded(tuple(exponents), degree, tuple(offsets), pairs)
+
+
+def _terms(f: MappingJet, K: int) -> list[dict[int, complex]]:
+    """The components of f up to degree K, each a dict from rank in
+    ``_graded(f.dim, K)`` to monomial coefficient, in rank order: the
+    identity's terms, then each degree's entries times its multinomials."""
     n = f.dim
-    exps = layout(n, 1).exponents
-    blocks = [np.eye(n)]
+    offsets = _graded(n, K).offsets
+    stack = np.zeros((offsets[-1], n), dtype=complex)
+    stack[offsets[1] : offsets[2]] = np.eye(n)
     for k, P in f.polys.items():
-        basis = layout(n, k)
-        exps += basis.exponents
-        blocks.append(P.entries * basis.multinomials[:, None])
-    columns = np.concatenate(blocks).T.tolist()
-    return [{e: c for e, c in zip(exps, col) if c} for col in columns]
+        if k <= K:
+            stack[offsets[k] : offsets[k + 1]] = P.entries * layout(n, k).multinomials[:, None]
+    return [{r: c for r, c in enumerate(col) if c} for col in stack.T.tolist()]
 
 
-def _from_monomials(comps: list[Monomials], n: int, K: int) -> MappingJet:
+def _from_terms(comps: list[dict[int, complex]], n: int, K: int) -> MappingJet:
     """The order-K jet whose degree-2..K terms are those of ``comps``; the
     kernel computes the identity's terms too, and they are not read."""
-    rows, offsets = _monomial_rows(n, K)
-    dense = []
-    for comp in comps:
-        row = [0j] * offsets[-1]
-        for e, c in comp.items():
-            r = rows.get(e)
-            if r is not None:
-                row[r] = c
-        dense.append(row)
-    values = np.array(dense, dtype=complex).T
+    offsets = _graded(n, K).offsets
+    values = np.zeros((n, offsets[-1]), dtype=complex)
+    for row, comp in zip(values, comps):
+        row[list(comp)] = list(comp.values())
+    values = values.T
     polys = {
         k: HomPoly._trusted(
             k, n, n, values[offsets[k] : offsets[k + 1]] / layout(n, k).multinomials[:, None]
@@ -143,39 +176,42 @@ def _from_monomials(comps: list[Monomials], n: int, K: int) -> MappingJet:
     return MappingJet(n, K, polys)
 
 
-@cache
-def _monomial_rows(n: int, K: int):
-    """Row of each exponent of degree 2..K in one stack of the degree
-    blocks (degree k in rank order of ``layout(n, k)``), and the offset of
-    each block: degree k occupies rows offsets[k]:offsets[k + 1]."""
-    exps = []
-    offsets = [0, 0, 0]
-    for k in range(2, K + 1):
-        exps.extend(layout(n, k).exponents)
-        offsets.append(len(exps))
-    return {e: r for r, e in enumerate(exps)}, offsets
+def _pmul(
+    a: dict[int, complex], b: dict[int, complex], max_deg: int, graded: _Graded
+) -> dict[int, complex]:
+    """a * b truncated at total degree ``max_deg``, at most graded's K.
 
-
-def _pmul(a: Monomials, b: Monomials, max_deg: int) -> Monomials:
-    """a * b truncated at total degree ``max_deg``.
-
-    b's terms are sorted by total degree once, keeping their order within
-    a degree, so each term of a multiplies only the prefix of b that fits
-    under ``max_deg`` with it: no pair is formed only to be dropped.
+    b's terms are sorted by degree once, keeping their order within a
+    degree, so each term of a multiplies only the prefix of b that fits
+    under ``max_deg`` with it, and reads the rank of each product from its
+    pair row: no exponent is formed, and no pair is formed only to be
+    dropped.
     """
-    terms = sorted(b.items(), key=lambda t: sum(t[0]))
-    degrees = [sum(e) for e, _ in terms]
-    out: Monomials = {}
-    for ea, ca in a.items():
-        for eb, cb in islice(terms, bisect_right(degrees, max_deg - sum(ea))):
-            exps = tuple(map(add, ea, eb))
-            out[exps] = out.get(exps, 0.0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
+    degree, offsets, pairs = graded.degree, graded.offsets, graded.pairs
+    ranks = sorted(b, key=degree.__getitem__)
+    terms = list(zip(ranks, map(b.__getitem__, ranks)))
+    # fits[d]: the terms of b that fit under max_deg with a degree-d term,
+    # those of rank below offsets[max_deg - d + 1]; ranks grow with degree,
+    # so they are a prefix of ``terms`` and bisection finds its end
+    fits = [
+        terms[: bisect_left(ranks, offsets[max_deg - d + 1])] if d <= max_deg else []
+        for d in range(len(offsets) - 1)
+    ]
+    out: dict[int, complex] = {}
+    get = out.get
+    for ra, ca in a.items():
+        row = pairs[ra]
+        for rb, cb in fits[degree[ra]]:
+            r = row[rb]
+            out[r] = get(r, 0.0) + ca * cb
+    return {r: c for r, c in out.items() if c != 0}
 
 
-def _power_table(g: list[Monomials], exponents, K: int) -> dict[Exponent, Monomials]:
-    """g^a = prod_i g_i^(a_i), truncated at total degree K, for each nonzero
-    exponent a in ``exponents``, where g is a jet in monomial form.
+def _power_table(
+    g: list[dict[int, complex]], exponents, K: int
+) -> dict[int, dict[int, complex]]:
+    """g^a = prod_i g_i^(a_i), truncated at total degree K, for each rank a
+    in ``exponents`` (none of degree 0), where g is a jet's components.
 
     Each monomial multiplies its power factors g_i^p in turn.  A jet's g_i^p
     starts at degree p, so each partial product is truncated at K minus the
@@ -185,36 +221,41 @@ def _power_table(g: list[Monomials], exponents, K: int) -> dict[Exponent, Monomi
     """
     exponents = list(exponents)
     n = len(g)
+    graded = _graded(n, K)
+    exps_of = graded.exponents
     # the powers of each component up to the largest exponent used
-    powers: list[list[Monomials]] = []
+    powers: list[list[dict[int, complex]]] = []
     for i in range(n):
-        row = [{(0,) * n: 1.0 + 0.0j}]
-        for _ in range(max((e[i] for e in exponents), default=0)):
-            row.append(_pmul(row[-1], g[i], K))
+        row = [{0: 1.0 + 0.0j}]
+        for _ in range(max((exps_of[a][i] for a in exponents), default=0)):
+            row.append(_pmul(row[-1], g[i], K, graded))
         powers.append(row)
 
-    table: dict[Exponent, Monomials] = {}
-    for exps in exponents:
-        factors = [(powers[i][p], p) for i, p in enumerate(exps) if p]
+    table: dict[int, dict[int, complex]] = {}
+    for a in exponents:
+        factors = [(powers[i][p], p) for i, p in enumerate(exps_of[a]) if p]
         term, first = factors[0]
-        later = sum(exps) - first
+        later = graded.degree[a] - first
         for fac, p in factors[1:]:
             later -= p
-            term = _pmul(term, fac, K - later)
-        table[exps] = term
+            term = _pmul(term, fac, K - later, graded)
+        table[a] = term
     return table
 
 
-def _combine(f: list[Monomials], table: dict[Exponent, Monomials]) -> list[Monomials]:
-    """Components of sum_a f_a g^a: each monomial of f scales the power of g
-    that ``table`` holds for its exponent.  Every exponent of f must be in
+def _combine(
+    f: list[dict[int, complex]], table: dict[int, dict[int, complex]]
+) -> list[dict[int, complex]]:
+    """Components of sum_a f_a g^a: each term of f scales the power of g
+    that ``table`` holds for its rank.  Every rank of f must be in
     ``table``."""
-    out: list[Monomials] = []
+    out: list[dict[int, complex]] = []
     for comp in f:
-        acc: Monomials = {}
-        for exps, c in comp.items():
-            for e, v in table[exps].items():
-                acc[e] = acc.get(e, 0.0) + c * v
+        acc: dict[int, complex] = {}
+        get = acc.get
+        for a, c in comp.items():
+            for e, v in table[a].items():
+                acc[e] = get(e, 0.0) + c * v
         # exact zeros only; callers clean up with their own tolerance
         out.append({e: v for e, v in acc.items() if v != 0})
     return out
@@ -228,9 +269,9 @@ def compose(f: MappingJet, g: MappingJet) -> MappingJet:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     order = min(f.order, g.order)
-    F = _monomials(f)
-    table = _power_table(_monomials(g), {e for comp in F for e in comp}, order)
-    return _from_monomials(_combine(F, table), f.dim, order)
+    F = _terms(f, order)
+    table = _power_table(_terms(g, order), {a for comp in F for a in comp}, order)
+    return _from_terms(_combine(F, table), f.dim, order)
 
 
 def invert(f: MappingJet) -> MappingJet:
@@ -251,24 +292,26 @@ def invert(f: MappingJet) -> MappingJet:
     n, K = f.dim, f.order
     if K < 2:
         return MappingJet.identity(n, K)
-    F = _monomials(f)
-    exponents = [e for j in range(2, K) for e in layout(n, j).exponents]
+    F = _terms(f, K)
+    graded = _graded(n, K)
+    degree, offsets = graded.degree, graded.offsets
+    exponents = range(offsets[2], offsets[K])
     by_degree = {k: {a: {} for a in exponents} for k in range(2, K + 1)}
     for a, power in _power_table(F, exponents, K).items():
-        j = sum(a)
+        j = degree[a]
         for e, v in power.items():
-            k = sum(e)
+            k = degree[e]
             if k > j:
                 by_degree[k][a][e] = v
-    G: list[Monomials] = [{} for _ in range(n)]
+    G: list[dict[int, complex]] = [{} for _ in range(n)]
     for k in range(2, K + 1):
         lower = _combine(G, by_degree[k])
         for Gi, Fi, Li in zip(G, F, lower):
-            for e in layout(n, k).exponents:
+            for e in range(offsets[k], offsets[k + 1]):
                 v = -(Fi.get(e, 0.0) + Li.get(e, 0.0))
                 if v:
                     Gi[e] = v
-    return _from_monomials(G, n, K)
+    return _from_terms(G, n, K)
 
 
 def iterate(f: MappingJet, m: int) -> MappingJet:
@@ -295,22 +338,22 @@ def iterate(f: MappingJet, m: int) -> MappingJet:
     if m < 0:
         return iterate(invert(f), -m)
     n, K = f.dim, f.order
-    inner = _monomials(f)
-    table: dict[Exponent, Monomials] = {}
+    inner = _terms(f, K)
+    table: dict[int, dict[int, complex]] = {}
 
-    def after_f(comps: list[Monomials]) -> MappingJet:
+    def after_f(comps: list[dict[int, complex]]) -> MappingJet:
         # the first call builds f's table; a sparse f's composites can
         # then use exponents that f does not
         missing = {e for comp in comps for e in comp} - table.keys()
         if missing:
             table.update(_power_table(inner, missing, K))
-        return _from_monomials(_combine(comps, table), n, K)
+        return _from_terms(_combine(comps, table), n, K)
 
     out = f
     for i, bit in enumerate(bin(m)[3:]):
         out = compose(out, out) if i else after_f(inner)
         if bit == "1":
-            out = after_f(_monomials(out))
+            out = after_f(_terms(out, K))
     return out
 
 

@@ -197,17 +197,29 @@ def test_transform_root_past_degree_20(runner, koebe_spec):
     assert values[21] == [pytest.approx(3 / 25), 0.0]
 
 
+DEEP_SPEC = {
+    "dim": 1,
+    "order": 3000,
+    "polys": [{"degree": 2000, "entries": [{"index": [1] * 2000, "value": [[1.0, 0.0]]}]}],
+}
+
+
 def test_compute_a_degree_2000_block(runner, tmp_path):
-    spec = {
-        "dim": 1,
-        "order": 3000,
-        "polys": [{"degree": 2000, "entries": [{"index": [1] * 2000, "value": [[1.0, 0.0]]}]}],
-    }
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(DEEP_SPEC))
     result = runner.invoke(main, ["compute", str(path), "-e", "1", "--lam", "0", "--mu", "0"])
     assert result.exit_code == 0, result.output
     assert "psi_vector=0+0i" in result.output
+
+
+def test_invert_of_an_order_3000_spec_exits_2_within_a_second(runner, tmp_path):
+    # its pair table would hold C(3002, 3000) = 4,504,501 pairs
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(DEEP_SPEC))
+    result, seconds = _invoke_timed(runner, ["transform", str(path), "--op", "invert"])
+    assert result.exit_code == 2, result.output
+    assert "size budget" in result.output
+    assert seconds < 1.0, seconds
 
 
 def _invoke_timed(runner, args):

@@ -1,13 +1,75 @@
-"""Checks of the monomial substitution kernel of ``fsjet.jets`` (the
-private ``_pmul``, ``_power_table`` and ``_combine`` that ``compose``,
-``invert`` and ``iterate`` run on) against direct evaluation."""
+"""Checks of the substitution kernel of ``fsjet.jets`` (the private
+``_graded`` pair table and the ``_pmul``, ``_power_table`` and
+``_combine`` that ``compose``, ``invert`` and ``iterate`` run on) against
+brute-force exponent addition and direct evaluation.
+
+The kernel keys monomials by their rank in ``_graded(n, K)``; the checks
+write their polynomials as dicts from exponent tuple to coefficient and
+translate at the kernel's boundary."""
+
+import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
-from fsjet.jets import _combine, _monomials, _pmul, _power_table, random_jet
+from fsjet import jets
+from fsjet.jets import _combine, _graded, _pmul, _power_table, _terms, random_jet
 from fsjet.sampling import sample_sphere
-from fsjet.tensors import layout
+from fsjet.tensors import LAYOUT_BUDGET, layout
+
+
+def _ranked(a, graded):
+    """The exponent-keyed polynomial a keyed by rank in ``graded``."""
+    rank = {e: r for r, e in enumerate(graded.exponents)}
+    return {rank[e]: c for e, c in a.items()}
+
+
+def _exponents(a, graded):
+    """The rank-keyed polynomial a keyed by exponent."""
+    return {graded.exponents[r]: c for r, c in a.items()}
+
+
+@pytest.mark.parametrize("n,K", [(1, 6), (2, 7), (3, 6), (4, 5)])
+def test_pair_rows_match_brute_force_exponent_addition(n, K):
+    graded = _graded(n, K)
+    exps = graded.exponents
+    assert sorted(exps) == sorted(
+        e for e in itertools.product(range(K + 1), repeat=n) if sum(e) <= K
+    )
+    # degree-major, in the rank order of each degree's layout
+    offsets = graded.offsets
+    assert len(offsets) == K + 2 and offsets[0] == 0 and offsets[-1] == len(exps)
+    assert exps[offsets[0] : offsets[1]] == ((0,) * n,)
+    for k in range(1, K + 1):
+        assert exps[offsets[k] : offsets[k + 1]] == layout(n, k).exponents
+    assert graded.degree == tuple(sum(e) for e in exps)
+    for ea, row in zip(exps, graded.pairs):
+        # the row covers exactly the b with deg a + deg b <= K, a prefix
+        assert len(row) == sum(sum(ea) + sum(eb) <= K for eb in exps)
+        assert all(sum(ea) + sum(eb) > K for eb in exps[len(row) :])
+        assert [exps[r] for r in row] == [
+            tuple(x + y for x, y in zip(ea, eb)) for eb in exps[: len(row)]
+        ]
+    assert sum(map(len, graded.pairs)) == math.comb(2 * n + K, K)
+
+
+def test_pair_table_counts_against_the_size_budget(monkeypatch):
+    # C(2n + K, K) pairs, counted before anything is built: at n = 1 the
+    # budget admits K = 722 (261,726 pairs) and not K = 723 (262,450)
+    assert math.comb(2 + 722, 722) <= LAYOUT_BUDGET < math.comb(2 + 723, 723)
+    for n, K in [(1, 723), (1, 3000), (4, 40), (1000, 3)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="size budget"):
+            _graded(n, K)
+        assert time.perf_counter() - start < 1.0, (n, K)
+    # a table of exactly the budget builds, one over it does not; the
+    # uncached function, so that no table built earlier is returned
+    monkeypatch.setattr(jets, "LAYOUT_BUDGET", math.comb(2 * 2 + 9, 9))
+    assert sum(map(len, _graded.__wrapped__(2, 9).pairs)) == jets.LAYOUT_BUDGET
+    with pytest.raises(ValueError, match="size budget"):
+        _graded.__wrapped__(2, 10)
 
 
 def _peval(a, x):
@@ -30,7 +92,8 @@ def test_pmul_matches_pointwise_product():
     for _ in range(20):
         a = _random_poly(rng, 2, 3)
         b = _random_poly(rng, 2, 3)
-        c = _pmul(a, b, max_deg=6)
+        graded = _graded(2, 6)
+        c = _exponents(_pmul(_ranked(a, graded), _ranked(b, graded), 6, graded), graded)
         x = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         lhs = _peval(c, x)
         rhs = _peval(a, x) * _peval(b, x)
@@ -38,15 +101,23 @@ def test_pmul_matches_pointwise_product():
 
 
 def test_pmul_truncates_by_total_degree():
-    a = {(2, 0): 1.0 + 0j}
-    b = {(1, 1): 1.0 + 0j}
-    assert _pmul(a, b, max_deg=3) == {}
-    assert (3, 1) in _pmul(a, b, max_deg=4)
+    graded = _graded(2, 4)
+    a = _ranked({(2, 0): 1.0 + 0j}, graded)
+    b = _ranked({(1, 1): 1.0 + 0j}, graded)
+    assert _pmul(a, b, 3, graded) == {}
+    assert (3, 1) in _exponents(_pmul(a, b, 4, graded), graded)
 
 
 def _substitute(f, g, max_deg):
-    """f(g(x)) truncated at ``max_deg``, through a table of f's exponents."""
+    """f(g(x)) truncated at ``max_deg``, through a table of f's ranks."""
     return _combine(f, _power_table(g, {e for comp in f for e in comp}, max_deg))
+
+
+def _substitute_exponents(f, g, max_deg):
+    """``_substitute`` on exponent-keyed components over C^len(g)."""
+    graded = _graded(len(g), max_deg)
+    f, g = ([_ranked(c, graded) for c in comps] for comps in (f, g))
+    return [_exponents(c, graded) for c in _substitute(f, g, max_deg)]
 
 
 def test_substitute_matches_pointwise():
@@ -59,7 +130,7 @@ def test_substitute_matches_pointwise():
         {(1, 0): 0.4 + 0.1j, (0, 1): -0.2 + 0j},
         {(1, 0): 0.1j, (0, 1): 0.5 + 0j},
     ]
-    comp = _substitute(f, g, max_deg=4)
+    comp = _substitute_exponents(f, g, max_deg=4)
     x = np.array([0.3 + 0.1j, -0.2 + 0.2j])
     gx = np.array([_peval(c, x) for c in g])
     for fc, cc in zip(f, comp):
@@ -94,15 +165,18 @@ def _degree_part_at(a, k, e):
 def test_pmul_of_gapped_factors_matches_cauchy_oracle(max_deg):
     # b's degree groups have gaps, so the prefix of b that fits under
     # max_deg with a term of a can end between two groups; a * b has
-    # degree at most 10, so the FFT reads each of its degree parts exactly
+    # degree at most 10, so the FFT reads each of its degree parts exactly;
+    # the pair table reaches degree 10, above every max_deg
     rng = np.random.default_rng(40 + max_deg)
     for nvars in (1, 2, 3):
+        graded = _graded(nvars, 10)
         a = _gapped_poly(rng, nvars, [0, 1, 4])
         b = _gapped_poly(rng, nvars, [1, 3, 6])
         constant = {(0,) * nvars: 0.5 - 0.25j}
         e = sample_sphere(rng, 1, nvars)[0]
         for x, y in ((a, b), (b, a), (a, constant), (constant, b), (a, {}), ({}, b), ({}, {})):
-            got = _pmul(x, y, max_deg)
+            got = _pmul(_ranked(x, graded), _ranked(y, graded), max_deg, graded)
+            got = _exponents(got, graded)
             assert all(sum(t) <= max_deg for t in got)
             coef = _taylor_along(lambda p: _peval(x, p) * _peval(y, p), e)
             scale = 1.0 + np.abs(coef).max()
@@ -117,7 +191,8 @@ def test_substitute_of_compose_inputs_matches_cauchy_oracle(n, K):
     # degree K^2 < 64, read on |z| = 0.5 as in the jet-level oracle
     rng = np.random.default_rng(80 + 10 * n + K)
     f, g = random_jet(n, K, rng), random_jet(n, K, rng)
-    comp = _substitute(_monomials(f), _monomials(g), K)
+    graded = _graded(n, K)
+    comp = [_exponents(c, graded) for c in _substitute(_terms(f, K), _terms(g, K), K)]
     assert len(comp) == n
     assert all(sum(x) <= K for c in comp for x in c)
     for e in sample_sphere(rng, 2, n):
@@ -135,9 +210,10 @@ def test_a_shared_power_table_combines_like_substitute():
     # exponent alone, so every outer map combines bitwise as with a table
     # of its own exponents
     rng = np.random.default_rng(90)
-    g = _monomials(random_jet(3, 4, rng))
-    outers = [_monomials(random_jet(3, 4, rng)), [_gapped_poly(rng, 3, [1, 3])] * 3]
-    every = [e for k in range(1, 5) for e in layout(3, k).exponents]
+    graded = _graded(3, 4)
+    g = _terms(random_jet(3, 4, rng), 4)
+    outers = [_terms(random_jet(3, 4, rng), 4), [_ranked(_gapped_poly(rng, 3, [1, 3]), graded)] * 3]
+    every = list(range(graded.offsets[1], graded.offsets[5]))
     table = _power_table(g, every, 4)
     assert table.keys() == set(every)
     for f in outers:
