@@ -36,7 +36,7 @@ from .semigroup import (
     semigroup_ode,
     starlike_from_generator,
 )
-from .specfile import MappingSpec, SpecFileError
+from .specfile import SpecFileError
 from .tensors import HomPoly, ScalarHomPoly, polarization_check
 from .transforms import (
     OneDimJet,
@@ -57,7 +57,6 @@ __all__ = [
     "GalleryEntry",
     "HomPoly",
     "MappingJet",
-    "MappingSpec",
     "OneDimJet",
     "Report",
     "ScalarHomPoly",

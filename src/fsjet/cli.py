@@ -20,10 +20,10 @@ import numpy as np
 from . import specfile
 from .fekete import FSContext, fs_mapping, fs_scalar, normalize_direction
 from .gallery import GALLERY_NAMES, example_gallery
-from .jets import invert, iterate, unitary_conjugate
+from .jets import MappingJet, invert, iterate, unitary_conjugate
 from .semigroup import semigroup_jet
-from .specfile import MappingSpec, SpecFileError
-from .transforms import root_transform
+from .specfile import SpecFileError
+from .transforms import detect_onedim, root_transform
 from .verify import SUITE_NAMES, SuiteArgumentError, run_suite
 
 def parse_complex(text: str) -> complex:
@@ -71,21 +71,21 @@ COMPLEX = ComplexParam()
 _FILE_ERRORS = (OSError, UnicodeDecodeError, SpecFileError)
 
 
-def _load_spec(path: str) -> MappingSpec:
+def _load_spec(path: str) -> MappingJet:
     try:
         return specfile.load(path)
     except _FILE_ERRORS as exc:
         raise click.UsageError(f"cannot read spec {path}: {exc}")
 
 
-def _emit(spec: MappingSpec, output: str | None) -> None:
-    """Write SPEC to OUTPUT, or to stdout; nothing is written if it cannot
-    be serialized."""
+def _emit(jet: MappingJet, output: str | None) -> None:
+    """Write the spec of JET to OUTPUT, or to stdout; nothing is written if
+    it cannot be serialized."""
     try:
         if output:
-            specfile.save(spec, output)
+            specfile.save(jet, output)
         else:
-            click.echo(specfile.dumps(spec), nl=False)
+            click.echo(specfile.dumps(jet), nl=False)
     except _FILE_ERRORS as exc:
         raise click.UsageError(f"cannot write the result: {exc}")
 
@@ -124,13 +124,13 @@ def main():
               help="also print the scalar variant psi^(v)")
 def compute(spec_path, direction, lam, mu, variant):
     """Evaluate the Fekete-Szego mapping of the jet in SPEC_PATH."""
-    spec = _load_spec(spec_path)
-    e = _parse_direction(direction, spec.jet.dim)
-    value = fs_mapping(spec.jet, FSContext(e, lam, mu))
+    jet = _load_spec(spec_path)
+    e = _parse_direction(direction, jet.dim)
+    value = fs_mapping(jet, FSContext(e, lam, mu))
     click.echo(f"psi_vector={format_vector(value.vector)}")
     click.echo(f"psi_projection={format_complex(value.scalar_projection)}")
     if variant is not None:
-        val = fs_scalar(spec.jet, e, lam, variant)
+        val = fs_scalar(jet, e, lam, variant)
         click.echo(f"psi_variant_{variant}={format_complex(val)}")
 
 
@@ -175,46 +175,48 @@ _OP_RE = re.compile(r"^(?P<name>[a-z]+)(?::(?P<arg>.+))?$")
 @main.command()
 @click.argument("spec_path", type=click.Path())
 @click.option("--op", required=True,
-              help="root:N | invert | iterate:M | conjugate:MATRIX_PATH | semigroup:T")
+              help="root:N (jet of the form s(x) x) | invert | iterate:M | "
+                   "conjugate:MATRIX_PATH | semigroup:T")
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="write the transformed spec here instead of stdout")
 @click.option("-e", "--direction", default=None,
               help="unit direction for the root transform")
 def transform(spec_path, op, output, direction):
     """Apply a jet transform and emit the resulting mapping spec."""
-    spec = _load_spec(spec_path)
+    jet = _load_spec(spec_path)
     m = _OP_RE.match(op.strip())
     if not m:
         raise click.UsageError(f"cannot parse operation {op!r}")
     name, arg = m.group("name"), m.group("arg")
     try:
         if name == "invert":
-            result = invert(spec.jet)
+            result = invert(jet)
         elif name == "iterate":
             count = _op_arg(arg, int, "iterate needs an integer count, e.g. iterate:2")
-            result = iterate(spec.jet, count)
+            result = iterate(jet, count)
         elif name == "root":
             n = _op_arg(arg, int, "root needs an integer order, e.g. root:2")
-            if spec.onedim is None:
-                raise click.UsageError("root transform needs a spec with a onedim block")
+            onedim = detect_onedim(jet)
+            if onedim is None:
+                raise click.UsageError("root transform needs a jet of the form s(x) x")
             if direction is None:
-                e = np.zeros(spec.jet.dim, dtype=complex)
+                e = np.zeros(jet.dim, dtype=complex)
                 e[0] = 1.0
             else:
-                e = _parse_direction(direction, spec.jet.dim)
-            result = root_transform(spec.onedim, n, e)
+                e = _parse_direction(direction, jet.dim)
+            result = root_transform(onedim, n, e)
         elif name == "conjugate":
             if not arg:
                 raise click.UsageError("conjugate needs a matrix file, e.g. conjugate:U.json")
             try:
-                U = specfile.load_matrix(arg, spec.jet.dim)
+                U = specfile.load_matrix(arg, jet.dim)
             except _FILE_ERRORS as exc:
                 raise click.UsageError(f"cannot read unitary matrix from {arg}: {exc}")
-            result = unitary_conjugate(spec.jet, U)
+            result = unitary_conjugate(jet, U)
         elif name == "semigroup":
             t = _op_arg(arg, float, "semigroup needs a time, e.g. semigroup:0.5")
             # emitted as the normalized bracket; u_t = exp(-t) * bracket
-            result = semigroup_jet(spec.jet, t).bracket
+            result = semigroup_jet(jet, t).bracket
             click.echo(f"# semigroup scale factor exp(-t)={format_real(math.exp(-t))}", err=True)
         else:
             raise click.UsageError(
@@ -222,7 +224,7 @@ def transform(spec_path, op, output, direction):
             )
     except ValueError as exc:  # the transform rejects its arguments
         raise click.UsageError(str(exc))
-    _emit(MappingSpec(jet=result), output)
+    _emit(result, output)
 
 
 @main.command()
@@ -232,7 +234,7 @@ def gallery(name, output):
     """Emit the spec file of a named example mapping."""
     entry = example_gallery(name)
     click.echo(f"# {entry.description}", err=True)
-    _emit(MappingSpec(jet=entry.jet, onedim=entry.onedim), output)
+    _emit(entry.jet, output)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import numpy as np
 
 from .jets import MappingJet, unitary_conjugate
 from .tensors import HomPoly
-from .transforms import OneDimJet, koebe_onedim
+from .transforms import koebe_onedim
 
 
 @dataclass(frozen=True)
@@ -16,7 +16,6 @@ class GalleryEntry:
     name: str
     jet: MappingJet
     description: str
-    onedim: OneDimJet | None = None
     expected: dict = field(default_factory=dict)
 
 
@@ -50,30 +49,15 @@ def _example_5_7() -> MappingJet:
     return MappingJet(2, 3, {2: P2, 3: P3})
 
 
-def _koebe_jet(order: int = 3) -> MappingJet:
-    # z / (1 - z)^2 = z + 2 z^2 + 3 z^3 + ...
-    polys = {
-        k: HomPoly.from_monomials(k, 1, 1, {(k,): [float(k)]})
-        for k in range(2, order + 1)
-    }
-    return MappingJet(1, order, polys)
-
-
 def example_gallery(name: str) -> GalleryEntry:
     """Look up a named example jet; raises ValueError on unknown names."""
     if name == "identity":
-        return GalleryEntry(
-            name,
-            MappingJet.identity(2, 3),
-            "the identity of C^2",
-            onedim=OneDimJet(2, 3, {}),
-        )
+        return GalleryEntry(name, MappingJet.identity(2, 3), "the identity of C^2")
     if name == "koebe1d":
         return GalleryEntry(
             name,
-            _koebe_jet(),
+            koebe_onedim(1, 3).to_mapping_jet(),
             "order-3 jet of the Koebe function z/(1-z)^2",
-            onedim=koebe_onedim(dim=1, order=3),
             expected={"psi_scalar": "3 - 4*lambda"},
         )
     if name == "example_5_6":

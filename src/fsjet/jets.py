@@ -326,8 +326,9 @@ def iterate(f: MappingJet, m: int) -> MappingJet:
     at the full order (one for m = 2 and m = 3), plus ``invert``'s for
     negative m.  When f is sparse, a composite can use exponents f does
     not, and f's table grows by those entries when a composition with f
-    first needs them.  ``m`` must be an integer (anything
-    ``operator.index`` accepts), else ``TypeError``.
+    first needs them.  A power with a coefficient that is not finite
+    stays so, and is returned as soon as it appears.  ``m`` must be an
+    integer (anything ``operator.index`` accepts), else ``TypeError``.
     """
     try:
         m = operator.index(m)
@@ -351,6 +352,8 @@ def iterate(f: MappingJet, m: int) -> MappingJet:
 
     out = f
     for i, bit in enumerate(bin(m)[3:]):
+        if not math.isfinite(out.max_coeff()):
+            break
         out = compose(out, out) if i else after_f(inner)
         if bit == "1":
             out = after_f(_terms(out, K))

@@ -1,4 +1,4 @@
-"""Mapping spec files: JSON serialization of jets and scalar series.
+"""Mapping spec files: JSON serialization of mapping jets.
 
 Layout::
 
@@ -8,50 +8,36 @@ Layout::
       "polys": [
         {"degree": 2,
          "entries": [{"index": [1, 1], "value": [[-0.5, 0.0], [-0.5, 0.0]]}]}
-      ],
-      "onedim": {"polys": [
-        {"degree": 1, "entries": [{"index": [1], "value": [2.0, 0.0]}]}
-      ]}
+      ]
     }
 
 Indices are sorted 1-based multi-indices; complex numbers are [re, im]
 pairs.  Serialization is deterministic (sorted keys and entries).
 
 Reading raises ``SpecFileError``, naming the block and entry, unless the
-text is JSON (UTF-8 in a file) holding an object whose ``dim`` and
-``order`` are positive integers; ``polys`` and ``onedim.polys`` are lists
-of blocks, one per degree, with integer degrees in 2..order and
-1..order-1 (checked before any tensor is built); each entry has an integer
-``index`` list, unique in its block, and a ``value`` of ``dim`` pairs
-(``onedim``: one pair) of JSON numbers; and ``HomPoly`` accepts each index
-and finds each coefficient finite.  Writing refuses a non-finite value.
+text is JSON (UTF-8 in a file) holding an object with no keys but
+``dim``, ``order`` and ``polys``, whose ``dim`` and ``order`` are positive
+integers; ``polys`` is a list of blocks, one per degree, with integer
+degrees in 2..order (checked before any tensor is built); each entry has
+an integer ``index`` list, unique in its block, and a ``value`` of ``dim``
+pairs of JSON numbers; and ``HomPoly`` accepts each index and finds each
+coefficient finite.  Writing refuses a non-finite value.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .jets import MappingJet
-from .tensors import HomPoly, ScalarHomPoly
-from .transforms import OneDimJet
+from .tensors import HomPoly
 
 
 class SpecFileError(ValueError):
     """Raised when a mapping spec file does not parse or validate."""
-
-
-@dataclass(frozen=True)
-class MappingSpec:
-    """In-memory form of a spec file: a jet plus an optional scalar series."""
-
-    jet: MappingJet
-    onedim: OneDimJet | None = None
 
 
 def _pair(z: complex, where: str) -> list[float]:
@@ -91,21 +77,18 @@ def _complex_array(v, shape: tuple[int, ...], where: str) -> np.ndarray:
     return np.array([_complex_array(x, shape[1:], where) for x in v])
 
 
-def _read_blocks(blocks, where: str, degrees: range, shape: tuple[int, ...], make) -> dict:
-    """Decode a list of degree blocks whose entry values have SHAPE into
-    ``{degree: make(degree, coeffs)}``."""
+def _read_blocks(blocks, dim: int, order: int) -> dict[int, HomPoly]:
+    """Decode the ``polys`` list into ``{degree: HomPoly}``."""
     polys = {}
-    for block in _list(blocks, where):
+    for block in _list(blocks, "polys"):
         if not (isinstance(block, dict) and "degree" in block):
-            raise SpecFileError(f"{where}: every block needs a \"degree\"")
-        k = _integer(block["degree"], f"{where} degree")
-        if k not in degrees:
-            raise SpecFileError(
-                f"{where}: degree {k} outside {degrees.start}..{degrees.stop - 1}"
-            )
+            raise SpecFileError("polys: every block needs a \"degree\"")
+        k = _integer(block["degree"], "polys degree")
+        if not 2 <= k <= order:
+            raise SpecFileError(f"polys: degree {k} outside 2..{order}")
         if k in polys:
-            raise SpecFileError(f"{where}: two blocks of degree {k}")
-        here = f"{where} degree-{k}"
+            raise SpecFileError(f"polys: two blocks of degree {k}")
+        here = f"polys degree-{k}"
         coeffs = {}
         for entry in _list(block.get("entries", []), here):
             if not (isinstance(entry, dict) and "index" in entry and "value" in entry):
@@ -113,57 +96,32 @@ def _read_blocks(blocks, where: str, degrees: range, shape: tuple[int, ...], mak
             idx = tuple(_integer(i, f"{here} index") for i in _list(entry["index"], here))
             if idx in coeffs:
                 raise SpecFileError(f"{here}: index {list(idx)} appears twice")
-            value = _complex_array(entry["value"], shape, f"{here} entry {list(idx)}")
-            coeffs[idx] = value.reshape(-1)
+            coeffs[idx] = _complex_array(entry["value"], (dim,), f"{here} entry {list(idx)}")
         try:
-            polys[k] = make(k, coeffs)
+            polys[k] = HomPoly(k, dim, dim, coeffs)
         except ValueError as exc:
             raise SpecFileError(f"{here}: {exc}") from exc
     return polys
 
 
-def _write_blocks(polys: Mapping[int, HomPoly], where: str, scalar: bool) -> list[dict]:
-    """Inverse of ``_read_blocks``: a value is one pair if SCALAR, else a list."""
+def _write_blocks(polys: dict[int, HomPoly]) -> list[dict]:
+    """Inverse of ``_read_blocks``."""
     blocks = []
     for k in sorted(polys):
         entries = []
         for idx, vec in sorted(polys[k].coeffs.items()):
-            pairs = [_pair(z, f"{where} degree-{k} entry {list(idx)}") for z in vec]
-            entries.append({"index": list(idx), "value": pairs[0] if scalar else pairs})
+            pairs = [_pair(z, f"polys degree-{k} entry {list(idx)}") for z in vec]
+            entries.append({"index": list(idx), "value": pairs})
         blocks.append({"degree": k, "entries": entries})
     return blocks
 
 
-def spec_to_dict(spec: MappingSpec) -> dict:
-    jet, onedim = spec.jet, spec.onedim
-    out = {"dim": jet.dim, "order": jet.order,
-           "polys": _write_blocks(jet.polys, "polys", scalar=False)}
-    if onedim is not None:
-        scalar_polys = _write_blocks(onedim.scalar_polys, "onedim polys", scalar=True)
-        out["onedim"] = {"polys": scalar_polys}
-    return out
+def spec_to_dict(jet: MappingJet) -> dict:
+    return {"dim": jet.dim, "order": jet.order, "polys": _write_blocks(jet.polys)}
 
 
-def spec_from_dict(data: dict) -> MappingSpec:
-    dim = _integer(data.get("dim"), "dim")
-    order = _integer(data.get("order"), "order")
-    if dim < 1 or order < 1:
-        raise SpecFileError(f"dim and order must be positive, got {dim} and {order}")
-    polys = _read_blocks(data.get("polys", []), "polys", range(2, order + 1), (dim,),
-                         lambda k, coeffs: HomPoly(k, dim, dim, coeffs))
-    jet = MappingJet(dim, order, polys)
-    if "onedim" not in data:
-        return MappingSpec(jet=jet)
-    if not isinstance(data["onedim"], dict):
-        raise SpecFileError(f"onedim must be an object with \"polys\", got {data['onedim']!r}")
-    scalar_polys = _read_blocks(data["onedim"].get("polys", []), "onedim polys",
-                                range(1, order), (),
-                                lambda k, coeffs: ScalarHomPoly(k, dim, coeffs))
-    return MappingSpec(jet=jet, onedim=OneDimJet(dim, order, scalar_polys))
-
-
-def dumps(spec: MappingSpec) -> str:
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True, allow_nan=False) + "\n"
+def dumps(jet: MappingJet) -> str:
+    return json.dumps(spec_to_dict(jet), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse(text: str):
@@ -173,14 +131,21 @@ def _parse(text: str):
         raise SpecFileError(f"invalid JSON: {exc}") from exc
 
 
-def loads(text: str) -> MappingSpec:
+def loads(text: str) -> MappingJet:
     data = _parse(text)
     if not isinstance(data, dict):
         raise SpecFileError("top level of a spec file must be an object")
-    return spec_from_dict(data)
+    extra = sorted(data.keys() - {"dim", "order", "polys"})
+    if extra:
+        raise SpecFileError(f"unknown top-level key {extra[0]!r}; a spec holds only dim, order and polys")
+    dim = _integer(data.get("dim"), "dim")
+    order = _integer(data.get("order"), "order")
+    if dim < 1 or order < 1:
+        raise SpecFileError(f"dim and order must be positive, got {dim} and {order}")
+    return MappingJet(dim, order, _read_blocks(data.get("polys", []), dim, order))
 
 
-def load(path: str | Path) -> MappingSpec:
+def load(path: str | Path) -> MappingJet:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
@@ -189,5 +154,5 @@ def load_matrix(path: str | Path, n: int) -> np.ndarray:
     return _complex_array(_parse(Path(path).read_text(encoding="utf-8")), (n, n), "matrix")
 
 
-def save(spec: MappingSpec, path: str | Path) -> None:
-    Path(path).write_text(dumps(spec), encoding="utf-8")
+def save(jet: MappingJet, path: str | Path) -> None:
+    Path(path).write_text(dumps(jet), encoding="utf-8")

@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Mapping
 
 import numpy as np
 
 from .fekete import normalize_direction
 from .jets import MappingJet
-from .tensors import ScalarHomPoly, layout, monomials, slot_product
+from .tensors import HomPoly, ScalarHomPoly, layout, slot_product
+
+
+def _times_x(p: ScalarHomPoly) -> HomPoly:
+    """The mapping x -> p(x) x: slot_product with M[a] the row e_a."""
+    return slot_product(np.eye(p.domain_dim)[:, None, :], p)
 
 
 @dataclass(frozen=True)
@@ -56,56 +60,34 @@ class OneDimJet:
         return self.s_eval(x) * np.asarray(x, dtype=complex)
 
     def to_mapping_jet(self) -> MappingJet:
-        # with M[a] the row e_a, slot_product(M, p) is x -> p(x) x
-        lift = np.eye(self.dim)[:, None, :]
-        polys = {k + 1: slot_product(lift, p) for k, p in self.scalar_polys.items()}
+        polys = {k + 1: _times_x(p) for k, p in self.scalar_polys.items()}
         return MappingJet(self.dim, self.order, polys)
-
-
-@cache
-def _probe_directions(dim: int, extra: int = 16, seed: int = 2024) -> np.ndarray:
-    """2n canonical directions plus seeded random unit vectors; read-only,
-    built once per dimension."""
-    rng = np.random.default_rng(seed)
-    probes = []
-    for i in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        probes.append(v.copy())
-        v[i] = 1.0j
-        probes.append(v.copy())
-    for _ in range(extra):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        probes.append(v / np.linalg.norm(v))
-    probes = np.array(probes)
-    probes.flags.writeable = False
-    return probes
 
 
 def detect_onedim(f: MappingJet, tol: float = 1e-9) -> OneDimJet | None:
     """Factor each P_k as p_{k-1}(x) x if possible; None if not.
 
-    For every stored degree the scalar coefficient vector is solved by
-    least squares on a probe set, then the factorization residual is
-    verified on the same probes.
+    P_k(x)_i = p(x) x_i holds exactly when, for every i, the monomial
+    coefficient of x^(a+e_i) in component i equals that of x^a in p.  So
+    p is read as the mean over i of those coefficients, and a degree
+    factors when the lift p(x) x matches P_k to tol (1 + max|P_k|).
     """
-    probes = _probe_directions(f.dim)
+    n = f.dim
     scalar_polys: dict[int, ScalarHomPoly] = {}
     for k, P in sorted(f.polys.items()):
-        # unknowns: monomial coefficients of p_{k-1}; one row per probe
-        # and output component, monom(x) * x_i against P_k(x)_i
-        basis = layout(f.dim, k - 1)
-        monom_vals = monomials(probes, basis.cols)
-        A = (monom_vals[:, None, :] * probes[:, :, None]).reshape(-1, monom_vals.shape[1])
-        b = P.eval_many(probes).reshape(-1)
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        residual = np.max(np.abs(A @ coef - b))
-        if residual > tol * (1.0 + P.max_coeff()):
+        lower, upper = layout(n, k - 1), layout(n, k)
+        # rows[a, i]: the variables of a + e_i, sorted
+        rows = np.empty((len(lower.indices), n, k), dtype=np.intp)
+        rows[..., :-1] = lower.variables[:, None, :]
+        rows[..., -1] = np.arange(n)
+        ranks = upper.rank_of(np.sort(rows, axis=-1))
+        monos = P.entries[ranks, np.arange(n)] * upper.multinomials[ranks]
+        p = ScalarHomPoly._trusted(k - 1, n, 1, (monos.mean(axis=1) / lower.multinomials)[:, None])
+        # a NaN fails the comparison
+        if not np.abs(_times_x(p).entries - P.entries).max() <= tol * (1.0 + P.max_coeff()):
             return None
-        scalar_polys[k - 1] = ScalarHomPoly._trusted(
-            k - 1, f.dim, 1, (coef / basis.multinomials)[:, None]
-        )
-    return OneDimJet(f.dim, f.order, scalar_polys)
+        scalar_polys[k - 1] = p
+    return OneDimJet(n, f.order, scalar_polys)
 
 
 def _series_root(coeffs: list[complex], n: int, terms: int) -> list[complex]:
@@ -148,16 +130,15 @@ def root_transform(
     ]
     b = _series_root(a, n, max_m + 1)
     # b_m <x,e>^{nm} has the symmetric entries b_m prod_t conj(e_{i_t}),
-    # which vanish off the support of e; slot_product then multiplies by x
+    # which vanish off the support of e; _times_x then multiplies by x
     support = [i for i in range(1, f.dim + 1) if e[i - 1] != 0]
-    lift = np.eye(f.dim)[:, None, :]
     polys = {}
     for m in range(1, max_m + 1):
         idxs = itertools.combinations_with_replacement(support, n * m)
         Q = ScalarHomPoly(
             n * m, f.dim, {i: [b[m] * np.prod(np.conj(e[np.array(i) - 1]))] for i in idxs}
         )
-        polys[n * m + 1] = slot_product(lift, Q)
+        polys[n * m + 1] = _times_x(Q)
     return MappingJet(f.dim, order, polys)
 
 

@@ -186,6 +186,27 @@ def test_transform_root(runner, koebe_spec):
     assert degrees == {3, 5}
 
 
+def test_transform_root_of_the_inverse_koebe(runner, koebe_spec, tmp_path):
+    # root:N reads s from the jet: the inverse z - 2z^2 + 5z^3 has
+    # s = 1 - 2z + 5z^2, and z (1 - 2u + 5u^2)^(1/2) = z - u z + 2 u^2 z
+    inverse = tmp_path / "inverse.json"
+    result = runner.invoke(main, ["transform", koebe_spec, "--op", "invert", "-o", str(inverse)])
+    assert result.exit_code == 0
+    result = runner.invoke(main, ["transform", str(inverse), "--op", "root:2"])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.stdout)
+    values = {p["degree"]: p["entries"][0]["value"][0] for p in data["polys"]}
+    assert values == {3: [-1.0, 0.0], 5: [2.0, 0.0]}
+
+
+def test_transform_root_refuses_a_jet_not_of_the_form_s_x(runner, tmp_path):
+    spec = tmp_path / "f.json"
+    assert runner.invoke(main, ["gallery", "example_5_6", "-o", str(spec)]).exit_code == 0
+    result = runner.invoke(main, ["transform", str(spec), "--op", "root:2"])
+    assert result.exit_code == 2
+    assert "root transform needs a jet of the form s(x) x" in result.output
+
+
 def test_transform_root_past_degree_20(runner, koebe_spec):
     result = runner.invoke(main, ["transform", koebe_spec, "--op", "root:10", "-e", "1"])
     assert result.exit_code == 0, result.output
@@ -291,6 +312,18 @@ def test_transform_iterate_overflow_exits_2(runner, koebe_spec, tmp_path):
     assert result.exit_code == 2
     assert "polys degree-3 entry [1, 1, 1]" in result.output
     assert "not finite" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_transform_iterate_with_a_4001_digit_count_exits_2_within_a_second(runner, koebe_spec, tmp_path):
+    # powering stops at the first power that is not finite
+    out = tmp_path / "huge.json"
+    op = "iterate:1" + "0" * 4000
+    result, seconds = _invoke_timed(runner, ["transform", koebe_spec, "--op", op, "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "not finite" in result.output
+    assert seconds < 1.0, seconds
     assert not out.exists()
 
 

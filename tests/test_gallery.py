@@ -5,6 +5,7 @@ import pytest
 
 from fsjet.gallery import GALLERY_NAMES, ROTATION_UNITARY, example_gallery
 from fsjet.jets import unitarity_residual
+from fsjet.transforms import detect_onedim
 
 
 def test_all_names_resolve():
@@ -22,7 +23,7 @@ def test_unknown_name():
 def test_identity_entry():
     entry = example_gallery("identity")
     assert entry.jet.is_identity()
-    assert entry.onedim is not None
+    assert detect_onedim(entry.jet).scalar_polys == {}
 
 
 def test_koebe_jet_coefficients():

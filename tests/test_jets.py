@@ -24,6 +24,7 @@ from fsjet.jets import (
 )
 from fsjet.sampling import sample_sphere
 from fsjet.tensors import HomPoly, layout
+from fsjet.transforms import koebe_onedim
 
 
 def _homogeneous_part_pointwise(f, g, e, degree, nodes=32, radius=0.3):
@@ -32,14 +33,6 @@ def _homogeneous_part_pointwise(f, g, e, degree, nodes=32, radius=0.3):
     vals = np.array([f.eval(g.eval(z * e)) for z in zs])
     weights = np.exp(-2j * np.pi * degree * np.arange(nodes) / nodes)
     return (weights[:, None] * vals).sum(axis=0) / (nodes * radius**degree)
-
-
-def _koebe_jet(order=3):
-    polys = {
-        k: HomPoly.from_monomials(k, 1, 1, {(k,): [float(k)]})
-        for k in range(2, order + 1)
-    }
-    return MappingJet(1, order, polys)
 
 
 def test_identity_jet():
@@ -58,7 +51,7 @@ def test_rejects_out_of_range_degrees():
 
 
 def test_eval_warns_outside_ball():
-    f = _koebe_jet()
+    f = koebe_onedim().to_mapping_jet()
     with pytest.warns(UserWarning):
         f.eval(np.array([1.5 + 0j]))
 
@@ -102,7 +95,7 @@ def test_invert_round_trip():
 
 def test_invert_koebe_coefficients():
     # inverse of z + 2z^2 + 3z^3 is z - 2z^2 + 5z^3 + O(z^4)
-    g = invert(_koebe_jet())
+    g = invert(koebe_onedim().to_mapping_jet())
     one = np.array([1.0 + 0j])
     assert abs(g.poly(2).eval(one)[0] - (-2.0)) < 1e-13
     assert abs(g.poly(3).eval(one)[0] - 5.0) < 1e-13
@@ -253,7 +246,7 @@ def test_unitary_conjugate_rejects_non_finite(bad):
 
 def test_linear_conjugate_diagonal():
     # with A = D^{-1}, B = D the degree-k part picks up D^{k-1} on x1^k
-    f = _koebe_jet()
+    f = koebe_onedim().to_mapping_jet()
     D = np.array([[0.5 + 0j]])
     g = linear_conjugate(f, np.linalg.inv(D), D)
     one = np.array([1.0 + 0j])

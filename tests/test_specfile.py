@@ -10,43 +10,33 @@ from hypothesis import strategies as st
 from fsjet import specfile
 from fsjet.gallery import GALLERY_NAMES, example_gallery
 from fsjet.jets import random_jet
-from fsjet.specfile import MappingSpec, SpecFileError
+from fsjet.jets import MappingJet
+from fsjet.specfile import SpecFileError
 from fsjet.tensors import HomPoly
-from fsjet.transforms import koebe_onedim
-from fsjet.verify import random_onedim_jet
 
 
 def test_round_trip_exact():
     rng = np.random.default_rng(70)
     jet = random_jet(3, 4, rng)
-    od = random_onedim_jet(3, 4, rng)
-    spec = MappingSpec(jet=jet, onedim=od)
-    back = specfile.loads(specfile.dumps(spec))
+    back = specfile.loads(specfile.dumps(jet))
     # serialization stores the raw floats, so the round trip is exact
-    for k in set(jet.polys) | set(back.jet.polys):
-        a, b = jet.poly(k).coeffs, back.jet.poly(k).coeffs
+    for k in set(jet.polys) | set(back.polys):
+        a, b = jet.poly(k).coeffs, back.poly(k).coeffs
         assert set(a) == set(b)
         for idx in a:
             assert np.array_equal(a[idx], b[idx])
-    for k in range(1, 4):
-        diff = back.onedim.scalar_part(k) + od.scalar_part(k).scale(-1.0)
-        assert diff.max_coeff() == 0.0
 
 
 def test_dumps_is_deterministic():
-    spec = MappingSpec(
-        jet=example_gallery("example_5_6").jet, onedim=koebe_onedim(dim=2)
-    )
-    assert specfile.dumps(spec) == specfile.dumps(spec)
+    jet = example_gallery("example_5_6").jet
+    assert specfile.dumps(jet) == specfile.dumps(jet)
 
 
 def test_save_and_load(tmp_path):
-    spec = MappingSpec(jet=example_gallery("example_5_7").jet)
+    jet = example_gallery("example_5_7").jet
     path = tmp_path / "map.json"
-    specfile.save(spec, path)
-    back = specfile.load(path)
-    assert back.jet.allclose(spec.jet, atol=0.0)
-    assert back.onedim is None
+    specfile.save(jet, path)
+    assert specfile.load(path).allclose(jet, atol=0.0)
 
 
 def test_loads_reports_json_position():
@@ -93,6 +83,22 @@ def test_loads_rejects_unsorted_index():
     """
     with pytest.raises(SpecFileError, match="sorted"):
         specfile.loads(text)
+
+
+def test_loads_refuses_a_onedim_block(tmp_path):
+    # a spec file holds one jet; root:N reads the scalar series from polys
+    from click.testing import CliRunner
+
+    from fsjet.cli import main
+
+    text = json.dumps({"dim": 1, "order": 3, "polys": [], "onedim": {"polys": []}})
+    with pytest.raises(SpecFileError, match="unknown top-level key 'onedim'"):
+        specfile.loads(text)
+    path = tmp_path / "old.json"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["transform", str(path), "--op", "root:2"])
+    assert result.exit_code == 2
+    assert "unknown top-level key 'onedim'" in result.output
 
 
 # One malformed document per input defect; each must end in SpecFileError
@@ -207,7 +213,7 @@ def test_dumps_rejects_a_non_finite_coefficient():
     entries[1, 0] = np.inf
     bad = jet.with_poly(3, HomPoly._trusted(3, 2, 2, entries))
     with pytest.raises(SpecFileError, match=r"polys degree-3 entry \[1, 1, 2\]"):
-        specfile.dumps(MappingSpec(jet=bad))
+        specfile.dumps(bad)
 
 
 # Property tests of the spec boundary.  Integers drawn into a document stay
@@ -215,7 +221,7 @@ def test_dumps_rejects_a_non_finite_coefficient():
 # a large basis (a large spec is a known, separate limit).
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
-SPEC_KEYS = ["dim", "order", "polys", "onedim", "degree", "entries", "index", "value"]
+SPEC_KEYS = ["dim", "order", "polys", "degree", "entries", "index", "value"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 8) | st.floats() | st.text(max_size=3),
@@ -226,18 +232,15 @@ json_values = st.recursive(
 
 
 @st.composite
-def specs(draw, max_order=7):
+def mapping_jets(draw, max_order=7):
     dim = draw(st.integers(1, 4))
     order = draw(st.integers(1, max_order))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    jet = random_jet(dim, order, rng)
-    with_onedim = order >= 2 and draw(st.booleans())
-    return MappingSpec(jet=jet, onedim=random_onedim_jet(dim, order, rng) if with_onedim else None)
+    return random_jet(dim, order, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 def _loads_cleanly(text):
     try:
-        assert isinstance(specfile.loads(text), MappingSpec)
+        assert isinstance(specfile.loads(text), MappingJet)
     except SpecFileError:
         pass
 
@@ -262,33 +265,27 @@ def _mutate(node, data):
 
 
 @PROPERTY_SETTINGS
-@given(specs(max_order=8), st.data())
-def test_loads_a_spec_with_one_field_mutated_cleanly(spec, data):
-    doc = specfile.spec_to_dict(spec)
+@given(mapping_jets(max_order=8), st.data())
+def test_loads_a_spec_with_one_field_mutated_cleanly(jet, data):
+    doc = specfile.spec_to_dict(jet)
     _mutate(doc, data)
     _loads_cleanly(json.dumps(doc))
 
 
-def _assert_same_entries(a: MappingSpec, b: MappingSpec):
-    assert (a.jet.dim, a.jet.order) == (b.jet.dim, b.jet.order)
-    assert (a.onedim is None) == (b.onedim is None)
-    blocks = [(a.jet.polys, b.jet.polys)]
-    if a.onedim is not None:
-        blocks.append((a.onedim.scalar_polys, b.onedim.scalar_polys))
-    for x, y in blocks:
-        assert x.keys() == y.keys()
-        for k in x:
-            assert np.array_equal(x[k].entries, y[k].entries)
+def _assert_same_entries(a: MappingJet, b: MappingJet):
+    assert (a.dim, a.order) == (b.dim, b.order)
+    assert a.polys.keys() == b.polys.keys()
+    for k in a.polys:
+        assert np.array_equal(a.polys[k].entries, b.polys[k].entries)
 
 
 @PROPERTY_SETTINGS
-@given(specs())
-def test_round_trip_random_specs(spec):
-    _assert_same_entries(specfile.loads(specfile.dumps(spec)), spec)
+@given(mapping_jets())
+def test_round_trip_random_specs(jet):
+    _assert_same_entries(specfile.loads(specfile.dumps(jet)), jet)
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_round_trip_gallery(name):
-    entry = example_gallery(name)
-    spec = MappingSpec(jet=entry.jet, onedim=entry.onedim)
-    _assert_same_entries(specfile.loads(specfile.dumps(spec)), spec)
+    jet = example_gallery(name).jet
+    _assert_same_entries(specfile.loads(specfile.dumps(jet)), jet)
