@@ -1,15 +1,15 @@
 """pytest-benchmark timings of the layers that `fsjet verify all` repeats.
 
-Each benchmark uses only API that has been stable across versions, so the
-same file times an older checkout: copy ``bench/`` into it and run
-``python -m pytest bench`` from its root.
+Each benchmark but ``bench_fs_mapping_batch`` uses only API that has been
+stable across versions, so the same file times an older checkout: copy
+``bench/`` into it and run ``python -m pytest bench`` from its root.
 """
 
 import numpy as np
 import pytest
 
 from fsjet.estimates import SupNormConfig, estimate_sup_modulus, sup_norm_fs
-from fsjet.fekete import fs_mapping_many, operator_norm_bilinear
+from fsjet.fekete import fs_mapping, operator_norm_bilinear
 from fsjet.jets import compose, invert, iterate, random_jet
 from fsjet.sampling import sample_sphere
 from fsjet.semigroup import sample_generator, semigroup_ode
@@ -82,11 +82,11 @@ def bench_operator_norm_stack(benchmark):
     benchmark(operator_norm_bilinear, tensors, seed=list(range(40)))
 
 
-def bench_fs_mapping_many(benchmark):
+def bench_fs_mapping_batch(benchmark):
     (f,) = _jets(3, 3, 1, seed=26)
     es = sample_sphere(np.random.default_rng(26), 64, 3)
     f.poly(2).dense()
-    benchmark(fs_mapping_many, f, es, 0.3 - 0.2j, 0.8)
+    benchmark(fs_mapping, f, es, 0.3 - 0.2j, 0.8)
 
 
 def bench_sup_norm_fs(benchmark):

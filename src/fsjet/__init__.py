@@ -8,11 +8,8 @@ from .estimates import (
     sup_norm_fs,
 )
 from .fekete import (
-    FSContext,
-    FSValue,
     ell,
     fs_mapping,
-    fs_mapping_many,
     fs_scalar,
     operator_norm_bilinear,
 )
@@ -50,8 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "FSContext",
-    "FSValue",
     "FlowJet",
     "GALLERY_NAMES",
     "GalleryEntry",
@@ -70,7 +65,6 @@ __all__ = [
     "ell",
     "example_gallery",
     "fs_mapping",
-    "fs_mapping_many",
     "fs_scalar",
     "generator_from_starlike",
     "invert",

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import specfile
-from .fekete import FSContext, fs_mapping, fs_scalar, normalize_direction
+from .fekete import fs_mapping, fs_scalar, normalize_direction
 from .gallery import GALLERY_NAMES, example_gallery
 from .jets import MappingJet, invert, iterate, unitary_conjugate
 from .semigroup import semigroup_jet
@@ -126,9 +126,9 @@ def compute(spec_path, direction, lam, mu, variant):
     """Evaluate the Fekete-Szego mapping of the jet in SPEC_PATH."""
     jet = _load_spec(spec_path)
     e = _parse_direction(direction, jet.dim)
-    value = fs_mapping(jet, FSContext(e, lam, mu))
-    click.echo(f"psi_vector={format_vector(value.vector)}")
-    click.echo(f"psi_projection={format_complex(value.scalar_projection)}")
+    psi = fs_mapping(jet, e, lam, mu)
+    click.echo(f"psi_vector={format_vector(psi)}")
+    click.echo(f"psi_projection={format_complex(np.vdot(normalize_direction(e), psi))}")
     if variant is not None:
         val = fs_scalar(jet, e, lam, variant)
         click.echo(f"psi_variant_{variant}={format_complex(val)}")

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fekete import finite_params, fs_mapping_many
+from .fekete import _psi_rows, finite_params
 from .jets import MappingJet
 from .sampling import sample_sphere
 from .transforms import OneDimJet
@@ -76,11 +76,6 @@ def _complexify(v: np.ndarray) -> np.ndarray:
     return v[:n] + 1j * v[n:]
 
 
-def fs_norm_at(f: MappingJet, es: np.ndarray, lam: complex, mu: complex) -> np.ndarray:
-    """||Psi_e|| for a batch of unit directions."""
-    return np.linalg.norm(fs_mapping_many(f, es, lam, mu), axis=1)
-
-
 def sup_norm_fs(
     f: MappingJet,
     lam: complex,
@@ -101,8 +96,10 @@ def sup_norm_fs(
     rng = np.random.default_rng(config.seed)
 
     def value(v: np.ndarray) -> float:
+        # v may lie up to FD_STEP off the sphere: Psi is evaluated there as
+        # it is, without the check and normalization of fs_mapping
         e = _complexify(v)
-        return float(fs_norm_at(f, e[None, :], lam, mu)[0]) ** 2
+        return float(np.linalg.norm(_psi_rows(f, e[None, :], lam, mu), axis=1)[0]) ** 2
 
     def gradient(v: np.ndarray) -> np.ndarray:
         h = FD_STEP
@@ -184,8 +181,11 @@ def check_bounded_onedim_bound(
     M is the sampled supremum of ||f(x)|| = |s(x)| ||x|| near the boundary.
     ``s`` is batched, as in ``estimate_sup_modulus``; ``f.s_eval`` is one.
     The mapping must genuinely be bounded with M > 1 for the hypothesis to
-    apply; M <= 1 is rejected.
+    apply; M <= 1 is rejected, as is a ``directions`` or ``samples``
+    below 1.
     """
+    if directions < 1:
+        raise ValueError(f"directions must be positive, got {directions}")
     M = estimate_sup_modulus(s, f.dim, samples=samples, seed=seed)
     if M <= 1.0:
         raise ValueError(f"sampled bound M={M:.6g} <= 1; the estimate needs M > 1")

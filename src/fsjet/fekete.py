@@ -11,7 +11,6 @@ equals 2 B[u, v].
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -25,11 +24,6 @@ E_NORM_TOL = 1e-6
 SCALAR_VARIANT_MU = {1: 0.0, 2: 1.0, 3: 2.0 / 3.0, 4: 2.0}
 
 NORM_BLOCK_CELLS = 1024
-
-
-def _inner(x: np.ndarray, e: np.ndarray) -> complex:
-    """<x, e>, conjugate-linear in e."""
-    return complex(np.vdot(e, x))
 
 
 def normalize_direction(e) -> np.ndarray:
@@ -49,43 +43,35 @@ def finite_params(lam, mu) -> tuple[complex, complex]:
     return lam, mu
 
 
-@dataclass(frozen=True)
-class FSContext:
-    """Direction e on the unit sphere and the two complex parameters."""
+def fs_mapping(f: MappingJet, e, lam: complex, mu: complex) -> np.ndarray:
+    """Psi_e(f, lambda, mu) = P3(e) - mu B[e, P2(e)] - (lam-mu)<P2(e),e> P2(e).
 
-    e: np.ndarray
-    lam: complex
-    mu: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "e", normalize_direction(self.e))
-        lam, mu = finite_params(self.lam, self.mu)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-
-
-@dataclass(frozen=True)
-class FSValue:
-    vector: np.ndarray
-    scalar_projection: complex
-
-
-def fs_mapping(f: MappingJet, ctx: FSContext) -> FSValue:
-    """Psi_e(f, lambda, mu) = P3(e) - mu B[e, P2(e)] - (lam-mu)<P2(e),e> P2(e)."""
-    e = _check_vector(ctx.e, f.dim)
-    vec = fs_mapping_many(f, e[None], ctx.lam, ctx.mu)[0]
-    return FSValue(vector=vec, scalar_projection=_inner(vec, e))
-
-
-def fs_mapping_many(
-    f: MappingJet, es: np.ndarray, lam: complex, mu: complex
-) -> np.ndarray:
-    """Psi over a batch of unit directions (rows of es), via dense tensors.
-
-    The one implementation of the formula: ``fs_mapping`` is its one-row
-    case, and the sphere optimizer and grid oracles call it on batches.
+    ``e`` is one direction of shape (n,), giving the (n,) vector Psi_e, or
+    a batch of shape (N, n), giving the (N, n) array whose row i is Psi at
+    row i of ``e``.  Each direction must be a unit vector within
+    ``E_NORM_TOL`` and is normalized once more.  A direction of another
+    shape, off the sphere or with a NaN entry, or a NaN or infinite lam or
+    mu, raises ``ValueError``.  <Psi_e, e> is ``np.vdot(e, Psi_e)`` for
+    the normalized e.
     """
-    es = np.asarray(es, dtype=complex)
+    lam, mu = finite_params(lam, mu)
+    es = np.asarray(e, dtype=complex)
+    if es.ndim not in (1, 2) or es.shape[-1] != f.dim:
+        raise ValueError(f"expected shape ({f.dim},) or (N, {f.dim}), got shape {es.shape}")
+    if es.ndim == 1:
+        return _psi_rows(f, normalize_direction(es)[None], lam, mu)[0]
+    norms = _row_norms(np.ascontiguousarray(es))
+    off = ~(np.abs(norms - 1.0) <= E_NORM_TOL)  # also true for a NaN norm
+    if off.any():
+        i = int(off.argmax())
+        raise ValueError(f"direction {i} must be a unit vector (norm {norms[i]:.6g})")
+    return _psi_rows(f, es / norms[:, None], lam, mu)
+
+
+def _psi_rows(f: MappingJet, es: np.ndarray, lam: complex, mu: complex) -> np.ndarray:
+    """Psi for each row of the (N, n) array es, via dense tensors, with no
+    check: the one implementation of the formula.  ``sup_norm_fs`` calls
+    it on points near the sphere, which must not be moved onto it."""
     B = f.poly(2).dense()  # (n, n, n)
     P2 = np.einsum("abm,ia,ib->im", B, es, es)
     P3 = f.poly(3).eval_many(es)
@@ -98,8 +84,9 @@ def fs_scalar(f: MappingJet, e, lam: complex, variant: int = 1) -> complex:
     """psi_e^(v)(f, lam) = <Psi_e(f, lam, mu_v), e> with mu_v in {0,1,2/3,2}."""
     if variant not in SCALAR_VARIANT_MU:
         raise ValueError(f"unknown variant {variant!r}; expected 1..4")
-    ctx = FSContext(e, lam, SCALAR_VARIANT_MU[variant])
-    return fs_mapping(f, ctx).scalar_projection
+    e = _check_vector(e, f.dim)
+    psi = fs_mapping(f, e, lam, SCALAR_VARIANT_MU[variant])
+    return complex(np.vdot(normalize_direction(e), psi))
 
 
 class BilinearNormEstimate(NamedTuple):
@@ -319,12 +306,12 @@ def ell(lam: complex, mu: complex) -> float:
     return 2.0 * abs(lam - mu) + abs(mu) + abs(mu - 2.0)
 
 
-def _composition_defect(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
+def _composition_defect(f: MappingJet, g: MappingJet, e, lam: complex, mu: complex) -> np.ndarray:
     """R = Psi_e(f o g) - Psi_e(f) - Psi_e(g), the one place R is formed."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     return (
-        fs_mapping(compose(f, g), ctx).vector
-        - fs_mapping(f, ctx).vector
-        - fs_mapping(g, ctx).vector
+        fs_mapping(compose(f, g), e, lam, mu)
+        - fs_mapping(f, e, lam, mu)
+        - fs_mapping(g, e, lam, mu)
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fekete
 from .estimates import check_bounded_onedim_bound
-from .fekete import FSContext, _inner, fs_mapping
+from .fekete import fs_mapping, normalize_direction
 from .jets import MappingJet, compose, invert, iterate, random_jet, unitary_conjugate
 from .reporting import Report
 from .sampling import sample_params, sample_sphere
@@ -95,8 +95,9 @@ def _report(check: str, tol: float, seed: int, rows: list) -> Report:
 def _draw_point(rng: np.random.Generator, n: int):
     """A direction e on the unit sphere of C^n, then lambda and mu.
 
-    e is returned as drawn: an ``FSContext`` normalizes it once more, which
-    can change its last bits."""
+    e is returned as drawn: ``fs_mapping`` normalizes it once more, which
+    can change its last bits, so a check that also uses e itself takes
+    ``normalize_direction`` of the drawn e."""
     e = sample_sphere(rng, 1, n)[0]
     lam, mu = sample_params(rng, 2)
     return e, lam, mu
@@ -120,16 +121,16 @@ def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     return [_report("polarization", 1e-12, seed, _run(trial, trials, seed, 0, dims))]
 
 
-def _psi_compo_rhs(f: MappingJet, g: MappingJet, ctx: FSContext) -> np.ndarray:
-    e = ctx.e
+def _psi_compo_rhs(f: MappingJet, g: MappingJet, e, lam: complex, mu: complex) -> np.ndarray:
+    u = normalize_direction(e)
     B, C = f.poly(2), g.poly(2)
-    P2e, Q2e = B.eval(e), C.eval(e)
+    P2u, Q2u = B.eval(u), C.eval(u)
     return (
-        fs_mapping(f, ctx).vector
-        + fs_mapping(g, ctx).vector
-        - (ctx.lam - ctx.mu) * (_inner(P2e, e) * Q2e + _inner(Q2e, e) * P2e)
-        - ctx.mu * C.multilinear_eval([e, P2e])
-        - (ctx.mu - 2.0) * B.multilinear_eval([e, Q2e])
+        fs_mapping(f, e, lam, mu)
+        + fs_mapping(g, e, lam, mu)
+        - (lam - mu) * (np.vdot(u, P2u) * Q2u + np.vdot(u, Q2u) * P2u)
+        - mu * C.multilinear_eval([u, P2u])
+        - (mu - 2.0) * B.multilinear_eval([u, Q2u])
     )
 
 
@@ -137,9 +138,9 @@ def suite_compose(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     def trial(rng, n):
         f = random_jet(n, 3, rng)
         g = random_jet(n, 3, rng)
-        ctx = FSContext(*_draw_point(rng, n))
-        lhs = fs_mapping(compose(f, g), ctx).vector
-        yield float(np.linalg.norm(lhs - _psi_compo_rhs(f, g, ctx)))
+        point = _draw_point(rng, n)
+        lhs = fs_mapping(compose(f, g), *point)
+        yield float(np.linalg.norm(lhs - _psi_compo_rhs(f, g, *point)))
 
     rows = _run(trial, trials, seed, 1, dims)
     return [_report("compose/psi-composition-identity", 1e-11, seed, rows)]
@@ -150,11 +151,11 @@ def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         f = random_jet(n, 3, rng)
         g = invert(f)
         e, lam, mu = _draw_point(rng, n)
-        lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
-        rhs = -fs_mapping(f, FSContext(e, 2.0 - lam, 2.0 - mu)).vector
+        lhs = fs_mapping(g, e, lam, mu)
+        rhs = -fs_mapping(f, e, 2.0 - lam, 2.0 - mu)
         yield float(np.linalg.norm(lhs - rhs))
         # degree-3 part of the inverse along e equals -Psi_e(f, 2, 2)
-        psi22 = fs_mapping(f, FSContext(e, 2.0, 2.0)).vector
+        psi22 = fs_mapping(f, e, 2.0, 2.0)
         yield float(np.linalg.norm(g.poly(3).eval(e) + psi22))
 
     # one trial feeds both checks: its duality residual, then its degree-3 one
@@ -171,8 +172,8 @@ def suite_iterate(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         e, lam, mu = _draw_point(rng, n)
         for m in ITERATE_RANGE:
             fm = iterate(f, m)
-            lhs = fs_mapping(fm, FSContext(e, lam, mu)).vector
-            rhs = m * fs_mapping(f, FSContext(e, m * lam - m + 1, m * mu - m + 1)).vector
+            lhs = fs_mapping(fm, e, lam, mu)
+            rhs = m * fs_mapping(f, e, m * lam - m + 1, m * mu - m + 1)
             yield float(np.linalg.norm(lhs - rhs))
             # degree-2 part scales linearly in the iteration count
             yield (fm.poly(2) + f.poly(2).scale(-float(m))).max_coeff()
@@ -186,8 +187,8 @@ def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         U = _random_unitary(n, rng)
         g = unitary_conjugate(f, U)
         e, lam, mu = _draw_point(rng, n)
-        lhs = fs_mapping(g, FSContext(e, lam, mu)).vector
-        rhs = U.conj().T @ fs_mapping(f, FSContext(U @ e, lam, mu)).vector
+        lhs = fs_mapping(g, e, lam, mu)
+        rhs = U.conj().T @ fs_mapping(f, U @ e, lam, mu)
         yield float(np.linalg.norm(lhs - rhs))
 
     return [_report("unitary/psi-conjugation", 1e-11, seed, _run(trial, trials, seed, 4, dims))]
@@ -213,7 +214,7 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             q2n1 = g.poly(2 * nroot + 1).eval(e)
             lam = (nroot - 1) / (2.0 * nroot)
             for mu in sample_params(rng, 5):
-                psi = fs_mapping(f, FSContext(e, lam, mu)).vector
+                psi = fs_mapping(f, e, lam, mu)
                 yield float(np.linalg.norm(q2n1 - psi / nroot))
 
     # golden series: the square-root transform of the Koebe function
@@ -233,16 +234,16 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     def defect(rng, n):
         f = random_jet(n, 3, rng)
         g = random_jet(n, 3, rng)
-        ctx = FSContext(*_draw_point(rng, n))
-        R = fekete._composition_defect(f, g, ctx)
-        return n, float(np.linalg.norm(R)), fekete.ell(ctx.lam, ctx.mu), f.poly(2), g.poly(2)
+        e, lam, mu = _draw_point(rng, n)
+        R = fekete._composition_defect(f, g, e, lam, mu)
+        return n, float(np.linalg.norm(R)), fekete.ell(lam, mu), f.poly(2), g.poly(2)
 
     def onedim_defect(rng, n):
         fo = random_onedim_jet(n, 3, rng)
         go = random_onedim_jet(n, 3, rng)
         f, g = fo.to_mapping_jet(), go.to_mapping_jet()
         e, lam, mu = _draw_point(rng, n)
-        R = fekete._composition_defect(f, g, FSContext(e, lam, mu))
+        R = fekete._composition_defect(f, g, e, lam, mu)
         expect = 2.0 * abs(1.0 - lam) * abs(
             fo.scalar_part(1).eval_scalar(e) * go.scalar_part(1).eval_scalar(e)
         )
@@ -313,8 +314,8 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         h = random_jet(n, 3, rng)
         f = starlike_from_generator(h)
         e, lam, mu = _draw_point(rng, n)
-        lhs = fs_mapping(h, FSContext(e, 2 * lam, 2 * mu)).vector
-        rhs = -2.0 * fs_mapping(f, FSContext(e, 1 - lam, 1 - mu)).vector
+        lhs = fs_mapping(h, e, 2 * lam, 2 * mu)
+        rhs = -2.0 * fs_mapping(f, e, 1 - lam, 1 - mu)
         yield float(np.linalg.norm(lhs - rhs))
         # round trip through the pairing
         back = generator_from_starlike(f)
@@ -325,7 +326,7 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         h = sample_generator(n, rng)
         e = sample_sphere(rng, 1, n)[0]
         lam = sample_params(rng, 1)[0]
-        val = abs(fs_mapping(h, FSContext(e, lam, 0.0)).scalar_projection)
+        val = abs(np.vdot(normalize_direction(e), fs_mapping(h, e, lam, 0.0)))
         yield val - 2.0 * max(1.0, abs(2.0 * lam - 1.0))
 
     rng3 = _rng(seed, 12)
@@ -364,7 +365,7 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
         f = starlike_from_generator(generator_shrink(base, rng))
         e, lam, mu = _draw_point(rng, n)
-        val = float(np.linalg.norm(fs_mapping(f, FSContext(e, lam, mu)).vector))
+        val = float(np.linalg.norm(fs_mapping(f, e, lam, mu)))
         yield val - max(1.0, abs(4.0 * lam - 3.0))
 
     return [
@@ -407,8 +408,9 @@ DEFAULT_TRIALS = {
 
 
 class SuiteArgumentError(ValueError):
-    """A dimension below 1 or over the size budget, a negative seed or a
-    negative trial count given to ``run_suite``."""
+    """A dimension below 1 or over the size budget, a negative seed, a
+    negative trial count, or a NaN, infinite or negative tolerance given to
+    ``run_suite``."""
 
 
 def run_suite(
@@ -421,9 +423,9 @@ def run_suite(
     """Run one named suite (or "all"); returns one Report per check.
 
     A dimension below 1 in ``dims``, or one whose degree-``SUITE_MAX_DEGREE``
-    basis is over ``tensors.LAYOUT_BUDGET``, a negative ``seed`` or a
-    negative ``trials`` raises ``SuiteArgumentError``, a ``ValueError``,
-    before any suite runs."""
+    basis is over ``tensors.LAYOUT_BUDGET``, a negative ``seed``, a
+    negative ``trials``, or a NaN, infinite or negative ``tol`` raises
+    ``SuiteArgumentError``, a ``ValueError``, before any suite runs."""
     for d in dims or ():
         if d < 1:
             raise SuiteArgumentError(f"dimension {d} is not positive")
@@ -435,6 +437,8 @@ def run_suite(
         raise SuiteArgumentError(f"seed {seed} is negative")
     if trials is not None and trials < 0:
         raise SuiteArgumentError(f"trials {trials} is negative")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise SuiteArgumentError(f"tolerance {tol} is not a finite nonnegative number")
     if name == "all":
         out = []
         for key in _SUITES:

@@ -70,6 +70,21 @@ def test_compute_koebe(runner, koebe_spec):
     assert parse_complex(lines["psi_variant_2"]) == 1.0
 
 
+def test_compute_projects_psi_onto_the_direction(runner, tmp_path):
+    # psi_projection is <psi_vector, e> for the normalized direction e
+    path = tmp_path / "f.json"
+    assert runner.invoke(main, ["gallery", "example_5_6", "-o", str(path)]).exit_code == 0
+    result = runner.invoke(
+        main, ["compute", str(path), "-e", "0.6,0.8i", "--lam", "0.3-0.2i", "--mu", "1.1"]
+    )
+    assert result.exit_code == 0, result.output
+    lines = dict(line.split("=", 1) for line in result.output.strip().splitlines())
+    psi = [parse_complex(z) for z in lines["psi_vector"].split(",")]
+    want = 0.6 * psi[0] - 0.8j * psi[1]
+    assert abs(parse_complex(lines["psi_projection"]) - want) <= 1e-15
+    assert abs(want) > 0.01
+
+
 def test_compute_rejects_bad_direction(runner, koebe_spec):
     result = runner.invoke(main, ["compute", koebe_spec, "-e", "1,0"])
     assert result.exit_code == 2  # wrong dimension
@@ -125,6 +140,16 @@ def test_verify_bad_dims_is_usage_error(runner):
         )
         assert result.exit_code == 2, result.output
         assert f"dimension {dims.split(',')[-1]} is not positive" in result.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_bad_tolerance_is_usage_error(runner, tol):
+    result = runner.invoke(
+        main, ["verify", "polarization", "--trials", "2", "--tol", tol, "--json"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "tolerance" in result.output
+    assert "NaN" not in result.output
 
 
 def test_verify_negative_seed_is_usage_error(runner):

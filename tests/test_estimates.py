@@ -9,10 +9,9 @@ from fsjet.estimates import (
     bounded_onedim_bound,
     check_bounded_onedim_bound,
     estimate_sup_modulus,
-    fs_norm_at,
     sup_norm_fs,
 )
-from fsjet.fekete import FSContext, fs_mapping
+from fsjet.fekete import fs_mapping
 from fsjet.gallery import example_gallery
 from fsjet.jets import random_jet
 from fsjet.sampling import sample_sphere
@@ -26,9 +25,7 @@ def test_sup_norm_one_dimensional_is_constant():
     # in C^1 the norm does not depend on the direction phase
     f = example_gallery("koebe1d").jet
     lam, mu = 0.2, 0.7
-    expect = float(
-        np.linalg.norm(fs_mapping(f, FSContext(np.array([1.0 + 0j]), lam, mu)).vector)
-    )
+    expect = float(np.linalg.norm(fs_mapping(f, np.array([1.0 + 0j]), lam, mu)))
     got, witness = sup_norm_fs(f, lam, mu, SupNormConfig(starts=4, steps=60))
     assert abs(got - expect) < 1e-8
     assert abs(np.linalg.norm(witness) - 1.0) < 1e-10
@@ -54,7 +51,7 @@ def test_sup_norm_matches_grid_oracle():
     rng = np.random.default_rng(60)
     f = random_jet(2, 3, rng)
     lam, mu = 0.3 - 0.2j, 0.8
-    grid = grid_sup_dim2(lambda es: fs_norm_at(f, es, lam, mu))
+    grid = grid_sup_dim2(lambda es: np.linalg.norm(fs_mapping(f, es, lam, mu), axis=1))
     got, _ = sup_norm_fs(f, lam, mu, SupNormConfig(starts=12, steps=120))
     assert abs(got - grid) < 1e-4
 
@@ -63,7 +60,7 @@ def test_sup_norm_witness_achieves_value():
     rng = np.random.default_rng(61)
     f = random_jet(2, 3, rng)
     got, witness = sup_norm_fs(f, 0.5, 0.1, SupNormConfig(starts=8, steps=80))
-    achieved = float(fs_norm_at(f, witness[None, :], 0.5, 0.1)[0])
+    achieved = float(np.linalg.norm(fs_mapping(f, witness, 0.5, 0.1)))
     assert abs(achieved - got) < 1e-10
 
 
@@ -113,7 +110,7 @@ def test_onedim_fs_norm_formula():
         p2 = od.scalar_part(2).eval_scalar(e)
         # mu drops out for one-dimensional-type jets
         for mu in (0.0, 1.3):
-            val = np.linalg.norm(fs_mapping(f, FSContext(e, lam, mu)).vector)
+            val = np.linalg.norm(fs_mapping(f, e, lam, mu))
             assert abs(val - abs(p2 - lam * p1**2)) < 1e-12
 
 
@@ -132,6 +129,8 @@ def test_sup_modulus_rejects_no_samples():
             estimate_sup_modulus(od.s_eval, dim=2, samples=samples)
         with pytest.raises(ValueError, match="samples must be positive"):
             check_bounded_onedim_bound(od, od.s_eval, lam=0.4, samples=samples)
+        with pytest.raises(ValueError, match="directions must be positive"):
+            check_bounded_onedim_bound(od, od.s_eval, lam=0.4, directions=samples)
 
 
 @pytest.mark.parametrize("lam,mu", [(np.nan, 0.5), (0.5, np.inf), (complex(np.nan, 1.0), 0.0)])

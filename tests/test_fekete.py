@@ -8,10 +8,8 @@ import pytest
 
 from fsjet.fekete import (
     NORM_BLOCK_CELLS,
-    FSContext,
     ell,
     fs_mapping,
-    fs_mapping_many,
     fs_scalar,
     normalize_direction,
     operator_norm_bilinear,
@@ -26,27 +24,37 @@ from sphere_grid import grid_sup_dim2
 
 
 def test_context_normalizes_direction():
-    ctx = FSContext(np.array([1.0 + 1e-8, 0.0]), 0.5, 0.25)
-    assert abs(np.linalg.norm(ctx.e) - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        FSContext(np.array([2.0, 0.0]), 0.0, 0.0)
+    # fs_mapping evaluates Psi at e / ||e||, for one direction and for a batch
+    f = random_jet(2, 3, np.random.default_rng(29))
+    e = np.array([1.0 + 1e-8, 0.0])
+    want = _psi_by_evaluation(f, e / np.linalg.norm(e), 0.5, 0.25)
+    assert np.abs(fs_mapping(f, e, 0.5, 0.25) - want).max() <= 1e-15
+    assert np.abs(fs_mapping(f, np.array([e, e]), 0.5, 0.25) - want).max() <= 1e-15
+    for bad in (np.array([2.0, 0.0]), np.array([[1.0, 0.0], [2.0, 0.0]])):
+        with pytest.raises(ValueError, match="unit vector"):
+            fs_mapping(f, bad, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_direction_is_rejected(bad):
+    f = random_jet(2, 3, np.random.default_rng(28))
     with pytest.raises(ValueError, match="unit vector"):
         normalize_direction(np.array([bad, 0.0]))
     with pytest.raises(ValueError, match="unit vector"):
-        FSContext(np.array([1.0, bad]), 0.5, 0.25)
+        fs_mapping(f, np.array([1.0, bad]), 0.5, 0.25)
+    with pytest.raises(ValueError, match="direction 1 must be a unit vector"):
+        fs_mapping(f, np.array([[1.0, 0.0], [1.0, bad]]), 0.5, 0.25)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
 def test_context_rejects_a_non_finite_parameter(bad):
-    e = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="lambda must be finite"):
-        FSContext(e, bad, 0.25)
-    with pytest.raises(ValueError, match="mu must be finite"):
-        FSContext(e, 0.5, bad)
+    # lambda and mu are checked for one direction and for a batch
+    f = random_jet(2, 3, np.random.default_rng(27))
+    for e in (np.array([1.0, 0.0]), np.eye(2)):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            fs_mapping(f, e, bad, 0.25)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            fs_mapping(f, e, 0.5, bad)
 
 
 def test_koebe_scalar_value():
@@ -63,7 +71,7 @@ def test_example_5_6_closed_form():
     e = np.array([1.0, 0.0], dtype=complex)
     for lam in (0.0, 0.25, 1.0 + 0.5j):
         for mu in (0.0, -0.7, 2.0j):
-            got = fs_mapping(f, FSContext(e, lam, mu)).vector
+            got = fs_mapping(f, e, lam, mu)
             expect = (1.0 - lam) / 4.0 * np.array([1.0, 1.0])
             assert np.allclose(got, expect, atol=1e-14)
 
@@ -73,24 +81,15 @@ def test_example_5_7_closed_form():
     e = np.array([1.0, 0.0], dtype=complex)
     for lam in (0.0, 0.5, -1.0j):
         for mu in (0.0, 0.4, 1.5 + 1.0j):
-            got = fs_mapping(f, FSContext(e, lam, mu)).vector
+            got = fs_mapping(f, e, lam, mu)
             expect = np.array([0.0, (1.0 - mu) / 2.0])
             assert np.allclose(got, expect, atol=1e-14)
 
 
-def test_scalar_projection_consistent():
-    rng = np.random.default_rng(30)
-    f = random_jet(3, 3, rng)
-    e = sample_sphere(rng, 1, 3)[0]
-    v = fs_mapping(f, FSContext(e, 0.3, 0.9))
-    assert abs(v.scalar_projection - np.vdot(e, v.vector)) < 1e-14
-
-
 def _psi_by_evaluation(f, e, lam, mu):
     """Psi_e(f, lam, mu) = P3(e) - mu B[e, P2(e)] - (lam-mu)<P2(e),e> P2(e)
-    through ``eval`` and ``multilinear_eval``, the route ``fs_mapping`` took
-    before it became the one-row case of ``fs_mapping_many``; kept as the
-    reference that shares no code with the dense contractions."""
+    through ``eval`` and ``multilinear_eval``, a route that shares no code
+    with the dense contractions of ``fs_mapping``."""
     P2e = f.poly(2).eval(e)
     return (
         f.poly(3).eval(e)
@@ -99,14 +98,45 @@ def _psi_by_evaluation(f, e, lam, mu):
     )
 
 
-def test_fs_mapping_many_matches_single():
+def test_fs_mapping_batch_matches_single():
+    # row i of an (N, n) call is the (n,) call on row i, up to the order of
+    # the sums in the batched contractions
     rng = np.random.default_rng(31)
-    f = random_jet(2, 3, rng)
-    es = sample_sphere(rng, 8, 2)
     lam, mu = 0.4 - 0.2j, 1.1
-    batch = fs_mapping_many(f, es, lam, mu)
-    for i, e in enumerate(es):
-        assert np.allclose(batch[i], _psi_by_evaluation(f, e, lam, mu), atol=1e-12)
+    for n in (1, 2, 3):
+        f = random_jet(n, 3, rng)
+        es = sample_sphere(rng, 8, n)
+        batch = fs_mapping(f, es, lam, mu)
+        assert batch.shape == (8, n)
+        for row, e in zip(batch, es):
+            single = fs_mapping(f, e, lam, mu)
+            assert single.shape == (n,)
+            assert np.abs(row - single).max() <= 1e-15 * (1.0 + np.abs(single).max())
+            assert np.abs(row - _psi_by_evaluation(f, e, lam, mu)).max() <= 1e-14
+    assert fs_mapping(f, es[:0], lam, mu).shape == (0, n)
+
+
+@pytest.mark.parametrize(
+    "case", ["not-a-unit-vector", "nan-row", "wrong-column-count", "nan-lambda", "nan-mu"]
+)
+def test_fs_mapping_rejects_a_bad_batch(case):
+    rng = np.random.default_rng(34)
+    f = random_jet(2, 3, rng)
+    es, lam, mu = sample_sphere(rng, 4, 2), 0.5, 0.25
+    if case == "not-a-unit-vector":
+        es[2] *= 2.0
+    elif case == "nan-row":
+        es[2, 1] = np.nan
+    elif case == "wrong-column-count":
+        es = sample_sphere(rng, 4, 3)
+    elif case == "nan-lambda":
+        lam = np.nan
+    else:
+        mu = np.nan
+    match = {"not-a-unit-vector": "direction 2", "nan-row": "direction 2",
+             "wrong-column-count": "shape", "nan-lambda": "lambda", "nan-mu": "mu"}[case]
+    with pytest.raises(ValueError, match=match):
+        fs_mapping(f, es, lam, mu)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -118,12 +148,12 @@ def test_fs_mapping_matches_evaluation_route(n):
     for f in jets:
         for e in sample_sphere(rng, 4, n):
             want = _psi_by_evaluation(f, e, lam, mu)
-            got = fs_mapping(f, FSContext(e, lam, mu))
-            assert np.abs(got.vector - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
-            assert abs(got.scalar_projection - np.vdot(e, want)) <= 1e-13
-    assert not fs_mapping(jets[-1], FSContext(e, lam, mu)).vector.any()
-    with pytest.raises(ValueError):
-        fs_mapping(jets[0], FSContext(np.ones(n + 1) / np.sqrt(n + 1), lam, mu))
+            got = fs_mapping(f, e, lam, mu)
+            assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(want).max())
+    assert not fs_mapping(jets[-1], e, lam, mu).any()
+    for bad in (np.ones(n + 1) / np.sqrt(n + 1), e[None, None], complex(1.0)):
+        with pytest.raises(ValueError, match="shape"):
+            fs_mapping(jets[0], bad, lam, mu)
 
 
 def test_global_phase_invariance_of_norm():
@@ -131,8 +161,8 @@ def test_global_phase_invariance_of_norm():
     f = random_jet(2, 3, rng)
     e = sample_sphere(rng, 1, 2)[0]
     lam, mu = 0.7, -0.3j
-    base = fs_mapping(f, FSContext(e, lam, mu)).vector
-    rotated = fs_mapping(f, FSContext(np.exp(0.9j) * e, lam, mu)).vector
+    base = fs_mapping(f, e, lam, mu)
+    rotated = fs_mapping(f, np.exp(0.9j) * e, lam, mu)
     assert abs(np.linalg.norm(base) - np.linalg.norm(rotated)) < 1e-12
 
 
@@ -141,6 +171,8 @@ def test_fs_scalar_variant_validation():
     f = random_jet(2, 3, rng)
     with pytest.raises(ValueError):
         fs_scalar(f, np.array([1.0, 0.0]), 0.0, variant=5)
+    with pytest.raises(ValueError):
+        fs_scalar(f, np.array([[1.0, 0.0]]), 0.0, variant=1)
 
 
 def test_operator_norm_known_tensors():

@@ -119,6 +119,23 @@ def test_negative_trials_are_rejected_before_any_suite(monkeypatch):
     assert seen == [0] * len(verify._SUITES)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_bad_tolerance_is_rejected_before_any_suite(monkeypatch, tol):
+    # a NaN tolerance used to reach the JSON report as the invalid token
+    # NaN, and a negative one failed every check
+    seen = []
+    for key in verify._SUITES:
+        monkeypatch.setitem(
+            verify._SUITES, key, lambda trials, seed, **kw: seen.append(trials) or []
+        )
+    for name in ("compose", "all"):
+        with pytest.raises(verify.SuiteArgumentError, match="tolerance"):
+            run_suite(name, trials=1, tol=tol)
+    assert seen == []
+    run_suite("compose", trials=1, tol=0.0)
+    assert seen == [1]
+
+
 def test_passed_is_derived_from_the_residual():
     # every report holds passed == (max_residual <= tolerance): the suites,
     # the same after a tolerance override, and the sampled generator check
