@@ -242,18 +242,23 @@ def test_every_trial_loop_draws_from_its_own_stream(monkeypatch):
     assert len(set(streams)) == len(streams)
 
 
-# What trial i of each check of four suites draws in dimension n, by the
+# What trial i of each check of eight suites draws in dimension n, by the
 # stream of its generator, and each check's name and tolerance.  The draws
 # are named by the sampler the suite calls: ("jet", n) for random_jet,
 # ("onedim", n) for random_onedim_jet, ("generator", n) for
-# sample_generator, ("sphere", n) for one direction and ("params", c) for
-# c parameters.
+# sample_generator, ("unitary", n) for a random unitary matrix,
+# ("sphere", n) for one direction and ("params", c) for c parameters.
 def _point(n):
     return [("sphere", n), ("params", 2)]
 
 
 _DRAWS = {
+    "compose": {1: lambda i, n: [("jet", n), ("jet", n), *_point(n)]},
     "inverse": {2: lambda i, n: [("jet", n), *_point(n)]},
+    "iterate": {3: lambda i, n: [("jet", n), *_point(n)]},
+    "unitary": {4: lambda i, n: [("jet", n), ("unitary", n), *_point(n)]},
+    # five values of mu for each root order
+    "root": {5: lambda i, n: [("onedim", n), ("sphere", n), ("params", 5), ("params", 5)]},
     "error-bound": {
         6: lambda i, n: [("jet", n), ("jet", n), *_point(n)],
         7: lambda i, n: [("onedim", n), ("onedim", n), *_point(n)],
@@ -270,7 +275,11 @@ _DRAWS = {
     },
 }
 _CHECKS = {
+    "compose": [("compose/psi-composition-identity", 1e-11)],
     "inverse": [("inverse/psi-duality", 1e-11), ("inverse/third-derivative", 1e-11)],
+    "iterate": [("iterate/psi-scaling", 1e-10)],
+    "unitary": [("unitary/psi-conjugation", 1e-11)],
+    "root": [("root/jet-relations", 1e-10), ("root/koebe-golden", 1e-12)],
     "error-bound": [("error-bound/ell-bound", 1e-9), ("error-bound/onedim-equality", 1e-11)],
     "semigroup": [("semigroup/closed-form-vs-ode", 1e-6), ("semigroup/flow-property", 1e-10)],
     "duality": [
@@ -308,6 +317,7 @@ def _record_draws(monkeypatch):
     recording("random_jet", "jet", 2, 0)
     recording("random_onedim_jet", "onedim", 2, 0)
     recording("sample_generator", "generator", 1, 0)
+    recording("_random_unitary", "unitary", 1, 0)
     recording("sample_sphere", "sphere", 0, 2)
     recording("sample_params", "params", 0, 1)
     return draws
@@ -319,7 +329,7 @@ def _record_draws(monkeypatch):
 @pytest.mark.parametrize("suite", list(_DRAWS))
 def test_suite_draws_follow_trials_seed_and_dims(suite, trials, seed, dims, monkeypatch):
     # the draws fix a check's inputs, so they do not depend on the stacked
-    # kernels' accuracy: a coarse ODE step and 4 norm starts keep the 48
+    # kernels' accuracy: a coarse ODE step and 4 norm starts keep the 96
     # cases cheap (passing at the real kernels is gated above)
     ode, norm = verify.flow_taylor_via_ode, fekete.operator_norm_bilinear
     monkeypatch.setattr(
@@ -330,10 +340,12 @@ def test_suite_draws_follow_trials_seed_and_dims(suite, trials, seed, dims, monk
     reports = run_suite(suite, trials=trials, seed=seed, dims=dims)
 
     flow_trials = max(1, trials // 4) if trials else 0
+    # the flow property runs a quarter of the trials, the golden series once
+    ran = {"semigroup/flow-property": flow_trials, "root/koebe-golden": min(trials, 1)}
     assert [(r.suite, r.tolerance) for r in reports] == _CHECKS[suite]
     for r in reports:
         assert r.seed == seed
-        assert r.trials == (flow_trials if r.suite == "semigroup/flow-property" else trials)
+        assert r.trials == ran.get(r.suite, trials)
     assert set(draws.pop(None)) == {seed}
     want = {}
     for stream, per_trial in _DRAWS[suite].items():
