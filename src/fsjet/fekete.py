@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jets import MappingJet, compose
-from .tensors import HomPoly, _check_vector
+from .jets import MappingJet, _lead, compose
+from .tensors import HomPoly, _check_vector, eval_rows, layout
 
 E_NORM_TOL = 1e-6
 
@@ -43,39 +43,84 @@ def finite_params(lam, mu) -> tuple[complex, complex]:
     return lam, mu
 
 
-def fs_mapping(f: MappingJet, e, lam: complex, mu: complex) -> np.ndarray:
+def fs_mapping(f, e, lam, mu) -> np.ndarray:
     """Psi_e(f, lambda, mu) = P3(e) - mu B[e, P2(e)] - (lam-mu)<P2(e),e> P2(e).
 
     ``e`` is one direction of shape (n,), giving the (n,) vector Psi_e, or
     a batch of shape (N, n), giving the (N, n) array whose row i is Psi at
-    row i of ``e``.  Each direction must be a unit vector within
+    row i of ``e``.  ``f`` may also be a sequence of T jets of one (dim,
+    order), as ``compose`` takes it, with ``e`` a (T, n) array of one
+    direction per jet and ``lam`` and ``mu`` each a scalar or a length-T
+    sequence: row t of the (T, n) result is Psi of jet t at direction t
+    with its lam and mu.  Each direction must be a unit vector within
     ``E_NORM_TOL`` and is normalized once more.  A direction of another
     shape, off the sphere or with a NaN entry, or a NaN or infinite lam or
-    mu, raises ``ValueError``.  <Psi_e, e> is ``np.vdot(e, Psi_e)`` for
-    the normalized e.
+    mu, raises ``ValueError`` naming the row.  <Psi_e, e> is
+    ``np.vdot(e, Psi_e)`` for the normalized e.
     """
+    if not isinstance(f, MappingJet):
+        return _fs_stack(list(f), e, lam, mu)
     lam, mu = finite_params(lam, mu)
     es = np.asarray(e, dtype=complex)
     if es.ndim not in (1, 2) or es.shape[-1] != f.dim:
         raise ValueError(f"expected shape ({f.dim},) or (N, {f.dim}), got shape {es.shape}")
     if es.ndim == 1:
         return _psi_rows(f, normalize_direction(es)[None], lam, mu)[0]
+    return _psi_rows(f, _unit_rows(es), lam, mu)
+
+
+def _fs_stack(fs: list[MappingJet], e, lam, mu) -> np.ndarray:
+    """``fs_mapping`` of a list of jets, row t from jet t."""
+    f0 = _lead(fs, "jet")
+    es = np.asarray(e, dtype=complex)
+    if f0 is None:
+        n = es.shape[-1] if es.ndim == 2 else 0
+        return np.zeros((0, n), dtype=complex)
+    T, n = len(fs), f0.dim
+    if es.shape != (T, n):
+        raise ValueError(f"expected {T} directions of shape ({T}, {n}), got shape {es.shape}")
+    params = []
+    for name, z in (("lambda", lam), ("mu", mu)):
+        z = np.asarray(z, dtype=complex)
+        if z.ndim > 1 or z.ndim == 1 and len(z) != T:
+            raise ValueError(f"{name} must be a scalar or {T} values, got shape {z.shape}")
+        bad = ~np.isfinite(z)
+        if bad.any():
+            i = int(np.argmax(bad)) if z.ndim else 0
+            raise ValueError(f"{name} must be finite, got {z.reshape(-1)[i]}{_at(z.ndim == 0, i)}")
+        params.append(z[:, None] if z.ndim else complex(z))
+    return _psi_rows(fs, _unit_rows(es), *params)
+
+
+def _unit_rows(es: np.ndarray) -> np.ndarray:
+    """The rows of the (N, n) array es, each checked to be a unit vector
+    within ``E_NORM_TOL`` and normalized once more."""
     norms = _row_norms(np.ascontiguousarray(es))
     off = ~(np.abs(norms - 1.0) <= E_NORM_TOL)  # also true for a NaN norm
     if off.any():
         i = int(off.argmax())
         raise ValueError(f"direction {i} must be a unit vector (norm {norms[i]:.6g})")
-    return _psi_rows(f, es / norms[:, None], lam, mu)
+    return es / norms[:, None]
 
 
-def _psi_rows(f: MappingJet, es: np.ndarray, lam: complex, mu: complex) -> np.ndarray:
+def _psi_rows(f, es: np.ndarray, lam, mu) -> np.ndarray:
     """Psi for each row of the (N, n) array es, via dense tensors, with no
-    check: the one implementation of the formula.  ``sup_norm_fs`` calls
-    it on points near the sphere, which must not be moved onto it."""
-    B = f.poly(2).dense()  # (n, n, n)
-    P2 = np.einsum("abm,ia,ib->im", B, es, es)
-    P3 = f.poly(3).eval_many(es)
-    BeP2 = np.einsum("abm,ia,ib->im", B, es, P2)
+    check: the one implementation of the formula.  ``f`` is one jet, or a
+    list of N jets of one dim, row i then from jet i, with lam and mu
+    scalars or (N, 1) columns.  ``sup_norm_fs`` calls it on points near
+    the sphere, which must not be moved onto it."""
+    if isinstance(f, MappingJet):
+        B = f.poly(2).dense()  # (n, n, n)
+        P3 = f.poly(3).eval_many(es)
+        rows = "abm,ia,ib->im"
+    else:  # one tensor per row: (N, n, n, n) and the rows' own P3
+        n = es.shape[1]
+        E2 = np.array([g.poly(2).entries for g in f])
+        B = E2[:, layout(n, 2).position_rank].reshape(len(f), n, n, n)
+        P3 = eval_rows([g.poly(3) for g in f], es)
+        rows = "iabm,ia,ib->im"
+    P2 = np.einsum(rows, B, es, es)
+    BeP2 = np.einsum(rows, B, es, P2)
     proj = np.einsum("im,im->i", P2, es.conj())
     return P3 - mu * BeP2 - (lam - mu) * proj[:, None] * P2
 
@@ -306,10 +351,9 @@ def ell(lam: complex, mu: complex) -> float:
     return 2.0 * abs(lam - mu) + abs(mu) + abs(mu - 2.0)
 
 
-def _composition_defect(f: MappingJet, g: MappingJet, e, lam: complex, mu: complex) -> np.ndarray:
-    """R = Psi_e(f o g) - Psi_e(f) - Psi_e(g), the one place R is formed."""
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+def _composition_defect(f, g, e, lam, mu) -> np.ndarray:
+    """R = Psi_e(f o g) - Psi_e(f) - Psi_e(g), the one place R is formed;
+    for stacks of jets, one row per pair, as ``fs_mapping`` takes them."""
     return (
         fs_mapping(compose(f, g), e, lam, mu)
         - fs_mapping(f, e, lam, mu)

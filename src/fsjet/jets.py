@@ -3,6 +3,16 @@
 A jet is f(x) = x + sum_{k=2}^K P_k(x) with each P_k a symmetric-tensor
 homogeneous polynomial.  Composition, inversion, integer iteration and
 unitary conjugation all happen at the jet level with truncation at K.
+
+Stacks: ``compose``, ``invert`` and ``iterate`` (and ``fekete.fs_mapping``)
+also take a sequence of T jets of one (dim, order) in place of each jet
+argument, and then return the list of the T results, row t equal within
+rounding to the lone call on the t-th jets.  A jet of another (dim,
+order) or sequences of different lengths raise ``ValueError`` naming the
+index; an empty sequence gives [].  The kernel carries a stack as one
+coefficient per monomial, a (T,) column, so each row runs the lone call's
+arithmetic; a row with a NaN or infinite coefficient stays non-finite and
+leaves the other rows alone.
 """
 
 from __future__ import annotations
@@ -145,41 +155,87 @@ def _graded(n: int, K: int) -> _Graded:
     return _Graded(tuple(exponents), degree, tuple(offsets), pairs)
 
 
-def _terms(f: MappingJet, K: int) -> list[dict[int, complex]]:
+def _lead(f, what: str) -> MappingJet | None:
+    """The jet f itself, or the first jet of the list f after checking that
+    every jet of f has its (dim, order); None for an empty list."""
+    if isinstance(f, MappingJet):
+        return f
+    for i, g in enumerate(f):
+        if not isinstance(g, MappingJet):
+            raise ValueError(f"{what} {i} is not a MappingJet but {type(g).__name__}")
+        if (g.dim, g.order) != (f[0].dim, f[0].order):
+            raise ValueError(
+                f"jets of one (dim, order) expected: {what} 0 has "
+                f"({f[0].dim}, {f[0].order}), {what} {i} has ({g.dim}, {g.order})"
+            )
+    return f[0] if f else None
+
+
+def _as_stack(f):
+    """f if it is one jet, else the list of the jets of the sequence f."""
+    return f if isinstance(f, MappingJet) else list(f)
+
+
+def _terms(f, K: int) -> list[dict]:
     """The components of f up to degree K, each a dict from rank in
     ``_graded(f.dim, K)`` to monomial coefficient, in rank order: the
-    identity's terms, then each degree's entries times its multinomials."""
-    n = f.dim
+    identity's terms, then each degree's entries times its multinomials.
+    For a list f of T jets of one dim, each coefficient is the (T,) column
+    of the jets' coefficients, kept when any of them is nonzero."""
+    jets = [f] if isinstance(f, MappingJet) else f
+    n = jets[0].dim
     offsets = _graded(n, K).offsets
-    stack = np.zeros((offsets[-1], n), dtype=complex)
-    stack[offsets[1] : offsets[2]] = np.eye(n)
-    for k, P in f.polys.items():
-        if k <= K:
-            stack[offsets[k] : offsets[k + 1]] = P.entries * layout(n, k).multinomials[:, None]
-    return [{r: c for r, c in enumerate(col) if c} for col in stack.T.tolist()]
+    stack = np.zeros((len(jets), offsets[-1], n), dtype=complex)
+    stack[:, offsets[1] : offsets[2]] = np.eye(n)
+    for row, g in zip(stack, jets):
+        for k, P in g.polys.items():
+            if k <= K:
+                row[offsets[k] : offsets[k + 1]] = P.entries * layout(n, k).multinomials[:, None]
+    if isinstance(f, MappingJet):
+        return [{r: c for r, c in enumerate(col) if c} for col in stack[0].T.tolist()]
+    cols = stack.transpose(2, 1, 0).copy()  # (n, ranks, T)
+    return [{r: col[r] for r in np.flatnonzero(col.any(axis=1)).tolist()} for col in cols]
 
 
-def _from_terms(comps: list[dict[int, complex]], n: int, K: int) -> MappingJet:
-    """The order-K jet whose degree-2..K terms are those of ``comps``; the
-    kernel computes the identity's terms too, and they are not read."""
+def _from_terms(comps: list[dict], n: int, K: int, T: int | None = None):
+    """The order-K jet whose degree-2..K terms are those of ``comps``, or
+    the list of T jets when each coefficient is a (T,) column; the kernel
+    computes the identity's terms too, and they are not read."""
     offsets = _graded(n, K).offsets
-    values = np.zeros((n, offsets[-1]), dtype=complex)
-    for row, comp in zip(values, comps):
-        row[list(comp)] = list(comp.values())
-    values = values.T
-    polys = {
-        k: HomPoly._trusted(
-            k, n, n, values[offsets[k] : offsets[k + 1]] / layout(n, k).multinomials[:, None]
-        )
-        for k in range(2, K + 1)
-    }
-    return MappingJet(n, K, polys)
+    values = np.zeros((T or 1, offsets[-1], n), dtype=complex)
+    for i, comp in enumerate(comps):
+        if comp:
+            values[:, list(comp), i] = np.array(list(comp.values())).T
+    jets = [
+        MappingJet(n, K, {
+            k: HomPoly._trusted(
+                k, n, n, row[offsets[k] : offsets[k + 1]] / layout(n, k).multinomials[:, None]
+            )
+            for k in range(2, K + 1)
+        })
+        for row in values
+    ]
+    return jets if T is not None else jets[0]
 
 
-def _pmul(
-    a: dict[int, complex], b: dict[int, complex], max_deg: int, graded: _Graded
-) -> dict[int, complex]:
+def _identities(n: int, K: int, T: int | None):
+    """The identity jet, or a list of T of them."""
+    return MappingJet.identity(n, K) if T is None else [MappingJet.identity(n, K)] * T
+
+
+def _nonzero(terms: dict) -> dict:
+    """The terms whose coefficient is not exactly zero; a (T,) column of a
+    stack is kept when any of its entries is nonzero (NaN counts)."""
+    for c in terms.values():
+        if isinstance(c, np.ndarray):
+            return {r: c for r, c in terms.items() if c.any()}
+        break
+    return {r: c for r, c in terms.items() if c != 0}
+
+
+def _pmul(a: dict, b: dict, max_deg: int, graded: _Graded) -> dict:
     """a * b truncated at total degree ``max_deg``, at most graded's K.
+    Each coefficient is a complex number or a stack's (T,) column.
 
     b's terms are sorted by degree once, keeping their order within a
     degree, so each term of a multiplies only the prefix of b that fits
@@ -204,12 +260,10 @@ def _pmul(
         for rb, cb in fits[degree[ra]]:
             r = row[rb]
             out[r] = get(r, 0.0) + ca * cb
-    return {r: c for r, c in out.items() if c != 0}
+    return _nonzero(out)
 
 
-def _power_table(
-    g: list[dict[int, complex]], exponents, K: int
-) -> dict[int, dict[int, complex]]:
+def _power_table(g: list[dict], exponents, K: int) -> dict[int, dict]:
     """g^a = prod_i g_i^(a_i), truncated at total degree K, for each rank a
     in ``exponents`` (none of degree 0), where g is a jet's components.
 
@@ -224,14 +278,14 @@ def _power_table(
     graded = _graded(n, K)
     exps_of = graded.exponents
     # the powers of each component up to the largest exponent used
-    powers: list[list[dict[int, complex]]] = []
+    powers: list[list[dict]] = []
     for i in range(n):
         row = [{0: 1.0 + 0.0j}]
         for _ in range(max((exps_of[a][i] for a in exponents), default=0)):
             row.append(_pmul(row[-1], g[i], K, graded))
         powers.append(row)
 
-    table: dict[int, dict[int, complex]] = {}
+    table: dict[int, dict] = {}
     for a in exponents:
         factors = [(powers[i][p], p) for i, p in enumerate(exps_of[a]) if p]
         term, first = factors[0]
@@ -243,39 +297,50 @@ def _power_table(
     return table
 
 
-def _combine(
-    f: list[dict[int, complex]], table: dict[int, dict[int, complex]]
-) -> list[dict[int, complex]]:
+def _combine(f: list[dict], table: dict[int, dict]) -> list[dict]:
     """Components of sum_a f_a g^a: each term of f scales the power of g
     that ``table`` holds for its rank.  Every rank of f must be in
     ``table``."""
-    out: list[dict[int, complex]] = []
+    out: list[dict] = []
     for comp in f:
-        acc: dict[int, complex] = {}
+        acc: dict = {}
         get = acc.get
         for a, c in comp.items():
             for e, v in table[a].items():
                 acc[e] = get(e, 0.0) + c * v
         # exact zeros only; callers clean up with their own tolerance
-        out.append({e: v for e, v in acc.items() if v != 0})
+        out.append(_nonzero(acc))
     return out
 
 
 # -- jet algebra ------------------------------------------------------------
 
 
-def compose(f: MappingJet, g: MappingJet) -> MappingJet:
-    """Jet of f o g, truncated at min(f.order, g.order)."""
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    order = min(f.order, g.order)
+def compose(f, g):
+    """Jet of f o g, truncated at min(f.order, g.order); for two sequences
+    of T jets each, the list of the T composites f[t] o g[t]."""
+    if isinstance(f, MappingJet) != isinstance(g, MappingJet):
+        raise ValueError("compose takes two jets or two sequences of jets")
+    f, g = _as_stack(f), _as_stack(g)
+    T = None if isinstance(f, MappingJet) else len(f)
+    if T is not None and len(g) != T:
+        raise ValueError(
+            f"{T} outer jets and {len(g)} inner jets: index {min(T, len(g))} has no partner"
+        )
+    f0, g0 = _lead(f, "outer jet"), _lead(g, "inner jet")
+    if f0 is None:
+        return []
+    if f0.dim != g0.dim:
+        raise ValueError(f"dimension mismatch: {f0.dim} vs {g0.dim}")
+    order = min(f0.order, g0.order)
     F = _terms(f, order)
     table = _power_table(_terms(g, order), {a for comp in F for a in comp}, order)
-    return _from_terms(_combine(F, table), f.dim, order)
+    return _from_terms(_combine(F, table), f0.dim, order, T)
 
 
-def invert(f: MappingJet) -> MappingJet:
-    """Jet g with f o g = g o f = identity up to the jet order.
+def invert(f):
+    """Jet g with f o g = g o f = identity up to the jet order; for a
+    sequence of jets, the list of their inverses.
 
     A normalized jet's left inverse is also its right inverse, so g solves
     g o f = identity degree by degree.  With f = x + sum F_k and
@@ -289,9 +354,14 @@ def invert(f: MappingJet) -> MappingJet:
     (Brent & Kung, "Fast algorithms for manipulating formal power
     series", J. ACM 25(4), 1978).
     """
-    n, K = f.dim, f.order
+    f = _as_stack(f)
+    T = None if isinstance(f, MappingJet) else len(f)
+    f0 = _lead(f, "jet")
+    if f0 is None:
+        return []
+    n, K = f0.dim, f0.order
     if K < 2:
-        return MappingJet.identity(n, K)
+        return _identities(n, K, T)
     F = _terms(f, K)
     graded = _graded(n, K)
     degree, offsets = graded.degree, graded.offsets
@@ -303,19 +373,22 @@ def invert(f: MappingJet) -> MappingJet:
             k = degree[e]
             if k > j:
                 by_degree[k][a][e] = v
-    G: list[dict[int, complex]] = [{} for _ in range(n)]
+    G: list[dict] = [{} for _ in range(n)]
     for k in range(2, K + 1):
         lower = _combine(G, by_degree[k])
         for Gi, Fi, Li in zip(G, F, lower):
-            for e in range(offsets[k], offsets[k + 1]):
-                v = -(Fi.get(e, 0.0) + Li.get(e, 0.0))
-                if v:
-                    Gi[e] = v
-    return _from_terms(G, n, K)
+            new = {
+                e: -(Fi.get(e, 0.0) + Li.get(e, 0.0))
+                for e in range(offsets[k], offsets[k + 1])
+                if e in Fi or e in Li
+            }
+            Gi.update(_nonzero(new))
+    return _from_terms(G, n, K, T)
 
 
-def iterate(f: MappingJet, m: int) -> MappingJet:
-    """m-th iterate; negative m iterates the jet inverse.
+def iterate(f, m: int):
+    """m-th iterate; negative m iterates the jet inverse.  For a sequence
+    of jets, the list of their m-th iterates.
 
     Left-to-right binary powering (Brent & Kung, J. ACM 25(4), 1978):
     starting from f, each bit of |m| after the leading one squares the
@@ -327,32 +400,39 @@ def iterate(f: MappingJet, m: int) -> MappingJet:
     negative m.  When f is sparse, a composite can use exponents f does
     not, and f's table grows by those entries when a composition with f
     first needs them.  A power with a coefficient that is not finite
-    stays so, and is returned as soon as it appears.  ``m`` must be an
-    integer (anything ``operator.index`` accepts), else ``TypeError``.
+    stays so; a lone jet's is returned as soon as it appears, a stack
+    stops once every row is not finite.  ``m`` must be an integer
+    (anything ``operator.index`` accepts), else ``TypeError``.
     """
     try:
         m = operator.index(m)
     except TypeError:
         raise TypeError(f"iteration count must be an integer, got {m!r}") from None
+    f = _as_stack(f)
+    T = None if isinstance(f, MappingJet) else len(f)
+    f0 = _lead(f, "jet")
+    if f0 is None:
+        return []
     if m == 0:
-        return MappingJet.identity(f.dim, f.order)
+        return _identities(f0.dim, f0.order, T)
     if m < 0:
         return iterate(invert(f), -m)
-    n, K = f.dim, f.order
+    n, K = f0.dim, f0.order
     inner = _terms(f, K)
-    table: dict[int, dict[int, complex]] = {}
+    table: dict[int, dict] = {}
 
-    def after_f(comps: list[dict[int, complex]]) -> MappingJet:
+    def after_f(comps: list[dict]):
         # the first call builds f's table; a sparse f's composites can
         # then use exponents that f does not
         missing = {e for comp in comps for e in comp} - table.keys()
         if missing:
             table.update(_power_table(inner, missing, K))
-        return _from_terms(_combine(comps, table), n, K)
+        return _from_terms(_combine(comps, table), n, K, T)
 
     out = f
     for i, bit in enumerate(bin(m)[3:]):
-        if not math.isfinite(out.max_coeff()):
+        rows = [out] if T is None else out
+        if not any(math.isfinite(g.max_coeff()) for g in rows):
             break
         out = compose(out, out) if i else after_f(inner)
         if bit == "1":

@@ -379,6 +379,13 @@ def basis_coefficients(polys) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return basis.cols, coef
 
 
+def eval_rows(polys, xs: np.ndarray) -> np.ndarray:
+    """Row i of the (N, m) result is polys[i] at row i of the (N, n) array
+    xs, for N polynomials of one degree and shape."""
+    cols, coef = basis_coefficients(polys)
+    return np.matmul(monomials(xs, cols)[:, None], coef)[:, 0]
+
+
 class ScalarHomPoly(HomPoly):
     """A HomPoly with one-dimensional codomain, evaluated as a scalar."""
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import fekete
 from .estimates import check_bounded_onedim_bound
-from .fekete import fs_mapping, normalize_direction
-from .jets import MappingJet, compose, invert, iterate, random_jet, unitary_conjugate
+from .fekete import fs_mapping
+from .jets import compose, invert, iterate, random_jet, unitary_conjugate
 from .reporting import Report
 from .sampling import sample_params, sample_sphere
 from .semigroup import (
@@ -37,7 +37,7 @@ from .semigroup import (
     semigroup_jet,
     starlike_from_generator,
 )
-from .tensors import ScalarHomPoly, check_layout_size, layout, polarization_check
+from .tensors import ScalarHomPoly, check_layout_size, eval_rows, layout, polarization_check
 from .transforms import OneDimJet, detect_onedim, koebe_onedim, root_transform
 
 ITERATE_RANGE = (-3, -2, -1, 1, 2, 3)
@@ -75,15 +75,56 @@ def _worst(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _run(trial, trials: int, seed: int, stream: int, dims) -> list[list]:
+def _run(trial, trials: int, seed: int, stream: int, dims, check=None) -> list[list]:
     """What each trial of a check yields, listed trial by trial.
 
     Trial i calls ``trial(rng, n)`` with the check's own generator
-    ``_rng(seed, stream)`` and the dimension ``n = dims[i % len(dims)]``;
-    a trial returns or yields its residuals, or the draws of a stacked
-    check."""
+    ``_rng(seed, stream)`` and the dimension ``n = dims[i % len(dims)]``.
+    Without ``check``, a trial returns or yields its residuals.  With
+    ``check``, every trial first returns its inputs, all drawn in trial
+    order; then ``check(inputs)`` runs once per dimension on the list of
+    that dimension's inputs, in trial order, and returns one list of
+    residuals per input, so that a check makes one stacked call per
+    dimension."""
     rng = _rng(seed, stream)
-    return [list(trial(rng, dims[i % len(dims)])) for i in range(trials)]
+    ns = [dims[i % len(dims)] for i in range(trials)]
+    if check is None:
+        return [list(trial(rng, n)) for n in ns]
+    drawn = [trial(rng, n) for n in ns]
+    rows: list = [None] * trials
+    for n in dict.fromkeys(ns):
+        idx = [i for i, d in enumerate(ns) if d == n]
+        for i, row in zip(idx, check([drawn[i] for i in idx]), strict=True):
+            rows[i] = list(row)
+    return rows
+
+
+def _columns(inputs: list[tuple]) -> list:
+    """The inputs of a dimension's trials, one tuple per trial, as columns:
+    an array for numbers and vectors, a list for anything else."""
+    return [
+        np.array(c) if isinstance(c[0], (np.ndarray, np.number, complex, float)) else list(c)
+        for c in zip(*inputs)
+    ]
+
+
+def _rows(*columns) -> list[list[float]]:
+    """Per-trial residual rows from columns of residuals, one per check."""
+    return [[float(r) for r in row] for row in zip(*columns)]
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(rows, axis=1)
+
+
+def _entries(jets, k: int) -> np.ndarray:
+    """The (T, terms, n) degree-k entries of T jets of one dim."""
+    return np.array([f.poly(k).entries for f in jets])
+
+
+def _dense2(jets) -> np.ndarray:
+    """The (T, n, n, n) dense degree-2 tensors of T jets of one dim."""
+    return np.array([f.poly(2).dense() for f in jets])
 
 
 def _report(check: str, tol: float, seed: int, rows: list) -> Report:
@@ -97,10 +138,18 @@ def _draw_point(rng: np.random.Generator, n: int):
 
     e is returned as drawn: ``fs_mapping`` normalizes it once more, which
     can change its last bits, so a check that also uses e itself takes
-    ``normalize_direction`` of the drawn e."""
+    the rows as ``fs_mapping`` normalizes them (``fekete._unit_rows``)."""
     e = sample_sphere(rng, 1, n)[0]
     lam, mu = sample_params(rng, 2)
     return e, lam, mu
+
+
+def _jet_and_point(rng: np.random.Generator, n: int):
+    return (random_jet(n, 3, rng), *_draw_point(rng, n))
+
+
+def _two_jets_and_point(rng: np.random.Generator, n: int):
+    return (random_jet(n, 3, rng), random_jet(n, 3, rng), *_draw_point(rng, n))
 
 
 # ---------------------------------------------------------------------------
@@ -121,45 +170,47 @@ def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     return [_report("polarization", 1e-12, seed, _run(trial, trials, seed, 0, dims))]
 
 
-def _psi_compo_rhs(f: MappingJet, g: MappingJet, e, lam: complex, mu: complex) -> np.ndarray:
-    u = normalize_direction(e)
-    B, C = f.poly(2), g.poly(2)
-    P2u, Q2u = B.eval(u), C.eval(u)
+def _psi_compo_rhs(f: list, g: list, e, lam, mu) -> np.ndarray:
+    """The right side of the composition identity for stacks f and g, with
+    one direction, lambda and mu per row."""
+    psi = fs_mapping(f, e, lam, mu) + fs_mapping(g, e, lam, mu)
+    u = fekete._unit_rows(e)
+    B, C = _dense2(f), _dense2(g)
+    P2u = np.einsum("iabm,ia,ib->im", B, u, u)
+    Q2u = np.einsum("iabm,ia,ib->im", C, u, u)
+    uP2u = np.einsum("im,im->i", u.conj(), P2u)[:, None]
+    uQ2u = np.einsum("im,im->i", u.conj(), Q2u)[:, None]
+    lam, mu = lam[:, None], mu[:, None]
     return (
-        fs_mapping(f, e, lam, mu)
-        + fs_mapping(g, e, lam, mu)
-        - (lam - mu) * (np.vdot(u, P2u) * Q2u + np.vdot(u, Q2u) * P2u)
-        - mu * C.multilinear_eval([u, P2u])
-        - (mu - 2.0) * B.multilinear_eval([u, Q2u])
+        psi
+        - (lam - mu) * (uP2u * Q2u + uQ2u * P2u)
+        - mu * np.einsum("iabm,ia,ib->im", C, u, P2u)
+        - (mu - 2.0) * np.einsum("iabm,ia,ib->im", B, u, Q2u)
     )
 
 
 def suite_compose(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def trial(rng, n):
-        f = random_jet(n, 3, rng)
-        g = random_jet(n, 3, rng)
-        point = _draw_point(rng, n)
-        lhs = fs_mapping(compose(f, g), *point)
-        yield float(np.linalg.norm(lhs - _psi_compo_rhs(f, g, *point)))
+    def check(inputs):
+        f, g, e, lam, mu = _columns(inputs)
+        lhs = fs_mapping(compose(f, g), e, lam, mu)
+        return _rows(_norms(lhs - _psi_compo_rhs(f, g, e, lam, mu)))
 
-    rows = _run(trial, trials, seed, 1, dims)
+    rows = _run(_two_jets_and_point, trials, seed, 1, dims, check)
     return [_report("compose/psi-composition-identity", 1e-11, seed, rows)]
 
 
 def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def trial(rng, n):
-        f = random_jet(n, 3, rng)
+    def check(inputs):
+        f, e, lam, mu = _columns(inputs)
         g = invert(f)
-        e, lam, mu = _draw_point(rng, n)
         lhs = fs_mapping(g, e, lam, mu)
         rhs = -fs_mapping(f, e, 2.0 - lam, 2.0 - mu)
-        yield float(np.linalg.norm(lhs - rhs))
         # degree-3 part of the inverse along e equals -Psi_e(f, 2, 2)
-        psi22 = fs_mapping(f, e, 2.0, 2.0)
-        yield float(np.linalg.norm(g.poly(3).eval(e) + psi22))
+        third = eval_rows([h.poly(3) for h in g], e) + fs_mapping(f, e, 2.0, 2.0)
+        return _rows(_norms(lhs - rhs), _norms(third))
 
     # one trial feeds both checks: its duality residual, then its degree-3 one
-    rows = _run(trial, trials, seed, 2, dims)
+    rows = _run(_jet_and_point, trials, seed, 2, dims, check)
     return [
         _report("inverse/psi-duality", 1e-11, seed, [row[:1] for row in rows]),
         _report("inverse/third-derivative", 1e-11, seed, [row[1:] for row in rows]),
@@ -167,31 +218,38 @@ def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
 
 
 def suite_iterate(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def trial(rng, n):
-        f = random_jet(n, 3, rng)
-        e, lam, mu = _draw_point(rng, n)
+    def check(inputs):
+        f, e, lam, mu = _columns(inputs)
+        residuals = []
         for m in ITERATE_RANGE:
             fm = iterate(f, m)
             lhs = fs_mapping(fm, e, lam, mu)
             rhs = m * fs_mapping(f, e, m * lam - m + 1, m * mu - m + 1)
-            yield float(np.linalg.norm(lhs - rhs))
+            residuals.append(_norms(lhs - rhs))
             # degree-2 part scales linearly in the iteration count
-            yield (fm.poly(2) + f.poly(2).scale(-float(m))).max_coeff()
+            scaled = _entries(fm, 2) + -float(m) * _entries(f, 2)
+            residuals.append(np.abs(scaled).max(axis=(1, 2)))
+        return _rows(*residuals)
 
-    return [_report("iterate/psi-scaling", 1e-10, seed, _run(trial, trials, seed, 3, dims))]
+    rows = _run(_jet_and_point, trials, seed, 3, dims, check)
+    return [_report("iterate/psi-scaling", 1e-10, seed, rows)]
 
 
 def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def trial(rng, n):
+    def draw(rng, n):
         f = random_jet(n, 3, rng)
-        U = _random_unitary(n, rng)
-        g = unitary_conjugate(f, U)
-        e, lam, mu = _draw_point(rng, n)
-        lhs = fs_mapping(g, e, lam, mu)
-        rhs = U.conj().T @ fs_mapping(f, U @ e, lam, mu)
-        yield float(np.linalg.norm(lhs - rhs))
+        return (f, _random_unitary(n, rng), *_draw_point(rng, n))
 
-    return [_report("unitary/psi-conjugation", 1e-11, seed, _run(trial, trials, seed, 4, dims))]
+    def check(inputs):
+        f, U, e, lam, mu = _columns(inputs)
+        g = [unitary_conjugate(fi, Ui) for fi, Ui in zip(f, U)]
+        lhs = fs_mapping(g, e, lam, mu)
+        psi = fs_mapping(f, np.einsum("iab,ib->ia", U, e), lam, mu)
+        rhs = np.einsum("iba,ib->ia", U.conj(), psi)
+        return _rows(_norms(lhs - rhs))
+
+    rows = _run(draw, trials, seed, 4, dims, check)
+    return [_report("unitary/psi-conjugation", 1e-11, seed, rows)]
 
 
 ROOT_ORDERS = (2, 3)
@@ -200,22 +258,34 @@ SUITE_MAX_DEGREE = 2 * max(ROOT_ORDERS) + 1
 
 
 def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def trial(rng, n):
+    def draw(rng, n):
         od = random_onedim_jet(n, 3, rng)
-        f = od.to_mapping_jet()
         e = sample_sphere(rng, 1, n)[0]
-        for nroot in ROOT_ORDERS:
-            g = root_transform(od, nroot, e)
-            for k in g.polys:
-                if (k - 1) % nroot != 0:
-                    yield g.poly(k).max_coeff()
-            qn1 = g.poly(nroot + 1).eval(e)
-            yield float(np.linalg.norm(qn1 - f.poly(2).eval(e) / nroot))
-            q2n1 = g.poly(2 * nroot + 1).eval(e)
-            lam = (nroot - 1) / (2.0 * nroot)
-            for mu in sample_params(rng, 5):
-                psi = fs_mapping(f, e, lam, mu)
-                yield float(np.linalg.norm(q2n1 - psi / nroot))
+        return od, e, [sample_params(rng, 5) for _ in ROOT_ORDERS]
+
+    def check(inputs):
+        rows = [[] for _ in inputs]
+        lifts = [od.to_mapping_jet() for od, _, _ in inputs]
+        e = np.array([e for _, e, _ in inputs])
+        for j, nroot in enumerate(ROOT_ORDERS):
+            gs = [root_transform(od, nroot, ei) for od, ei, _ in inputs]
+            for row, g in zip(rows, gs):
+                row += [g.poly(k).max_coeff() for k in g.polys if (k - 1) % nroot != 0]
+            qn1 = eval_rows([g.poly(nroot + 1) for g in gs], e)
+            P2 = eval_rows([f.poly(2) for f in lifts], e)
+            q2n1 = eval_rows([g.poly(2 * nroot + 1) for g in gs], e)
+            # Psi at the order's lambda and each trial's five mu, as one stack
+            mus = np.concatenate([mu[j] for _, _, mu in inputs])
+            psi = fs_mapping(
+                [f for f in lifts for _ in range(5)],
+                np.repeat(e, 5, axis=0),
+                (nroot - 1) / (2.0 * nroot),
+                mus,
+            ).reshape(len(inputs), 5, -1)
+            q2n1_gap = np.linalg.norm(q2n1[:, None] - psi / nroot, axis=2)
+            for row, a, b in zip(rows, _norms(qn1 - P2 / nroot), q2n1_gap):
+                row += [float(a), *map(float, b)]
+        return rows
 
     # golden series: the square-root transform of the Koebe function
     golden = []
@@ -225,47 +295,44 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         got = [complex(g.poly(k).eval(one)[0]) for k in (2, 3, 4, 5)]
         golden.append([abs(a - b) for a, b in zip(got, (0.0, 1.0, 0.0, 1.0))])
     return [
-        _report("root/jet-relations", 1e-10, seed, _run(trial, trials, seed, 5, dims)),
+        _report("root/jet-relations", 1e-10, seed, _run(draw, trials, seed, 5, dims, check)),
         _report("root/koebe-golden", 1e-12, seed, golden),
     ]
 
 
 def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def defect(rng, n):
-        f = random_jet(n, 3, rng)
-        g = random_jet(n, 3, rng)
-        e, lam, mu = _draw_point(rng, n)
-        R = fekete._composition_defect(f, g, e, lam, mu)
-        return n, float(np.linalg.norm(R)), fekete.ell(lam, mu), f.poly(2), g.poly(2)
+    def defect(inputs):
+        f, g, e, lam, mu = _columns(inputs)
+        R = _norms(fekete._composition_defect(f, g, e, lam, mu))
+        # the norms of each trial's two degree-2 tensors, in one call
+        tensors = [P for fi, gi in zip(f, g) for P in (fi.poly(2), gi.poly(2))]
+        est = fekete.operator_norm_bilinear(tensors, seed=[seed, seed + 1] * len(f))
+        norms = np.array([x.value for x in est]).reshape(-1, 2)
+        coef = np.array([fekete.ell(a, b) for a, b in zip(lam, mu)])
+        return _rows(R - coef * norms[:, 0] * norms[:, 1])
 
-    def onedim_defect(rng, n):
-        fo = random_onedim_jet(n, 3, rng)
-        go = random_onedim_jet(n, 3, rng)
-        f, g = fo.to_mapping_jet(), go.to_mapping_jet()
-        e, lam, mu = _draw_point(rng, n)
-        R = fekete._composition_defect(f, g, e, lam, mu)
-        expect = 2.0 * abs(1.0 - lam) * abs(
-            fo.scalar_part(1).eval_scalar(e) * go.scalar_part(1).eval_scalar(e)
-        )
-        yield abs(float(np.linalg.norm(R)) - expect)
+    def onedim_draw(rng, n):
+        return (random_onedim_jet(n, 3, rng), random_onedim_jet(n, 3, rng), *_draw_point(rng, n))
 
-    # per dimension: (||R||, ell(lam, mu)) of each trial and its two
-    # degree-2 tensors, whose norms are then estimated in one call
-    by_dim: dict[int, tuple[list, list]] = {}
-    for n, r, coef, B, C in _run(defect, trials, seed, 6, dims):
-        defects, tensors = by_dim.setdefault(n, ([], []))
-        defects.append((r, coef))
-        tensors += [B, C]
-    rows = []
-    for defects, tensors in by_dim.values():
-        seeds = [seed, seed + 1] * len(defects)
-        est = fekete.operator_norm_bilinear(tensors, seed=seeds)
-        for (r, coef), nf, ng in zip(defects, est[::2], est[1::2]):
-            rows.append([r - coef * nf.value * ng.value])
+    def onedim_defect(inputs):
+        fo, go, e, lam, mu = _columns(inputs)
+        f, g = [x.to_mapping_jet() for x in fo], [x.to_mapping_jet() for x in go]
+        R = _norms(fekete._composition_defect(f, g, e, lam, mu))
+        s_f, s_g = (eval_rows([x.scalar_part(1) for x in xs], e)[:, 0] for xs in (fo, go))
+        return _rows(np.abs(R - 2.0 * np.abs(1.0 - lam) * np.abs(s_f * s_g)))
+
     return [
-        _report("error-bound/ell-bound", 1e-9, seed, rows),
         _report(
-            "error-bound/onedim-equality", 1e-11, seed, _run(onedim_defect, trials, seed, 7, dims)
+            "error-bound/ell-bound",
+            1e-9,
+            seed,
+            _run(_two_jets_and_point, trials, seed, 6, dims, defect),
+        ),
+        _report(
+            "error-bound/onedim-equality",
+            1e-11,
+            seed,
+            _run(onedim_draw, trials, seed, 7, dims, onedim_defect),
         ),
     ]
 
@@ -279,20 +346,15 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
             yield (combined.poly(k) + direct.poly(k).scale(-1.0)).max_coeff()
 
     def draw(rng, n):
-        return n, sample_generator(n, rng), sample_sphere(rng, 1, n)[0]
+        return sample_generator(n, rng), sample_sphere(rng, 1, n)[0]
 
     times, degrees = (0.1, 0.7, 2.0), (2, 3)
-    # every generator and direction first, then one integration per dim
-    by_dim: dict[int, tuple[list, list]] = {}
-    for n, h, e in _run(draw, trials, seed, 8, dims):
-        gens, dirs = by_dim.setdefault(n, ([], []))
-        gens.append(h)
-        dirs.append(e)
-    rows = []
-    for gens, dirs in by_dim.values():
-        extracted = flow_taylor_via_ode(
-            gens, times, np.array(dirs), degrees, step=5e-3
-        )
+
+    def closed_form(inputs):
+        # one integration for every generator of the dimension
+        gens, dirs = _columns(inputs)
+        extracted = flow_taylor_via_ode(gens, times, dirs, degrees, step=5e-3)
+        rows = []
         for h, e, by_time in zip(gens, dirs, extracted):
             row = []
             for t, by_degree in zip(times, by_time):
@@ -300,9 +362,13 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
                 for k, coef in zip(degrees, by_degree):
                     row.append(float(np.linalg.norm(flow.poly(k).eval(e) - coef)))
             rows.append(row)
+        return rows
+
     flow_trials = max(1, trials // 4) if trials else 0
     return [
-        _report("semigroup/closed-form-vs-ode", 1e-6, seed, rows),
+        _report(
+            "semigroup/closed-form-vs-ode", 1e-6, seed, _run(draw, trials, seed, 8, dims, closed_form)
+        ),
         _report(
             "semigroup/flow-property", 1e-10, seed, _run(flow_property, flow_trials, seed, 9, dims)
         ),
@@ -310,24 +376,26 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
 
 
 def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def pairing(rng, n):
-        h = random_jet(n, 3, rng)
-        f = starlike_from_generator(h)
-        e, lam, mu = _draw_point(rng, n)
+    def pairing(inputs):
+        h, e, lam, mu = _columns(inputs)
+        f = [starlike_from_generator(x) for x in h]
         lhs = fs_mapping(h, e, 2 * lam, 2 * mu)
         rhs = -2.0 * fs_mapping(f, e, 1 - lam, 1 - mu)
-        yield float(np.linalg.norm(lhs - rhs))
         # round trip through the pairing
-        back = generator_from_starlike(f)
-        for k in (2, 3):
-            yield (back.poly(k) + h.poly(k).scale(-1.0)).max_coeff()
+        back = [generator_from_starlike(x) for x in f]
+        trip = [np.abs(_entries(back, k) - _entries(h, k)).max(axis=(1, 2)) for k in (2, 3)]
+        return _rows(_norms(lhs - rhs), *trip)
 
-    def generator_bound(rng, n):
+    def generator_draw(rng, n):
         h = sample_generator(n, rng)
         e = sample_sphere(rng, 1, n)[0]
-        lam = sample_params(rng, 1)[0]
-        val = abs(np.vdot(normalize_direction(e), fs_mapping(h, e, lam, 0.0)))
-        yield val - 2.0 * max(1.0, abs(2.0 * lam - 1.0))
+        return h, e, sample_params(rng, 1)[0]
+
+    def generator_bound(inputs):
+        h, e, lam = _columns(inputs)
+        psi = fs_mapping(h, e, lam, 0.0)
+        val = np.abs(np.einsum("im,im->i", fekete._unit_rows(e).conj(), psi))
+        return _rows(val - 2.0 * np.maximum(1.0, np.abs(2.0 * lam - 1.0)))
 
     rng3 = _rng(seed, 12)
     mismatches = 0
@@ -341,12 +409,14 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         if (detect_onedim(h) is None) != (detect_onedim(f) is None):
             mismatches += 1
     return [
-        _report("duality/psi-pairing", 1e-11, seed, _run(pairing, trials, seed, 10, dims)),
+        _report(
+            "duality/psi-pairing", 1e-11, seed, _run(_jet_and_point, trials, seed, 10, dims, pairing)
+        ),
         _report(
             "duality/generator-scalar-bound",
             1e-9,
             seed,
-            _run(generator_bound, trials, seed, 11, dims),
+            _run(generator_draw, trials, seed, 11, dims, generator_bound),
         ),
         Report("duality/onedim-equivalence", trials, seed, 0.0, float(mismatches)),
     ]
@@ -361,16 +431,20 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         )
         yield -report.margin
 
-    def starlike(rng, n):
+    def starlike_draw(rng, n):
         base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
-        f = starlike_from_generator(generator_shrink(base, rng))
-        e, lam, mu = _draw_point(rng, n)
-        val = float(np.linalg.norm(fs_mapping(f, e, lam, mu)))
-        yield val - max(1.0, abs(4.0 * lam - 3.0))
+        return (starlike_from_generator(generator_shrink(base, rng)), *_draw_point(rng, n))
+
+    def starlike(inputs):
+        f, e, lam, mu = _columns(inputs)
+        val = _norms(fs_mapping(f, e, lam, mu))
+        return _rows(val - np.maximum(1.0, np.abs(4.0 * lam - 3.0)))
 
     return [
         _report("bounds/bounded-onedim", 1e-6, seed, _run(bounded, trials, seed, 13, dims)),
-        _report("bounds/starlike-onedim", 1e-9, seed, _run(starlike, trials, seed, 14, dims)),
+        _report(
+            "bounds/starlike-onedim", 1e-9, seed, _run(starlike_draw, trials, seed, 14, dims, starlike)
+        ),
     ]
 
 
