@@ -1,8 +1,9 @@
 """pytest-benchmark timings of the layers that `fsjet verify all` repeats.
 
-Each benchmark but ``bench_fs_mapping_batch`` uses only API that has been
-stable across versions, so the same file times an older checkout: copy
-``bench/`` into it and run ``python -m pytest bench`` from its root.
+The same file times an older checkout: ``bench/paired.py`` runs it
+against both trees.  A case whose API the older checkout lacks (the
+batch and stack calls of ``fs_mapping``, ``compose`` and ``invert``)
+fails there, and ``paired.py`` lists it unpaired.
 """
 
 import numpy as np
@@ -87,6 +88,26 @@ def bench_fs_mapping_batch(benchmark):
     es = sample_sphere(np.random.default_rng(26), 64, 3)
     f.poly(2).dense()
     benchmark(fs_mapping, f, es, 0.3 - 0.2j, 0.8)
+
+
+# the order-3 jets of `fsjet verify all` at n = 3, as one stack of this
+# many, which each suite check at its default trials comes close to
+STACK = 100
+
+
+def bench_compose_stack(benchmark):
+    fs, gs = _jets(3, 3, STACK, seed=60), _jets(3, 3, STACK, seed=61)
+    benchmark(compose, fs, gs)
+
+
+def bench_invert_stack(benchmark):
+    benchmark(invert, _jets(3, 3, STACK, seed=62))
+
+
+def bench_fs_mapping_stack(benchmark):
+    fs = _jets(3, 3, STACK, seed=63)
+    es = sample_sphere(np.random.default_rng(63), STACK, 3)
+    benchmark(fs_mapping, fs, es, 0.3 - 0.2j, 0.8)
 
 
 def bench_sup_norm_fs(benchmark):

@@ -12,6 +12,9 @@ OLD_ROOT and NEW_ROOT are checkouts with the package under ``src/``.
 Prints, per case, the quartiles over pairs of each tree's per-run median,
 the ratio of the medians, the number of pairs the second tree won and a
 verdict (see ``verdict``).  BLAS runs on one thread, as in ``perfbench``.
+Only the cases that every run of both trees timed are paired; a case
+that fails or is missing in a tree, such as one that times an API the
+old tree lacks, is listed after the table with the trees that lack it.
 """
 
 from __future__ import annotations
@@ -73,13 +76,27 @@ def verdict(old: list[float], new: list[float]) -> str:
     return "unresolved"
 
 
+def shared_cases(runs: dict[str, list[dict[str, float]]]) -> tuple[list[str], dict[str, list[str]]]:
+    """The cases that every run of both trees timed, in the order of the
+    first run of the new tree, and each other case with the trees that
+    lack it in at least one run."""
+    cases = list(dict.fromkeys(c for side in ("new", "old") for r in runs[side] for c in r))
+    lacking = {c: [side for side in ("old", "new") if any(c not in r for r in runs[side])]
+               for c in cases}
+    return [c for c in cases if not lacking[c]], {c: s for c, s in lacking.items() if s}
+
+
 def _run(bench: Path, out: Path) -> dict[str, float]:
+    """Each case's median time in one pytest-benchmark run; a case that
+    fails is left out, and the run goes on past a file that does not
+    import."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
     cmd = [sys.executable, "-m", "pytest", str(bench), "-q", "-p", "no:cacheprovider",
-           f"--benchmark-json={out}"]
+           "--continue-on-collection-errors", f"--benchmark-json={out}"]
     done = subprocess.run(cmd, env=env, cwd=bench, capture_output=True, text=True)
-    if done.returncode != 0:
+    # exit code 1: some cases failed, and the others were timed
+    if done.returncode not in (0, 1) or not out.exists():
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"bench run against {bench} failed")
     data = json.loads(out.read_text())
@@ -105,7 +122,7 @@ def main(argv=None) -> int:
                 runs[side].append(_run(benches[side], tmp / f"{side}-{i}.json"))
             print(f"pair {i + 1}/{args.pairs} done ({' then '.join(order)})", file=sys.stderr)
 
-    cases = [c for c in runs["old"][0] if all(c in r for r in runs["old"] + runs["new"])]
+    cases, lacking = shared_cases(runs)
     quart = "q1 / median / q3 ms"
     print(f"{'case':40s} {'old ' + quart:>30s} {'new ' + quart:>30s} {'new/old':>8s} {'wins':>6s}  verdict")
     for case in cases:
@@ -116,6 +133,8 @@ def main(argv=None) -> int:
         spans = ["/".join(f"{1e3 * q:.4g}" for q in qs) for qs in (qo, qn)]
         print(f"{case:40s} {spans[0]:>30s} {spans[1]:>30s} {qn[1] / qo[1]:8.3f} "
               f"{wins:>3d}/{args.pairs}  {verdict(old, new)}")
+    for case, sides in lacking.items():
+        print(f"{case:40s} not paired: failed or missing in the {' and '.join(sides)} tree")
     return 0
 
 

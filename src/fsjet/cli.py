@@ -91,13 +91,17 @@ def _emit(jet: MappingJet, output: str | None) -> None:
 
 
 def _parse_direction(text: str, dim: int) -> np.ndarray:
+    """The direction as given, once it is known to be a unit vector within
+    ``E_NORM_TOL``: the evaluator or transform it goes to normalizes it,
+    so it is normalized once."""
     try:
         e = np.array([parse_complex(p) for p in text.split(",")])
         if e.shape != (dim,):
             raise ValueError(
                 f"direction has {e.size} components, the mapping has dimension {dim}"
             )
-        return normalize_direction(e)
+        normalize_direction(e)  # raises unless e is a unit vector
+        return e
     except ValueError as exc:
         raise click.UsageError(str(exc))
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jets import MappingJet, _lead, compose
+from .jets import MappingJet, _lead, _paired, compose
 from .tensors import HomPoly, _check_vector, eval_rows, layout
 
 E_NORM_TOL = 1e-6
@@ -73,22 +73,25 @@ def _fs_stack(fs: list[MappingJet], e, lam, mu) -> np.ndarray:
     """``fs_mapping`` of a list of jets, row t from jet t."""
     f0 = _lead(fs, "jet")
     es = np.asarray(e, dtype=complex)
-    if f0 is None:
-        n = es.shape[-1] if es.ndim == 2 else 0
-        return np.zeros((0, n), dtype=complex)
-    T, n = len(fs), f0.dim
-    if es.shape != (T, n):
-        raise ValueError(f"expected {T} directions of shape ({T}, {n}), got shape {es.shape}")
+    n = f0.dim if f0 else es.shape[-1]
+    if es.ndim != 2 or es.shape[1] != n:
+        raise ValueError(f"expected directions of shape (T, {n}), got shape {es.shape}")
+    T = len(fs)
+    _paired(T, len(es), "directions")
     params = []
     for name, z in (("lambda", lam), ("mu", mu)):
         z = np.asarray(z, dtype=complex)
-        if z.ndim > 1 or z.ndim == 1 and len(z) != T:
+        if z.ndim > 1:
             raise ValueError(f"{name} must be a scalar or {T} values, got shape {z.shape}")
+        if z.ndim:
+            _paired(T, len(z), f"{name} values")
         bad = ~np.isfinite(z)
         if bad.any():
             i = int(np.argmax(bad)) if z.ndim else 0
             raise ValueError(f"{name} must be finite, got {z.reshape(-1)[i]}{_at(z.ndim == 0, i)}")
         params.append(z[:, None] if z.ndim else complex(z))
+    if not T:
+        return np.zeros((0, n), dtype=complex)
     return _psi_rows(fs, _unit_rows(es), *params)
 
 

@@ -171,6 +171,12 @@ def _lead(f, what: str) -> MappingJet | None:
     return f[0] if f else None
 
 
+def _paired(T: int, count: int, what: str) -> None:
+    """ValueError unless a stack of T jets has ``count`` of ``what``."""
+    if count != T:
+        raise ValueError(f"{T} jets and {count} {what}: index {min(T, count)} has no partner")
+
+
 def _as_stack(f):
     """f if it is one jet, else the list of the jets of the sequence f."""
     return f if isinstance(f, MappingJet) else list(f)
@@ -323,10 +329,8 @@ def compose(f, g):
         raise ValueError("compose takes two jets or two sequences of jets")
     f, g = _as_stack(f), _as_stack(g)
     T = None if isinstance(f, MappingJet) else len(f)
-    if T is not None and len(g) != T:
-        raise ValueError(
-            f"{T} outer jets and {len(g)} inner jets: index {min(T, len(g))} has no partner"
-        )
+    if T is not None:
+        _paired(T, len(g), "inner jets")
     f0, g0 = _lead(f, "outer jet"), _lead(g, "inner jet")
     if f0 is None:
         return []

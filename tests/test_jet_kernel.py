@@ -5,7 +5,9 @@ brute-force exponent addition and direct evaluation.
 
 The kernel keys monomials by their rank in ``_graded(n, K)``; the checks
 write their polynomials as dicts from exponent tuple to coefficient and
-translate at the kernel's boundary."""
+translate at the kernel's boundary.  Each check also runs the kernel on a
+stack, whose coefficients are (T,) columns, and checks every row of it
+against the same oracle."""
 
 import itertools
 import math
@@ -29,6 +31,20 @@ def _ranked(a, graded):
 def _exponents(a, graded):
     """The rank-keyed polynomial a keyed by exponent."""
     return {graded.exponents[r]: c for r, c in a.items()}
+
+
+def _columns(rows, graded):
+    """T exponent-keyed polynomials as one rank-keyed stack: each
+    coefficient is the (T,) column of the rows' coefficients, 0 where a
+    row has no term."""
+    ranked = [_ranked(a, graded) for a in rows]
+    ranks = sorted(set().union(*ranked))
+    return {r: np.array([a.get(r, 0) for a in ranked], dtype=complex) for r in ranks}
+
+
+def _row(stack, t):
+    """Row t of a rank-keyed stack, without its zero terms."""
+    return {r: c[t] for r, c in stack.items() if c[t] != 0}
 
 
 @pytest.mark.parametrize("n,K", [(1, 6), (2, 7), (3, 6), (4, 5)])
@@ -89,15 +105,22 @@ def _random_poly(rng, nvars, max_deg, terms=6):
 
 def test_pmul_matches_pointwise_product():
     rng = np.random.default_rng(1)
+    graded = _graded(2, 6)
+    pairs = []
     for _ in range(20):
         a = _random_poly(rng, 2, 3)
         b = _random_poly(rng, 2, 3)
-        graded = _graded(2, 6)
         c = _exponents(_pmul(_ranked(a, graded), _ranked(b, graded), 6, graded), graded)
         x = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         lhs = _peval(c, x)
         rhs = _peval(a, x) * _peval(b, x)
         assert abs(lhs - rhs) < 1e-12
+        pairs.append((a, b, x))
+    # the 20 pairs as one stack of columns
+    a, b = (_columns([p[i] for p in pairs], graded) for i in (0, 1))
+    c = _pmul(a, b, 6, graded)
+    for t, (at, bt, x) in enumerate(pairs):
+        assert abs(_peval(_exponents(_row(c, t), graded), x) - _peval(at, x) * _peval(bt, x)) < 1e-12
 
 
 def test_pmul_truncates_by_total_degree():
@@ -135,6 +158,18 @@ def test_substitute_matches_pointwise():
     gx = np.array([_peval(c, x) for c in g])
     for fc, cc in zip(f, comp):
         assert abs(_peval(cc, x) - _peval(fc, gx)) < 1e-12
+    # a stack of three rows: (f, g), then another outer map over g, then f
+    # over another linear map, one of whose components lacks a term
+    f2 = [{e: c for e, c in _random_poly(rng, 2, 2).items() if any(e)} for _ in range(2)]
+    g2 = [{(1, 0): 0.25 + 0j}, {(1, 0): -0.5j, (0, 1): 0.3 + 0.1j}]
+    rows = [(f, g), (f2, g), (f, g2)]
+    graded = _graded(2, 4)
+    F, G = ([_columns(comps, graded) for comps in zip(*side)] for side in zip(*rows))
+    stacked = _substitute(F, G, 4)
+    for t, (ft, gt) in enumerate(rows):
+        gx = np.array([_peval(c, x) for c in gt])
+        for fc, cc in zip(ft, stacked):
+            assert abs(_peval(_exponents(_row(cc, t), graded), x) - _peval(fc, gx)) < 1e-12
 
 
 def _gapped_poly(rng, nvars, degrees, terms=5):
@@ -174,14 +209,18 @@ def test_pmul_of_gapped_factors_matches_cauchy_oracle(max_deg):
         b = _gapped_poly(rng, nvars, [1, 3, 6])
         constant = {(0,) * nvars: 0.5 - 0.25j}
         e = sample_sphere(rng, 1, nvars)[0]
-        for x, y in ((a, b), (b, a), (a, constant), (constant, b), (a, {}), ({}, b), ({}, {})):
-            got = _pmul(_ranked(x, graded), _ranked(y, graded), max_deg, graded)
-            got = _exponents(got, graded)
-            assert all(sum(t) <= max_deg for t in got)
+        pairs = ((a, b), (b, a), (a, constant), (constant, b), (a, {}), ({}, b), ({}, {}))
+        # each pair alone, then all of them as one stack of columns
+        stacked = _pmul(*(_columns(side, graded) for side in zip(*pairs)), max_deg, graded)
+        for t, (x, y) in enumerate(pairs):
             coef = _taylor_along(lambda p: _peval(x, p) * _peval(y, p), e)
             scale = 1.0 + np.abs(coef).max()
-            for k in range(max_deg + 1):
-                assert abs(_degree_part_at(got, k, e) - coef[k]) <= 1e-12 * scale
+            alone = _pmul(_ranked(x, graded), _ranked(y, graded), max_deg, graded)
+            for got in (alone, _row(stacked, t)):
+                got = _exponents(got, graded)
+                assert all(sum(exps) <= max_deg for exps in got)
+                for k in range(max_deg + 1):
+                    assert abs(_degree_part_at(got, k, e) - coef[k]) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n,K", [(2, 7), (3, 6), (4, 5)])
@@ -192,16 +231,27 @@ def test_substitute_of_compose_inputs_matches_cauchy_oracle(n, K):
     rng = np.random.default_rng(80 + 10 * n + K)
     f, g = random_jet(n, K, rng), random_jet(n, K, rng)
     graded = _graded(n, K)
-    comp = [_exponents(c, graded) for c in _substitute(_terms(f, K), _terms(g, K), K)]
-    assert len(comp) == n
-    assert all(sum(x) <= K for c in comp for x in c)
-    for e in sample_sphere(rng, 2, n):
-        coef = _taylor_along(lambda p: f.eval_many(g.eval_many(p[None]))[0], 0.5 * e, 64)
-        coef /= 0.5 ** np.arange(64)[:, None]
-        tol = 1e-10 * (1.0 + np.abs(coef[: K + 1]).max())
-        for k in range(K + 1):
-            got = [_degree_part_at(cc, k, e) for cc in comp]
-            assert np.abs(np.array(got) - coef[k]).max() <= tol, k
+    # f o g alone, then f o g and g o f as the rows of one stack
+    stacked = _substitute(_terms([f, g], K), _terms([g, f], K), K)
+    cases = [
+        (f, g, _substitute(_terms(f, K), _terms(g, K), K)),
+        (f, g, [_row(c, 0) for c in stacked]),
+        (g, f, [_row(c, 1) for c in stacked]),
+    ]
+    directions = sample_sphere(rng, 2, n)
+    for outer, inner, comp in cases:
+        comp = [_exponents(c, graded) for c in comp]
+        assert len(comp) == n
+        assert all(sum(x) <= K for c in comp for x in c)
+        for e in directions:
+            coef = _taylor_along(
+                lambda p: outer.eval_many(inner.eval_many(p[None]))[0], 0.5 * e, 64
+            )
+            coef /= 0.5 ** np.arange(64)[:, None]
+            tol = 1e-10 * (1.0 + np.abs(coef[: K + 1]).max())
+            for k in range(K + 1):
+                got = [_degree_part_at(cc, k, e) for cc in comp]
+                assert np.abs(np.array(got) - coef[k]).max() <= tol, k
 
 
 def test_a_shared_power_table_combines_like_substitute():

@@ -1,4 +1,5 @@
-"""The verdict of ``bench/paired.py`` on synthetic pairs."""
+"""The verdict of ``bench/paired.py`` on synthetic pairs, and the cases
+it pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +45,16 @@ def test_quartiles_of_the_old_times():
 ])
 def test_verdict_on_synthetic_pairs(new, want):
     assert paired.verdict(OLD, new) == want
+
+
+def test_only_the_cases_every_run_timed_are_paired():
+    # "stack" times an API the old tree lacks, so every old run fails it;
+    # "flaky" failed in one new run
+    runs = {
+        "old": [{"a": 1.0, "b": 2.0, "flaky": 3.0}] * 2,
+        "new": [{"stack": 0.5, "b": 1.5, "a": 0.9, "flaky": 2.0}, {"stack": 0.5, "a": 0.8, "b": 1.0}],
+    }
+    cases, lacking = paired.shared_cases(runs)
+    assert cases == ["b", "a"]
+    assert lacking == {"stack": ["old"], "flaky": ["new"]}
+    assert paired.shared_cases({"old": [{"a": 1.0}], "new": [{"a": 2.0}]}) == (["a"], {})
