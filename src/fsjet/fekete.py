@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jets import MappingJet, _lead, _paired, compose
+from .jets import MappingJet, _paired, _stack_of, compose
 from .tensors import HomPoly, _check_vector, eval_rows, layout
 
 E_NORM_TOL = 1e-6
@@ -58,8 +58,9 @@ def fs_mapping(f, e, lam, mu) -> np.ndarray:
     mu, raises ``ValueError`` naming the row.  <Psi_e, e> is
     ``np.vdot(e, Psi_e)`` for the normalized e.
     """
-    if not isinstance(f, MappingJet):
-        return _fs_stack(list(f), e, lam, mu)
+    f, T, f0 = _stack_of(f)
+    if T is not None:
+        return _fs_stack(f, f0, e, lam, mu)
     lam, mu = finite_params(lam, mu)
     es = np.asarray(e, dtype=complex)
     if es.ndim not in (1, 2) or es.shape[-1] != f.dim:
@@ -69,14 +70,14 @@ def fs_mapping(f, e, lam, mu) -> np.ndarray:
     return _psi_rows(f, _unit_rows(es), lam, mu)
 
 
-def _fs_stack(fs: list[MappingJet], e, lam, mu) -> np.ndarray:
-    """``fs_mapping`` of a list of jets, row t from jet t."""
-    f0 = _lead(fs, "jet")
+def _fs_stack(fs: list[MappingJet], f0: MappingJet | None, e, lam, mu) -> np.ndarray:
+    """``fs_mapping`` of a list of jets led by f0, row t from jet t."""
     es = np.asarray(e, dtype=complex)
-    n = f0.dim if f0 else es.shape[-1]
+    if f0 is None:
+        return np.zeros((0, es.shape[1] if es.ndim == 2 else 0), dtype=complex)
+    T, n = len(fs), f0.dim
     if es.ndim != 2 or es.shape[1] != n:
         raise ValueError(f"expected directions of shape (T, {n}), got shape {es.shape}")
-    T = len(fs)
     _paired(T, len(es), "directions")
     params = []
     for name, z in (("lambda", lam), ("mu", mu)):
@@ -87,11 +88,10 @@ def _fs_stack(fs: list[MappingJet], e, lam, mu) -> np.ndarray:
             _paired(T, len(z), f"{name} values")
         bad = ~np.isfinite(z)
         if bad.any():
-            i = int(np.argmax(bad)) if z.ndim else 0
+            i = int(np.argmax(bad))
             raise ValueError(f"{name} must be finite, got {z.reshape(-1)[i]}{_at(z.ndim == 0, i)}")
+        # a scalar serves every row; values per row are a (T, 1) column
         params.append(z[:, None] if z.ndim else complex(z))
-    if not T:
-        return np.zeros((0, n), dtype=complex)
     return _psi_rows(fs, _unit_rows(es), *params)
 
 
@@ -117,15 +117,20 @@ def _psi_rows(f, es: np.ndarray, lam, mu) -> np.ndarray:
         P3 = f.poly(3).eval_many(es)
         rows = "abm,ia,ib->im"
     else:  # one tensor per row: (N, n, n, n) and the rows' own P3
-        n = es.shape[1]
-        E2 = np.array([g.poly(2).entries for g in f])
-        B = E2[:, layout(n, 2).position_rank].reshape(len(f), n, n, n)
+        B = _dense2(f)
         P3 = eval_rows([g.poly(3) for g in f], es)
         rows = "iabm,ia,ib->im"
     P2 = np.einsum(rows, B, es, es)
     BeP2 = np.einsum(rows, B, es, P2)
     proj = np.einsum("im,im->i", P2, es.conj())
     return P3 - mu * BeP2 - (lam - mu) * proj[:, None] * P2
+
+
+def _dense2(jets: list[MappingJet]) -> np.ndarray:
+    """The (T, n, n, n) dense degree-2 tensors of T jets of one dim."""
+    n = jets[0].dim
+    entries = np.array([f.poly(2).entries for f in jets])
+    return entries[:, layout(n, 2).position_rank].reshape(len(jets), n, n, n)
 
 
 def fs_scalar(f: MappingJet, e, lam: complex, variant: int = 1) -> complex:

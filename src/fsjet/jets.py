@@ -155,33 +155,6 @@ def _graded(n: int, K: int) -> _Graded:
     return _Graded(tuple(exponents), degree, tuple(offsets), pairs)
 
 
-def _lead(f, what: str) -> MappingJet | None:
-    """The jet f itself, or the first jet of the list f after checking that
-    every jet of f has its (dim, order); None for an empty list."""
-    if isinstance(f, MappingJet):
-        return f
-    for i, g in enumerate(f):
-        if not isinstance(g, MappingJet):
-            raise ValueError(f"{what} {i} is not a MappingJet but {type(g).__name__}")
-        if (g.dim, g.order) != (f[0].dim, f[0].order):
-            raise ValueError(
-                f"jets of one (dim, order) expected: {what} 0 has "
-                f"({f[0].dim}, {f[0].order}), {what} {i} has ({g.dim}, {g.order})"
-            )
-    return f[0] if f else None
-
-
-def _paired(T: int, count: int, what: str) -> None:
-    """ValueError unless a stack of T jets has ``count`` of ``what``."""
-    if count != T:
-        raise ValueError(f"{T} jets and {count} {what}: index {min(T, count)} has no partner")
-
-
-def _as_stack(f):
-    """f if it is one jet, else the list of the jets of the sequence f."""
-    return f if isinstance(f, MappingJet) else list(f)
-
-
 def _terms(f, K: int) -> list[dict]:
     """The components of f up to degree K, each a dict from rank in
     ``_graded(f.dim, K)`` to monomial coefficient, in rank order: the
@@ -222,11 +195,6 @@ def _from_terms(comps: list[dict], n: int, K: int, T: int | None = None):
         for row in values
     ]
     return jets if T is not None else jets[0]
-
-
-def _identities(n: int, K: int, T: int | None):
-    """The identity jet, or a list of T of them."""
-    return MappingJet.identity(n, K) if T is None else [MappingJet.identity(n, K)] * T
 
 
 def _nonzero(terms: dict) -> dict:
@@ -319,19 +287,51 @@ def _combine(f: list[dict], table: dict[int, dict]) -> list[dict]:
     return out
 
 
+# -- stacks -----------------------------------------------------------------
+
+
+def _stack_of(f, what: str = "jet") -> tuple:
+    """(f, T, lead) for the argument f of a stacked call: one jet gives
+    (f, None, f); a sequence gives the list of its T jets and the first
+    of them, None when T = 0, after checking that every jet has the first
+    one's (dim, order)."""
+    if isinstance(f, MappingJet):
+        return f, None, f
+    f = list(f)
+    for i, g in enumerate(f):
+        if not isinstance(g, MappingJet):
+            raise ValueError(f"{what} {i} is not a MappingJet but {type(g).__name__}")
+        if (g.dim, g.order) != (f[0].dim, f[0].order):
+            raise ValueError(
+                f"jets of one (dim, order) expected: {what} 0 has "
+                f"({f[0].dim}, {f[0].order}), {what} {i} has ({g.dim}, {g.order})"
+            )
+    return f, len(f), f[0] if f else None
+
+
+def _paired(T: int, count: int, what: str) -> None:
+    """ValueError unless a stack of T jets has ``count`` of ``what``."""
+    if count != T:
+        raise ValueError(f"{T} jets and {count} {what}: index {min(T, count)} has no partner")
+
+
+def _identities(n: int, K: int, T: int | None):
+    """The identity jet, or a list of T of them."""
+    return MappingJet.identity(n, K) if T is None else [MappingJet.identity(n, K)] * T
+
+
 # -- jet algebra ------------------------------------------------------------
 
 
 def compose(f, g):
     """Jet of f o g, truncated at min(f.order, g.order); for two sequences
     of T jets each, the list of the T composites f[t] o g[t]."""
-    if isinstance(f, MappingJet) != isinstance(g, MappingJet):
+    f, T, f0 = _stack_of(f, "outer jet")
+    g, Tg, g0 = _stack_of(g, "inner jet")
+    if (T is None) != (Tg is None):
         raise ValueError("compose takes two jets or two sequences of jets")
-    f, g = _as_stack(f), _as_stack(g)
-    T = None if isinstance(f, MappingJet) else len(f)
     if T is not None:
-        _paired(T, len(g), "inner jets")
-    f0, g0 = _lead(f, "outer jet"), _lead(g, "inner jet")
+        _paired(T, Tg, "inner jets")
     if f0 is None:
         return []
     if f0.dim != g0.dim:
@@ -358,9 +358,7 @@ def invert(f):
     (Brent & Kung, "Fast algorithms for manipulating formal power
     series", J. ACM 25(4), 1978).
     """
-    f = _as_stack(f)
-    T = None if isinstance(f, MappingJet) else len(f)
-    f0 = _lead(f, "jet")
+    f, T, f0 = _stack_of(f)
     if f0 is None:
         return []
     n, K = f0.dim, f0.order
@@ -412,9 +410,7 @@ def iterate(f, m: int):
         m = operator.index(m)
     except TypeError:
         raise TypeError(f"iteration count must be an integer, got {m!r}") from None
-    f = _as_stack(f)
-    T = None if isinstance(f, MappingJet) else len(f)
-    f0 = _lead(f, "jet")
+    f, T, f0 = _stack_of(f)
     if f0 is None:
         return []
     if m == 0:

@@ -8,6 +8,9 @@ runner (``_run``, then ``_report``) keeps it for all but two of them:
 - each check draws from its own stream, ``_rng(seed, stream)``, so its
   inputs do not depend on which other checks ran;
 - trial i runs in dimension ``dims[i % len(dims)]``;
+- a stacked check draws every trial's inputs first, in trial order, so
+  each trial draws what it would draw alone, and then makes one stacked
+  call per dimension over that dimension's trials;
 - the residual is the worst of everything the trials yield, NaN if any
   of it is NaN, so a NaN fails the check;
 - ``trials=0`` runs no trial and passes vacuously.
@@ -122,11 +125,6 @@ def _entries(jets, k: int) -> np.ndarray:
     return np.array([f.poly(k).entries for f in jets])
 
 
-def _dense2(jets) -> np.ndarray:
-    """The (T, n, n, n) dense degree-2 tensors of T jets of one dim."""
-    return np.array([f.poly(2).dense() for f in jets])
-
-
 def _report(check: str, tol: float, seed: int, rows: list) -> Report:
     """The Report of a check whose trial i gave the residuals ``rows[i]``:
     its residual is their NaN-aware worst, 0.0 when no trial ran."""
@@ -175,7 +173,7 @@ def _psi_compo_rhs(f: list, g: list, e, lam, mu) -> np.ndarray:
     one direction, lambda and mu per row."""
     psi = fs_mapping(f, e, lam, mu) + fs_mapping(g, e, lam, mu)
     u = fekete._unit_rows(e)
-    B, C = _dense2(f), _dense2(g)
+    B, C = fekete._dense2(f), fekete._dense2(g)
     P2u = np.einsum("iabm,ia,ib->im", B, u, u)
     Q2u = np.einsum("iabm,ia,ib->im", C, u, u)
     uP2u = np.einsum("im,im->i", u.conj(), P2u)[:, None]
@@ -258,32 +256,33 @@ SUITE_MAX_DEGREE = 2 * max(ROOT_ORDERS) + 1
 
 
 def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
+    n_mu = 5  # values of mu per root order
+
     def draw(rng, n):
         od = random_onedim_jet(n, 3, rng)
         e = sample_sphere(rng, 1, n)[0]
-        return od, e, [sample_params(rng, 5) for _ in ROOT_ORDERS]
+        return od, e, [sample_params(rng, n_mu) for _ in ROOT_ORDERS]
 
     def check(inputs):
+        ods, e, mus = _columns(inputs)
+        lifts = [od.to_mapping_jet() for od in ods]
+        P2 = eval_rows([f.poly(2) for f in lifts], e)
         rows = [[] for _ in inputs]
-        lifts = [od.to_mapping_jet() for od, _, _ in inputs]
-        e = np.array([e for _, e, _ in inputs])
         for j, nroot in enumerate(ROOT_ORDERS):
-            gs = [root_transform(od, nroot, ei) for od, ei, _ in inputs]
+            gs = [root_transform(od, nroot, ei) for od, ei in zip(ods, e)]
             for row, g in zip(rows, gs):
                 row += [g.poly(k).max_coeff() for k in g.polys if (k - 1) % nroot != 0]
             qn1 = eval_rows([g.poly(nroot + 1) for g in gs], e)
-            P2 = eval_rows([f.poly(2) for f in lifts], e)
             q2n1 = eval_rows([g.poly(2 * nroot + 1) for g in gs], e)
-            # Psi at the order's lambda and each trial's five mu, as one stack
-            mus = np.concatenate([mu[j] for _, _, mu in inputs])
+            # Psi at the order's lambda and each trial's n_mu values of mu
             psi = fs_mapping(
-                [f for f in lifts for _ in range(5)],
-                np.repeat(e, 5, axis=0),
+                [f for f in lifts for _ in range(n_mu)],
+                np.repeat(e, n_mu, axis=0),
                 (nroot - 1) / (2.0 * nroot),
-                mus,
-            ).reshape(len(inputs), 5, -1)
-            q2n1_gap = np.linalg.norm(q2n1[:, None] - psi / nroot, axis=2)
-            for row, a, b in zip(rows, _norms(qn1 - P2 / nroot), q2n1_gap):
+                np.concatenate([mu[j] for mu in mus]),
+            ).reshape(len(inputs), n_mu, -1)
+            gaps = np.linalg.norm(q2n1[:, None] - psi / nroot, axis=2)
+            for row, a, b in zip(rows, _norms(qn1 - P2 / nroot), gaps):
                 row += [float(a), *map(float, b)]
         return rows
 
