@@ -173,9 +173,8 @@ def _psi_compo_rhs(f: list, g: list, e, lam, mu) -> np.ndarray:
     one direction, lambda and mu per row."""
     psi = fs_mapping(f, e, lam, mu) + fs_mapping(g, e, lam, mu)
     u = fekete._unit_rows(e)
+    P2u, Q2u = (eval_rows([h.poly(2) for h in jets], u) for jets in (f, g))
     B, C = fekete._dense2(f), fekete._dense2(g)
-    P2u = np.einsum("iabm,ia,ib->im", B, u, u)
-    Q2u = np.einsum("iabm,ia,ib->im", C, u, u)
     uP2u = np.einsum("im,im->i", u.conj(), P2u)[:, None]
     uQ2u = np.einsum("im,im->i", u.conj(), Q2u)[:, None]
     lam, mu = lam[:, None], mu[:, None]
