@@ -181,20 +181,20 @@ def _from_terms(comps: list[dict], n: int, K: int, T: int | None = None):
     the list of T jets when each coefficient is a (T,) column; the kernel
     computes the identity's terms too, and they are not read."""
     offsets = _graded(n, K).offsets
-    values = np.zeros((T or 1, offsets[-1], n), dtype=complex)
-    for i, comp in enumerate(comps):
-        if comp:
-            values[:, list(comp), i] = np.array(list(comp.values())).T
-    jets = [
-        MappingJet(n, K, {
+    values = np.zeros((n, offsets[-1]) + (() if T is None else (T,)), dtype=complex)
+    for row, comp in zip(values, comps):
+        row[list(comp)] = list(comp.values())
+    values = values.swapaxes(0, -1)  # (ranks, n), or (T, ranks, n)
+
+    def jet(v):
+        return MappingJet(n, K, {
             k: HomPoly._trusted(
-                k, n, n, row[offsets[k] : offsets[k + 1]] / layout(n, k).multinomials[:, None]
+                k, n, n, v[offsets[k] : offsets[k + 1]] / layout(n, k).multinomials[:, None]
             )
             for k in range(2, K + 1)
         })
-        for row in values
-    ]
-    return jets if T is not None else jets[0]
+
+    return jet(values) if T is None else [jet(v) for v in values]
 
 
 def _nonzero(terms: dict) -> dict:
@@ -375,16 +375,16 @@ def invert(f):
             k = degree[e]
             if k > j:
                 by_degree[k][a][e] = v
+    # a stack's coefficient is kept when any row is nonzero
+    keep = bool if T is None else np.any
     G: list[dict] = [{} for _ in range(n)]
     for k in range(2, K + 1):
         lower = _combine(G, by_degree[k])
         for Gi, Fi, Li in zip(G, F, lower):
-            new = {
-                e: -(Fi.get(e, 0.0) + Li.get(e, 0.0))
-                for e in range(offsets[k], offsets[k + 1])
-                if e in Fi or e in Li
-            }
-            Gi.update(_nonzero(new))
+            for e in range(offsets[k], offsets[k + 1]):
+                v = -(Fi.get(e, 0.0) + Li.get(e, 0.0))
+                if keep(v):
+                    Gi[e] = v
     return _from_terms(G, n, K, T)
 
 
