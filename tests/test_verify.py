@@ -242,7 +242,7 @@ def test_every_trial_loop_draws_from_its_own_stream(monkeypatch):
     assert len(set(streams)) == len(streams)
 
 
-# What trial i of each check of eight suites draws in dimension n, by the
+# What trial i of each check of every suite draws in dimension n, by the
 # stream of its generator, and each check's name and tolerance.  The draws
 # are named by the sampler the suite calls: ("jet", n) for random_jet,
 # ("onedim", n) for random_onedim_jet, ("generator", n) for
@@ -253,6 +253,7 @@ def _point(n):
 
 
 _DRAWS = {
+    "polarization": {0: lambda i, n: [("jet", n)]},
     "compose": {1: lambda i, n: [("jet", n), ("jet", n), *_point(n)]},
     "inverse": {2: lambda i, n: [("jet", n), *_point(n)]},
     "iterate": {3: lambda i, n: [("jet", n), *_point(n)]},
@@ -273,8 +274,13 @@ _DRAWS = {
         # one-dimensional-type and general generators in turn
         12: lambda i, n: [("onedim", n) if i % 2 == 0 else ("jet", n)],
     },
+    "bounds": {
+        13: lambda i, n: [("onedim", n), ("params", 1)],
+        14: lambda i, n: [("onedim", n), *_point(n)],
+    },
 }
 _CHECKS = {
+    "polarization": [("polarization", 1e-12)],
     "compose": [("compose/psi-composition-identity", 1e-11)],
     "inverse": [("inverse/psi-duality", 1e-11), ("inverse/third-derivative", 1e-11)],
     "iterate": [("iterate/psi-scaling", 1e-10)],
@@ -287,6 +293,7 @@ _CHECKS = {
         ("duality/generator-scalar-bound", 1e-9),
         ("duality/onedim-equivalence", 0.0),
     ],
+    "bounds": [("bounds/bounded-onedim", 1e-6), ("bounds/starlike-onedim", 1e-9)],
 }
 
 
