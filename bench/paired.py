@@ -12,9 +12,15 @@ OLD_ROOT and NEW_ROOT are checkouts with the package under ``src/``.
 Prints, per case, the quartiles over pairs of each tree's per-run median,
 the ratio of the medians, the number of pairs the second tree won and a
 verdict (see ``verdict``).  BLAS runs on one thread, as in ``perfbench``.
-Only the cases that every run of both trees timed are paired; a case
-that fails or is missing in a tree, such as one that times an API the
-old tree lacks, is listed after the table with the trees that lack it.
+
+A case's time can depend on the cases that ran before it in the same
+pytest session, so both trees time the same cases in the same order.
+First one untimed run per tree finds the cases that pass there; then
+every timed run, in either tree, runs only the cases that passed in
+both, in the new tree's order.  A case that times an API the old tree
+lacks thus runs in neither tree.  Only the cases that every timed run of
+both trees timed are paired; a case that fails or is missing in a tree
+is listed after the table with the trees that lack it.
 """
 
 from __future__ import annotations
@@ -86,19 +92,38 @@ def shared_cases(runs: dict[str, list[dict[str, float]]]) -> tuple[list[str], di
     return [c for c in cases if not lacking[c]], {c: s for c, s in lacking.items() if s}
 
 
-def _run(bench: Path, out: Path) -> dict[str, float]:
-    """Each case's median time in one pytest-benchmark run; a case that
-    fails is left out, and the run goes on past a file that does not
-    import."""
+def passed_ids(report: str) -> list[str]:
+    """The node ids that pytest's ``-rp`` summary lists as passed, in
+    order."""
+    return [line.split(" ", 1)[1] for line in report.splitlines() if line.startswith("PASSED ")]
+
+
+def _pytest(bench: Path, *args: str) -> str:
+    """pytest's output on the bench copy ``bench`` with ``args``; exit
+    code 1, some cases failed, is a result, not an error."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
-    cmd = [sys.executable, "-m", "pytest", str(bench), "-q", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", f"--benchmark-json={out}"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
     done = subprocess.run(cmd, env=env, cwd=bench, capture_output=True, text=True)
-    # exit code 1: some cases failed, and the others were timed
-    if done.returncode not in (0, 1) or not out.exists():
+    if done.returncode not in (0, 1):
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"bench run against {bench} failed")
+    return done.stdout
+
+
+def _passing(bench: Path) -> list[str]:
+    """The node ids of the cases that pass in one untimed run, which goes
+    on past a file that does not import."""
+    return passed_ids(_pytest(bench, str(bench), "--continue-on-collection-errors",
+                              "--benchmark-disable", "-rp"))
+
+
+def _run(bench: Path, out: Path, ids: list[str]) -> dict[str, float]:
+    """Each case's median time in one pytest-benchmark run of the node
+    ids ``ids``, in that order; a case that fails is left out."""
+    _pytest(bench, *ids, f"--benchmark-json={out}")
+    if not out.exists():
+        raise SystemExit(f"bench run against {bench} wrote no {out.name}")
     data = json.loads(out.read_text())
     return {b["name"]: b["stats"]["median"] for b in data["benchmarks"]}
 
@@ -116,10 +141,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         benches = {side: _prepare(getattr(args, side), tmp / side) for side in runs}
+        ids, _ = shared_cases({side: [dict.fromkeys(_passing(benches[side]))] for side in runs})
+        if not ids:
+            raise SystemExit("no case passes in both trees")
         for i in range(args.pairs):
             order = ("old", "new") if i % 2 == 0 else ("new", "old")
             for side in order:
-                runs[side].append(_run(benches[side], tmp / f"{side}-{i}.json"))
+                runs[side].append(_run(benches[side], tmp / f"{side}-{i}.json", ids))
             print(f"pair {i + 1}/{args.pairs} done ({' then '.join(order)})", file=sys.stderr)
 
     cases, lacking = shared_cases(runs)

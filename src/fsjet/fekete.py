@@ -10,7 +10,6 @@ equals 2 B[u, v].
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -34,13 +33,28 @@ def normalize_direction(e) -> np.ndarray:
     return e / norm
 
 
-def finite_params(lam, mu) -> tuple[complex, complex]:
-    """(lam, mu) as complex numbers; ValueError if either is NaN or infinite."""
-    lam, mu = complex(lam), complex(mu)
-    for name, z in (("lambda", lam), ("mu", mu)):
-        if not cmath.isfinite(z):
-            raise ValueError(f"{name} must be finite, got {z}")
-    return lam, mu
+def finite_params(lam, mu, T: int | None = None) -> tuple:
+    """(lam, mu) as complex numbers, the one check of both.  For a stack
+    of T jets, each may also be T values, one per row, returned as a
+    (T, 1) column.  A non-number, a NaN or infinite value, or values of
+    another shape or count raise ``ValueError``."""
+    out = []
+    for name, given in (("lambda", lam), ("mu", mu)):
+        z = np.asarray(given)
+        if z.dtype.kind not in "biufc":
+            raise ValueError(f"{name} must be a number, got {given!r}")
+        if z.ndim > (T is not None):
+            count = "" if T is None else f" or {T} values"
+            raise ValueError(f"{name} must be a scalar{count}, got shape {z.shape}")
+        if z.ndim:
+            _paired(T, len(z), f"{name} values")
+        z = z.astype(complex)
+        bad = ~np.isfinite(z)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{name} must be finite, got {z.reshape(-1)[i]}{_at(z.ndim == 0, i)}")
+        out.append(z[:, None] if z.ndim else complex(z))
+    return tuple(out)
 
 
 def fs_mapping(f, e, lam, mu) -> np.ndarray:
@@ -54,45 +68,25 @@ def fs_mapping(f, e, lam, mu) -> np.ndarray:
     sequence: row t of the (T, n) result is Psi of jet t at direction t
     with its lam and mu.  Each direction must be a unit vector within
     ``E_NORM_TOL`` and is normalized once more.  A direction of another
-    shape, off the sphere or with a NaN entry, or a NaN or infinite lam or
-    mu, raises ``ValueError`` naming the row.  <Psi_e, e> is
-    ``np.vdot(e, Psi_e)`` for the normalized e.
+    shape, off the sphere or with a NaN entry, or a lam or mu that
+    ``finite_params`` rejects, raises ``ValueError`` naming the row.
+    <Psi_e, e> is ``np.vdot(e, Psi_e)`` for the normalized e.
     """
     f, T, f0 = _stack_of(f)
-    if T is not None:
-        return _fs_stack(f, f0, e, lam, mu)
-    lam, mu = finite_params(lam, mu)
-    es = np.asarray(e, dtype=complex)
-    if es.ndim not in (1, 2) or es.shape[-1] != f.dim:
-        raise ValueError(f"expected shape ({f.dim},) or (N, {f.dim}), got shape {es.shape}")
-    if es.ndim == 1:
-        return _psi_rows(f, normalize_direction(es)[None], lam, mu)[0]
-    return _psi_rows(f, _unit_rows(es), lam, mu)
-
-
-def _fs_stack(fs: list[MappingJet], f0: MappingJet | None, e, lam, mu) -> np.ndarray:
-    """``fs_mapping`` of a list of jets led by f0, row t from jet t."""
     es = np.asarray(e, dtype=complex)
     if f0 is None:
         return np.zeros((0, es.shape[1] if es.ndim == 2 else 0), dtype=complex)
-    T, n = len(fs), f0.dim
-    if es.ndim != 2 or es.shape[1] != n:
-        raise ValueError(f"expected directions of shape (T, {n}), got shape {es.shape}")
-    _paired(T, len(es), "directions")
-    params = []
-    for name, z in (("lambda", lam), ("mu", mu)):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim > 1:
-            raise ValueError(f"{name} must be a scalar or {T} values, got shape {z.shape}")
-        if z.ndim:
-            _paired(T, len(z), f"{name} values")
-        bad = ~np.isfinite(z)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"{name} must be finite, got {z.reshape(-1)[i]}{_at(z.ndim == 0, i)}")
-        # a scalar serves every row; values per row are a (T, 1) column
-        params.append(z[:, None] if z.ndim else complex(z))
-    return _psi_rows(fs, _unit_rows(es), *params)
+    lam, mu = finite_params(lam, mu, T)
+    n = f0.dim
+    if T is not None:
+        if es.ndim != 2 or es.shape[1] != n:
+            raise ValueError(f"expected directions of shape (T, {n}), got shape {es.shape}")
+        _paired(T, len(es), "directions")
+    elif es.ndim not in (1, 2) or es.shape[-1] != n:
+        raise ValueError(f"expected shape ({n},) or (N, {n}), got shape {es.shape}")
+    elif es.ndim == 1:
+        return _psi_rows(f, normalize_direction(es)[None], lam, mu)[0]
+    return _psi_rows(f, _unit_rows(es), lam, mu)
 
 
 def _unit_rows(es: np.ndarray) -> np.ndarray:
@@ -113,15 +107,14 @@ def _psi_rows(f, es: np.ndarray, lam, mu) -> np.ndarray:
     scalars or (N, 1) columns.  ``sup_norm_fs`` calls it on points near
     the sphere, which must not be moved onto it."""
     if isinstance(f, MappingJet):
-        B = f.poly(2).dense()  # (n, n, n)
+        # the cached tensor as a stack of one, which einsum broadcasts
+        B = f.poly(2).dense()[None]
         P3 = f.poly(3).eval_many(es)
-        rows = "abm,ia,ib->im"
     else:  # one tensor per row: (N, n, n, n) and the rows' own P3
         B = _dense2(f)
         P3 = eval_rows([g.poly(3) for g in f], es)
-        rows = "iabm,ia,ib->im"
-    P2 = np.einsum(rows, B, es, es)
-    BeP2 = np.einsum(rows, B, es, P2)
+    P2 = np.einsum("iabm,ia,ib->im", B, es, es)
+    BeP2 = np.einsum("iabm,ia,ib->im", B, es, P2)
     proj = np.einsum("im,im->i", P2, es.conj())
     return P3 - mu * BeP2 - (lam - mu) * proj[:, None] * P2
 

@@ -70,14 +70,6 @@ class MappingJet:
             return self.polys[k]
         return HomPoly.zero(k, self.dim, self.dim)
 
-    def with_poly(self, k: int, P: HomPoly) -> "MappingJet":
-        polys = dict(self.polys)
-        polys[k] = P
-        return MappingJet(self.dim, self.order, polys)
-
-    def is_identity(self, atol: float = DEFAULT_ATOL) -> bool:
-        return all(P.is_zero(atol) for P in self.polys.values())
-
     def max_coeff(self) -> float:
         """Largest entry modulus of any degree; NaN if any entry is NaN."""
         if not self.polys:

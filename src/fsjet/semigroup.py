@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import MappingJet, compose, random_jet
+from .jets import MappingJet, _stack_of, compose, random_jet
 from .reporting import Report
 from .sampling import sample_ball
 from .tensors import (
@@ -222,24 +222,20 @@ def flow_taylor_via_ode(
     ``ValueError``.
 
     ``h`` may also be a sequence of J generators of one dim and order,
-    with ``direction`` a (J, n) array of one direction per generator.  One
-    integration then carries all of them, and the result gains a leading
-    axis of length J; each element equals the lone call on its generator
-    and direction within rounding.
+    checked as ``jets.compose`` checks a stack, with ``direction`` a (J, n)
+    array of one direction per generator.  One integration then carries
+    all of them, and the result gains a leading axis of length J; each
+    element equals the lone call on its generator and direction within
+    rounding.  An empty sequence raises ``ValueError``.
     """
-    single = isinstance(h, MappingJet)
-    hs = [h] if single else list(h)
-    if not hs:
+    hs, J, h0 = _stack_of(h, "generator")
+    if h0 is None:
         raise ValueError("expected at least one generator")
-    dim, order = hs[0].dim, hs[0].order
-    for j, g in enumerate(hs):
-        if (g.dim, g.order) != (dim, order):
-            raise ValueError(
-                f"generators of one dim and order expected: ({dim}, {order}) "
-                f"at index 0, ({g.dim}, {g.order}) at index {j}"
-            )
+    if J is None:
+        hs = [hs]
+    dim = h0.dim
     es = np.asarray(direction, dtype=complex)
-    expected = (dim,) if single else (len(hs), dim)
+    expected = (dim,) if J is None else (J, dim)
     if es.shape != expected:
         raise ValueError(f"expected directions of shape {expected}, got {es.shape}")
     ks = [int(k) for k in np.ravel(degree)]
@@ -255,7 +251,7 @@ def flow_taylor_via_ode(
     coef = (weights[:, :, None] * ut[:, :, None]).sum(axis=3) / norms[:, None]
     shape = np.shape(t) + np.shape(degree) + (dim,)
     coef = np.moveaxis(coef, 1, 0)
-    return coef.reshape(shape) if single else coef.reshape((len(hs),) + shape)
+    return coef.reshape(shape) if J is None else coef.reshape((J,) + shape)
 
 
 def starlike_from_generator(h: MappingJet) -> MappingJet:
@@ -277,18 +273,6 @@ def generator_from_starlike(f: MappingJet) -> MappingJet:
     # P3 = -H3/2 + TH2[x, H2(x)]  with  TH2 = tensor of H2
     H3 = (slot_product(H2.dense(), H2) + P3.scale(-1.0)).scale(2.0)
     return MappingJet(f.dim, 3, {2: H2, 3: H3})
-
-
-def starlike_residual(f: MappingJet, h: MappingJet, x) -> float:
-    """|| Df(x)[h(x)] - f(x) ||, evaluated directly; O(||x||^4) for pairs."""
-    x = _check_vector(x, f.dim)
-    hx = h.eval(x)
-    # Df(x)[v] = v + 2 B[x, v] + 3 T3[x, x, v] for an order-3 jet
-    v = hx.copy()
-    v += 2.0 * f.poly(2).multilinear_eval([x, hx])
-    if f.order >= 3:
-        v += 3.0 * f.poly(3).multilinear_eval([x, x, hx])
-    return float(np.linalg.norm(v - f.eval(x)))
 
 
 def sample_generator(

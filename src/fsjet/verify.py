@@ -8,11 +8,14 @@ runner (``_run``, then ``_report``) keeps it for all but two of them:
 - each check draws from its own stream, ``_rng(seed, stream)``, so its
   inputs do not depend on which other checks ran;
 - trial i runs in dimension ``dims[i % len(dims)]``;
-- a stacked check draws every trial's inputs first, in trial order, so
-  each trial draws what it would draw alone, and then makes one stacked
-  call per dimension over that dimension's trials;
-- the residual is the worst of everything the trials yield, NaN if any
-  of it is NaN, so a NaN fails the check;
+- every trial draws its inputs first, in trial order, so each trial
+  draws what it would draw alone; the check then runs once per
+  dimension on that dimension's inputs, as one stacked call where the
+  routine it checks takes a stack (``polarization``,
+  ``bounds/bounded-onedim`` and ``semigroup/flow-property`` loop over
+  the inputs);
+- the residual is the worst of the residuals of every trial, NaN if any
+  of them is NaN, so a NaN fails the check;
 - ``trials=0`` runs no trial and passes vacuously.
 
 ``duality/onedim-equivalence`` keeps its own loop, because its residual
@@ -78,22 +81,19 @@ def _worst(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _run(trial, trials: int, seed: int, stream: int, dims, check=None) -> list[list]:
-    """What each trial of a check yields, listed trial by trial.
+def _run(draw, trials: int, seed: int, stream: int, dims, check) -> list[list]:
+    """The residuals of each trial of a check, listed trial by trial.
 
-    Trial i calls ``trial(rng, n)`` with the check's own generator
-    ``_rng(seed, stream)`` and the dimension ``n = dims[i % len(dims)]``.
-    Without ``check``, a trial returns or yields its residuals.  With
-    ``check``, every trial first returns its inputs, all drawn in trial
-    order; then ``check(inputs)`` runs once per dimension on the list of
-    that dimension's inputs, in trial order, and returns one list of
-    residuals per input, so that a check makes one stacked call per
+    Trial i draws its inputs by ``draw(rng, n)`` from the check's own
+    generator ``_rng(seed, stream)`` in the dimension
+    ``n = dims[i % len(dims)]``; every trial draws, in trial order, before
+    any check runs.  Then ``check(inputs)`` runs once per dimension on the
+    list of that dimension's inputs, in trial order, and returns one list
+    of residuals per input, so that a check can make one stacked call per
     dimension."""
     rng = _rng(seed, stream)
     ns = [dims[i % len(dims)] for i in range(trials)]
-    if check is None:
-        return [list(trial(rng, n)) for n in ns]
-    drawn = [trial(rng, n) for n in ns]
+    drawn = [draw(rng, n) for n in ns]
     rows: list = [None] * trials
     for n in dict.fromkeys(ns):
         idx = [i for i, d in enumerate(ns) if d == n]
@@ -156,16 +156,22 @@ def _two_jets_and_point(rng: np.random.Generator, n: int):
 
 
 def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def trial(rng, n):
+    def draw(rng, n):
         P = random_jet(n, 2, rng).poly(2)
         x1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        scale = (1.0 + np.linalg.norm(x1) ** 2 + np.linalg.norm(x2) ** 2) * (
-            1.0 + P.max_coeff()
-        )
-        yield polarization_check(P, x1, x2) / scale
+        return P, x1, x2
 
-    return [_report("polarization", 1e-12, seed, _run(trial, trials, seed, 0, dims))]
+    def check(inputs):
+        rows = []
+        for P, x1, x2 in inputs:
+            scale = (1.0 + np.linalg.norm(x1) ** 2 + np.linalg.norm(x2) ** 2) * (
+                1.0 + P.max_coeff()
+            )
+            rows.append([polarization_check(P, x1, x2) / scale])
+        return rows
+
+    return [_report("polarization", 1e-12, seed, _run(draw, trials, seed, 0, dims, check))]
 
 
 def _psi_compo_rhs(f: list, g: list, e, lam, mu) -> np.ndarray:
@@ -336,12 +342,15 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
 
 
 def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
-    def flow_property(rng, n):
-        h = sample_generator(n, rng)
-        combined = semigroup_jet(h, 0.3).compose(semigroup_jet(h, 0.5))
-        direct = semigroup_jet(h, 0.8)
-        for k in (2, 3):
-            yield (combined.poly(k) + direct.poly(k).scale(-1.0)).max_coeff()
+    def flow_property(gens):
+        rows = []
+        for h in gens:
+            combined = semigroup_jet(h, 0.3).compose(semigroup_jet(h, 0.5))
+            direct = semigroup_jet(h, 0.8)
+            rows.append(
+                [(combined.poly(k) + direct.poly(k).scale(-1.0)).max_coeff() for k in (2, 3)]
+            )
+        return rows
 
     def draw(rng, n):
         return sample_generator(n, rng), sample_sphere(rng, 1, n)[0]
@@ -368,7 +377,10 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
             "semigroup/closed-form-vs-ode", 1e-6, seed, _run(draw, trials, seed, 8, dims, closed_form)
         ),
         _report(
-            "semigroup/flow-property", 1e-10, seed, _run(flow_property, flow_trials, seed, 9, dims)
+            "semigroup/flow-property",
+            1e-10,
+            seed,
+            _run(lambda rng, n: sample_generator(n, rng), flow_trials, seed, 9, dims, flow_property),
         ),
     ]
 
@@ -421,13 +433,16 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
 
 
 def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def bounded(rng, n):
+    def bounded_draw(rng, n):
         od = random_onedim_jet(n, 3, rng, scale=0.3 / n)
         lam = sample_params(rng, 1)[0]
-        report = check_bounded_onedim_bound(
-            od, od.s_eval, lam, seed=int(rng.integers(0, 2**31))
-        )
-        yield -report.margin
+        return od, lam, int(rng.integers(0, 2**31))
+
+    def bounded(inputs):
+        return [
+            [-check_bounded_onedim_bound(od, od.s_eval, lam, seed=s).margin]
+            for od, lam, s in inputs
+        ]
 
     def starlike_draw(rng, n):
         base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
@@ -439,7 +454,9 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         return _rows(val - np.maximum(1.0, np.abs(4.0 * lam - 3.0)))
 
     return [
-        _report("bounds/bounded-onedim", 1e-6, seed, _run(bounded, trials, seed, 13, dims)),
+        _report(
+            "bounds/bounded-onedim", 1e-6, seed, _run(bounded_draw, trials, seed, 13, dims, bounded)
+        ),
         _report(
             "bounds/starlike-onedim", 1e-9, seed, _run(starlike_draw, trials, seed, 14, dims, starlike)
         ),

@@ -57,6 +57,21 @@ def test_context_rejects_a_non_finite_parameter(bad):
             fs_mapping(f, e, 0.5, bad)
 
 
+@pytest.mark.parametrize("bad", [None, "half"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_non_number_parameter_is_rejected_alike_lone_and_stacked(bad, stacked):
+    # a None mu used to read as NaN in a stack ("mu must be finite, got
+    # (nan+nanj)") and to raise TypeError for a lone jet
+    f = random_jet(2, 3, np.random.default_rng(27))
+    e = np.array([1.0, 0.0])
+    if stacked:
+        f, e = [f, f], np.array([e, e])
+    with pytest.raises(ValueError, match=f"lambda must be a number, got {bad!r}"):
+        fs_mapping(f, e, bad, 0.25)
+    with pytest.raises(ValueError, match=f"mu must be a number, got {bad!r}"):
+        fs_mapping(f, e, 0.5, bad)
+
+
 def test_koebe_scalar_value():
     f = example_gallery("koebe1d").jet
     e = np.array([1.0 + 0j])

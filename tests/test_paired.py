@@ -1,7 +1,8 @@
 """The verdict of ``bench/paired.py`` on synthetic pairs, and the cases
-it pairs."""
+it runs and pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,41 @@ def test_only_the_cases_every_run_timed_are_paired():
     assert cases == ["b", "a"]
     assert lacking == {"stack": ["old"], "flaky": ["new"]}
     assert paired.shared_cases({"old": [{"a": 1.0}], "new": [{"a": 2.0}]}) == (["a"], {})
+
+
+def test_the_passed_ids_are_read_from_the_summary():
+    report = """..F.
+=========================== short test summary info ============================
+PASSED bench_verify_repeat.py::bench_compose[2-3]
+PASSED bench_verify_repeat.py::bench_invert_stack
+FAILED bench_verify_repeat.py::bench_compose_stack - ValueError: no
+1 failed, 2 passed in 1.00s
+"""
+    assert paired.passed_ids(report) == [
+        "bench_verify_repeat.py::bench_compose[2-3]",
+        "bench_verify_repeat.py::bench_invert_stack",
+    ]
+
+
+def test_both_trees_time_only_the_cases_that_pass_in_both_in_one_order(monkeypatch, tmp_path):
+    # "stack" passes its untimed run only in the new tree, so no timed run
+    # of either tree runs it, and both time "b" before "a"
+    passing = {"old": ["f.py::a", "f.py::b"], "new": ["f.py::stack", "f.py::b", "f.py::a"]}
+    timed = []
+
+    def pytest_run(bench, *args):
+        side = bench.parent.name
+        if "--benchmark-disable" in args:
+            return "\n".join(f"PASSED {i}" for i in passing[side])
+        *ids, json_arg = args
+        timed.append((side, ids))
+        benchmarks = [{"name": i.split("::")[1], "stats": {"median": 1.0}} for i in ids]
+        Path(json_arg.split("=", 1)[1]).write_text(json.dumps({"benchmarks": benchmarks}))
+        return ""
+
+    monkeypatch.setattr(paired, "_pytest", pytest_run)
+    for side in passing:
+        (tmp_path / side / "src" / "fsjet").mkdir(parents=True)
+    assert paired.main([str(tmp_path / "old"), str(tmp_path / "new"), "--pairs", "2"]) == 0
+    shared = ["f.py::b", "f.py::a"]
+    assert timed == [("old", shared), ("new", shared), ("new", shared), ("old", shared)]

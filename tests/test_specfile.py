@@ -211,7 +211,7 @@ def test_dumps_rejects_a_non_finite_coefficient():
     P = jet.poly(3)
     entries = P.entries.copy()
     entries[1, 0] = np.inf
-    bad = jet.with_poly(3, HomPoly._trusted(3, 2, 2, entries))
+    bad = MappingJet(2, 3, {**jet.polys, 3: HomPoly._trusted(3, 2, 2, entries)})
     with pytest.raises(SpecFileError, match=r"polys degree-3 entry \[1, 1, 2\]"):
         specfile.dumps(bad)
 

@@ -10,7 +10,7 @@ from fsjet.transforms import (
     root_transform,
 )
 from fsjet.gallery import example_gallery
-from fsjet.jets import random_jet
+from fsjet.jets import MappingJet, random_jet
 from fsjet.tensors import ScalarHomPoly
 from fsjet.transforms import _series_root
 from fsjet.verify import random_onedim_jet
@@ -166,6 +166,7 @@ def test_detect_onedim_reads_the_series_of_each_lift(n):
             err = np.abs(found.scalar_part(k).entries - want).max()
             assert err <= 1e-12 * np.abs(want).max(), (order, k, err)
         generic = random_jet(n, order, rng)
-        partial = od.to_mapping_jet().with_poly(order, generic.poly(order))
+        lift = od.to_mapping_jet()
+        partial = MappingJet(n, order, {**lift.polys, order: generic.poly(order)})
         for f in (generic, partial):
             assert (detect_onedim(f) is not None) == (n == 1), order

@@ -362,15 +362,21 @@ def test_suite_draws_follow_trials_seed_and_dims(suite, trials, seed, dims, monk
 
 
 def test_runner_lists_each_trial_and_reports_a_nan():
-    seen = []
+    # every trial draws first, in trial order; then the check runs once
+    # per dimension, and each trial's residuals come back in trial order
+    events = []
 
-    def trial(rng, n):
-        seen.append(n)
-        yield 1.0
-        yield math.nan
+    def draw(rng, n):
+        events.append(("draw", n))
+        return n, len(events) - 1
 
-    rows = verify._run(trial, 3, 0, 0, (2, 3))
-    assert seen == [2, 3, 2]
+    def check(inputs):
+        events.append(("check", [i for _, i in inputs]))
+        return [[float(i), math.nan if i == 1 else 0.0] for _, i in inputs]
+
+    rows = verify._run(draw, 3, 0, 0, (2, 3), check)
+    assert events == [("draw", 2), ("draw", 3), ("draw", 2), ("check", [0, 2]), ("check", [1])]
+    assert [row[0] for row in rows] == [0.0, 1.0, 2.0]
     report = verify._report("check", 1.0, 0, rows)
     assert report.trials == 3
     assert math.isnan(report.max_residual)
