@@ -73,10 +73,10 @@ def fs_mapping(f, e, lam, mu) -> np.ndarray:
     <Psi_e, e> is ``np.vdot(e, Psi_e)`` for the normalized e.
     """
     f, T, f0 = _stack_of(f)
+    lam, mu = finite_params(lam, mu, T)
     es = np.asarray(e, dtype=complex)
     if f0 is None:
         return np.zeros((0, es.shape[1] if es.ndim == 2 else 0), dtype=complex)
-    lam, mu = finite_params(lam, mu, T)
     n = f0.dim
     if T is not None:
         if es.ndim != 2 or es.shape[1] != n:

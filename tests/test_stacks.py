@@ -156,6 +156,8 @@ def test_an_empty_sequence_gives_an_empty_result():
     assert invert([]) == []
     assert iterate([], 3) == [] and iterate((), -2) == [] and iterate([], 0) == []
     assert fs_mapping([], np.zeros((0, 2)), 0.5, 0.5).shape == (0, 2)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        fs_mapping([], np.zeros((0, 2)), 0.5, np.nan)
 
 
 def test_a_sequence_of_one_gives_a_list_of_one():
