@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         benches = {side: _prepare(getattr(args, side), tmp / side) for side in runs}
-        ids, _ = shared_cases({side: [dict.fromkeys(_passing(benches[side]))] for side in runs})
+        ids, skipped = shared_cases({side: [dict.fromkeys(_passing(benches[side]))] for side in runs})
         if not ids:
             raise SystemExit("no case passes in both trees")
         for i in range(args.pairs):
@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         spans = ["/".join(f"{1e3 * q:.4g}" for q in qs) for qs in (qo, qn)]
         print(f"{case:40s} {spans[0]:>30s} {spans[1]:>30s} {qn[1] / qo[1]:8.3f} "
               f"{wins:>3d}/{args.pairs}  {verdict(old, new)}")
-    for case, sides in lacking.items():
+    for case, sides in {**skipped, **lacking}.items():
         print(f"{case:40s} not paired: failed or missing in the {' and '.join(sides)} tree")
     return 0
 

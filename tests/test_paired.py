@@ -75,7 +75,9 @@ FAILED bench_verify_repeat.py::bench_compose_stack - ValueError: no
     ]
 
 
-def test_both_trees_time_only_the_cases_that_pass_in_both_in_one_order(monkeypatch, tmp_path):
+def test_both_trees_time_only_the_cases_that_pass_in_both_in_one_order(
+    monkeypatch, tmp_path, capsys
+):
     # "stack" passes its untimed run only in the new tree, so no timed run
     # of either tree runs it, and both time "b" before "a"
     passing = {"old": ["f.py::a", "f.py::b"], "new": ["f.py::stack", "f.py::b", "f.py::a"]}
@@ -97,3 +99,4 @@ def test_both_trees_time_only_the_cases_that_pass_in_both_in_one_order(monkeypat
     assert paired.main([str(tmp_path / "old"), str(tmp_path / "new"), "--pairs", "2"]) == 0
     shared = ["f.py::b", "f.py::a"]
     assert timed == [("old", shared), ("new", shared), ("new", shared), ("old", shared)]
+    assert "f.py::stack" in capsys.readouterr().out
