@@ -25,7 +25,6 @@ SUP_SAMPLE_RADIUS = 0.999
 class SupNormConfig:
     starts: int = 32
     steps: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1:
@@ -86,14 +85,18 @@ def sup_norm_fs(
 
     Multistart projected gradient ascent on the realified sphere; the
     ascent direction is the central finite-difference gradient of
-    ||Psi_e||^2 projected to the tangent space.  Deterministic per seed.
-    A NaN or infinite lam or mu raises ``ValueError``.
+    ||Psi_e||^2 projected to the tangent space.  The random starts are
+    drawn from seed 0, so the result is deterministic.  A NaN or infinite
+    lam or mu, or a jet with a NaN or infinite coefficient, raises
+    ``ValueError``: every comparison of the ascent with a NaN is false.
     """
     finite_params(lam, mu)
+    if not np.isfinite(f.max_coeff()):
+        raise ValueError("the jet has a non-finite coefficient")
     if config is None:
         config = SupNormConfig()
     n = f.dim
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
 
     def value(v: np.ndarray) -> float:
         # v may lie up to FD_STEP off the sphere: Psi is evaluated there as

@@ -62,11 +62,11 @@ def fs_mapping(f, e, lam, mu) -> np.ndarray:
 
     ``e`` is one direction of shape (n,), giving the (n,) vector Psi_e, or
     a batch of shape (N, n), giving the (N, n) array whose row i is Psi at
-    row i of ``e``.  ``f`` may also be a sequence of T jets of one (dim,
-    order), as ``compose`` takes it, with ``e`` a (T, n) array of one
-    direction per jet and ``lam`` and ``mu`` each a scalar or a length-T
-    sequence: row t of the (T, n) result is Psi of jet t at direction t
-    with its lam and mu.  Each direction must be a unit vector within
+    row i of ``e``.  ``f`` may also be a sequence of T >= 1 jets of one
+    (dim, order), checked as ``compose`` checks it, with ``e`` a (T, n)
+    array of one direction per jet and ``lam`` and ``mu`` each a scalar
+    or a length-T sequence: row t of the (T, n) result is Psi of jet t at
+    direction t with its lam and mu.  Each direction must be a unit vector within
     ``E_NORM_TOL`` and is normalized once more.  A direction of another
     shape, off the sphere or with a NaN entry, or a lam or mu that
     ``finite_params`` rejects, raises ``ValueError`` naming the row.
@@ -75,8 +75,6 @@ def fs_mapping(f, e, lam, mu) -> np.ndarray:
     f, T, f0 = _stack_of(f)
     lam, mu = finite_params(lam, mu, T)
     es = np.asarray(e, dtype=complex)
-    if f0 is None:
-        return np.zeros((0, es.shape[1] if es.ndim == 2 else 0), dtype=complex)
     n = f0.dim
     if T is not None:
         if es.ndim != 2 or es.shape[1] != n:
@@ -172,43 +170,32 @@ def operator_norm_bilinear(
     unit pair attains it, ||B[u, v]|| = value, so it is a lower bound on
     the norm.  Deterministic for a given seed.
 
-    ``B`` may also be a sequence of degree-2 tensors of one shape, with
-    ``seed`` one int for all of them or a sequence of one seed per tensor.
-    The result is then the list of estimates, each equal within rounding
-    to the lone call on its tensor and seed.  Each (tensor, start) pair is
-    a cell of the batch, which leaves it when it stops; a stack runs in
-    blocks of as many tensors as fit in ``NORM_BLOCK_CELLS`` cells, at
-    least one.  An empty sequence gives [].
-    A tensor with a NaN or infinite entry raises ``ValueError`` naming
-    its index.
+    ``B`` may also be a sequence of degree-2 tensors of one shape, checked
+    as ``jets.compose`` checks a stack, with ``seed`` one int for all of
+    them or a sequence of one seed per tensor.  The result is then the
+    list of estimates, each equal within rounding to the lone call on its
+    tensor and seed.  Each (tensor, start) pair is a cell of the batch,
+    which leaves it when it stops; a stack runs in blocks of as many
+    tensors as fit in ``NORM_BLOCK_CELLS`` cells, at least one.  A tensor
+    of another degree, or with a NaN or infinite entry, raises
+    ``ValueError`` naming its index in a stack.
     """
     if starts < 1:
         raise ValueError(f"starts must be positive, got {starts}")
     if iters < 1:
         raise ValueError(f"iters must be positive, got {iters}")
-    single = isinstance(B, HomPoly)
-    polys = [B] if single else list(B)
+    polys, T, lead = _stack_of(B, "tensor", HomPoly, ("degree", "domain_dim", "codomain_dim"))
+    if T is None:
+        polys = [polys]
+    if lead.degree != 2:
+        raise ValueError(f"expected a degree-2 tensor{_at(T is None, 0)}, got degree {lead.degree}")
     seeds = [seed] * len(polys) if np.ndim(seed) == 0 else [int(s) for s in seed]
-    if len(seeds) != len(polys):
-        raise ValueError(f"got {len(seeds)} seeds for {len(polys)} tensors")
-    if not polys:
-        return []
-    shape = None
-    for i, P in enumerate(polys):
-        if not isinstance(P, HomPoly) or P.degree != 2:
-            got = f"degree {P.degree}" if isinstance(P, HomPoly) else type(P).__name__
-            raise ValueError(f"expected a degree-2 tensor{_at(single, i)}, got {got}")
-        shape = shape or (P.domain_dim, P.codomain_dim)
-        if (P.domain_dim, P.codomain_dim) != shape:
-            raise ValueError(
-                f"tensors of one shape expected: C^{shape[0]} -> C^{shape[1]} "
-                f"at index 0, C^{P.domain_dim} -> C^{P.codomain_dim}{_at(single, i)}"
-            )
-    n = shape[0]
+    _paired(len(polys), len(seeds), "seeds")
+    n = lead.domain_dim
     dense = np.array([P.dense() for P in polys]).reshape(len(polys), n, -1)
     if not np.isfinite(dense).all():
         i = int(np.argmin(np.isfinite(dense).all(axis=(1, 2))))
-        raise ValueError(f"the tensor{_at(single, i)} has a non-finite entry")
+        raise ValueError(f"the tensor{_at(T is None, i)} has a non-finite entry")
     out = [
         BilinearNormEstimate(0.0, np.zeros(n, complex), np.zeros(n, complex))
         for _ in polys
@@ -223,7 +210,7 @@ def operator_norm_bilinear(
         values, us, vs = _estimate(dense[tensors], inits, iters)
         for j, i in enumerate(tensors):
             out[i] = BilinearNormEstimate(float(values[j]), us[j], vs[j])
-    return out[0] if single else out
+    return out[0] if T is None else out
 
 
 def _at(single: bool, i: int) -> str:

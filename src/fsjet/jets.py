@@ -5,14 +5,17 @@ homogeneous polynomial.  Composition, inversion, integer iteration and
 unitary conjugation all happen at the jet level with truncation at K.
 
 Stacks: ``compose``, ``invert`` and ``iterate`` (and ``fekete.fs_mapping``)
-also take a sequence of T jets of one (dim, order) in place of each jet
-argument, and then return the list of the T results, row t equal within
-rounding to the lone call on the t-th jets.  A jet of another (dim,
-order) or sequences of different lengths raise ``ValueError`` naming the
-index; an empty sequence gives [].  The kernel carries a stack as one
-coefficient per monomial, a (T,) column, so each row runs the lone call's
-arithmetic; a row with a NaN or infinite coefficient stays non-finite and
-leaves the other rows alone.
+also take a sequence of T >= 1 jets of one (dim, order) in place of each
+jet argument, and then return the list of the T results, row t equal
+within rounding to the lone call on the t-th jets.  ``_stack_of`` and
+``_paired`` are the one check of a stacked argument, also for the
+tensors of ``fekete.operator_norm_bilinear`` and the generators of
+``semigroup.flow_taylor_via_ode``: an empty sequence, a member of
+another type or shape, or sequences of different lengths raise
+``ValueError``, naming the index where there is one.  The kernel carries
+a stack as one coefficient per monomial, a (T,) column, so each row runs
+the lone call's arithmetic; a row with a NaN or infinite coefficient
+stays non-finite and leaves the other rows alone.
 """
 
 from __future__ import annotations
@@ -282,29 +285,34 @@ def _combine(f: list[dict], table: dict[int, dict]) -> list[dict]:
 # -- stacks -----------------------------------------------------------------
 
 
-def _stack_of(f, what: str = "jet") -> tuple:
-    """(f, T, lead) for the argument f of a stacked call: one jet gives
-    (f, None, f); a sequence gives the list of its T jets and the first
-    of them, None when T = 0, after checking that every jet has the first
-    one's (dim, order)."""
-    if isinstance(f, MappingJet):
+def _stack_of(f, what: str = "jet", kind: type = MappingJet, key=("dim", "order")) -> tuple:
+    """(f, T, lead) for the argument f of a stacked call, whose members are
+    of type ``kind`` and have the shape named by the attributes ``key``:
+    one member gives (f, None, f); a sequence gives the list of its T
+    members and the first of them, after checking that there is one and
+    that every member is a ``kind`` of the first one's shape."""
+    if isinstance(f, kind):
         return f, None, f
     f = list(f)
+    if not f:
+        raise ValueError(f"expected at least one {what}, got an empty sequence")
+    shapes = []
     for i, g in enumerate(f):
-        if not isinstance(g, MappingJet):
-            raise ValueError(f"{what} {i} is not a MappingJet but {type(g).__name__}")
-        if (g.dim, g.order) != (f[0].dim, f[0].order):
+        if not isinstance(g, kind):
+            raise ValueError(f"{what} {i} is not a {kind.__name__} but {type(g).__name__}")
+        shapes.append(tuple(getattr(g, a) for a in key))
+        if shapes[i] != shapes[0]:
             raise ValueError(
-                f"jets of one (dim, order) expected: {what} 0 has "
-                f"({f[0].dim}, {f[0].order}), {what} {i} has ({g.dim}, {g.order})"
+                f"{what}s of one ({', '.join(key)}) expected: "
+                f"{what} 0 has {shapes[0]}, {what} {i} has {shapes[i]}"
             )
-    return f, len(f), f[0] if f else None
+    return f, len(f), f[0]
 
 
 def _paired(T: int, count: int, what: str) -> None:
-    """ValueError unless a stack of T jets has ``count`` of ``what``."""
+    """ValueError unless a stack of T members has ``count`` of ``what``."""
     if count != T:
-        raise ValueError(f"{T} jets and {count} {what}: index {min(T, count)} has no partner")
+        raise ValueError(f"{count} {what} for a stack of {T}: index {min(T, count)} has no partner")
 
 
 def _identities(n: int, K: int, T: int | None):
@@ -324,8 +332,6 @@ def compose(f, g):
         raise ValueError("compose takes two jets or two sequences of jets")
     if T is not None:
         _paired(T, Tg, "inner jets")
-    if f0 is None:
-        return []
     if f0.dim != g0.dim:
         raise ValueError(f"dimension mismatch: {f0.dim} vs {g0.dim}")
     order = min(f0.order, g0.order)
@@ -351,8 +357,6 @@ def invert(f):
     series", J. ACM 25(4), 1978).
     """
     f, T, f0 = _stack_of(f)
-    if f0 is None:
-        return []
     n, K = f0.dim, f0.order
     if K < 2:
         return _identities(n, K, T)
@@ -403,8 +407,6 @@ def iterate(f, m: int):
     except TypeError:
         raise TypeError(f"iteration count must be an integer, got {m!r}") from None
     f, T, f0 = _stack_of(f)
-    if f0 is None:
-        return []
     if m == 0:
         return _identities(f0.dim, f0.order, T)
     if m < 0:

@@ -11,6 +11,7 @@ degree-2 tensor of h.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,15 +84,17 @@ class FlowJet:
 def is_generator(
     h: MappingJet, samples: int = 4096, seed: int = 0
 ) -> Report:
-    """Sampled test of Re <h(x), x> >= 0 on the ball (falsification only)."""
+    """Sampled test of Re <h(x), x> >= 0 on the ball (falsification only).
+    A NaN value, as a jet with a non-finite coefficient gives, makes the
+    residual NaN, so the report fails."""
     rng = np.random.default_rng(seed)
     xs = sample_ball(rng, samples, h.dim, radius=1.0 - 1e-3)
     vals = np.real(np.einsum("ij,ij->i", h.eval_many(xs), xs.conj()))
     worst = float(vals.min(initial=np.inf))
     tolerance = 1e-10
-    residual = max(0.0, -worst)
+    residual = float(np.maximum(0.0, -worst))  # NaN stays NaN
     witnesses = []
-    if residual > tolerance:
+    if not residual <= tolerance:
         i = int(np.argmin(vals))
         witnesses.append({"x": xs[i].tolist(), "re_inner": float(vals[i])})
     return Report(
@@ -201,57 +204,49 @@ def _field(hs):
 
 
 def flow_taylor_via_ode(
-    h: MappingJet | Sequence[MappingJet],
-    t,
-    direction,
-    degree,
+    hs: Sequence[MappingJet],
+    times: Sequence[float],
+    directions,
+    degrees: Sequence[int],
     step: float = 2e-3,
 ) -> np.ndarray:
-    """Degree-k Taylor coefficient of z -> u_t(z e) extracted from the ODE.
+    """Degree-k Taylor coefficients of z -> u_t(z e) extracted from the ODE,
+    for each of J generators with its own direction, at each time and
+    degree: the (J, len(times), len(degrees), n) array.
 
-    Since the flow is holomorphic in the initial point, the coefficient is
-    a Cauchy integral, evaluated by averaging over ``FLOW_TAYLOR_NODES``
+    Since the flow is holomorphic in the initial point, a coefficient is a
+    Cauchy integral, evaluated by averaging over ``FLOW_TAYLOR_NODES``
     points of the circle of radius ``FLOW_TAYLOR_RADIUS``.  Independent
     oracle for semigroup_jet.
 
-    ``t`` may be an increasing sequence of times and ``degree`` a sequence
-    of degrees: one integration then serves every pair, and the result
-    has shape (len(t), len(degree), n).  A scalar drops its axis, so
-    scalar ``t`` and ``degree`` give the (n,) coefficient.  A degree must
-    satisfy 0 <= k < ``FLOW_TAYLOR_NODES``; others would alias and raise
-    ``ValueError``.
-
-    ``h`` may also be a sequence of J generators of one dim and order,
-    checked as ``jets.compose`` checks a stack, with ``direction`` a (J, n)
-    array of one direction per generator.  One integration then carries
-    all of them, and the result gains a leading axis of length J; each
-    element equals the lone call on its generator and direction within
-    rounding.  An empty sequence raises ``ValueError``.
+    ``hs`` is a sequence of J generators of one dim and order, checked as
+    ``jets.compose`` checks a stack, and ``directions`` the (J, n) array of
+    one direction per generator; ``times`` is an increasing sequence.  One
+    integration serves every generator, time and degree, and each element
+    equals, within rounding, the call on its generator alone.  A degree
+    must be an integer (``operator.index``, else ``TypeError``) with
+    0 <= k < ``FLOW_TAYLOR_NODES``; others would alias and raise
+    ``ValueError``.  ``semigroup_ode`` flows one point of one generator.
     """
-    hs, J, h0 = _stack_of(h, "generator")
-    if h0 is None:
-        raise ValueError("expected at least one generator")
-    if J is None:
-        hs = [hs]
+    hs, J, h0 = _stack_of(list(hs), "generator")
     dim = h0.dim
-    es = np.asarray(direction, dtype=complex)
-    expected = (dim,) if J is None else (J, dim)
-    if es.shape != expected:
-        raise ValueError(f"expected directions of shape {expected}, got {es.shape}")
-    ks = [int(k) for k in np.ravel(degree)]
+    es = np.asarray(directions, dtype=complex)
+    if es.shape != (J, dim):
+        raise ValueError(f"expected directions of shape {(J, dim)}, got {es.shape}")
+    ks = [operator.index(k) for k in degrees]
     radius, nodes = FLOW_TAYLOR_RADIUS, FLOW_TAYLOR_NODES
     if any(not 0 <= k < nodes for k in ks):
-        raise ValueError(f"degrees must lie in 0..{nodes - 1}, got {degree}")
+        raise ValueError(f"degrees must lie in 0..{nodes - 1}, got {degrees}")
     zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    pts = zs[:, None] * es[..., None, :]  # ([J,] nodes, n)
-    ut = _rk4(hs, np.ravel(t), pts.reshape(len(hs), nodes, dim), step)
-    weights = np.array([np.exp(-2j * np.pi * k * np.arange(nodes) / nodes) for k in ks])
+    pts = zs[:, None] * es[:, None, :]  # (J, nodes, n)
+    ut = _rk4(hs, times, pts, step)
+    weights = np.array(
+        [np.exp(-2j * np.pi * k * np.arange(nodes) / nodes) for k in ks], dtype=complex
+    ).reshape(len(ks), nodes)  # also for no degrees
     norms = np.array([nodes * radius**k for k in ks])
-    # ut: (times, J, nodes, n) -> coef: (J, times, degrees, n)
+    # ut: (times, J, nodes, n) -> coef: (times, J, degrees, n)
     coef = (weights[:, :, None] * ut[:, :, None]).sum(axis=3) / norms[:, None]
-    shape = np.shape(t) + np.shape(degree) + (dim,)
-    coef = np.moveaxis(coef, 1, 0)
-    return coef.reshape(shape) if J is None else coef.reshape((J,) + shape)
+    return np.moveaxis(coef, 1, 0)
 
 
 def starlike_from_generator(h: MappingJet) -> MappingJet:
@@ -275,12 +270,10 @@ def generator_from_starlike(f: MappingJet) -> MappingJet:
     return MappingJet(f.dim, 3, {2: H2, 3: H3})
 
 
-def sample_generator(
-    dim: int, rng: np.random.Generator, order: int = 3
-) -> MappingJet:
-    """Random jet with parts of size ``SAMPLE_SCALE``, shrunk into the
-    sampled generator class by ``generator_shrink``."""
-    return generator_shrink(random_jet(dim, order, rng, scale=SAMPLE_SCALE), rng)
+def sample_generator(dim: int, rng: np.random.Generator) -> MappingJet:
+    """Random order-3 jet with parts of size ``SAMPLE_SCALE``, shrunk into
+    the sampled generator class by ``generator_shrink``."""
+    return generator_shrink(random_jet(dim, 3, rng, scale=SAMPLE_SCALE), rng)
 
 
 def generator_shrink(jet: MappingJet, rng: np.random.Generator) -> MappingJet:

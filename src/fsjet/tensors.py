@@ -260,9 +260,6 @@ class HomPoly:
             self.degree, self.domain_dim, self.codomain_dim, c * self.entries
         )
 
-    def is_zero(self, atol: float = DEFAULT_ATOL) -> bool:
-        return self.max_coeff() <= atol
-
     def max_coeff(self) -> float:
         """Largest entry modulus; NaN if any entry is NaN."""
         return float(np.abs(self.entries).max(initial=0.0))

@@ -64,14 +64,15 @@ class OneDimJet:
         return MappingJet(self.dim, self.order, polys)
 
 
-def detect_onedim(f: MappingJet, tol: float = 1e-9) -> OneDimJet | None:
+def detect_onedim(f: MappingJet) -> OneDimJet | None:
     """Factor each P_k as p_{k-1}(x) x if possible; None if not.
 
     P_k(x)_i = p(x) x_i holds exactly when, for every i, the monomial
     coefficient of x^(a+e_i) in component i equals that of x^a in p.  So
     p is read as the mean over i of those coefficients, and a degree
-    factors when the lift p(x) x matches P_k to tol (1 + max|P_k|).
+    factors when the lift p(x) x matches P_k to 1e-9 (1 + max|P_k|).
     """
+    tol = 1e-9
     n = f.dim
     scalar_polys: dict[int, ScalarHomPoly] = {}
     for k, P in sorted(f.polys.items()):

@@ -13,7 +13,7 @@ from fsjet.estimates import (
 )
 from fsjet.fekete import fs_mapping
 from fsjet.gallery import example_gallery
-from fsjet.jets import random_jet
+from fsjet.jets import iterate, random_jet
 from fsjet.sampling import sample_sphere
 from fsjet.transforms import koebe_onedim
 from fsjet.verify import random_onedim_jet
@@ -139,3 +139,13 @@ def test_sup_norm_rejects_a_non_finite_parameter(lam, mu):
     f = random_jet(2, 3, np.random.default_rng(7))
     with pytest.raises(ValueError, match="must be finite"):
         sup_norm_fs(f, lam, mu, SupNormConfig(starts=2, steps=1))
+
+
+def test_sup_norm_rejects_a_jet_with_a_non_finite_coefficient():
+    # a NaN Psi used to read as 0: every comparison of the ascent with it
+    # is false, so this gave (0.0, e_1)
+    with np.errstate(all="ignore"):
+        g = iterate(random_jet(2, 3, np.random.default_rng(0)), 10**200)
+    assert not np.isfinite(g.max_coeff())
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        sup_norm_fs(g, 0.5, 0.3, SupNormConfig(starts=2, steps=3))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from fsjet.gallery import example_gallery
-from fsjet.jets import MappingJet, random_jet
+from fsjet.jets import MappingJet, iterate, random_jet
 from fsjet.sampling import sample_ball, sample_sphere
 from fsjet.semigroup import (
+    SAMPLE_SCALE,
     SHRINK_PROBE,
     FlowJet,
     flow_taylor_via_ode,
@@ -39,6 +40,16 @@ def test_is_generator_rejects_large_perturbation():
     h = MappingJet(1, 3, {2: H2})
     report = is_generator(h, seed=3)
     assert not report.passed
+    assert report.witnesses
+
+
+def test_is_generator_fails_a_jet_with_a_non_finite_coefficient():
+    # max(0.0, -nan) is 0.0, so this jet used to pass with residual 0.0
+    with np.errstate(all="ignore"):
+        g = iterate(random_jet(2, 3, np.random.default_rng(0)), 10**200)
+        report = is_generator(g)
+    assert not report.passed
+    assert math.isnan(report.max_residual)
     assert report.witnesses
 
 
@@ -76,7 +87,7 @@ def test_closed_form_matches_ode_extraction():
         flow = semigroup_jet(h, t)
         for k in (2, 3):
             closed = flow.poly(k).eval(e)
-            extracted = flow_taylor_via_ode(h, t, e, k, step=2e-3)
+            extracted = flow_taylor_via_ode([h], (t,), e[None], (k,), step=2e-3)[0, 0, 0]
             assert np.linalg.norm(closed - extracted) < 1e-8
 
 
@@ -133,23 +144,21 @@ def test_ode_rejects_bad_times(times):
         with pytest.raises(ValueError):
             semigroup_ode(h, times, np.array([0.1, 0.0]))
     with pytest.raises(ValueError):
-        flow_taylor_via_ode(h, times, e, 2)
+        flow_taylor_via_ode([h], np.atleast_1d(times), e[None], (2,))
 
 
 def test_flow_taylor_sequence_matches_scalar_calls():
     rng = np.random.default_rng(55)
     h = sample_generator(3, rng)
-    e = np.array([0.6, 0.0, 0.8j])
+    e = np.array([[0.6, 0.0, 0.8j]])
     times, degrees = (0.0, 0.1, 0.7, 2.0), (2, 3)
-    both = flow_taylor_via_ode(h, times, e, degrees, step=5e-3)
-    assert both.shape == (4, 2, 3)
-    assert flow_taylor_via_ode(h, times, e, 3, step=5e-3).shape == (4, 3)
-    assert flow_taylor_via_ode(h, 0.7, e, degrees, step=5e-3).shape == (2, 3)
+    both = flow_taylor_via_ode([h], times, e, degrees, step=5e-3)
+    assert both.shape == (1, 4, 2, 3)
     for i, t in enumerate(times):
         for j, k in enumerate(degrees):
-            single = flow_taylor_via_ode(h, t, e, k, step=5e-3)
-            assert single.shape == (3,)
-            assert np.abs(both[i, j] - single).max() <= 1e-14 * np.abs(single).max()
+            single = flow_taylor_via_ode([h], (t,), e, (k,), step=5e-3)
+            assert single.shape == (1, 1, 1, 3)
+            assert np.abs(both[0, i, j] - single[0, 0, 0]).max() <= 1e-14 * np.abs(single).max()
 
 
 def test_starlike_pairing_example():
@@ -266,10 +275,33 @@ def test_flow_taylor_rejects_degrees_it_cannot_extract():
     # a degree outside 0..nodes-1 aliases onto another one
     h = _example_generator()
     e = np.array([1.0, 0.0], dtype=complex)
-    for degree in (-1, 16, 17, (2, 17)):
+    for degrees in ((-1,), (16,), (17,), (2, 17)):
         with pytest.raises(ValueError):
-            flow_taylor_via_ode(h, 0.3, e, degree)
-    assert flow_taylor_via_ode(h, 0.3, e, (0, 15)).shape == (2, 2)
+            flow_taylor_via_ode([h], (0.3,), e[None], degrees)
+    assert flow_taylor_via_ode([h], (0.3,), e[None], (0, 15)).shape == (1, 1, 2, 2)
+    # no degree, or no time, gives an empty axis (no degree was an IndexError)
+    assert flow_taylor_via_ode([h], (0.3,), e[None], ()).shape == (1, 1, 0, 2)
+    assert flow_taylor_via_ode([h], (), e[None], (2,)).shape == (1, 0, 1, 2)
+
+
+def test_flow_taylor_rejects_a_degree_that_is_not_an_integer():
+    # int(2.7) used to read it as degree 2
+    h = _example_generator()
+    e = np.array([[1.0, 0.0]], dtype=complex)
+    for degrees in ((2.7,), (2, 3.0)):
+        with pytest.raises(TypeError):
+            flow_taylor_via_ode([h], (0.3,), e, degrees)
+
+
+def test_flow_taylor_takes_only_sequences():
+    h = _example_generator()
+    e = np.array([[1.0, 0.0]], dtype=complex)
+    with pytest.raises(TypeError):
+        flow_taylor_via_ode(h, (0.3,), e, (2,))  # a lone generator
+    with pytest.raises(ValueError):
+        flow_taylor_via_ode([h], 0.3, e, (2,))  # a lone time
+    with pytest.raises(TypeError):
+        flow_taylor_via_ode([h], (0.3,), e, 2)  # a lone degree
 
 
 def test_flow_taylor_stack_matches_lone_calls():
@@ -280,31 +312,21 @@ def test_flow_taylor_stack_matches_lone_calls():
     stacked = flow_taylor_via_ode(gens, times, dirs, degrees, step=1e-2)
     assert stacked.shape == (3, 2, 2, 2)
     for h, e, got in zip(gens, dirs, stacked):
-        lone = flow_taylor_via_ode(h, times, e, degrees, step=1e-2)
-        assert lone.shape == (2, 2, 2)
-        assert np.abs(got - lone).max() <= 1e-14 * np.abs(lone).max()
-    # scalar t and degree drop their axes; the generator axis stays, also
-    # for a stack of one, while a lone generator has none
-    assert flow_taylor_via_ode(gens, 0.7, dirs, 3, step=1e-2).shape == (3, 2)
-    one = flow_taylor_via_ode(gens[:1], times, dirs[:1], degrees, step=1e-2)
-    assert one.shape == (1, 2, 2, 2)
-    assert np.array_equal(
-        one[0], flow_taylor_via_ode(gens[0], times, dirs[0], degrees, step=1e-2)
-    )
+        one = flow_taylor_via_ode([h], times, e[None], degrees, step=1e-2)
+        assert one.shape == (1, 2, 2, 2)
+        assert np.abs(got - one[0]).max() <= 1e-14 * np.abs(one).max()
 
 
 def test_flow_taylor_stack_rejects_mixed_generators():
     rng = np.random.default_rng(57)
     h2, h3 = sample_generator(2, rng), sample_generator(3, rng)
-    h2_order4 = sample_generator(2, rng, order=4)
+    h2_order4 = generator_shrink(random_jet(2, 4, rng, scale=SAMPLE_SCALE), rng)
     e2 = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     for gens in ([h2, h3], [h2, h2_order4]):
-        with pytest.raises(ValueError):
-            flow_taylor_via_ode(gens, 0.3, e2, 2)
+        with pytest.raises(ValueError, match="generator 1 has"):
+            flow_taylor_via_ode(gens, (0.3,), e2, (2,))
     with pytest.raises(ValueError):
-        flow_taylor_via_ode([h2, h2], 0.3, e2[0], 2)  # one direction per generator
-    with pytest.raises(ValueError):
-        flow_taylor_via_ode([], 0.3, np.zeros((0, 2)), 2)
+        flow_taylor_via_ode([h2, h2], (0.3,), e2[0], (2,))  # one direction per generator
 
 
 def test_flow_leaving_the_ball_raises_and_names_the_generator():
@@ -316,6 +338,6 @@ def test_flow_leaving_the_ball_raises_and_names_the_generator():
     e = np.array([[1.0 + 0j], [1.0 + 0j]])
     with np.errstate(all="ignore"):
         with pytest.raises(RuntimeError, match="generator 1"):
-            flow_taylor_via_ode([good, bad], 2.0, e, 2, step=5e-3)
+            flow_taylor_via_ode([good, bad], (2.0,), e, (2,), step=5e-3)
         with pytest.raises(RuntimeError):
             semigroup_ode(bad, 2.0, np.array([0.2 + 0j]), step=5e-3)

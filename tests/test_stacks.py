@@ -8,9 +8,10 @@ row with a non-finite coefficient must leave the other rows alone."""
 import numpy as np
 import pytest
 
-from fsjet.fekete import fs_mapping
+from fsjet.fekete import fs_mapping, operator_norm_bilinear
 from fsjet.jets import MappingJet, compose, invert, iterate, random_jet
 from fsjet.sampling import sample_params, sample_sphere
+from fsjet.semigroup import flow_taylor_via_ode
 from fsjet.tensors import HomPoly
 from fsjet.verify import ITERATE_RANGE, random_onedim_jet
 
@@ -151,13 +152,23 @@ def test_mixed_shapes_and_lengths_raise_naming_the_index():
         invert([f23.poly(2)])
 
 
-def test_an_empty_sequence_gives_an_empty_result():
-    assert compose([], []) == []
-    assert invert([]) == []
-    assert iterate([], 3) == [] and iterate((), -2) == [] and iterate([], 0) == []
-    assert fs_mapping([], np.zeros((0, 2)), 0.5, 0.5).shape == (0, 2)
-    with pytest.raises(ValueError, match="mu must be finite"):
-        fs_mapping([], np.zeros((0, 2)), 0.5, np.nan)
+@pytest.mark.parametrize("call", [
+    lambda: compose([], []),
+    lambda: invert([]),
+    lambda: iterate((), 3),
+    lambda: fs_mapping([], np.zeros((0, 2)), 0.5, 0.5),
+    # a direction array of any shape used to give a (0, 0) result
+    lambda: fs_mapping([], np.zeros(3), 0.5, 0.5),
+    lambda: fs_mapping([], np.zeros((0, 2, 2)), 0.5, 0.5),
+    lambda: operator_norm_bilinear([]),
+    lambda: flow_taylor_via_ode([], (0.3,), np.zeros((0, 2)), (2,)),
+], ids=[
+    "compose", "invert", "iterate", "fs_mapping", "fs_mapping-1d", "fs_mapping-3d",
+    "operator_norm_bilinear", "flow_taylor_via_ode",
+])
+def test_an_empty_sequence_is_rejected(call):
+    with pytest.raises(ValueError, match="at least one"):
+        call()
 
 
 def test_a_sequence_of_one_gives_a_list_of_one():
