@@ -80,12 +80,15 @@ def bench_operator_norm_bilinear(benchmark, n):
     benchmark(operator_norm_bilinear, B)
 
 
-def bench_operator_norm_stack(benchmark):
-    # 40 tensors at 32 starts: 1,280 cells, more than one block
-    tensors = [f.poly(2) for f in _jets(3, 2, 40, seed=25)]
+@pytest.mark.parametrize("n", [2, 3])
+def bench_operator_norm_stack(benchmark, n):
+    # the stack that `fsjet verify error-bound` passes per dimension at its
+    # 200 default trials: 100 trials of two order-3 jets each, the seeds
+    # alternating as the suite's do; 200 tensors at 32 starts are 7 blocks
+    tensors = [f.poly(2) for f in _jets(n, 3, 200, seed=25)]
     for B in tensors:
         B.dense()
-    benchmark(operator_norm_bilinear, tensors, seed=list(range(40)))
+    benchmark(operator_norm_bilinear, tensors, seed=[0, 1] * 100)
 
 
 def bench_fs_mapping_batch(benchmark):

@@ -10,6 +10,7 @@ equals 2 B[u, v].
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -157,18 +158,25 @@ def operator_norm_bilinear(
        v <- B[u, .]* B[u, v] and u <- B[., v]* B[u, v], each normalised
        (De Lathauwer, De Moor & Vandewalle, "On the best rank-1 and
        rank-(R1,...,RN) approximation of higher-order tensors", SIAM J.
-       Matrix Anal. Appl. 21(4), 2000);
-    3. exact sweeps again, on the start with the largest value only.
+       Matrix Anal. Appl. 21(4), 2000), in two parts:
+       (a) every start sweeps until a sweep changes its value by at most
+           1e-4 of it, which settles it into its basin;
+       (b) the start with the largest value then sweeps on, to the
+           strict rule below;
+    3. exact sweeps again, on that start only.
 
-    A start stops at the first sweep that changes its value by at most
-    1e-14 relative; a start whose exact sweep gives 0 stops there.  The
-    rule bounds the last step, not the distance to the maximum: a slowly
-    converging start can stop about 1e-13 relative below its local
-    maximum, so two versions of this estimate may differ at that level.
-    Steps 1 and 2 run at most ``iters`` sweeps, step 3 at most ``iters``
-    more.  The value is the last singular value of step 3 and the returned
-    unit pair attains it, ||B[u, v]|| = value, so it is a lower bound on
-    the norm.  Deterministic for a given seed.
+    The strict rule stops a start at the first sweep that changes its
+    value by at most 1e-14 relative; a start whose exact sweep gives 0
+    stops there.  It bounds the last step, not the distance to the
+    maximum: a slowly converging start can stop about 1e-13 relative
+    below its local maximum, so two versions of this estimate may differ
+    at that level.  The winner is picked in (a), so a second basin within
+    about 1e-4 of the winner's value may be missed.  Steps 1 and 2 run
+    at most ``iters`` sweeps per start, the winner's sweeps in (a) and
+    (b) counted together; step 3 runs at most ``iters`` more.  The value
+    is the last singular value of step 3 and the returned unit pair
+    attains it, ||B[u, v]|| = value, so it is a lower bound on the norm.
+    Deterministic for a given seed.
 
     ``B`` may also be a sequence of degree-2 tensors of one shape, checked
     as ``jets.compose`` checks a stack, with ``seed`` one int for all of
@@ -178,7 +186,8 @@ def operator_norm_bilinear(
     which leaves it when it stops; a stack runs in blocks of as many
     tensors as fit in ``NORM_BLOCK_CELLS`` cells, at least one.  A tensor
     of another degree, or with a NaN or infinite entry, raises
-    ``ValueError`` naming its index in a stack.
+    ``ValueError`` naming its index in a stack.  A lone tensor takes one
+    int seed; a seed sequence with it raises ``ValueError``.
     """
     if starts < 1:
         raise ValueError(f"starts must be positive, got {starts}")
@@ -186,6 +195,8 @@ def operator_norm_bilinear(
         raise ValueError(f"iters must be positive, got {iters}")
     polys, T, lead = _stack_of(B, "tensor", HomPoly, ("degree", "domain_dim", "codomain_dim"))
     if T is None:
+        if np.ndim(seed):
+            raise ValueError(f"seed must be one int for a lone tensor, got shape {np.shape(seed)}")
         polys = [polys]
     if lead.degree != 2:
         raise ValueError(f"expected a degree-2 tensor{_at(T is None, 0)}, got degree {lead.degree}")
@@ -235,54 +246,70 @@ def _estimate(D: np.ndarray, inits: np.ndarray, iters: int):
     """The three steps for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
     = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n).
 
-    Step 1 sweeps every start of a tensor at once.  Steps 2 and 3 run on
-    cells, one per (tensor, start), each a row that carries its own copy
-    of its tensor.  Returns (values, us, vs)."""
+    Step 1 sweeps every start of a tensor at once.  Step 2 runs on cells,
+    one per (tensor, start), each a row that carries its own copy of its
+    tensor: every cell settles into its basin by the loose rule, then
+    the best cell of each tensor goes on to the strict rule, within the
+    same cap.  Step 3 runs on those best cells.  Returns (values, us, vs)."""
     L, S, n = inits.shape
     vals, us, vs = _exact_sweep(D, inits)  # (L, S), (L, S, n)
-    vals, us, vs = vals.reshape(-1), us.reshape(-1, n), vs.reshape(-1, n)
-    # B[u, v] != 0 on a cell of nonzero value, and a power step never
-    # lowers ||B[u, v]||, so no power step divides by 0
-    live = ~_converged(vals, 0.0)
-    cells = np.repeat(np.arange(L), S)[live]  # the tensor of each cell
-    vals[live], us[live], _ = _until_stable(
-        _power_sweep, D[cells], vals[live], us[live], vs[live], iters - 1
-    )
+    state = (np.full(L * S, np.nan), vals.reshape(-1), us.reshape(-1, n), vs.reshape(-1, n))
+    # a cell of value 0 gets no power sweep; B[u, v] != 0 on any other,
+    # and a power step never lowers ||B[u, v]||, so none divides by 0
+    caps = np.where(_converged(state[1], 0.0, _SETTLED), 0, iters - 1)
+    cells = np.repeat(np.arange(L), S)  # the tensor of each cell
+    _until_stable(_power_sweep, D[cells], state, caps, _BASIN)
+    # the best cell of tensor l is row l: D itself is the winners' tensors
+    best = state[1].reshape(L, S).argmax(axis=1) + S * np.arange(L)
+    winners = tuple(a[best] for a in state)
+    _, vals, us, vs = _until_stable(_power_sweep, D, winners, caps[best], _SETTLED)
 
     def exact(D, u, v):  # v is recomputed from u
         val, u, v = _exact_sweep(D, u[:, None])
         return val[:, 0], u[:, 0], v[:, 0]
 
-    best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
-    return _until_stable(exact, D, vals[best], us[best], vs[best], iters)
+    state = (np.full(L, np.nan), vals, us, vs)
+    return _until_stable(exact, D, state, np.full(L, iters), _SETTLED)[1:]
 
 
-def _until_stable(sweep, D, val, u, v, cap):
-    """Apply ``sweep`` to every cell, one per row of D, val, u and v, until
-    it stops or has had ``cap`` sweeps.  A cell stops at the first sweep
-    that changes its value by at most 1e-14 relative, and then leaves the
-    batch.  Writes each cell's last (value, u, v) into the arrays val, u
-    and v, and returns them."""
-    out_val, out_u, out_v = val, u, v
-    cells = np.arange(len(val))
-    for _ in range(cap):
-        if not cells.size:
-            break
-        new_val, u, v = sweep(D, u, v)
-        done = _converged(new_val, val)
-        val = new_val
+def _until_stable(sweep, D, state, caps, rule):
+    """Apply ``sweep`` to every cell, one per row of D, of caps and of each
+    array of state = (old, val, u, v), where old is the value before the
+    cell's last sweep (NaN before its first).  A cell stops once its last
+    sweep met ``rule`` (see ``_converged``) or once it has had caps[cell]
+    sweeps, and then leaves the batch.  Writes each cell's last state into
+    the arrays of state and the sweeps it had left into caps, and returns
+    state."""
+    cells = np.arange(len(caps))
+    old, val, u, v = state
+    cap = caps
+    for k in itertools.count():
+        done = (cap <= k) | _converged(val, old, rule)
         if np.count_nonzero(done):
             c = cells[done]
-            out_val[c], out_u[c], out_v[c] = val[done], u[done], v[done]
+            for out, a in zip(state, (old, val, u, v)):
+                out[c] = a[done]
+            caps[c] -= k
             keep = ~done
-            cells, D, val, u, v = cells[keep], D[keep], val[keep], u[keep], v[keep]
-    out_val[cells], out_u[cells], out_v[cells] = val, u, v
-    return out_val, out_u, out_v
+            if not keep.any():
+                return state
+            cells, cap, D, old, val, u, v = (a[keep] for a in (cells, cap, D, old, val, u, v))
+        old = val
+        val, u, v = sweep(D, u, v)
 
 
-def _converged(new, old):
-    """The stopping rule: a change of at most 1e-14 relative."""
-    return np.abs(new - old) <= 1e-14 * np.maximum(1.0, new)
+# (tolerance, floor): a sweep meets the rule when it changes the value by
+# at most tolerance * max(floor, value).  Step 2 settles every cell into
+# its basin by the loose rule, which is relative for any scale of B.
+_SETTLED = (1e-14, 1.0)
+_BASIN = (1e-4, 0.0)
+
+
+def _converged(new, old, rule):
+    """Whether a change from old to new meets the stopping rule ``rule``;
+    never for a NaN old."""
+    tol, floor = rule
+    return np.abs(new - old) <= tol * np.maximum(floor, new)
 
 
 def _exact_sweep(D: np.ndarray, u: np.ndarray):

@@ -421,6 +421,54 @@ def test_operator_norm_stack_rejects_bad_input():
         operator_norm_bilinear(good, seed=[1, 2])
 
 
+def test_operator_norm_lone_tensor_rejects_a_seed_sequence():
+    # a lone tensor takes one int seed, as a lone jet takes one lambda
+    B = random_jet(2, 2, np.random.default_rng(123)).poly(2)
+    for seed in ([5], [5, 6], np.array([5])):
+        with pytest.raises(ValueError, match="seed"):
+            operator_norm_bilinear(B, seed=seed)
+    assert operator_norm_bilinear(B, seed=np.int64(5)).value == operator_norm_bilinear(B, seed=5).value
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("c", [1 + 1e-6, 1 + 1e-5, 1.001])
+def test_operator_norm_picks_the_higher_of_two_near_tied_maxima(c):
+    # B[u, v] = W (u'_1 v'_1, c u'_2 v'_2) with u' = U u and v' = U v has
+    # local maxima 1 (at u' = v' = e_1) and c (at e_2), within 1e-3 of
+    # each other: the estimate must reach the higher one
+    for trial in range(20):
+        rng = np.random.default_rng([130, trial])
+        U, W = _unitary(rng, 2), _unitary(rng, 2)
+        dense = np.einsum("mk,k,ka,kb->abm", W, np.array([1.0, c]), U, U)
+        est = operator_norm_bilinear(_hompoly_from_dense(dense), seed=trial)
+        assert abs(est.value - c) <= 1e-13 * c
+
+
+def _assert_first_order_optimal(B, est):
+    """At the returned (u, v), the value is the top singular value of both
+    v -> B[u, v] and u -> B[u, v], by a full SVD of the dense tensor's
+    n x n slices."""
+    dense = B.dense()
+    for M in (np.einsum("abm,a->bm", dense, est.u), np.einsum("abm,b->am", dense, est.v)):
+        top = np.linalg.svd(M, compute_uv=False)[0]
+        assert abs(top - est.value) <= 1e-12 * est.value
+
+
+def test_operator_norm_is_first_order_optimal():
+    for tensors, seeds in _error_bound_tensors(40).values():
+        for B, est in zip(tensors, operator_norm_bilinear(tensors, seed=seeds)):
+            _assert_first_order_optimal(B, est)
+    rng = np.random.default_rng(131)
+    for n in (3, 4):
+        for trial in range(10):
+            B = random_jet(n, 2, rng).poly(2)
+            _assert_first_order_optimal(B, operator_norm_bilinear(B, seed=trial))
+
+
 def _three_steps_per_start(B, starts=32, iters=200, seed=0):
     """Reference: the three steps of ``operator_norm_bilinear`` written one
     start at a time with dense contractions."""
