@@ -132,7 +132,7 @@ def semigroup_ode(
 ) -> np.ndarray:
     """Flow point u_t(x0) by classical fixed-step RK4 on du/dt = -h(u)."""
     x0 = _check_vector(x0, h.dim)
-    if np.linalg.norm(x0) >= 1:
+    if not np.linalg.norm(x0) < 1:  # also true for a NaN entry
         raise ValueError("initial point must lie in the open unit ball")
     return _rk4([h], (t,), x0[None, None, :], step)[0, 0, 0]
 
@@ -144,9 +144,10 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
     One trajectory is integrated piecewise through the times; each gap
     takes ceil(gap/step) equal steps, so a single time t gets exactly the
     steps of a direct integration to t.  Returns shape (len(ts),) + xs.shape.
+    A step that is not finite and positive raises ``ValueError``.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or not np.all(np.isfinite(ts)):
         raise ValueError(f"times must be a sequence of finite numbers, got {ts}")
@@ -155,22 +156,25 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
     if np.any(np.diff(ts) <= 0):
         raise ValueError(f"times must be increasing, got {ts}")
     field = _field(hs)
-    u = np.array(xs, dtype=complex)
-    snapshots = []
+    # each point with a last coordinate 1, which the field keeps fixed
+    u = np.ones(xs.shape[:-1] + (xs.shape[-1] + 1,), complex)
+    u[..., :-1] = xs
+    out = np.empty(ts.shape + xs.shape, complex)
     prev = 0.0
-    for t in ts:
+    for i, t in enumerate(ts):
         gap = float(t) - prev
         nsteps = max(1, math.ceil(gap / step))
         dt = gap / nsteps
+        half, sixth = 0.5 * dt, dt / 6.0
         for _ in range(nsteps):
-            k1 = -field(u)
-            k2 = -field(u + 0.5 * dt * k1)
-            k3 = -field(u + 0.5 * dt * k2)
-            k4 = -field(u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        snapshots.append(u)
+            # the stages of du/dt = -h(u), each h1..h4 the field itself
+            h1 = field(u)
+            h2 = field(u - half * h1)
+            h3 = field(u - half * h2)
+            h4 = field(u - dt * h3)
+            u -= sixth * (h1 + 2.0 * (h2 + h3) + h4)
+        out[i] = u[..., :-1]
         prev = float(t)
-    out = np.array(snapshots).reshape(ts.shape + u.shape)
     # "not < 1" also catches a trajectory that overflowed to inf or NaN
     inside = (np.linalg.norm(out, axis=-1) < 1.0).all(axis=(0, 2))
     if not inside.all():
@@ -182,23 +186,37 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
 
 
 def _field(hs):
-    """The fields x -> h_j(x) of generators of one (dim, order), as one
-    function of a (J, N, n) array whose slice j holds points for h_j.
+    """The fields x -> h_j(x) of generators of one (dim, order) = (n, K),
+    as one function of a (J, N, n + 1) array whose slice j holds points
+    for h_j, each followed by a coordinate 1.  The value at a point is
+    h_j(x) followed by 0, so RK4 stages keep that coordinate 1.
 
-    Each degree k has one coefficient array over the sorted multi-index
-    basis (``tensors.basis_coefficients``), so a stage costs one gather of
-    monomials and one batched product per degree, whatever J is."""
-    degrees = []
+    Every degree from 1 (the identity) to K is one block of coefficients
+    over its sorted multi-index basis (``tensors.basis_coefficients``).
+    The blocks are concatenated, the index columns of a degree below K
+    padded with the index n of the coordinate 1, so a stage costs one
+    gather of the monomials of every degree and one batched product,
+    whatever J is."""
+    n, J = hs[0].dim, len(hs)
+    blocks = [((np.arange(n),), np.eye(n))]
     for k in range(2, hs[0].order + 1):
         cols, coef = basis_coefficients([h.poly(k) for h in hs])
         if coef.any():
-            degrees.append((cols, coef))
+            blocks.append((cols, coef))
+    width = sum(len(cols[0]) for cols, _ in blocks)
+    index = np.full((len(blocks[-1][0]), width), n)
+    # one more output column, 0, for the coordinate 1
+    coef = np.zeros((J, width, n + 1), complex)
+    lo = 0
+    for cols, c in blocks:
+        hi = lo + len(cols[0])
+        index[: len(cols), lo:hi] = cols
+        coef[:, lo:hi, :n] = c
+        lo = hi
+    index = tuple(index)
 
     def field(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        for cols, coef in degrees:
-            out += np.matmul(monomials(x, cols), coef)
-        return out
+        return np.matmul(monomials(x, index), coef)
 
     return field
 

@@ -13,6 +13,7 @@ from fsjet.semigroup import (
     SAMPLE_SCALE,
     SHRINK_PROBE,
     FlowJet,
+    _field,
     flow_taylor_via_ode,
     generator_from_starlike,
     generator_shrink,
@@ -131,6 +132,44 @@ def test_ode_rejects_bad_inputs():
         semigroup_ode(h, 1.0, np.array([1.5, 0.0]))
     with pytest.raises(ValueError):
         semigroup_ode(h, 1.0, np.array([0.1, 0.0]), step=0.0)
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf])
+def test_ode_rejects_a_step_that_is_not_finite(step):
+    # a NaN step used to end in "cannot convert float NaN to integer", an
+    # infinite one to take one RK4 step per time gap
+    h = _example_generator()
+    e = np.array([[1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="step"):
+        semigroup_ode(h, 0.5, np.array([0.1, 0.0]), step=step)
+    with pytest.raises(ValueError, match="step"):
+        flow_taylor_via_ode([h], (0.5,), e, (2,), step=step)
+
+
+def test_ode_rejects_a_nan_initial_point():
+    # it used to pass the ball check and fail as a flow leaving the ball
+    with pytest.raises(ValueError, match="open unit ball"):
+        semigroup_ode(_example_generator(), 0.5, np.array([np.nan, 0.0]))
+
+
+def test_field_matches_each_generators_eval():
+    # the field of a stack, from one gather of padded monomials, against
+    # each jet's own evaluation: order 4, order-3 jets with no degree-2
+    # part (a degree the field leaves out), and the identity
+    rng = np.random.default_rng(58)
+    stacks = [
+        [generator_shrink(random_jet(2, 4, rng, scale=SAMPLE_SCALE), rng) for _ in range(3)],
+        [MappingJet(3, 3, {3: sample_generator(3, rng).poly(3)}) for _ in range(2)],
+        [MappingJet(1, 3, {})],
+    ]
+    for hs in stacks:
+        n = hs[0].dim
+        xs = sample_ball(rng, 5 * len(hs), n, radius=0.9).reshape(len(hs), 5, n)
+        padded = np.concatenate([xs, np.ones((len(hs), 5, 1))], axis=-1)
+        got = _field(hs)(padded)
+        assert np.all(got[..., -1] == 0.0)
+        for h, x, row in zip(hs, xs, got):
+            assert np.abs(row[:, :-1] - h.eval_many(x)).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
