@@ -233,10 +233,8 @@ def operator_norm_bilinear(
         inits = np.array([_starts(n, starts, seeds[i]) for i in tensors])
         winners.append(_basin_winners(dense[tensors], inits, iters))
     if winners:
-        # a lone tensor, the common call, skips the concatenation and copy
-        *state, caps = winners[0] if len(winners) == 1 else map(np.concatenate, zip(*winners))
-        D = dense if len(live) == len(dense) else dense[live]
-        values, us, vs = _polish(D, state, caps, iters)
+        *state, caps = map(np.concatenate, zip(*winners))
+        values, us, vs = _polish(dense[live], state, caps, iters)
         for j, i in enumerate(live):
             out[i] = BilinearNormEstimate(float(values[j]), us[j], vs[j])
     return out[0] if T is None else out
@@ -367,16 +365,18 @@ def _top_singular_pair(D: np.ndarray, x: np.ndarray):
 # The batch size from which a closed form beats one stacked
 # np.linalg.eigh, by n; larger n always take eigh.  Measured on a 2-vCPU
 # VM (numpy 2.4.6, one BLAS thread), best of 11 x 200 calls on random
-# Gram matrices: at n = 2 the closed form took 21 us at any batch up to
-# 32, eigh 18 us at 12 matrices and 22 us at 16; at n = 3 the closed
-# form took 86 us at 32 and 92 us at 48, eigh 72 us and 103 us.
-_CLOSED_FORM_FROM = {2: 16, 3: 48}
+# Gram matrices: at n = 2 the closed form took 21-23 us at any batch from
+# 12 to 32, eigh 19-21 us at 16 matrices and 23-24 us at 20; at n = 3 the
+# closed form took 82-92 us at 40 and 85-92 us at 48, eigh 75-83 us and
+# 89-95 us.
+_CLOSED_FORM_FROM = {2: 20, 3: 48}
 _TINY = np.finfo(float).tiny
 
 
 def _top_eigenpair(G: np.ndarray):
-    """The top eigenvalue and a unit eigenvector of each Hermitian n x n
-    matrix of the stack G (..., n, n).  A batch of at least
+    """The top eigenvalue and a unit eigenvector of each Hermitian positive
+    semidefinite n x n matrix of the stack G (..., n, n), a Gram matrix
+    here, at any scale of its entries.  A batch of at least
     ``_CLOSED_FORM_FROM[n]`` matrices takes the closed form of its n; the
     rows where that form is unreliable, and every other batch, take
     np.linalg.eigh."""
@@ -386,9 +386,7 @@ def _top_eigenpair(G: np.ndarray):
         return w[..., -1], V[..., -1]
     G = G.reshape(-1, n, n)
     w, y, redo = (_top_pair_2 if n == 2 else _top_pair_3)(G)
-    nrm2 = np.add.reduce(y.view(np.float64) ** 2, axis=-1)
-    redo |= nrm2 < _TINY  # a zero or subnormal y has no direction
-    y /= np.sqrt(np.maximum(nrm2, _TINY))[:, None]
+    y /= _row_norms(y)[:, None]
     if redo.any():
         wr, Vr = np.linalg.eigh(G[redo])
         w[redo], y[redo] = wr[:, -1], Vr[:, :, -1]
@@ -398,18 +396,20 @@ def _top_eigenpair(G: np.ndarray):
 def _top_pair_2(G: np.ndarray):
     """The top eigenvalue w of each 2 x 2 Hermitian [[a, c], [c*, d]] of
     the stack G, (a + d)/2 + r with h = (a - d)/2 and r = hypot(h, |c|),
-    and an eigenvector, (|h| + r, c*) if h >= 0, else (c, |h| + r): no
-    entry cancels.  Exact in form; only a multiple of the identity gives
-    the vector 0.  Returns (w, y, redo) with y not normalized and redo
-    all false."""
+    and an eigenvector, (t, c*) if h >= 0, else (c, t), for t = |h| + r:
+    no entry cancels.  The vector is divided by t >= |c|, so its larger
+    entry is 1 at any scale of G; t is 0 only for a multiple of the
+    identity, which gets (1, 0).  Exact in form.  Returns (w, y, redo)
+    with y not normalized and redo all false."""
     a, d, c = G[:, 0, 0].real, G[:, 1, 1].real, G[:, 0, 1]
     h = 0.5 * (a - d)
     r = np.hypot(h, np.abs(c))
     t = np.abs(h) + r
+    c = c / np.where(t > 0, t, 1.0)
     pos = h >= 0
     y = np.empty((len(G), 2), complex)
-    y[:, 0] = np.where(pos, t, c)
-    y[:, 1] = np.where(pos, c.conj(), t)
+    y[:, 0] = np.where(pos, 1.0, c)
+    y[:, 1] = np.where(pos, c.conj(), 1.0)
     return 0.5 * (a + d) + r, y, np.zeros(len(G), bool)
 
 
@@ -419,27 +419,31 @@ _CROSS = ([1, 2, 0], [2, 0, 1])
 
 
 def _top_pair_3(G: np.ndarray):
-    """The top eigenvalue of each 3 x 3 Hermitian matrix of the stack G by
-    the trigonometric formula (O. K. Smith, "Eigenvalues of a symmetric
-    3 x 3 matrix", Commun. ACM 4(4), 1961): with q = tr G / 3 and
-    p^2 = ||G - q I||_F^2 / 6, the eigenvalues are q + 2p cos(phi + 2 pi k/3)
-    for phi = arccos(det((G - q I)/p)/2)/3.  The eigenvector is the
-    longest cross product of two rows of G - w I, which is orthogonal,
-    without conjugation, to every row.  Returns (w, y, redo) with y not
-    normalized.
+    """The top eigenvalue of each 3 x 3 Hermitian positive semidefinite
+    matrix of the stack G by the trigonometric formula (O. K. Smith,
+    "Eigenvalues of a symmetric 3 x 3 matrix", Commun. ACM 4(4), 1961):
+    with q = tr G / 3 and p^2 = ||G - q I||_F^2 / 6, the eigenvalues are
+    q + 2p cos(phi + 2 pi k/3) for phi = arccos(det((G - q I)/p)/2)/3.  The eigenvector is the
+    longest cross product of two rows of (G - w I)/p, which is
+    orthogonal, without conjugation, to every row.  Scale-free: G - q I
+    is first divided by q, which bounds every entry of a positive
+    semidefinite G, and (G - w I)/p has entries of order 1, so no square
+    or cross product overflows or underflows at any scale of G.  Returns
+    (w, y, redo) with y not normalized.
 
     As the top two eigenvalues meet, the determinant goes to -2 and the
     arccos loses half the digits, so redo is true where it is within 2e-2
-    of -2 (a gap below about p/6) and where p^2 is 0 or subnormal, as for
-    a multiple of the identity."""
+    of -2 (a gap below about p/6) and where (p/q)^2 is below the smallest
+    normal number, as for a multiple of the identity."""
     flat = G.reshape(-1, 9)
     diag, off = flat[:, ::4].real, flat[:, [1, 2, 5]]  # G01, G02, G12
     q = diag.sum(axis=1) / 3.0
-    d = diag - q[:, None]
+    m = np.maximum(q, _TINY)[:, None]  # no entry of a semidefinite G exceeds 3q
+    d, off = (diag - q[:, None]) / m, off / m
     off2 = off.real * off.real + off.imag * off.imag
     p2 = ((d * d).sum(axis=1) + 2.0 * off2.sum(axis=1)) / 6.0
-    scalar = p2 < _TINY  # G is q I (or too small to scale): redone by eigh
-    p = np.sqrt(np.where(scalar, 1.0, p2))
+    scalar = p2 < _TINY  # G is about q I: redone by eigh
+    p = np.sqrt(np.where(scalar, 1.0, p2))  # in units of m
     # det((G - q I)/p), from the real diagonal and the conjugate pairs
     d, off = d / p[:, None], off / p[:, None]
     off2 /= (p * p)[:, None]
@@ -449,12 +453,16 @@ def _top_pair_3(G: np.ndarray):
         - (d * off2[:, ::-1]).sum(axis=1)
     )
     half = np.clip(0.5 * det, -1.0, 1.0)
-    w = q + 2.0 * p * np.cos(np.arccos(half) / 3.0)
-    R = G - w[:, None, None] * np.eye(3)
+    top = 2.0 * np.cos(np.arccos(half) / 3.0)  # the top eigenvalue of (G - q I)/p
+    R = np.empty((len(G), 9), complex)  # (G - w I)/p
+    R[:, ::4] = d - top[:, None]
+    R[:, [1, 2, 5]] = off
+    R[:, [3, 6, 7]] = off.conj()
+    R = R.reshape(-1, 3, 3)
     A, B = R[:, _PAIRS[0]], R[:, _PAIRS[1]]
     C = A[..., _CROSS[0]] * B[..., _CROSS[1]] - A[..., _CROSS[1]] * B[..., _CROSS[0]]
     y = C[np.arange(len(C)), (C.real * C.real + C.imag * C.imag).sum(axis=2).argmax(axis=1)]
-    return w, y, scalar | (half < -0.99)
+    return q + m[:, 0] * p * top, y, scalar | (half < -0.99)
 
 
 def _power_half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):

@@ -144,7 +144,8 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
     One trajectory is integrated piecewise through the times; each gap
     takes ceil(gap/step) equal steps, so a single time t gets exactly the
     steps of a direct integration to t.  Returns shape (len(ts),) + xs.shape.
-    A step that is not finite and positive raises ``ValueError``.
+    A step that is not finite and positive, or so small that the number
+    of steps overflows, raises ``ValueError``.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -155,6 +156,8 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
         raise ValueError(f"times must be nonnegative, got {ts}")
     if np.any(np.diff(ts) <= 0):
         raise ValueError(f"times must be increasing, got {ts}")
+    if ts.size and not math.isfinite(float(ts[-1]) / float(step)):
+        raise ValueError(f"step {step} is too small for times up to {ts[-1]}")
     field = _field(hs)
     # each point with a last coordinate 1, which the field keeps fixed
     u = np.ones(xs.shape[:-1] + (xs.shape[-1] + 1,), complex)

@@ -590,9 +590,13 @@ def _gram_batch(n, rng):
     return np.array(batch, dtype=complex)
 
 
+# the Gram matrices of tensors scaled by up to 1e-100 and 1e100: an
+# eigenvector built from products of entries would overflow or underflow
+# unless the form is scale-free
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-100, 1e-60, 1e60, 1e100, 1e200])
 @pytest.mark.parametrize("n", [2, 3])
-def test_closed_form_top_eigenpairs_match_eigh(n):
-    G = _gram_batch(n, np.random.default_rng(160 + n))
+def test_closed_form_top_eigenpairs_match_eigh(n, scale):
+    G = scale * _gram_batch(n, np.random.default_rng(160 + n))
     assert len(G) >= _CLOSED_FORM_FROM[n]  # the batch takes the closed form
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -604,8 +608,27 @@ def test_closed_form_top_eigenpairs_match_eigh(n):
     assert np.all(np.abs(attained - top) <= 1e-13 * np.abs(top))
     # where the top eigenvalue is simple, the vector is eigh's up to phase
     w_all, V = np.linalg.eigh(G)
-    simple = w_all[:, -1] - w_all[:, -2] >= 1e-2 * w_all[:, -1]
+    simple = w_all[:, -1] - w_all[:, -2] > 1e-2 * w_all[:, -1]  # not the zero matrix
     ref = V[simple, :, -1]
     phase = np.einsum("ra,ra->r", ref.conj(), y[simple])
     err = np.linalg.norm(y[simple] - (phase / np.abs(phase))[:, None] * ref, axis=1)
     assert simple.sum() >= 16 and np.all(err <= 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_norm_stack_at_any_scale(n):
+    # stacks large enough that every exact sweep takes the closed form;
+    # scaling B scales the estimate, and its unit pair attains it (below
+    # a value of 1 the strict rule is absolute, so only the pair is checked)
+    rng = np.random.default_rng(180 + n)
+    dense = [random_jet(n, 2, rng).poly(2).dense() for _ in range(_CLOSED_FORM_FROM[n])]
+    base = operator_norm_bilinear([_hompoly_from_dense(T) for T in dense])
+    for scale in (1e-60, 1e40, 1e60):
+        stack = [_hompoly_from_dense(scale * T) for T in dense]
+        for T, ref, est in zip(dense, base, operator_norm_bilinear(stack)):
+            replayed = np.linalg.norm(np.einsum("abm,a,b->m", scale * T, est.u, est.v))
+            assert abs(replayed - est.value) <= 1e-12 * est.value
+            assert abs(np.linalg.norm(est.u) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(est.v) - 1.0) <= 1e-12
+            if scale > 1:
+                assert abs(est.value - scale * ref.value) <= 1e-13 * scale * ref.value

@@ -146,6 +146,16 @@ def test_ode_rejects_a_step_that_is_not_finite(step):
         flow_taylor_via_ode([h], (0.5,), e, (2,), step=step)
 
 
+def test_ode_rejects_a_step_too_small_for_its_times():
+    # the step count 2/1e-320 used to overflow in math.ceil
+    h = _example_generator()
+    e = np.array([[1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="step 1e-320 is too small"):
+        semigroup_ode(h, 2.0, np.array([0.1, 0.0]), step=1e-320)
+    with pytest.raises(ValueError, match="step 1e-320 is too small"):
+        flow_taylor_via_ode([h], (0.5, 2.0), e, (2,), step=1e-320)
+
+
 def test_ode_rejects_a_nan_initial_point():
     # it used to pass the ball check and fail as a flow leaving the ball
     with pytest.raises(ValueError, match="open unit ball"):
