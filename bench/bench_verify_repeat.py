@@ -84,9 +84,8 @@ def bench_operator_norm_bilinear(benchmark, n):
 def bench_operator_norm_stack(benchmark, n):
     # the stack that `fsjet verify error-bound` passes per dimension at its
     # 200 default trials: 100 trials of two order-3 jets each, the seeds
-    # alternating as the suite's do; 200 tensors at 32 starts are 7 blocks.
-    # n = 2 and 3 take the closed-form Gram eigenpairs in their large
-    # batches, n = 4 always np.linalg.eigh
+    # alternating as the suite's do; 200 tensors at 32 starts are 7 blocks
+    # of the first phase, and the second runs once on all 200 best starts
     tensors = [f.poly(2) for f in _jets(n, 3, 200, seed=25)]
     for B in tensors:
         B.dense()

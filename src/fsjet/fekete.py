@@ -11,7 +11,6 @@ equals 2 B[u, v].
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -144,61 +143,43 @@ class BilinearNormEstimate(NamedTuple):
 def operator_norm_bilinear(
     B: HomPoly | Sequence[HomPoly],
     starts: int = 32,
-    iters: int = 200,
+    iters: int = 1000,
     seed: int | Sequence[int] = 0,
 ) -> BilinearNormEstimate | list[BilinearNormEstimate]:
-    """sup over unit u, v of ||B[u, v]|| by multistart alternating maximization.
+    """sup over unit u, v of ||B[u, v]|| by multistart higher-order power
+    sweeps: v <- B[u, .]* B[u, v], then u <- B[., v]* B[u, v], each
+    normalised (HOPM; De Lathauwer, De Moor & Vandewalle, "On the best
+    rank-1 and rank-(R1,...,RN) approximation of higher-order tensors",
+    SIAM J. Matrix Anal. Appl. 21(4), 2000).  No sweep lowers ||B[u, v]||.
 
-    The starts are the basis vectors, then seeded random unit vectors.  They
-    run as one batch through three steps:
-
-    1. one exact sweep: v maximizes ||B[u, v]|| at fixed u, then u at fixed
-       v, each a largest-singular-vector solve (one stacked Hermitian
-       eigensolve of an n x n Gram matrix per half);
-    2. sweeps of the higher-order power method (HOPM): the half-steps
-       v <- B[u, .]* B[u, v] and u <- B[., v]* B[u, v], each normalised
-       (De Lathauwer, De Moor & Vandewalle, "On the best rank-1 and
-       rank-(R1,...,RN) approximation of higher-order tensors", SIAM J.
-       Matrix Anal. Appl. 21(4), 2000), in two parts:
-       (a) every start sweeps until a sweep changes its value by at most
-           1e-4 of it, which settles it into its basin;
-       (b) the start with the largest value then sweeps on, to the
-           strict rule below;
-    3. exact sweeps again, on that start only.
-
-    The strict rule stops a start at the first sweep that changes its
-    value by at most 1e-14 relative; a start whose exact sweep gives 0
-    stops there.  It bounds the last step, not the distance to the
-    maximum: a slowly converging start can stop about 1e-13 relative
-    below its local maximum, so two versions of this estimate may differ
-    at that level.  The winner is picked in (a), so a second basin within
-    about 1e-4 of the winner's value may be missed.  Steps 1 and 2 run
-    at most ``iters`` sweeps per start, the winner's sweeps in (a) and
-    (b) counted together; step 3 runs at most ``iters`` more.  The value
-    is the last singular value of step 3 and the returned unit pair
-    attains it, ||B[u, v]|| = value, so it is a lower bound on the norm.
+    The starts are the basis vectors, then seeded random unit vectors;
+    start u begins at (u, e_j) for the j that maximises ||B[u, e_j]||.
+    Every start sweeps until a sweep changes its value by at most 1e-4 of
+    it, which settles it into its basin; the best start then sweeps on
+    until it is first-order optimal, ||B[u, .]* B[u, v] - ||B[u, v]||^2 v||
+    and its u counterpart each at most 1e-8 ||B[u, v]||^2, a rule tested
+    after each sweep that raises its value by at most 1e-12 of it.  A
+    start runs at most ``iters`` sweeps, the best start's in both phases
+    counted together.  A start whose value is 0 does not sweep.  The best
+    start is picked from loosely settled values, so a second basin within
+    about 1e-4 of its value may be missed.  The value is measured at the
+    returned unit pair, ||B[u, v]|| = value, so it is a lower bound on the
+    norm.  Each tensor is divided by its largest entry modulus before the
+    sweeps and the value multiplied back, so the estimate scales with B.
     Deterministic for a given seed.
-
-    An exact half-sweep solves one n x n Gram eigenproblem per cell that
-    shares it: in closed form when at least ``_CLOSED_FORM_FROM[n]``
-    cells share it, at n = 2 (exact) and n = 3 (Smith's trigonometric
-    formula, with near-equal top eigenvalues left to ``np.linalg.eigh``),
-    and by ``np.linalg.eigh`` otherwise, so the last bits of a value can
-    depend on how many cells ran beside it.
 
     ``B`` may also be a sequence of degree-2 tensors of one shape, checked
     as ``jets.compose`` checks a stack, with ``seed`` one int for all of
     them or a sequence of one seed per tensor.  The result is then the
     list of estimates, each equal within rounding to the lone call on its
     tensor and seed.  Each (tensor, start) pair is a cell of the batch,
-    which leaves it when it stops.  Steps 1 and 2(a), which copy a tensor
-    per cell, run in blocks of as many tensors as fit in
-    ``NORM_BLOCK_CELLS`` cells, at least one; each block passes on its
-    winners, and 2(b) and step 3 run once on the winners of the whole
-    stack, one cell per tensor.  A tensor of another degree, or with a NaN
-    or infinite entry, raises ``ValueError`` naming its index in a stack.
-    A lone tensor takes one int seed; a seed sequence with it raises
-    ``ValueError``.
+    which leaves it when it stops.  The first phase, which copies a tensor
+    per cell, runs in blocks of as many tensors as fit in
+    ``NORM_BLOCK_CELLS`` cells, at least one; the second runs once on the
+    best starts of the whole stack.  A tensor of another degree, or with a
+    NaN or infinite entry, raises ``ValueError`` naming its index in a
+    stack.  A lone tensor takes one int seed; a seed sequence with it
+    raises ``ValueError``.
     """
     if starts < 1:
         raise ValueError(f"starts must be positive, got {starts}")
@@ -223,18 +204,23 @@ def operator_norm_bilinear(
         for _ in polys
     ]
     live = dense.any(axis=(1, 2)).nonzero()[0].tolist()
-    # blocks of tensors bound the per-cell tensor copies of steps 1 and
-    # 2(a), which would otherwise dominate the peak memory of a large
-    # stack; each block passes on one winner per tensor
-    block = max(1, NORM_BLOCK_CELLS // starts)
-    winners = []
-    for lo in range(0, len(live), block):
-        tensors = live[lo : lo + block]
-        inits = np.array([_starts(n, starts, seeds[i]) for i in tensors])
-        winners.append(_basin_winners(dense[tensors], inits, iters))
-    if winners:
-        *state, caps = map(np.concatenate, zip(*winners))
-        values, us, vs = _polish(dense[live], state, caps, iters)
+    if live:
+        # each tensor with largest entry modulus 1, so that no product
+        # below overflows or underflows at any scale of B
+        scale = np.abs(dense[live]).max(axis=(1, 2))
+        D = dense[live] / scale[:, None, None]
+        # blocks of tensors bound the per-cell tensor copies of the first
+        # phase, which would otherwise dominate the peak memory of a large
+        # stack; each block passes on one winner per tensor
+        block = max(1, NORM_BLOCK_CELLS // starts)
+        winners = []
+        for lo in range(0, len(live), block):
+            inits = np.array([_starts(n, starts, seeds[i]) for i in live[lo : lo + block]])
+            winners.append(_basin_winners(D[lo : lo + block], inits, iters))
+        us, vs, caps = map(np.concatenate, zip(*winners))
+        us, vs, _, _ = _sweeps(D, us, vs, caps)
+        w = _half_step(D, us, vs)[1][:, :, 0]  # B[u, v] at the returned pairs
+        values = scale * _row_norms(w)
         for j, i in enumerate(live):
             out[i] = BilinearNormEstimate(float(values[j]), us[j], vs[j])
     return out[0] if T is None else out
@@ -259,222 +245,81 @@ def _starts(n: int, starts: int, seed: int) -> np.ndarray:
 
 
 def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
-    """Steps 1 and 2(a) for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
-    = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n).
-
-    Step 1 sweeps every start of a tensor at once.  Step 2(a) runs on
-    cells, one per (tensor, start), each a row that carries its own copy
-    of its tensor, until each settles into its basin by the loose rule.
-    Returns the best cell of each tensor as (old, val, u, v, caps): its
-    state for ``_until_stable`` and the sweeps it has left."""
+    """The first phase for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
+    = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n): one cell per
+    (tensor, start), each a row that carries its own copy of its tensor.
+    Returns the best cell of each tensor as (u, v, sweeps left)."""
     L, S, n = inits.shape
-    vals, us, vs = _exact_sweep(D, inits)  # (L, S), (L, S, n)
-    state = (np.full(L * S, np.nan), vals.reshape(-1), us.reshape(-1, n), vs.reshape(-1, n))
-    # a cell of value 0 gets no power sweep; B[u, v] != 0 on any other,
-    # and a power step never lowers ||B[u, v]||, so none divides by 0
-    caps = np.where(_converged(state[1], 0.0, _SETTLED), 0, iters - 1)
+    Bu = (inits @ D).reshape(L * S, n, -1)  # Bu[c, j] = B_l[u_c, e_j]
+    sq = (Bu.real * Bu.real + Bu.imag * Bu.imag).sum(axis=-1)
+    j = sq.argmax(axis=1)
+    start = np.sqrt(sq[np.arange(L * S), j])
+    caps = np.where(start > 0, iters, 0)
     cells = np.repeat(np.arange(L), S)  # the tensor of each cell
-    _until_stable(_power_sweep, D[cells], state, caps, _BASIN)
-    best = state[1].reshape(L, S).argmax(axis=1) + S * np.arange(L)
-    return tuple(a[best] for a in (*state, caps))
+    v = np.eye(n, dtype=complex)[j]
+    u, v, vals, caps = _sweeps(D[cells], inits.reshape(-1, n), v, caps, start)
+    best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
+    return u[best], v[best], caps[best]
 
 
-def _polish(D: np.ndarray, winners, caps: np.ndarray, iters: int):
-    """Steps 2(b) and 3 for the winner of each tensor D[l], given as its
-    state (old, val, u, v) and the sweeps it has left: power sweeps to the
-    strict rule within that cap, then exact sweeps.  One row per tensor,
-    so D itself is the winners' tensors.  Returns (values, us, vs)."""
-    _, vals, us, vs = _until_stable(_power_sweep, D, winners, caps, _SETTLED)
-
-    def exact(D, u, v):  # v is recomputed from u
-        val, u, v = _exact_sweep(D, u[:, None])
-        return val[:, 0], u[:, 0], v[:, 0]
-
-    state = (np.full(len(D), np.nan), vals, us, vs)
-    return _until_stable(exact, D, state, np.full(len(D), iters), _SETTLED)[1:]
+# A first-phase sweep that changes its cell's value by at most _BASIN of it
+# settles the cell; the second phase stops a cell once both first-order
+# residuals are at most _FIRST_ORDER * ||B[u, v]||^2, tested after sweeps
+# that raise the value by at most _NEAR of it.
+_BASIN = 1e-4
+_FIRST_ORDER = 1e-8
+_NEAR = 1e-12
 
 
-def _until_stable(sweep, D, state, caps, rule):
-    """Apply ``sweep`` to every cell, one per row of D, of caps and of each
-    array of state = (old, val, u, v), where old is the value before the
-    cell's last sweep (NaN before its first).  A cell stops once its last
-    sweep met ``rule`` (see ``_converged``) or once it has had caps[cell]
-    sweeps, and then leaves the batch.  Writes each cell's last state into
-    the arrays of state and the sweeps it had left into caps, and returns
-    state."""
-    cells = np.arange(len(caps))
-    old, val, u, v = state
-    cap = caps
+def _sweeps(D: np.ndarray, u: np.ndarray, v: np.ndarray, caps: np.ndarray, start=None):
+    """HOPM sweeps for every cell, one per row of D, u and v, v from u and
+    then u from v.  A cell leaves the batch once it has had caps[cell]
+    sweeps, or once its last sweep met its rule: with ``start``, the start
+    values of the cells, the basin rule on the value ||B[u, v]|| at the
+    sweep's middle; without, the first-order rule at that middle pair,
+    which the cell then keeps.  Returns each cell's last u, v and value
+    (its start value, or 0, if it made no sweep) and the sweeps it had
+    left, in new arrays."""
+    out = [u.copy(), v.copy(), np.zeros(len(u)) if start is None else start.copy(), caps.copy()]
+    cells, val, stop = np.arange(len(u)), out[2], np.zeros(len(u), bool)
     for k in itertools.count():
-        done = (cap <= k) | _converged(val, old, rule)
+        done = stop | (caps <= k)
         if np.count_nonzero(done):
             c = cells[done]
-            for out, a in zip(state, (old, val, u, v)):
-                out[c] = a[done]
-            caps[c] -= k
+            for a, x in zip(out, (u, v, val, caps - k)):
+                a[c] = x[done]
             keep = ~done
-            if not keep.any():
-                return state
-            cells, cap, D, old, val, u, v = (a[keep] for a in (cells, cap, D, old, val, u, v))
-        old = val
-        val, u, v = sweep(D, u, v)
+            if not np.count_nonzero(keep):
+                return out
+            cells, D, u, v, val, caps = (a[keep] for a in (cells, D, u, v, val, caps))
+        Bu, _, y = _half_step(D, u, v)
+        v = y / _row_norms(y)[:, None]
+        _, w, z = _half_step(D, v, u)
+        old, val = val, _row_norms(w[:, :, 0])
+        if start is not None:
+            stop = val - old <= _BASIN * val  # no sweep lowers the value
+        else:
+            # from a pair with residual r, a sweep raises the value by about
+            # (r / rho)^2 of it, so a sweep that still raised it by more
+            # than _NEAR of it is taken as unconverged without the test
+            stop = val - old <= _NEAR * val
+            if np.count_nonzero(stop):
+                rho = val * val
+                r_u = _row_norms(z - rho[:, None] * u)
+                r_v = _row_norms(np.matmul(Bu.conj(), w)[:, :, 0] - rho[:, None] * v)
+                stop &= np.maximum(r_u, r_v) <= _FIRST_ORDER * rho
+                z[stop] = u[stop]
+        u = z / _row_norms(z)[:, None]
 
 
-# (tolerance, floor): a sweep meets the rule when it changes the value by
-# at most tolerance * max(floor, value).  Step 2 settles every cell into
-# its basin by the loose rule, which is relative for any scale of B.
-_SETTLED = (1e-14, 1.0)
-_BASIN = (1e-4, 0.0)
-
-
-def _converged(new, old, rule):
-    """Whether a change from old to new meets the stopping rule ``rule``;
-    never for a NaN old."""
-    tol, floor = rule
-    return np.abs(new - old) <= tol * np.maximum(floor, new)
-
-
-def _exact_sweep(D: np.ndarray, u: np.ndarray):
-    """One exact alternating sweep for each start u[l, s] on the tensor D[l]:
-    v maximizes ||B[u, v]|| at fixed u, then u at fixed v.  B is symmetric,
-    so B[., v] is B[v, .].  Returns (values, us, vs)."""
-    _, v = _top_singular_pair(D, u)
-    squares, u = _top_singular_pair(D, v)
-    return np.sqrt(np.maximum(squares, 0.0)), u, v
-
-
-def _power_sweep(D: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """One HOPM sweep for each row, v from u and then u from v.  Returns
-    (values, us, vs)."""
-    v, _ = _power_half_step(D, u, v)
-    u, w = _power_half_step(D, v, u)
-    return _row_norms(w), u, v
-
-
-def _top_singular_pair(D: np.ndarray, x: np.ndarray):
-    """max over unit y of ||B[x, y]||^2, and a unit y attaining it, for
-    each start x[l, s] and the tensor D[l].  B[x, y] = M^T y for
-    M = B[x, .], so y is the top eigenvector of the Hermitian n x n Gram
-    matrix conj(M) M^T and the maximum is its top eigenvalue: the top
-    singular pair of M^T, squared, at about two thirds of the cost of an
-    SVD for n <= 4."""
-    M = (x @ D).reshape(x.shape + (-1,))  # M[l, s, b] = B_l[x_ls, e_b]
-    return _top_eigenpair(np.matmul(M.conj(), M.swapaxes(-1, -2)))
-
-
-# The batch size from which a closed form beats one stacked
-# np.linalg.eigh, by n; larger n always take eigh.  Measured on a 2-vCPU
-# VM (numpy 2.4.6, one BLAS thread), best of 11 x 200 calls on random
-# Gram matrices: at n = 2 the closed form took 21-23 us at any batch from
-# 12 to 32, eigh 19-21 us at 16 matrices and 23-24 us at 20; at n = 3 the
-# closed form took 82-92 us at 40 and 85-92 us at 48, eigh 75-83 us and
-# 89-95 us.
-_CLOSED_FORM_FROM = {2: 20, 3: 48}
-_TINY = np.finfo(float).tiny
-
-
-def _top_eigenpair(G: np.ndarray):
-    """The top eigenvalue and a unit eigenvector of each Hermitian positive
-    semidefinite n x n matrix of the stack G (..., n, n), a Gram matrix
-    here, at any scale of its entries.  A batch of at least
-    ``_CLOSED_FORM_FROM[n]`` matrices takes the closed form of its n; the
-    rows where that form is unreliable, and every other batch, take
-    np.linalg.eigh."""
-    batch, n = G.shape[:-2], G.shape[-1]
-    if math.prod(batch) < _CLOSED_FORM_FROM.get(n, math.inf):
-        w, V = np.linalg.eigh(G)
-        return w[..., -1], V[..., -1]
-    G = G.reshape(-1, n, n)
-    w, y, redo = (_top_pair_2 if n == 2 else _top_pair_3)(G)
-    y /= _row_norms(y)[:, None]
-    if redo.any():
-        wr, Vr = np.linalg.eigh(G[redo])
-        w[redo], y[redo] = wr[:, -1], Vr[:, :, -1]
-    return w.reshape(batch), y.reshape(batch + (n,))
-
-
-def _top_pair_2(G: np.ndarray):
-    """The top eigenvalue w of each 2 x 2 Hermitian [[a, c], [c*, d]] of
-    the stack G, (a + d)/2 + r with h = (a - d)/2 and r = hypot(h, |c|),
-    and an eigenvector, (t, c*) if h >= 0, else (c, t), for t = |h| + r:
-    no entry cancels.  The vector is divided by t >= |c|, so its larger
-    entry is 1 at any scale of G; t is 0 only for a multiple of the
-    identity, which gets (1, 0).  Exact in form.  Returns (w, y, redo)
-    with y not normalized and redo all false."""
-    a, d, c = G[:, 0, 0].real, G[:, 1, 1].real, G[:, 0, 1]
-    h = 0.5 * (a - d)
-    r = np.hypot(h, np.abs(c))
-    t = np.abs(h) + r
-    c = c / np.where(t > 0, t, 1.0)
-    pos = h >= 0
-    y = np.empty((len(G), 2), complex)
-    y[:, 0] = np.where(pos, 1.0, c)
-    y[:, 1] = np.where(pos, c.conj(), 1.0)
-    return 0.5 * (a + d) + r, y, np.zeros(len(G), bool)
-
-
-# the cross products of rows (0, 1), (0, 2) and (1, 2) of a 3 x 3 matrix
-_PAIRS = ([0, 0, 1], [1, 2, 2])
-_CROSS = ([1, 2, 0], [2, 0, 1])
-
-
-def _top_pair_3(G: np.ndarray):
-    """The top eigenvalue of each 3 x 3 Hermitian positive semidefinite
-    matrix of the stack G by the trigonometric formula (O. K. Smith,
-    "Eigenvalues of a symmetric 3 x 3 matrix", Commun. ACM 4(4), 1961):
-    with q = tr G / 3 and p^2 = ||G - q I||_F^2 / 6, the eigenvalues are
-    q + 2p cos(phi + 2 pi k/3) for phi = arccos(det((G - q I)/p)/2)/3.  The eigenvector is the
-    longest cross product of two rows of (G - w I)/p, which is
-    orthogonal, without conjugation, to every row.  Scale-free: G - q I
-    is first divided by q, which bounds every entry of a positive
-    semidefinite G, and (G - w I)/p has entries of order 1, so no square
-    or cross product overflows or underflows at any scale of G.  Returns
-    (w, y, redo) with y not normalized.
-
-    As the top two eigenvalues meet, the determinant goes to -2 and the
-    arccos loses half the digits, so redo is true where it is within 2e-2
-    of -2 (a gap below about p/6) and where (p/q)^2 is below the smallest
-    normal number, as for a multiple of the identity."""
-    flat = G.reshape(-1, 9)
-    diag, off = flat[:, ::4].real, flat[:, [1, 2, 5]]  # G01, G02, G12
-    q = diag.sum(axis=1) / 3.0
-    m = np.maximum(q, _TINY)[:, None]  # no entry of a semidefinite G exceeds 3q
-    d, off = (diag - q[:, None]) / m, off / m
-    off2 = off.real * off.real + off.imag * off.imag
-    p2 = ((d * d).sum(axis=1) + 2.0 * off2.sum(axis=1)) / 6.0
-    scalar = p2 < _TINY  # G is about q I: redone by eigh
-    p = np.sqrt(np.where(scalar, 1.0, p2))  # in units of m
-    # det((G - q I)/p), from the real diagonal and the conjugate pairs
-    d, off = d / p[:, None], off / p[:, None]
-    off2 /= (p * p)[:, None]
-    det = (
-        d.prod(axis=1)
-        + 2.0 * (off[:, 0] * off[:, 2] * off[:, 1].conj()).real
-        - (d * off2[:, ::-1]).sum(axis=1)
-    )
-    half = np.clip(0.5 * det, -1.0, 1.0)
-    top = 2.0 * np.cos(np.arccos(half) / 3.0)  # the top eigenvalue of (G - q I)/p
-    R = np.empty((len(G), 9), complex)  # (G - w I)/p
-    R[:, ::4] = d - top[:, None]
-    R[:, [1, 2, 5]] = off
-    R[:, [3, 6, 7]] = off.conj()
-    R = R.reshape(-1, 3, 3)
-    A, B = R[:, _PAIRS[0]], R[:, _PAIRS[1]]
-    C = A[..., _CROSS[0]] * B[..., _CROSS[1]] - A[..., _CROSS[1]] * B[..., _CROSS[0]]
-    y = C[np.arange(len(C)), (C.real * C.real + C.imag * C.imag).sum(axis=2).argmax(axis=1)]
-    return q + m[:, 0] * p * top, y, scalar | (half < -0.99)
-
-
-def _power_half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """y <- B[x, .]* B[x, y], normalised, for each row and the tensor
-    D[row]; also B[x, y].  B is symmetric, so the same step updates either
-    argument."""
-    R, n = x.shape
-    Bx = (x[:, None, :] @ D).reshape(R, n, -1)  # Bx[r, b] = B_r[x_r, e_b]
-    w = np.matmul(y[:, None, :], Bx)  # (R, 1, m): B[x_r, y_r]
-    y = np.matmul(Bx.conj(), w.transpose(0, 2, 1))[:, :, 0]
-    y /= _row_norms(y)[:, None]
-    return y, w[:, 0]
+def _half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """For each row and the tensor D[row]: the (n, m) matrix B[x, .], the
+    (m, 1) column B[x, y] and the vector B[x, .]* B[x, y], which normalised
+    is the half-step's new y.  B is symmetric, so the same step updates
+    either argument."""
+    Bx = (x[:, None, :] @ D).reshape(len(x), x.shape[1], -1)  # Bx[r, b] = B_r[x_r, e_b]
+    w = np.matmul(y[:, None, :], Bx).transpose(0, 2, 1)
+    return Bx, w, np.matmul(Bx.conj(), w)[:, :, 0]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

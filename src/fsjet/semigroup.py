@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fekete import _unit_rows
 from .jets import MappingJet, _stack_of, compose, random_jet
 from .reporting import Report
 from .sampling import sample_ball
@@ -242,7 +243,9 @@ def flow_taylor_via_ode(
 
     ``hs`` is a sequence of J generators of one dim and order, checked as
     ``jets.compose`` checks a stack, and ``directions`` the (J, n) array of
-    one direction per generator; ``times`` is an increasing sequence.  One
+    one direction per generator, each a unit vector within
+    ``fekete.E_NORM_TOL`` (else ``ValueError`` naming its row, before any
+    integration); ``times`` is an increasing sequence.  One
     integration serves every generator, time and degree, and each element
     equals, within rounding, the call on its generator alone.  A degree
     must be an integer (``operator.index``, else ``TypeError``) with
@@ -254,6 +257,7 @@ def flow_taylor_via_ode(
     es = np.asarray(directions, dtype=complex)
     if es.shape != (J, dim):
         raise ValueError(f"expected directions of shape {(J, dim)}, got {es.shape}")
+    _unit_rows(es)  # a check only: the directions are used as given
     ks = [operator.index(k) for k in degrees]
     radius, nodes = FLOW_TAYLOR_RADIUS, FLOW_TAYLOR_NODES
     if any(not 0 <= k < nodes for k in ks):

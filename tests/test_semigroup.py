@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fsjet import semigroup
 from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet, iterate, random_jet
 from fsjet.sampling import sample_ball, sample_sphere
@@ -376,6 +377,20 @@ def test_flow_taylor_stack_rejects_mixed_generators():
             flow_taylor_via_ode(gens, (0.3,), e2, (2,))
     with pytest.raises(ValueError):
         flow_taylor_via_ode([h2, h2], (0.3,), e2[0], (2,))  # one direction per generator
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [10.0, 0.0], [0.5, 0.0]])
+def test_flow_taylor_rejects_a_direction_off_the_sphere(bad, monkeypatch):
+    # a NaN or long direction used to integrate, then fail as a flow
+    # leaving the ball that blamed the generator
+    def no_integration(*args):
+        raise AssertionError("integrated before checking its directions")
+
+    monkeypatch.setattr(semigroup, "_rk4", no_integration)
+    h = _example_generator()
+    e = np.array([[1.0, 0.0], bad], dtype=complex)
+    with pytest.raises(ValueError, match="direction 1 must be a unit vector"):
+        flow_taylor_via_ode([h, h], (0.5,), e, (2,))
 
 
 def test_flow_leaving_the_ball_raises_and_names_the_generator():
