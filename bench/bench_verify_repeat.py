@@ -124,6 +124,14 @@ def bench_sup_norm_fs(benchmark):
     benchmark(sup_norm_fs, f, 0.3 - 0.2j, 0.8, SupNormConfig(starts=4, steps=40))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def bench_sample_generator(benchmark, n):
+    # one draw of the generators of `duality` and `semigroup`: a raw
+    # order-3 jet, then its shrink into the generator class
+    rng = np.random.default_rng(31)
+    benchmark(sample_generator, n, rng)
+
+
 def bench_rk4_step(benchmark):
     # semigroup_ode at t equal to its step takes exactly one RK4 step
     h = sample_generator(3, np.random.default_rng(28))

@@ -181,11 +181,16 @@ def check_bounded_onedim_bound(
 ) -> BoundReport:
     """Check ||Psi_e(f)|| <= (M^2-1)/M max{1, |((M^2-1) lam + 1)/M|}.
 
-    M is the sampled supremum of ||f(x)|| = |s(x)| ||x|| near the boundary.
-    ``s`` is batched, as in ``estimate_sup_modulus``; ``f.s_eval`` is one.
-    The mapping must genuinely be bounded with M > 1 for the hypothesis to
-    apply; M <= 1 is rejected, as is a ``directions`` or ``samples``
-    below 1.
+    The bound uses the sampled M, ``params["M"]``: the largest |s(x)| on
+    ``samples`` seeded points near the boundary (``estimate_sup_modulus``),
+    a lower estimate of sup ||f(x)|| = sup |s(x)| ||x||.  Beside it,
+    ``params["M_upper"]`` = 1 + sum_k ||p_k||_F, over the Frobenius norms of
+    the ``dense()`` tensors of f's scalar parts p_k, is a certified upper
+    bound: |p_k(x)| <= ||p_k||_F ||x||^k by Cauchy-Schwarz, so
+    |f.s_eval| <= M_upper on the closed ball.  ``s`` is batched, as in
+    ``estimate_sup_modulus``; ``f.s_eval`` is one.  The mapping must
+    genuinely be bounded with M > 1 for the hypothesis to apply; M <= 1 is
+    rejected, as is a ``directions`` or ``samples`` below 1.
     """
     if directions < 1:
         raise ValueError(f"directions must be positive, got {directions}")
@@ -200,9 +205,10 @@ def check_bounded_onedim_bound(
     vals = np.abs(p2 - lam * p1**2)
     i = int(np.argmax(vals))
     bound = bounded_onedim_bound(M, lam)
+    M_upper = 1.0 + sum(float(np.linalg.norm(p.dense())) for p in f.scalar_polys.values())
     return BoundReport(
         bound_name="bounded-onedim",
-        params={"lambda": complex(lam), "M": M},
+        params={"lambda": complex(lam), "M": M, "M_upper": M_upper},
         estimate=float(vals[i]),
         bound=bound,
         witness=es[i].tolist(),

@@ -29,14 +29,14 @@ from .tensors import (
     slot_product,
 )
 
-# the size of sample_generator's random parts, and the number of seeded
-# points on which generator_shrink tests the generator inequality
+# the size of sample_generator's random parts
 SAMPLE_SCALE = 0.25
-SHRINK_PROBE = 2048
 # flow_taylor_via_ode's circle of initial points z e: its radius, and its
 # number of nodes, which bounds the degrees it can extract
 FLOW_TAYLOR_RADIUS = 0.2
 FLOW_TAYLOR_NODES = 16
+# the most RK4 steps one integration may take, ceil(last time / step)
+RK4_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,9 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
     One trajectory is integrated piecewise through the times; each gap
     takes ceil(gap/step) equal steps, so a single time t gets exactly the
     steps of a direct integration to t.  Returns shape (len(ts),) + xs.shape.
-    A step that is not finite and positive, or so small that the number
-    of steps overflows, raises ``ValueError``.
+    A step that is not finite and positive, or so small that the last time
+    needs more than ``RK4_MAX_STEPS`` steps, raises ``ValueError`` before
+    any integration.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -157,8 +158,12 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
         raise ValueError(f"times must be nonnegative, got {ts}")
     if np.any(np.diff(ts) <= 0):
         raise ValueError(f"times must be increasing, got {ts}")
-    if ts.size and not math.isfinite(float(ts[-1]) / float(step)):
-        raise ValueError(f"step {step} is too small for times up to {ts[-1]}")
+    # ceil(t / step) > N exactly when t / step > N, an overflow to inf too
+    if ts.size and float(ts[-1]) / float(step) > RK4_MAX_STEPS:
+        raise ValueError(
+            f"step {step} is too small for times up to {ts[-1]}: more than "
+            f"{RK4_MAX_STEPS} RK4 steps"
+        )
     field = _field(hs)
     # each point with a last coordinate 1, which the field keeps fixed
     u = np.ones(xs.shape[:-1] + (xs.shape[-1] + 1,), complex)
@@ -297,22 +302,30 @@ def generator_from_starlike(f: MappingJet) -> MappingJet:
 
 def sample_generator(dim: int, rng: np.random.Generator) -> MappingJet:
     """Random order-3 jet with parts of size ``SAMPLE_SCALE``, shrunk into
-    the sampled generator class by ``generator_shrink``."""
-    return generator_shrink(random_jet(dim, 3, rng, scale=SAMPLE_SCALE), rng)
+    the generator class by ``generator_shrink``; the shrink draws nothing
+    from ``rng``."""
+    return generator_shrink(random_jet(dim, 3, rng, scale=SAMPLE_SCALE))
 
 
-def generator_shrink(jet: MappingJet, rng: np.random.Generator) -> MappingJet:
-    """The jet x + c (jet(x) - x) for a factor c <= 1 that makes it a
-    sampled generator.
+def generator_shrink(jet: MappingJet) -> MappingJet:
+    """The jet x + c (jet(x) - x) with c = min(1, 1 / sum_k sigma_k), a
+    generator by proof.
 
-    c is 0.9 times the largest factor keeping min Re <h(x), x> nonnegative
-    on ``SHRINK_PROBE`` seeded points of the ball (1 if the jet already
-    passes).
+    sigma_k is the largest singular value of the (n^k, n) flattening M_k
+    of H_k's tensor, so H_k(x) = M_k^T (x (x) ... (x) x) and
+    ||H_k(x)|| <= sigma_k ||x||^k.  On the closed unit ball, where
+    ||x||^(k+1) <= ||x||^2, this gives
+
+        Re <h(x), x> >= ||x||^2 - c sum_k sigma_k ||x||^(k+1)
+                     >= ||x||^2 (1 - c sum_k sigma_k) >= 0,
+
+    at any dimension and order.  A jet with a NaN or infinite coefficient
+    raises ``ValueError`` naming its degree.
     """
-    xs = sample_ball(rng, SHRINK_PROBE, jet.dim, radius=1.0 - 1e-3)
-    pert = jet.eval_many(xs) - xs
-    w = np.real(np.einsum("ij,ij->i", pert, xs.conj()))
-    nrm2 = np.linalg.norm(xs, axis=1) ** 2
-    neg = w < 0
-    c = min(1.0, 0.9 * float(np.min(nrm2[neg] / (-w[neg])))) if neg.any() else 1.0
+    total = 0.0
+    for k, P in sorted(jet.polys.items()):
+        if not np.isfinite(P.entries).all():
+            raise ValueError(f"the degree-{k} part of the jet has a non-finite coefficient")
+        total += float(np.linalg.norm(P.dense().reshape(-1, jet.dim), 2))
+    c = 1.0 / max(1.0, total)
     return MappingJet(jet.dim, jet.order, {k: P.scale(c) for k, P in jet.polys.items()})

@@ -446,7 +446,7 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
 
     def starlike_draw(rng, n):
         base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
-        return (starlike_from_generator(generator_shrink(base, rng)), *_draw_point(rng, n))
+        return (starlike_from_generator(generator_shrink(base)), *_draw_point(rng, n))
 
     def starlike(inputs):
         f, e, lam, mu = _columns(inputs)

@@ -88,6 +88,20 @@ def test_check_bounded_onedim_inequality_holds():
     assert report.margin >= -report.tol
 
 
+def test_sampled_M_lies_below_its_certified_upper_bound():
+    rng = np.random.default_rng(65)
+    for n in (2, 3):
+        for _ in range(20):
+            od = random_onedim_jet(n, 3, rng, scale=0.3 / n)
+            seed = int(rng.integers(2**31))
+            report = check_bounded_onedim_bound(od, od.s_eval, lam=0.4, seed=seed)
+            assert 1.0 < report.params["M"] <= report.params["M_upper"]
+    # s = 1 + 2x + 3x^2 on the unit disc: 1 + 2 + 3, reached at x = 1
+    koebe = koebe_onedim(dim=1, order=3)
+    report = check_bounded_onedim_bound(koebe, koebe.s_eval, lam=0.4)
+    assert abs(report.params["M_upper"] - 6.0) <= 1e-14
+
+
 def test_check_bounded_onedim_rejects_unbounded_hypothesis():
     od = koebe_onedim(dim=1, order=3)
 
