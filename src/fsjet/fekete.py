@@ -11,6 +11,7 @@ equals 2 B[u, v].
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -143,30 +144,32 @@ class BilinearNormEstimate(NamedTuple):
 def operator_norm_bilinear(
     B: HomPoly | Sequence[HomPoly],
     starts: int = 32,
-    iters: int = 1000,
+    iters: int = 2000,
     seed: int | Sequence[int] = 0,
 ) -> BilinearNormEstimate | list[BilinearNormEstimate]:
-    """sup over unit u, v of ||B[u, v]|| by multistart higher-order power
-    sweeps: v <- B[u, .]* B[u, v], then u <- B[., v]* B[u, v], each
-    normalised (HOPM; De Lathauwer, De Moor & Vandewalle, "On the best
-    rank-1 and rank-(R1,...,RN) approximation of higher-order tensors",
-    SIAM J. Matrix Anal. Appl. 21(4), 2000).  No sweep lowers ||B[u, v]||.
+    """sup over unit u, v of ||B[u, v]||, which for a symmetric B on C^n
+    equals sup over unit x of ||B[x, x]|| (Banach's equality, Studia
+    Math. 7, 1938), by multistart symmetric power steps on one vector,
+    x <- B[x, .]* B[x, x], normalised, with no shift, so a step can lower
+    ||B[x, x]||.  The witness x is returned as both ``u`` and ``v``.
 
     The starts are the basis vectors, then seeded random unit vectors;
-    start u begins at (u, e_j) for the j that maximises ||B[u, e_j]||.
-    Every start sweeps until a sweep changes its value by at most 1e-4 of
-    it, which settles it into its basin; the best start then sweeps on
-    until it is first-order optimal, ||B[u, .]* B[u, v] - ||B[u, v]||^2 v||
-    and its u counterpart each at most 1e-8 ||B[u, v]||^2, a rule tested
-    after each sweep that raises its value by at most 1e-12 of it.  A
-    start runs at most ``iters`` sweeps, the best start's in both phases
-    counted together.  A start whose value is 0 does not sweep.  The best
-    start is picked from loosely settled values, so a second basin within
-    about 1e-4 of its value may be missed.  The value is measured at the
-    returned unit pair, ||B[u, v]|| = value, so it is a lower bound on the
-    norm.  Each tensor is divided by its largest entry modulus before the
-    sweeps and the value multiplied back, so the estimate scales with B.
-    Deterministic for a given seed.
+    basis start e_i begins at (e_i + e_j)/sqrt(2) for the j that
+    maximises ||B[e_i, e_j]||, or at e_i if that j is i.  Every start
+    steps until a step raises its value by at most 1e-4 of it, or lowers
+    it, which settles it into its basin; the best start then steps on
+    until it is first-order optimal, ||B[x, .]* B[x, x] - ||B[x, x]||^2 x||
+    at most 1e-8 ||B[x, x]||^2, a rule tested after each step that raises
+    its value by at most 1e-12 of it.  A start runs at most ``iters``
+    steps, the best start's in both phases counted together.  A start
+    whose value is 0 does not step.  The best start is picked from
+    loosely settled values, so a second basin within about 1e-4 of its
+    value may be missed.  The value is measured at the returned unit
+    vector, ||B[x, x]|| = value, so it is a lower bound on the norm.  Each
+    tensor is divided by its largest entry modulus before the steps and
+    the value multiplied back, so the estimate scales with B.
+    Deterministic for a given seed.  A non-integer ``starts`` or ``iters``
+    raises ``TypeError``, one below 1 ``ValueError``.
 
     ``B`` may also be a sequence of degree-2 tensors of one shape, checked
     as ``jets.compose`` checks a stack, with ``seed`` one int for all of
@@ -181,10 +184,7 @@ def operator_norm_bilinear(
     stack.  A lone tensor takes one int seed; a seed sequence with it
     raises ``ValueError``.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be positive, got {starts}")
-    if iters < 1:
-        raise ValueError(f"iters must be positive, got {iters}")
+    starts, iters = _count("starts", starts), _count("iters", iters)
     polys, T, lead = _stack_of(B, "tensor", HomPoly, ("degree", "domain_dim", "codomain_dim"))
     if T is None:
         if np.ndim(seed):
@@ -199,10 +199,7 @@ def operator_norm_bilinear(
     if not np.isfinite(dense).all():
         i = int(np.argmin(np.isfinite(dense).all(axis=(1, 2))))
         raise ValueError(f"the tensor{_at(T is None, i)} has a non-finite entry")
-    out = [
-        BilinearNormEstimate(0.0, np.zeros(n, complex), np.zeros(n, complex))
-        for _ in polys
-    ]
+    out = [BilinearNormEstimate(0.0, z, z) for z in np.zeros((len(polys), n), complex)]
     live = dense.any(axis=(1, 2)).nonzero()[0].tolist()
     if live:
         # each tensor with largest entry modulus 1, so that no product
@@ -217,13 +214,22 @@ def operator_norm_bilinear(
         for lo in range(0, len(live), block):
             inits = np.array([_starts(n, starts, seeds[i]) for i in live[lo : lo + block]])
             winners.append(_basin_winners(D[lo : lo + block], inits, iters))
-        us, vs, caps = map(np.concatenate, zip(*winners))
-        us, vs, _, _ = _sweeps(D, us, vs, caps)
-        w = _half_step(D, us, vs)[1][:, :, 0]  # B[u, v] at the returned pairs
-        values = scale * _row_norms(w)
+        xs, caps = map(np.concatenate, zip(*winners))
+        xs, values, _ = _steps(D, xs, caps)
         for j, i in enumerate(live):
-            out[i] = BilinearNormEstimate(float(values[j]), us[j], vs[j])
+            out[i] = BilinearNormEstimate(float(scale[j] * values[j]), xs[j], xs[j])
     return out[0] if T is None else out
+
+
+def _count(name: str, given) -> int:
+    """``given`` as an int of at least 1, else TypeError or ValueError."""
+    try:
+        count = operator.index(given)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {given!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be positive, got {count}")
+    return count
 
 
 def _at(single: bool, i: int) -> str:
@@ -248,78 +254,69 @@ def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
     """The first phase for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
     = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n): one cell per
     (tensor, start), each a row that carries its own copy of its tensor.
-    Returns the best cell of each tensor as (u, v, sweeps left)."""
+    Polarises the basis starts in ``inits`` first, as B_l[e_i, e_i] can be
+    0.  Returns the best cell of each tensor as (x, steps left)."""
     L, S, n = inits.shape
-    Bu = (inits @ D).reshape(L * S, n, -1)  # Bu[c, j] = B_l[u_c, e_j]
-    sq = (Bu.real * Bu.real + Bu.imag * Bu.imag).sum(axis=-1)
-    j = sq.argmax(axis=1)
-    start = np.sqrt(sq[np.arange(L * S), j])
-    caps = np.where(start > 0, iters, 0)
+    k = min(S, n)
+    # j[l, i] maximises ||B_l[e_i, e_j]||; e_i + e_j is 2 e_i where j = i
+    j = np.linalg.norm(D[:, :k].reshape(L, k, n, -1), axis=-1).argmax(axis=2)
+    inits[:, :k] += np.eye(n)[j]
+    inits[:, :k] /= _row_norms(inits[:, :k])[:, :, None]
     cells = np.repeat(np.arange(L), S)  # the tensor of each cell
-    v = np.eye(n, dtype=complex)[j]
-    u, v, vals, caps = _sweeps(D[cells], inits.reshape(-1, n), v, caps, start)
+    x, vals, caps = _steps(D[cells], inits.reshape(-1, n), np.full(L * S, iters), basin=True)
     best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
-    return u[best], v[best], caps[best]
+    return x[best], caps[best]
 
 
-# A first-phase sweep that changes its cell's value by at most _BASIN of it
-# settles the cell; the second phase stops a cell once both first-order
-# residuals are at most _FIRST_ORDER * ||B[u, v]||^2, tested after sweeps
-# that raise the value by at most _NEAR of it.
+# A first-phase step that raises its cell's value by at most _BASIN of it,
+# or lowers it, settles the cell; the second phase stops a cell once its
+# first-order residual is at most _FIRST_ORDER * ||B[x, x]||^2, tested
+# after steps that raise the value by at most _NEAR of it.
 _BASIN = 1e-4
 _FIRST_ORDER = 1e-8
 _NEAR = 1e-12
 
 
-def _sweeps(D: np.ndarray, u: np.ndarray, v: np.ndarray, caps: np.ndarray, start=None):
-    """HOPM sweeps for every cell, one per row of D, u and v, v from u and
-    then u from v.  A cell leaves the batch once it has had caps[cell]
-    sweeps, or once its last sweep met its rule: with ``start``, the start
-    values of the cells, the basin rule on the value ||B[u, v]|| at the
-    sweep's middle; without, the first-order rule at that middle pair,
-    which the cell then keeps.  Returns each cell's last u, v and value
-    (its start value, or 0, if it made no sweep) and the sweeps it had
-    left, in new arrays."""
-    out = [u.copy(), v.copy(), np.zeros(len(u)) if start is None else start.copy(), caps.copy()]
-    cells, val, stop = np.arange(len(u)), out[2], np.zeros(len(u), bool)
+def _steps(D: np.ndarray, x: np.ndarray, caps: np.ndarray, basin: bool = False):
+    """Symmetric power steps for every cell, one per row of D and x, until
+    it has had caps[cell] steps (none if its value ||B[x, x]|| is 0) or
+    its last step met the basin rule, with ``basin``, else the first-order
+    rule.  Returns each cell's last x, its value there and the steps it
+    had left, in new arrays."""
+    val, z = _step_terms(D, x)
+    caps = np.where(val > 0, caps, 0)
+    out = [x.copy(), val, caps]
+    cells, stop = np.arange(len(x)), np.zeros(len(x), bool)
     for k in itertools.count():
         done = stop | (caps <= k)
         if np.count_nonzero(done):
             c = cells[done]
-            for a, x in zip(out, (u, v, val, caps - k)):
-                a[c] = x[done]
+            for a, y in zip(out, (x, val, caps - k)):
+                a[c] = y[done]
             keep = ~done
             if not np.count_nonzero(keep):
                 return out
-            cells, D, u, v, val, caps = (a[keep] for a in (cells, D, u, v, val, caps))
-        Bu, _, y = _half_step(D, u, v)
-        v = y / _row_norms(y)[:, None]
-        _, w, z = _half_step(D, v, u)
-        old, val = val, _row_norms(w[:, :, 0])
-        if start is not None:
-            stop = val - old <= _BASIN * val  # no sweep lowers the value
+            cells, D, x, z, val, caps = (a[keep] for a in (cells, D, x, z, val, caps))
+        x = z / _row_norms(z)[:, None]
+        old, (val, z) = val, _step_terms(D, x)
+        if basin:
+            stop = val - old <= _BASIN * val
         else:
-            # from a pair with residual r, a sweep raises the value by about
-            # (r / rho)^2 of it, so a sweep that still raised it by more
-            # than _NEAR of it is taken as unconverged without the test
+            # from a point with residual r, a step raises the value by
+            # about (r / rho)^2 of it, so a step that still raised it by
+            # more than _NEAR of it is taken as unconverged without the test
             stop = val - old <= _NEAR * val
             if np.count_nonzero(stop):
                 rho = val * val
-                r_u = _row_norms(z - rho[:, None] * u)
-                r_v = _row_norms(np.matmul(Bu.conj(), w)[:, :, 0] - rho[:, None] * v)
-                stop &= np.maximum(r_u, r_v) <= _FIRST_ORDER * rho
-                z[stop] = u[stop]
-        u = z / _row_norms(z)[:, None]
+                stop &= _row_norms(z - rho[:, None] * x) <= _FIRST_ORDER * rho
 
 
-def _half_step(D: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """For each row and the tensor D[row]: the (n, m) matrix B[x, .], the
-    (m, 1) column B[x, y] and the vector B[x, .]* B[x, y], which normalised
-    is the half-step's new y.  B is symmetric, so the same step updates
-    either argument."""
+def _step_terms(D: np.ndarray, x: np.ndarray):
+    """For each row and the tensor D[row]: the value ||B[x, x]|| and
+    B[x, .]* B[x, x], which normalised is the step's new x."""
     Bx = (x[:, None, :] @ D).reshape(len(x), x.shape[1], -1)  # Bx[r, b] = B_r[x_r, e_b]
-    w = np.matmul(y[:, None, :], Bx).transpose(0, 2, 1)
-    return Bx, w, np.matmul(Bx.conj(), w)[:, :, 0]
+    w = np.matmul(x[:, None, :], Bx).transpose(0, 2, 1)  # (rows, m, 1): B[x, x]
+    return _row_norms(w[:, :, 0]), np.matmul(Bx.conj(), w)[:, :, 0]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

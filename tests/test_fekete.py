@@ -226,11 +226,13 @@ def test_ell_values():
 
 
 def _assert_unit_witness(B, est):
-    """(u, v) are unit vectors and ||B[u, v]|| replays the value."""
-    replayed = float(np.linalg.norm(np.einsum("abm,a,b->m", B.dense(), est.u, est.v)))
+    """The witness is one unit vector x, returned as both u and v, and
+    ||B[x, x]|| replays the value."""
+    assert np.array_equal(est.u, est.v)
+    x = est.u
+    replayed = float(np.linalg.norm(np.einsum("abm,a,b->m", B.dense(), x, x)))
     assert abs(replayed - est.value) <= 1e-12 * max(1.0, est.value)
-    assert abs(np.linalg.norm(est.u) - 1.0) <= 1e-12
-    assert abs(np.linalg.norm(est.v) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
 
 def _error_bound_tensors(count):
@@ -291,7 +293,7 @@ def test_operator_norm_matches_a_dense_grid_at_n2():
 
 
 def test_operator_norm_iteration_cap_still_attains_its_value():
-    # one to three sweeps: no convergence, but still an attained value
+    # one to three steps: no convergence, but still an attained value
     rng = np.random.default_rng(110)
     B = random_jet(3, 2, rng).poly(2)
     for iters in (1, 2, 3):
@@ -307,8 +309,8 @@ def _hompoly_from_dense(T):
 
 @pytest.mark.parametrize("starts", [1, 2, 32])
 def test_operator_norm_sparse_tensors_without_nan_or_warning(starts):
-    # basis-vector starts give B[u, v] = 0 on these, which the power steps
-    # must never divide by
+    # B[e_i, e_i] = 0 on some of these, so a basis start can begin at a
+    # zero value, which the power steps must never divide by
     swap = np.zeros((2, 2, 2), complex)
     swap[0, 1, 0] = swap[1, 0, 0] = 0.5  # B[u, v] = (u1 v2 + u2 v1)/2 e1
     a, c = np.array([0.0, 0.6, 0.8j]), np.array([1.0, -2.0j, 0.5])
@@ -335,6 +337,16 @@ def test_operator_norm_rejects_bad_iters():
             operator_norm_bilinear(B, iters=iters)
 
 
+@pytest.mark.parametrize("name", ["starts", "iters"])
+@pytest.mark.parametrize("bad", [2.5, np.nan, "4", None])
+def test_operator_norm_takes_integer_counts(name, bad):
+    # a NaN cap would never be reached, and a fractional one would pass
+    # unnoticed: both counts go through operator.index
+    B = random_jet(2, 2, np.random.default_rng(0)).poly(2)
+    with pytest.raises(TypeError, match=name):
+        operator_norm_bilinear(B, **{name: bad})
+
+
 def test_operator_norm_zero_tensor_and_bad_starts():
     est = operator_norm_bilinear(HomPoly.zero(2, 3, 3), starts=4)
     assert est.value == 0.0
@@ -345,8 +357,8 @@ def test_operator_norm_zero_tensor_and_bad_starts():
 
 @pytest.mark.parametrize("starts", [1, 2, 32])
 def test_operator_norm_mixed_stack_without_nan_or_warning(starts):
-    # zero tensors, sparse tensors on which basis starts give B[u, v] = 0,
-    # and random tensors share one batch
+    # zero tensors, sparse tensors with B[e_i, e_i] = 0, and random
+    # tensors share one batch
     rng = np.random.default_rng(120)
     swap = np.zeros((2, 2, 2), complex)
     swap[0, 1, 0] = swap[1, 0, 0] = 0.5
@@ -448,9 +460,10 @@ def test_operator_norm_picks_the_higher_of_two_near_tied_maxima(c):
 
 
 def _assert_first_order_optimal(B, est):
-    """At the returned (u, v), the value is the top singular value of both
-    v -> B[u, v] and u -> B[u, v], by a full SVD of the dense tensor's
-    n x n slices."""
+    """At the returned witness (u, v), which is (x, x), the value is the
+    top singular value of both v -> B[u, v] and u -> B[u, v], by a full
+    SVD of the dense tensor's n x n slices: no pair beside (x, x) raises
+    ||B[u, v]|| to first order."""
     dense = B.dense()
     for M in (np.einsum("abm,a->bm", dense, est.u), np.einsum("abm,b->am", dense, est.v)):
         top = np.linalg.svd(M, compute_uv=False)[0]
@@ -537,7 +550,7 @@ def test_operator_norm_follows_its_three_steps(starts, iters, count):
 def _slowly_converging_tensor(n, eps, trial):
     """B[u, v] = (u . v) w + eps R[u, v] for a unit w and a seeded random
     symmetric R: at eps = 0 every unit u attains the norm 1 with v = u*,
-    so for small eps the maxima are nearly flat and the power sweeps
+    so for small eps the maxima are nearly flat and power iterations
     converge slowly."""
     rng = np.random.default_rng([150, n, trial])
     R = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
@@ -547,10 +560,10 @@ def _slowly_converging_tensor(n, eps, trial):
 
 
 def test_operator_norm_follows_its_three_steps_on_slowly_converging_tensors():
-    # the power sweeps converge slowly here: on trials 0-11 at n = 3, a cap
-    # of 200 sweeps left the estimate up to 1.9e-6 short of the reference,
-    # whose exact sweeps converge faster, and from 500 sweeps it read
-    # 8.6e-14 to 5.8e-9 above it
+    # the power steps converge slowly here: on trials 0-11 at n = 3, a cap
+    # of 200 steps left the estimate up to 1.7e-4 short of the reference,
+    # whose exact sweeps converge faster, 500 steps up to 8.2e-7, and from
+    # 1000 steps it read 8.7e-14 to 5.8e-9 above it
     trials = [9, 10, 11]
     tensors = [_slowly_converging_tensor(3, 0.01, trial) for trial in trials]
     stacked = operator_norm_bilinear(tensors, seed=trials)
@@ -639,7 +652,9 @@ def test_operator_norm_meets_banachs_equality(family, n):
 
 def _first_order_residuals(B, est):
     """||B[u, .]* B[u, v] - rho v|| and ||B[., v]* B[u, v] - rho u|| over
-    rho = ||B[u, v]||^2 at the returned pair, by dense contractions."""
+    rho = ||B[u, v]||^2 at the returned witness, by dense contractions.
+    At u = v = x both are the estimator's one residual,
+    ||B[x, .]* B[x, x] - rho x|| / rho."""
     T = B.dense()
     w = np.einsum("abm,a,b->m", T, est.u, est.v)
     rho = np.vdot(w, w).real
@@ -650,8 +665,8 @@ def _first_order_residuals(B, est):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_operator_norm_stops_at_its_first_order_rule(n):
-    # the best start sweeps until both residuals are at most 1e-8 of
-    # ||B[u, v]||^2, which these tensors reach well within the default cap
+    # the best start steps until its residual is at most 1e-8 of
+    # ||B[x, x]||^2, which these tensors reach well within the default cap
     rng = np.random.default_rng(200 + n)
     tensors = [random_jet(n, 2, rng).poly(2) for _ in range(10)]
     stacked = operator_norm_bilinear(tensors, seed=list(range(10)))
@@ -674,8 +689,9 @@ def test_operator_norm_stack_of_mixed_scales():
 
 def test_operator_norm_basis_start_takes_its_best_column():
     # B[u, v] = (u1 v2 + u2 v1)/2 e1 vanishes at (e1, e1): the basis start
-    # e1 begins at (e1, e2), the column of largest ||B[e1, e_j]||, and so
-    # reaches the norm 1/2 as the only start
+    # e1 begins at (e1 + e2)/sqrt(2), polarised with the column e2 of
+    # largest ||B[e1, e_j]||, where ||B[x, x]|| is the norm 1/2, and so
+    # reaches it as the only start
     swap = np.zeros((2, 2, 2), complex)
     swap[0, 1, 0] = swap[1, 0, 0] = 0.5
     est = operator_norm_bilinear(_hompoly_from_dense(swap), starts=1)
