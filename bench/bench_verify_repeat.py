@@ -16,7 +16,7 @@ from fsjet.fekete import fs_mapping, operator_norm_bilinear
 from fsjet.jets import compose, invert, iterate, random_jet
 from fsjet.sampling import sample_sphere
 from fsjet.semigroup import sample_generator, semigroup_ode
-from fsjet.transforms import detect_onedim
+from fsjet.transforms import detect_onedim, root_transform
 from fsjet.verify import (
     DEFAULT_TRIALS,
     random_onedim_jet,
@@ -188,6 +188,25 @@ def bench_detect_onedim(benchmark, kind):
     rng = np.random.default_rng(5)
     f = random_onedim_jet(3, 3, rng).to_mapping_jet() if kind == "onedim" else random_jet(3, 3, rng)
     benchmark(detect_onedim, f)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("root", [2, 3])
+def bench_root_transform(benchmark, n, root):
+    # one transform of `fsjet verify root`: an order-3 one-dimensional
+    # jet, a unit direction and the default output order 2 * root + 1
+    rng = np.random.default_rng(32 + n)
+    od = random_onedim_jet(n, 3, rng)
+    e = sample_sphere(rng, 1, n)[0]
+    benchmark(root_transform, od, root, e)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def bench_sample_sphere(benchmark, n):
+    # the 10,000 sample points of `estimate_sup_modulus`, drawn once per
+    # `bounded-onedim` check
+    rng = np.random.default_rng(33)
+    benchmark(sample_sphere, rng, 10_000, n)
 
 
 @pytest.mark.parametrize("n,K", [(2, 7), (4, 7)])

@@ -161,7 +161,8 @@ def estimate_sup_modulus(
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
-    xs = SUP_SAMPLE_RADIUS * sample_sphere(rng, samples, dim)
+    xs = sample_sphere(rng, samples, dim)
+    xs *= SUP_SAMPLE_RADIUS
     vals = np.asarray(s(xs))
     if vals.shape != (samples,):
         raise ValueError(

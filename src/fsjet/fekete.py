@@ -155,7 +155,8 @@ def operator_norm_bilinear(
 
     The starts are the basis vectors, then seeded random unit vectors;
     basis start e_i begins at (e_i + e_j)/sqrt(2) for the j that
-    maximises ||B[e_i, e_j]||, or at e_i if that j is i.  Every start
+    maximises ||B[e_i, e_j]||, or at e_i if that j is i, and at
+    (e_i - e_j)/sqrt(2) where B[x, x] is 0 at the first.  Every start
     steps until a step raises its value by at most 1e-4 of it, or lowers
     it, which settles it into its basin; the best start then steps on
     until it is first-order optimal, ||B[x, .]* B[x, x] - ||B[x, x]||^2 x||
@@ -255,7 +256,8 @@ def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
     = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n): one cell per
     (tensor, start), each a row that carries its own copy of its tensor.
     Polarises the basis starts in ``inits`` first, as B_l[e_i, e_i] can be
-    0.  Returns the best cell of each tensor as (x, steps left)."""
+    0; a polarised start of value 0, which does not step, steps again from
+    e_i - e_j.  Returns the best cell of each tensor as (x, steps left)."""
     L, S, n = inits.shape
     k = min(S, n)
     # j[l, i] maximises ||B_l[e_i, e_j]||; e_i + e_j is 2 e_i where j = i
@@ -264,6 +266,13 @@ def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
     inits[:, :k] /= _row_norms(inits[:, :k])[:, :, None]
     cells = np.repeat(np.arange(L), S)  # the tensor of each cell
     x, vals, caps = _steps(D[cells], inits.reshape(-1, n), np.full(L * S, iters), basin=True)
+    # where (e_i + e_j)/sqrt(2) has B_l[x, x] = 0, (e_i - e_j)/sqrt(2) has
+    # B_l[x, x] = -2 B_l[e_i, e_j], which is 0 only where B_l[e_i, .] is
+    l, i = ((vals.reshape(L, S)[:, :k] == 0) & (j != np.arange(k))).nonzero()
+    if len(l):
+        inits[l, i, j[l, i]] *= -1
+        c = l * S + i
+        x[c], vals[c], caps[c] = _steps(D[l], inits[l, i], np.full(len(c), iters), basin=True)
     best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
     return x[best], caps[best]
 

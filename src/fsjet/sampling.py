@@ -6,9 +6,17 @@ import numpy as np
 
 
 def sample_sphere(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Unit vectors in C^dim, uniform on the real (2*dim-1)-sphere."""
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """Unit vectors in C^dim, uniform on the real (2*dim-1)-sphere.
+
+    The real parts of all rows are drawn first, then the imaginary parts,
+    in one call; each row is normalised in place through the float view
+    of the complex array."""
+    g = rng.standard_normal((2, count, dim))
+    z = np.empty((count, dim), dtype=complex)
+    z.real, z.imag = g
+    f = z.view(np.float64)
+    f /= np.sqrt(np.einsum("ij,ij->i", f, f))[:, None]
+    return z
 
 
 def sample_ball(

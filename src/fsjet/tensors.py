@@ -99,6 +99,17 @@ class Layout:
         drop = [lower.rank_of(np.delete(self.variables, s, axis=1)) for s in slots]
         return _frozen(np.stack(drop, axis=1))
 
+    @cached_property
+    def lift_rank(self) -> np.ndarray:
+        """``lift_rank[r, i]``: the rank in ``layout(n, k + 1)`` of
+        multi-index r with the 0-based variable i added, the counterpart
+        of ``drop_rank``.  Built on first use, as ``drop_rank`` is."""
+        upper = layout(self.dim, len(self.cols) + 1)
+        rows = np.empty((len(self.indices), self.dim, len(self.cols) + 1), dtype=np.intp)
+        rows[..., :-1] = self.variables[:, None, :]
+        rows[..., -1] = np.arange(self.dim)
+        return _frozen(upper.rank_of(np.sort(rows, axis=-1)))
+
 
 def check_layout_size(n: int, k: int) -> None:
     """ValueError unless the degree-k basis over C^n fits ``LAYOUT_BUDGET``;

@@ -3,7 +3,6 @@ a mapping jet, and the n-th root transform."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -77,11 +76,7 @@ def detect_onedim(f: MappingJet) -> OneDimJet | None:
     scalar_polys: dict[int, ScalarHomPoly] = {}
     for k, P in sorted(f.polys.items()):
         lower, upper = layout(n, k - 1), layout(n, k)
-        # rows[a, i]: the variables of a + e_i, sorted
-        rows = np.empty((len(lower.indices), n, k), dtype=np.intp)
-        rows[..., :-1] = lower.variables[:, None, :]
-        rows[..., -1] = np.arange(n)
-        ranks = upper.rank_of(np.sort(rows, axis=-1))
+        ranks = lower.lift_rank  # ranks[a, i]: the rank of a + e_i
         monos = P.entries[ranks, np.arange(n)] * upper.multinomials[ranks]
         p = ScalarHomPoly._trusted(k - 1, n, 1, (monos.mean(axis=1) / lower.multinomials)[:, None])
         # a NaN fails the comparison
@@ -131,15 +126,17 @@ def root_transform(
     ]
     b = _series_root(a, n, max_m + 1)
     # b_m <x,e>^{nm} has the symmetric entries b_m prod_t conj(e_{i_t}),
-    # which vanish off the support of e; _times_x then multiplies by x
-    support = [i for i in range(1, f.dim + 1) if e[i - 1] != 0]
+    # one product per row of the basis; _times_x then multiplies by x
+    conj_e = np.conj(e)
     polys = {}
     for m in range(1, max_m + 1):
-        idxs = itertools.combinations_with_replacement(support, n * m)
-        Q = ScalarHomPoly(
-            n * m, f.dim, {i: [b[m] * np.prod(np.conj(e[np.array(i) - 1]))] for i in idxs}
-        )
-        polys[n * m + 1] = _times_x(Q)
+        basis = layout(f.dim, n * m)
+        entries = b[m] * np.prod(conj_e[basis.variables], axis=1)
+        if not np.isfinite(entries).all():
+            raise ValueError(
+                f"the degree-{n * m} coefficients of the root transform are not finite"
+            )
+        polys[n * m + 1] = _times_x(ScalarHomPoly._trusted(n * m, f.dim, 1, entries[:, None]))
     return MappingJet(f.dim, order, polys)
 
 

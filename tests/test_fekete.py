@@ -696,3 +696,17 @@ def test_operator_norm_basis_start_takes_its_best_column():
     swap[0, 1, 0] = swap[1, 0, 0] = 0.5
     est = operator_norm_bilinear(_hompoly_from_dense(swap), starts=1)
     assert abs(est.value - 0.5) <= 1e-15
+
+
+def test_operator_norm_basis_start_turns_its_sign_where_it_cancels():
+    # at x = (e1 + e2)/sqrt(2), B[x, x] = (B[e1, e1] + 2 B[e1, e2] +
+    # B[e2, e2])/2 is 0 here, a value that does not step; the basis start
+    # e1 begins at (e1 - e2)/sqrt(2) instead, where B[x, x] = (0, -4), and
+    # reaches the norm alone, as the grid on the sphere finds it
+    B = HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [0, 2], (2, 2): [-1, -4]})
+    grid = grid_sup_dim2(lambda us: _top_singular_values(B, us), 60, 120, zooms=3)
+    assert grid > 4.88
+    for starts in (1, 2, 32):
+        est = operator_norm_bilinear(B, starts=starts)
+        _assert_unit_witness(B, est)
+        assert abs(est.value - grid) <= 1e-13 * grid, starts

@@ -440,6 +440,22 @@ def test_layout_matches_per_index_helpers(n, k):
             assert dropped == idx[:s] + idx[s + 1 :]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lift_rank_ranks_each_index_with_one_variable_added(n):
+    for k in range(1, 8):
+        basis, upper = layout(n, k), layout(n, k + 1)
+        rows = np.empty((len(basis.indices), n, k + 1), dtype=np.intp)
+        rows[..., :-1] = basis.variables[:, None, :]
+        rows[..., -1] = np.arange(n)
+        want = upper.rank_of(np.sort(rows, axis=-1))
+        assert np.array_equal(basis.lift_rank, want), k
+        assert not basis.lift_rank.flags.writeable
+        # and by multi-index, against the rank dict of the degree above
+        for r, idx in enumerate(basis.indices):
+            for i in range(n):
+                assert upper.rank[tuple(sorted(idx + (i + 1,)))] == basis.lift_rank[r, i]
+
+
 @pytest.mark.parametrize("n,k", [(1, 21), (2, 25), (3, 22)])
 def test_layout_counts_are_exact_past_int64_factorials(n, k):
     # 21! does not fit in an int64

@@ -1,5 +1,7 @@
 """One-dimensional-type jets, detection, and the root transform."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from fsjet.transforms import (
 from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet, random_jet
 from fsjet.tensors import ScalarHomPoly
-from fsjet.transforms import _series_root
+from fsjet.transforms import _series_root, _times_x
 from fsjet.verify import random_onedim_jet
 
 
@@ -142,6 +144,60 @@ def test_root_transform_pointwise_dim4_order7():
         u = complex(np.vdot(e, x)) ** 3
         expect = od.s_eval(u * e) ** (1.0 / 3) * x
         assert np.linalg.norm(g.eval(x) - expect) < 1e-9
+
+
+def _root_transform_by_entries(f, n, e, order):
+    """The root transform with its degree-nm tensors built one entry at a
+    time, b_m prod_t conj(e_{i_t}) over the sorted multi-indices on the
+    support of e, through ScalarHomPoly's validating constructor, then
+    multiplied by x; each as (tensor, b_m) by its degree nm + 1."""
+    max_m = (order - 1) // n
+    a = [1.0] + [
+        f.scalar_part(k).eval_scalar(e) if k < f.order else 0.0 for k in range(1, max_m + 1)
+    ]
+    b = _series_root(a, n, max_m + 1)
+    support = [i for i in range(1, f.dim + 1) if e[i - 1] != 0]
+    polys = {}
+    for m in range(1, max_m + 1):
+        idxs = itertools.combinations_with_replacement(support, n * m)
+        coeffs = {i: [b[m] * np.prod(np.conj(e[np.array(i) - 1]))] for i in idxs}
+        Q = ScalarHomPoly(n * m, f.dim, coeffs)
+        polys[n * m + 1] = _times_x(Q), abs(b[m])
+    return polys
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_root_transform_matches_its_entry_by_entry_build(dim, n):
+    # directions with zero coordinates too, where the per-entry build
+    # writes no entry off the support of e; orders 2n+1 and 3n+1, the
+    # latter reading p_3 of the order-4 jet
+    rng = np.random.default_rng(50 + 10 * dim + n)
+    for zeros in range(dim):
+        od = random_onedim_jet(dim, 4, rng)
+        e = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        e[rng.permutation(dim)[:zeros]] = 0
+        e /= np.linalg.norm(e)
+        for order in (2 * n + 1, 3 * n + 1):
+            g = root_transform(od, n, e, order=order)
+            want = _root_transform_by_entries(od, n, e, order)
+            assert sorted(g.polys) == sorted(want)
+            for k, (P, b) in want.items():
+                # k - 1 complex factors, each rounded: a few ulps of |b_m| apiece
+                tol = 4 * k * np.finfo(float).eps * b
+                err = np.abs(g.poly(k).entries - P.entries).max()
+                assert err <= tol, (zeros, order, k, err / tol)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_root_transform_refuses_an_overflowing_series(dim):
+    # p_1 = 1e200 x_1: the square root's series has b_2 of order 1e399,
+    # which overflows; the transform raises rather than return inf or NaN
+    p1 = ScalarHomPoly(1, dim, {(1,): [1e200]})
+    od = OneDimJet(dim, 3, {1: p1})
+    e = np.eye(dim, dtype=complex)[0]
+    with pytest.raises(ValueError, match="not finite"):
+        root_transform(od, 2, e)
 
 
 def test_root_transform_validation():
