@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fekete import _psi_rows, finite_params
+from .fekete import _count, _psi_rows, finite_params
 from .jets import MappingJet
 from .sampling import sample_sphere
 from .transforms import OneDimJet
@@ -23,14 +23,15 @@ SUP_SAMPLE_RADIUS = 0.999
 
 @dataclass
 class SupNormConfig:
+    """The ascent of ``sup_norm_fs``: ``starts`` at least 1, ``steps`` at
+    least 0, else TypeError (not an integer) or ValueError."""
+
     starts: int = 32
     steps: int = 200
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError(f"starts must be positive, got {self.starts}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        self.starts = _count("starts", self.starts)
+        self.steps = _count("steps", self.steps, least=0)
 
 
 @dataclass
@@ -156,10 +157,10 @@ def estimate_sup_modulus(
     next to the boundary; a falsifiable estimate.
 
     ``s`` is batched: it is called once on the (samples, dim) array of
-    sample points and must return their (samples,) values.
+    sample points and must return their (samples,) values.  A ``samples``
+    that is not an integer of at least 1 raises TypeError or ValueError.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    samples = _count("samples", samples)
     rng = np.random.default_rng(seed)
     xs = sample_sphere(rng, samples, dim)
     xs *= SUP_SAMPLE_RADIUS
@@ -191,10 +192,10 @@ def check_bounded_onedim_bound(
     |f.s_eval| <= M_upper on the closed ball.  ``s`` is batched, as in
     ``estimate_sup_modulus``; ``f.s_eval`` is one.  The mapping must
     genuinely be bounded with M > 1 for the hypothesis to apply; M <= 1 is
-    rejected, as is a ``directions`` or ``samples`` below 1.
+    rejected.  A ``directions`` or ``samples`` that is not an integer of
+    at least 1 raises TypeError or ValueError before any sampling.
     """
-    if directions < 1:
-        raise ValueError(f"directions must be positive, got {directions}")
+    directions, samples = _count("directions", directions), _count("samples", samples)
     M = estimate_sup_modulus(s, f.dim, samples=samples, seed=seed)
     if M <= 1.0:
         raise ValueError(f"sampled bound M={M:.6g} <= 1; the estimate needs M > 1")

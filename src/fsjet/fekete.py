@@ -144,7 +144,7 @@ class BilinearNormEstimate(NamedTuple):
 def operator_norm_bilinear(
     B: HomPoly | Sequence[HomPoly],
     starts: int = 32,
-    iters: int = 2000,
+    iters: int = 5000,
     seed: int | Sequence[int] = 0,
 ) -> BilinearNormEstimate | list[BilinearNormEstimate]:
     """sup over unit u, v of ||B[u, v]||, which for a symmetric B on C^n
@@ -154,16 +154,18 @@ def operator_norm_bilinear(
     ||B[x, x]||.  The witness x is returned as both ``u`` and ``v``.
 
     The starts are the basis vectors, then seeded random unit vectors;
-    basis start e_i begins at (e_i + e_j)/sqrt(2) for the j that
-    maximises ||B[e_i, e_j]||, or at e_i if that j is i, and at
-    (e_i - e_j)/sqrt(2) where B[x, x] is 0 at the first.  Every start
-    steps until a step raises its value by at most 1e-4 of it, or lowers
-    it, which settles it into its basin; the best start then steps on
-    until it is first-order optimal, ||B[x, .]* B[x, x] - ||B[x, x]||^2 x||
-    at most 1e-8 ||B[x, x]||^2, a rule tested after each step that raises
-    its value by at most 1e-12 of it.  A start runs at most ``iters``
-    steps, the best start's in both phases counted together.  A start
-    whose value is 0 does not step.  The best start is picked from
+    basis start e_i begins at (e_i + s e_j)/sqrt(2) for the j that
+    maximises ||B[e_i, e_j]||, with the sign s = +1 or -1 that gives the
+    larger ||B[x, x]|| (+1 on a tie), or at e_i if that j is i, so its
+    value is 0 only where B[e_i, .] is.  Every start steps until a step
+    raises its value by at most 1e-4 of it, or lowers it, which settles
+    it into its basin; the best start then steps on until it is
+    first-order optimal, ||B[x, .]* B[x, x] - ||B[x, x]||^2 x|| at most
+    1e-8 ||B[x, x]||^2, a rule tested after each step that raises its
+    value by at most 1e-12 of it.  A start runs at most ``iters`` steps,
+    the best start's in both phases counted together; the default lets
+    nearly flat maxima, where the steps converge slowly, meet the rule.
+    A start whose value is 0 does not step.  The best start is picked from
     loosely settled values, so a second basin within about 1e-4 of its
     value may be missed.  The value is measured at the returned unit
     vector, ||B[x, x]|| = value, so it is a lower bound on the norm.  Each
@@ -222,14 +224,16 @@ def operator_norm_bilinear(
     return out[0] if T is None else out
 
 
-def _count(name: str, given) -> int:
-    """``given`` as an int of at least 1, else TypeError or ValueError."""
+def _count(name: str, given, least: int = 1) -> int:
+    """``given`` as an int of at least ``least`` (1 or 0), the one check of
+    every count argument: a non-integer raises TypeError, a smaller count
+    ValueError, each naming the argument."""
     try:
         count = operator.index(given)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {given!r}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be positive, got {count}")
+    if count < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {count}")
     return count
 
 
@@ -256,23 +260,22 @@ def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
     = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n): one cell per
     (tensor, start), each a row that carries its own copy of its tensor.
     Polarises the basis starts in ``inits`` first, as B_l[e_i, e_i] can be
-    0; a polarised start of value 0, which does not step, steps again from
-    e_i - e_j.  Returns the best cell of each tensor as (x, steps left)."""
+    0.  Returns the best cell of each tensor as (x, steps left)."""
     L, S, n = inits.shape
     k = min(S, n)
+    B = D.reshape(L, n, n, -1)
     # j[l, i] maximises ||B_l[e_i, e_j]||; e_i + e_j is 2 e_i where j = i
-    j = np.linalg.norm(D[:, :k].reshape(L, k, n, -1), axis=-1).argmax(axis=2)
-    inits[:, :k] += np.eye(n)[j]
+    j = np.linalg.norm(B[:, :k], axis=-1).argmax(axis=2)
+    # e_j takes the sign s with the larger ||B_ii + B_jj + 2 s B_ij||, plus
+    # on a tie and where j = i; the two values differ by 4 B_ij, so both
+    # are 0 only where the row B_l[e_i, .] is
+    l, i = np.indices((L, k))
+    diag, cross = B[l, i, i] + B[l, j, j], 2.0 * B[l, i, j]
+    sign = np.where(_row_norms(diag - cross) > _row_norms(diag + cross), -1.0, 1.0)
+    inits[:, :k] += sign[:, :, None] * np.eye(n)[j]
     inits[:, :k] /= _row_norms(inits[:, :k])[:, :, None]
     cells = np.repeat(np.arange(L), S)  # the tensor of each cell
     x, vals, caps = _steps(D[cells], inits.reshape(-1, n), np.full(L * S, iters), basin=True)
-    # where (e_i + e_j)/sqrt(2) has B_l[x, x] = 0, (e_i - e_j)/sqrt(2) has
-    # B_l[x, x] = -2 B_l[e_i, e_j], which is 0 only where B_l[e_i, .] is
-    l, i = ((vals.reshape(L, S)[:, :k] == 0) & (j != np.arange(k))).nonzero()
-    if len(l):
-        inits[l, i, j[l, i]] *= -1
-        c = l * S + i
-        x[c], vals[c], caps[c] = _steps(D[l], inits[l, i], np.full(len(c), iters), basin=True)
     best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
     return x[best], caps[best]
 

@@ -394,10 +394,10 @@ def iterate(f, m: int):
     first squaring and every composition with f read one table of the
     powers of f, and each later squaring builds the table of what it
     squares, so ``iterate`` builds bit_length(|m|) - 1 power tables, all
-    at the full order (one for m = 2 and m = 3), plus ``invert``'s for
-    negative m.  When f is sparse, a composite can use exponents f does
-    not, and f's table grows by those entries when a composition with f
-    first needs them.  A power with a coefficient that is not finite
+    at the full order (one for m = 2 and m = 3, none for m = 1), plus
+    ``invert``'s for negative m.  f's table holds every exponent of
+    degrees 1..K, since a composite can use exponents that a sparse f
+    does not.  A power with a coefficient that is not finite
     stays so; a lone jet's is returned as soon as it appears, a stack
     stops once every row is not finite.  ``m`` must be an integer
     (anything ``operator.index`` accepts), else ``TypeError``.
@@ -413,24 +413,21 @@ def iterate(f, m: int):
         return iterate(invert(f), -m)
     n, K = f0.dim, f0.order
     inner = _terms(f, K)
-    table: dict[int, dict] = {}
-
-    def after_f(comps: list[dict]):
-        # the first call builds f's table; a sparse f's composites can
-        # then use exponents that f does not
-        missing = {e for comp in comps for e in comp} - table.keys()
-        if missing:
-            table.update(_power_table(inner, missing, K))
-        return _from_terms(_combine(comps, table), n, K, T)
-
     out = f
     for i, bit in enumerate(bin(m)[3:]):
         rows = [out] if T is None else out
         if not any(math.isfinite(g.max_coeff()) for g in rows):
             break
-        out = compose(out, out) if i else after_f(inner)
+        if i:
+            out = compose(out, out)
+        else:
+            # f's powers at every exponent of degrees 1..K, built once for
+            # every f o (.): a composite can use exponents that f does not
+            offsets = _graded(n, K).offsets
+            table = _power_table(inner, range(offsets[1], offsets[-1]), K)
+            out = _from_terms(_combine(inner, table), n, K, T)
         if bit == "1":
-            out = after_f(_terms(out, K))
+            out = _from_terms(_combine(_terms(out, K), table), n, K, T)
     return out
 
 

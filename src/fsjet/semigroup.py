@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fekete import _unit_rows
+from .fekete import _count, _unit_rows
 from .jets import MappingJet, _stack_of, compose, random_jet
 from .reporting import Report
 from .sampling import sample_ball
@@ -87,7 +87,9 @@ def is_generator(
 ) -> Report:
     """Sampled test of Re <h(x), x> >= 0 on the ball (falsification only).
     A NaN value, as a jet with a non-finite coefficient gives, makes the
-    residual NaN, so the report fails."""
+    residual NaN, so the report fails.  A ``samples`` that is not an
+    integer of at least 1 raises TypeError or ValueError."""
+    samples = _count("samples", samples)
     rng = np.random.default_rng(seed)
     xs = sample_ball(rng, samples, h.dim, radius=1.0 - 1e-3)
     vals = np.real(np.einsum("ij,ij->i", h.eval_many(xs), xs.conj()))

@@ -285,13 +285,13 @@ class HomPoly:
 
     @cached_property
     def _compiled(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Index columns (k arrays of length T, 0-based) and the (T, m)
-        coefficient matrix with the multinomial counts folded in, one row
-        per nonzero entry.  Built on first evaluation."""
-        basis = layout(self.domain_dim, self.degree)
-        rows = np.flatnonzero(self.entries.any(axis=1))
-        coef = self.entries[rows] * basis.multinomials[rows, None]
-        return tuple(c[rows] for c in basis.cols), coef
+        """``basis_coefficients`` of this polynomial alone: the index columns
+        and its (T, m) coefficients, for m = 1 the (2, T) real and imaginary
+        parts of its one column.  Built on first evaluation."""
+        cols, (coef,) = basis_coefficients([self])
+        if self.codomain_dim == 1:
+            coef = np.stack([coef[:, 0].real, coef[:, 0].imag])
+        return cols, coef
 
     def eval(self, x) -> np.ndarray:
         """T[x,...,x]; homogeneous of degree k."""
@@ -315,7 +315,16 @@ class HomPoly:
                 ]
             )
         cols, coef = self._compiled
-        return monomials(xs, cols) @ coef
+        terms = monomials(xs, cols)
+        if self.codomain_dim == 1:
+            # a complex product with one output column runs on zgemv, which
+            # a multithreaded BLAS can make hundreds of times slower; the
+            # real parts Re c and Im c of the coefficients, each against the
+            # (T, 2N) real view of the monomials, give sum c_t z_t as
+            # sum Re(c_t) z_t + i sum Im(c_t) z_t
+            w = (coef @ np.ascontiguousarray(terms.T).view(np.float64)).view(complex)
+            return (w[0] + 1j * w[1])[:, None]
+        return terms @ coef
 
     def multilinear_eval(self, args) -> np.ndarray:
         """T[x_1,...,x_k], linear in each slot, symmetric in the slots.

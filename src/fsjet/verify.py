@@ -3,7 +3,8 @@ library implements.
 
 Each suite returns a list of Reports, one per named check, and is fully
 deterministic for a given seed.  Every check keeps one contract, and the
-runner (``_run``, then ``_report``) keeps it for all but two of them:
+runner (``_run``, then ``_report``) keeps it for all of them but
+``root/koebe-golden``, which is one evaluation:
 
 - each check draws from its own stream, ``_rng(seed, stream)``, so its
   inputs do not depend on which other checks ran;
@@ -12,19 +13,21 @@ runner (``_run``, then ``_report``) keeps it for all but two of them:
   draws what it would draw alone; the check then runs once per
   dimension on that dimension's inputs, as one stacked call where the
   routine it checks takes a stack (``polarization``,
-  ``bounds/bounded-onedim`` and ``semigroup/flow-property`` loop over
-  the inputs);
+  ``bounds/bounded-onedim``, ``semigroup/flow-property`` and
+  ``duality/onedim-equivalence`` loop over the inputs);
 - the residual is the worst of the residuals of every trial, NaN if any
   of them is NaN, so a NaN fails the check;
 - ``trials=0`` runs no trial and passes vacuously.
 
-``duality/onedim-equivalence`` keeps its own loop, because its residual
-counts mismatches, and ``root/koebe-golden`` is one evaluation.
+A check whose trials pass or fail outright, as
+``duality/onedim-equivalence`` does, gives each trial the residual 0.0
+or 1.0 against the tolerance 0.0, so a failing run reports 1.0.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -407,17 +410,21 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         val = np.abs(np.einsum("im,im->i", fekete._unit_rows(e).conj(), psi))
         return _rows(val - 2.0 * np.maximum(1.0, np.abs(2.0 * lam - 1.0)))
 
-    rng3 = _rng(seed, 12)
-    mismatches = 0
-    for i in range(trials):
-        n = dims[i % len(dims)]
-        if i % 2 == 0:
-            h = random_onedim_jet(n, 3, rng3).to_mapping_jet()
-        else:
-            h = random_jet(n, 3, rng3)
-        f = starlike_from_generator(h)
-        if (detect_onedim(h) is None) != (detect_onedim(f) is None):
-            mismatches += 1
+    trial = itertools.count()
+
+    def onedim_draw(rng, n):
+        # ``_run`` draws in trial order: a lifted one-dimensional jet at
+        # even trials, a generic jet at odd ones
+        if next(trial) % 2 == 0:
+            return random_onedim_jet(n, 3, rng).to_mapping_jet()
+        return random_jet(n, 3, rng)
+
+    def onedim_equivalence(gens):
+        # 1.0 where h and its starlike partner disagree on being of
+        # one-dimensional type
+        kinds = [[detect_onedim(g) is None for g in (h, starlike_from_generator(h))] for h in gens]
+        return [[float(a != b)] for a, b in kinds]
+
     return [
         _report(
             "duality/psi-pairing", 1e-11, seed, _run(_jet_and_point, trials, seed, 10, dims, pairing)
@@ -428,7 +435,12 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             seed,
             _run(generator_draw, trials, seed, 11, dims, generator_bound),
         ),
-        Report("duality/onedim-equivalence", trials, seed, 0.0, float(mismatches)),
+        _report(
+            "duality/onedim-equivalence",
+            0.0,
+            seed,
+            _run(onedim_draw, trials, seed, 12, dims, onedim_equivalence),
+        ),
     ]
 
 

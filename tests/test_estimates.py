@@ -147,6 +147,31 @@ def test_sup_modulus_rejects_no_samples():
             check_bounded_onedim_bound(od, od.s_eval, lam=0.4, directions=samples)
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("starts", np.nan), ("starts", 2.5), ("starts", "4"), ("steps", np.nan), ("steps", 2.5),
+])
+def test_sup_norm_config_takes_integer_counts(name, bad):
+    # a NaN count used to construct, and a fractional one to fail inside
+    # numpy without naming its argument
+    with pytest.raises(TypeError, match=name):
+        SupNormConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan, "4"])
+def test_estimate_sup_modulus_takes_an_integer_count(bad):
+    od = random_onedim_jet(2, 3, np.random.default_rng(64), scale=0.15)
+    with pytest.raises(TypeError, match="samples"):
+        estimate_sup_modulus(od.s_eval, dim=2, samples=bad)
+
+
+@pytest.mark.parametrize("name", ["directions", "samples"])
+@pytest.mark.parametrize("bad", [2.5, np.nan])
+def test_bounded_onedim_check_takes_integer_counts(name, bad):
+    od = random_onedim_jet(2, 3, np.random.default_rng(64), scale=0.15)
+    with pytest.raises(TypeError, match=name):
+        check_bounded_onedim_bound(od, od.s_eval, lam=0.4, **{name: bad})
+
+
 @pytest.mark.parametrize("lam,mu", [(np.nan, 0.5), (0.5, np.inf), (complex(np.nan, 1.0), 0.0)])
 def test_sup_norm_rejects_a_non_finite_parameter(lam, mu):
     # a NaN parameter used to give (0.0, e_1), as if it were the supremum

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fsjet import fekete
 from fsjet.fekete import (
     NORM_BLOCK_CELLS,
     ell,
@@ -634,13 +635,17 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 
 
 @pytest.mark.parametrize(
-    "family,n", [("error-bound", 2), ("error-bound", 3), ("random", 2), ("random", 3), ("random", 4)]
+    "family,n",
+    [("error-bound", 2), ("error-bound", 3), ("random", 2), ("random", 3), ("random", 4), ("slow", 2)],
 )
 def test_operator_norm_meets_banachs_equality(family, n):
     # the error-bound suite's tensors and random ones, each against a
-    # sphere search of ||B[x, x]||
+    # sphere search of ||B[x, x]||, and the slowest of the nearly flat
+    # tensors, which needs about 5000 steps (2000 left it 7e-10 short)
     if family == "error-bound":
         tensors, seeds = _error_bound_tensors(8)[n]
+    elif family == "slow":
+        tensors, seeds = [_slowly_converging_tensor(n, 0.01, 2)], [2]
     else:
         rng = np.random.default_rng(190 + n)
         tensors, seeds = [random_jet(n, 2, rng).poly(2) for _ in range(4)], range(4)
@@ -698,15 +703,54 @@ def test_operator_norm_basis_start_takes_its_best_column():
     assert abs(est.value - 0.5) <= 1e-15
 
 
+def _cancelling_tensor():
+    """B[e1, e1] = (1, 0), B[e1, e2] = (0, 2), B[e2, e2] = (-1, -4): at
+    x = (e1 + e2)/sqrt(2), B[x, x] = (B[e1, e1] + 2 B[e1, e2] + B[e2, e2])/2
+    is 0, and at (e1 - e2)/sqrt(2) it is (0, -4)."""
+    return HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [0, 2], (2, 2): [-1, -4]})
+
+
+def _step_calls(monkeypatch):
+    """The x of every ``_steps`` call from now on, one list per call."""
+    calls = []
+    real = fekete._steps
+
+    def recording(D, x, caps, basin=False):
+        calls.append(x.copy())
+        return real(D, x, caps, basin)
+
+    monkeypatch.setattr(fekete, "_steps", recording)
+    return calls
+
+
 def test_operator_norm_basis_start_turns_its_sign_where_it_cancels():
-    # at x = (e1 + e2)/sqrt(2), B[x, x] = (B[e1, e1] + 2 B[e1, e2] +
-    # B[e2, e2])/2 is 0 here, a value that does not step; the basis start
-    # e1 begins at (e1 - e2)/sqrt(2) instead, where B[x, x] = (0, -4), and
-    # reaches the norm alone, as the grid on the sphere finds it
-    B = HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [0, 2], (2, 2): [-1, -4]})
+    # (e1 + e2)/sqrt(2) has the value 0, which does not step; the basis
+    # start e1 begins at (e1 - e2)/sqrt(2), the sign with the larger value,
+    # and reaches the norm alone, as the grid on the sphere finds it
+    B = _cancelling_tensor()
     grid = grid_sup_dim2(lambda us: _top_singular_values(B, us), 60, 120, zooms=3)
     assert grid > 4.88
     for starts in (1, 2, 32):
         est = operator_norm_bilinear(B, starts=starts)
         _assert_unit_witness(B, est)
         assert abs(est.value - grid) <= 1e-13 * grid, starts
+
+
+def test_operator_norm_polarises_each_start_before_its_first_phase(monkeypatch):
+    # one first phase from the signed start, then the second phase: two
+    # calls of the steps, with no second pass over a zero-valued start
+    calls = _step_calls(monkeypatch)
+    est = operator_norm_bilinear(_cancelling_tensor(), starts=1)
+    assert len(calls) == 2
+    assert abs(est.value - 4.8818) <= 1e-4
+    assert np.allclose(calls[0], [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
+
+
+def test_operator_norm_start_takes_the_sign_with_the_larger_value(monkeypatch):
+    # B[e1, e1] = 1, B[e1, e2] = 2, B[e2, e2] = -3 (times e1): e2 is e1's
+    # column of largest ||B[e1, e_j]||, and ||B11 + B22 +- 2 B12|| is 2 for
+    # plus and 6 for minus, both nonzero, so the start takes minus
+    B = HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [2, 0], (2, 2): [-3, 0]})
+    calls = _step_calls(monkeypatch)
+    operator_norm_bilinear(B, starts=1)
+    assert np.allclose(calls[0], [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fsjet import jets
+from fsjet.gallery import example_gallery
 from fsjet.jets import (
     MappingJet,
     compose,
@@ -194,6 +195,29 @@ def test_iterate_builds_one_power_table_per_squaring(monkeypatch):
             assert len(orders) == 1 + inverse
         if m > 0 and m & (m - 1) == 0:
             assert len(orders) == m.bit_length() - 1  # squarings only
+
+
+@pytest.mark.parametrize("name", ["one-monomial", "example_5_6"])
+def test_iterate_of_a_sparse_jet_equals_repeated_composition(name):
+    # f's power table holds every exponent of degrees 1..K, so the sparse
+    # f's composites find each power they use in it
+    if name == "one-monomial":
+        # x + sum_k c x_1^(k-1) x_2: composites use exponents that f does not
+        f = MappingJet(3, 5, {
+            k: HomPoly.from_monomials(k, 3, 3, {(k - 1, 1, 0): [0.3, 0.2j, -0.1]})
+            for k in range(2, 6)
+        })
+    else:
+        f = example_gallery("example_5_6").jet
+    for m in range(-5, 6):
+        step = f if m > 0 else invert(f)
+        want = MappingJet.identity(f.dim, f.order)
+        for _ in range(abs(m)):
+            want = compose(want, step)
+        got = iterate(f, m)
+        scale = max(1.0, want.max_coeff())
+        for k in range(2, f.order + 1):
+            assert np.abs(got.poly(k).entries - want.poly(k).entries).max() <= 1e-14 * scale, (m, k)
 
 
 @pytest.mark.parametrize("m", [2.5, "3", None])

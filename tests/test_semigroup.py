@@ -453,3 +453,10 @@ def test_flow_leaving_the_ball_raises_and_names_the_generator():
             flow_taylor_via_ode([good, bad], (2.0,), e, (2,), step=5e-3)
         with pytest.raises(RuntimeError):
             semigroup_ode(bad, 2.0, np.array([0.2 + 0j]), step=5e-3)
+
+
+@pytest.mark.parametrize("bad,error", [(-1, ValueError), (0, ValueError), (2.5, TypeError)])
+def test_is_generator_takes_a_positive_integer_count(bad, error):
+    # -1 used to fail inside numpy, and 0 to pass over no points
+    with pytest.raises(error, match="samples"):
+        is_generator(_example_generator(), samples=bad)

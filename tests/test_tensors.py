@@ -255,6 +255,26 @@ def test_compiled_eval_matches_monomial_loop(n, K, rows):
         assert abs(pK.eval_scalar(x) - p) <= tol
 
 
+@pytest.mark.parametrize("rows", [0, 1, 16, 2500])
+def test_eval_many_of_polynomials_with_zero_rows_matches_monomial_loop(rows):
+    # the compiled form keeps every basis row, zero or not, and a scalar
+    # polynomial takes the real product; blocks of 1024 rows included
+    from fsjet.transforms import koebe_onedim
+
+    rng = np.random.default_rng(16 + rows)
+    xs = 0.6 * (rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3)))
+    polys = [
+        HomPoly.from_monomials(3, 3, 3, {(1, 0, 2): [0.5, -1j, 2.0]}),
+        HomPoly.from_monomials(2, 3, 1, {(0, 1, 1): [1.5 - 0.5j]}),
+        *koebe_onedim(3, 5).scalar_polys.values(),
+    ]
+    for P in polys:
+        want = np.array([_monomial_loop(P, x) for x in xs]).reshape(rows, P.codomain_dim)
+        got = P.eval_many(xs)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=EVAL_TOL * (1.0 + np.abs(want).max(initial=0.0)))
+
+
 def test_eval_many_large_batch_is_blocked_consistently():
     from fsjet.tensors import EVAL_BLOCK_ROWS
 

@@ -178,6 +178,27 @@ def test_nan_norm_estimate_fails_the_error_bound(monkeypatch):
     assert not bound.passed
 
 
+def test_onedim_equivalence_reports_its_worst_trial(monkeypatch):
+    # every generator reads as generic and its starlike partner as it is,
+    # so the three lifted trials of six mismatch: the check fails with the
+    # worst trial's residual 1.0, not with their count
+    partners = []
+    star, detect = verify.starlike_from_generator, verify.detect_onedim
+    monkeypatch.setattr(
+        verify, "starlike_from_generator", lambda h: partners.append(star(h)) or partners[-1]
+    )
+    monkeypatch.setattr(
+        verify, "detect_onedim", lambda f: detect(f) if any(f is g for g in partners) else None
+    )
+    report = next(
+        r for r in run_suite("duality", trials=6, seed=0)
+        if r.suite == "duality/onedim-equivalence"
+    )
+    assert report.trials == 6
+    assert report.max_residual == 1.0
+    assert not report.passed
+
+
 def test_worst_propagates_nan_in_any_position():
     assert verify._worst(0.0, 2.0, 1.0) == 2.0
     for values in ((math.nan, 1.0), (1.0, math.nan), (0.0, 1.0, math.nan)):
