@@ -195,7 +195,7 @@ def check_bounded_onedim_bound(
     rejected.  A ``directions`` or ``samples`` that is not an integer of
     at least 1 raises TypeError or ValueError before any sampling.
     """
-    directions, samples = _count("directions", directions), _count("samples", samples)
+    directions = _count("directions", directions)
     M = estimate_sup_modulus(s, f.dim, samples=samples, seed=seed)
     if M <= 1.0:
         raise ValueError(f"sampled bound M={M:.6g} <= 1; the estimate needs M > 1")

@@ -286,11 +286,8 @@ class HomPoly:
     @cached_property
     def _compiled(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """``basis_coefficients`` of this polynomial alone: the index columns
-        and its (T, m) coefficients, for m = 1 the (2, T) real and imaginary
-        parts of its one column.  Built on first evaluation."""
+        and its (T, m) coefficients.  Built on first evaluation."""
         cols, (coef,) = basis_coefficients([self])
-        if self.codomain_dim == 1:
-            coef = np.stack([coef[:, 0].real, coef[:, 0].imag])
         return cols, coef
 
     def eval(self, x) -> np.ndarray:
@@ -319,10 +316,14 @@ class HomPoly:
         if self.codomain_dim == 1:
             # a complex product with one output column runs on zgemv, which
             # a multithreaded BLAS can make hundreds of times slower; the
-            # real parts Re c and Im c of the coefficients, each against the
-            # (T, 2N) real view of the monomials, give sum c_t z_t as
-            # sum Re(c_t) z_t + i sum Im(c_t) z_t
-            w = (coef @ np.ascontiguousarray(terms.T).view(np.float64)).view(complex)
+            # (2, T) real view [Re c; Im c] of the coefficient column, with
+            # the (T, 2N) real view of the monomials' transpose (contiguous
+            # as ``monomials`` returns it), gives sum c_t z_t as
+            # sum Re(c_t) z_t + i sum Im(c_t) z_t.  For m > 1 the complex
+            # product stays: the real form costs more on the one-row
+            # evaluations of ``sup_norm_fs``
+            re_im = coef.view(np.float64).T
+            w = (re_im @ np.ascontiguousarray(terms.T).view(np.float64)).view(complex)
             return (w[0] + 1j * w[1])[:, None]
         return terms @ coef
 

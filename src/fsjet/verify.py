@@ -89,11 +89,12 @@ def _run(draw, trials: int, seed: int, stream: int, dims, check) -> list[list]:
 
     Trial i draws its inputs by ``draw(rng, n)`` from the check's own
     generator ``_rng(seed, stream)`` in the dimension
-    ``n = dims[i % len(dims)]``; every trial draws, in trial order, before
-    any check runs.  Then ``check(inputs)`` runs once per dimension on the
-    list of that dimension's inputs, in trial order, and returns one list
-    of residuals per input, so that a check can make one stacked call per
-    dimension."""
+    ``n = dims[i % len(dims)]``; ``draw`` is called exactly once per
+    trial, in trial order, before any check runs, and a draw may count
+    its calls to know its trial (``duality/onedim-equivalence`` does).
+    Then ``check(inputs)`` runs once per dimension on the list of that
+    dimension's inputs, in trial order, and returns one list of residuals
+    per input, so that a check can make one stacked call per dimension."""
     rng = _rng(seed, stream)
     ns = [dims[i % len(dims)] for i in range(trials)]
     drawn = [draw(rng, n) for n in ns]
@@ -413,8 +414,9 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     trial = itertools.count()
 
     def onedim_draw(rng, n):
-        # ``_run`` draws in trial order: a lifted one-dimensional jet at
-        # even trials, a generic jet at odd ones
+        # a lifted one-dimensional jet at even trials, a generic jet at odd
+        # ones; the counter is the trial index only because ``_run`` calls
+        # draw once per trial in trial order, as its docstring promises
         if next(trial) % 2 == 0:
             return random_onedim_jet(n, 3, rng).to_mapping_jet()
         return random_jet(n, 3, rng)
