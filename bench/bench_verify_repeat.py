@@ -204,7 +204,7 @@ def bench_root_transform(benchmark, n, root):
 @pytest.mark.parametrize("n", [2, 3])
 def bench_sample_sphere(benchmark, n):
     # the 10,000 sample points of `estimate_sup_modulus`, drawn once per
-    # `bounded-onedim` check
+    # `check_bounded_onedim_bound` call
     rng = np.random.default_rng(33)
     benchmark(sample_sphere, rng, 10_000, n)
 

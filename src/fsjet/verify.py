@@ -13,8 +13,9 @@ runner (``_run``, then ``_report``) keeps it for all of them but
   draws what it would draw alone; the check then runs once per
   dimension on that dimension's inputs, as one stacked call where the
   routine it checks takes a stack (``polarization``,
-  ``bounds/bounded-onedim``, ``semigroup/flow-property`` and
-  ``duality/onedim-equivalence`` loop over the inputs);
+  ``semigroup/flow-property`` and ``duality/onedim-equivalence`` loop
+  over the inputs, and ``bounds/bounded-onedim`` makes one batched call
+  per input, over that input's directions);
 - the residual is the worst of the residuals of every trial, NaN if any
   of them is NaN, so a NaN fails the check;
 - ``trials=0`` runs no trial and passes vacuously.
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from . import fekete
-from .estimates import check_bounded_onedim_bound
+from .estimates import bounded_onedim_bound
 from .fekete import fs_mapping
 from .jets import compose, invert, iterate, random_jet, unitary_conjugate
 from .reporting import Report
@@ -446,16 +447,74 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
     ]
 
 
+# every fourth bounded draw of a dimension reaches the bound; the others
+# take SCHUR_KERNELS kernels, and each draw is checked on BOUNDED_DIRECTIONS
+BOUNDARY_EVERY = 4
+SCHUR_KERNELS = 3
+BOUNDED_DIRECTIONS = 64
+BOUNDED_M_RANGE = (1.01, 20.0)
+
+
+def _bounded_jet(M: float, weights, kernels, powers):
+    """The exact order-3 jet of s(x) x with |s| < M on the ball, where
+    s = (1 + M w)/(1 + w/M) and w(x) = sum_j weights[j] <x, kernels[j]>^powers[j]
+    for weights on the simplex, kernels of norm at most 1 and powers 1 or 2.
+
+    |w| < 1 on the ball and s is a disc automorphism of w scaled by M, so
+    s(0) = 1 and |s| < M.  With c = M - 1/M, s = 1 + c w - (c/M) w^2 + O(w^3),
+    so p_1 = c w_1 and p_2 = c (w_2 - w_1^2/M), w_k the degree-k part of w."""
+    n = kernels.shape[1]
+    c = M - 1.0 / M
+    b, lin, quad = kernels.conj(), powers == 1, powers == 2
+    w1 = weights[lin] @ b[lin]
+    i, j = layout(n, 2).cols
+    w2 = np.einsum("t,ta,ta->a", weights[quad], b[quad][:, i], b[quad][:, j])
+    polys = {
+        1: ScalarHomPoly._trusted(1, n, 1, (c * w1)[:, None]),
+        2: ScalarHomPoly._trusted(2, n, 1, (c * (w2 - w1[i] * w1[j] / M))[:, None]),
+    }
+    return OneDimJet(n, 3, polys).to_mapping_jet()
+
+
+def _bounded_draw(rng: np.random.Generator, n: int, boundary: bool):
+    """A bounded map of one-dimensional type whose M is known: the jet,
+    M log-uniform on ``BOUNDED_M_RANGE``, lambda and the directions to
+    check it on.
+
+    A boundary draw takes one unit kernel a with the power that reaches
+    the active branch of ``bounded_onedim_bound(M, lambda)`` at e = a, and
+    puts a first among its directions, so that there the bound is met."""
+    M = math.exp(rng.uniform(*np.log(BOUNDED_M_RANGE)))
+    lam = sample_params(rng, 1)[0]
+    if boundary:
+        kernels = sample_sphere(rng, 1, n)
+        weights = np.ones(1)
+        powers = np.array([2 if abs(((M * M - 1.0) * lam + 1.0) / M) <= 1.0 else 1])
+    else:
+        kernels = sample_sphere(rng, SCHUR_KERNELS, n) * rng.random(SCHUR_KERNELS)[:, None]
+        weights = rng.dirichlet(np.ones(SCHUR_KERNELS))
+        powers = rng.integers(1, 3, SCHUR_KERNELS)
+    directions = sample_sphere(rng, BOUNDED_DIRECTIONS, n)
+    if boundary:
+        directions[0] = kernels[0]
+    return _bounded_jet(M, weights, kernels, powers), M, lam, directions
+
+
 def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
+    trial = itertools.count()
+
     def bounded_draw(rng, n):
-        od = random_onedim_jet(n, 3, rng, scale=0.3 / n)
-        lam = sample_params(rng, 1)[0]
-        return od, lam, int(rng.integers(0, 2**31))
+        # trial i is trial i // len(dims) of its dimension; the counter is
+        # the trial index because ``_run`` draws once per trial, in order
+        return _bounded_draw(rng, n, next(trial) // len(dims) % BOUNDARY_EVERY == 0)
 
     def bounded(inputs):
+        # one-dimensional type: ||Psi_e|| = |p_2(e) - lam p_1(e)^2| for every mu.
+        # One batched call per trial builds its jet's tensor once; a stack
+        # would repeat the jet per direction and build it 64 times
         return [
-            [-check_bounded_onedim_bound(od, od.s_eval, lam, seed=s).margin]
-            for od, lam, s in inputs
+            [float(_norms(fs_mapping(f, es, lam, 0.0)).max() - bounded_onedim_bound(M, lam))]
+            for f, M, lam, es in inputs
         ]
 
     def starlike_draw(rng, n):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fsjet import fekete, verify
+from fsjet import estimates, fekete, verify
 from fsjet.gallery import example_gallery
 from fsjet.jets import MappingJet
 from fsjet.semigroup import is_generator
@@ -268,7 +268,7 @@ def test_every_trial_loop_draws_from_its_own_stream(monkeypatch):
 # are named by the sampler the suite calls: ("jet", n) for random_jet,
 # ("onedim", n) for random_onedim_jet, ("generator", n) for
 # sample_generator, ("unitary", n) for a random unitary matrix,
-# ("sphere", n) for one direction and ("params", c) for c parameters.
+# ("sphere", n) for directions in C^n and ("params", c) for c parameters.
 def _point(n):
     return [("sphere", n), ("params", 2)]
 
@@ -296,7 +296,8 @@ _DRAWS = {
         12: lambda i, n: [("onedim", n) if i % 2 == 0 else ("jet", n)],
     },
     "bounds": {
-        13: lambda i, n: [("onedim", n), ("params", 1)],
+        # lambda, the kernels of the Schur map, then the directions
+        13: lambda i, n: [("params", 1), ("sphere", n), ("sphere", n)],
         14: lambda i, n: [("onedim", n), *_point(n)],
     },
 }
@@ -403,3 +404,93 @@ def test_runner_lists_each_trial_and_reports_a_nan():
     assert math.isnan(report.max_residual)
     assert not report.passed
     assert verify._report("check", 1.0, 0, []).max_residual == 0.0
+
+
+# -- bounded maps whose M is known by construction ------------------------
+
+
+def _bounded_draws(monkeypatch, n, boundary, count):
+    """``count`` bounded draws in dimension n, each as (jet, M, lam,
+    directions) with the (M, weights, kernels, powers) of its Schur map."""
+    built, real = [], verify._bounded_jet
+    monkeypatch.setattr(verify, "_bounded_jet", lambda *args: built.append(args) or real(*args))
+    rng = np.random.default_rng([n, boundary])
+    draws = [verify._bounded_draw(rng, n, boundary) for _ in range(count)]
+    return list(zip(draws, built, strict=True))
+
+
+def _closed_form_s(M, weights, kernels, powers, xs):
+    """s = (1 + M w)/(1 + w/M), w(x) = sum_j weights[j] <x, kernels[j]>^powers[j],
+    at the rows of xs, pointwise."""
+    w = ((xs @ kernels.conj().T) ** powers) @ weights
+    return (1.0 + M * w) / (1.0 + w / M)
+
+
+def _ball_points(rng, count, n, radius=None):
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    r = rng.random(count) ** (1.0 / (2 * n)) if radius is None else radius
+    return z * np.reshape(r, (-1, 1))
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bounded_draws_are_bounded_by_their_M(n, boundary, monkeypatch):
+    rng = np.random.default_rng(n)
+    for _, (M, *schur) in _bounded_draws(monkeypatch, n, boundary, 4):
+        xs = np.concatenate([_ball_points(rng, 10_000, n), _ball_points(rng, 10_000, n, 0.999)])
+        assert np.abs(_closed_form_s(M, *schur, xs)).max() < M
+        assert _closed_form_s(M, *schur, np.zeros((1, n)))[0] == 1.0
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bounded_draws_are_the_jets_of_their_closed_forms(n, boundary, monkeypatch):
+    # f(t e) = s(t e) t e, so the Taylor coefficient of t^k in s(t e), taken
+    # by the FFT on the circle of radius 0.3, times e is P_{k+1}(e)
+    radius, points = 0.3, 32
+    t = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    for (f, _, _, es), (M, *schur) in _bounded_draws(monkeypatch, n, boundary, 4):
+        for e in es[:4]:
+            taylor = np.fft.fft(_closed_form_s(M, *schur, t[:, None] * e)) / points
+            for k in (1, 2):
+                want = taylor[k] / radius**k * e
+                assert np.abs(f.poly(k + 1).eval(e) - want).max() <= 1e-12 * M
+
+
+def test_boundary_draws_reach_the_bound_on_both_branches(monkeypatch):
+    # at e = a, the first direction, the ratio to the bound is 1; the power
+    # 1 kernel gives a degree-2 part, the power 2 kernel none
+    branches = set()
+    for n in (2, 3):
+        for (f, M, lam, es), (_, _, kernels, powers) in _bounded_draws(monkeypatch, n, True, 60):
+            assert np.array_equal(es[0], kernels[0])
+            bound = verify.bounded_onedim_bound(M, lam)
+            for mu in (0.0, 1.7 - 0.4j):
+                ratio = np.linalg.norm(fekete.fs_mapping(f, es[0], lam, mu)) / bound
+                assert abs(ratio - 1.0) <= 1e-12
+            assert (f.poly(2).max_coeff() > 0) == (powers[0] == 1)
+            branches.add(int(powers[0]))
+    assert branches == {1, 2}
+
+
+@pytest.mark.parametrize("scale,tol", [(0.99, None), (1.0 - 1e-8, 1e-11)])
+def test_a_bound_below_its_value_fails_the_bounded_check(scale, tol, monkeypatch):
+    # the boundary trials meet the bound to rounding, so it holds at
+    # tolerance 1e-11, and a bound 1e-8 lower fails there
+    assert run_suite("bounds", tol=tol)[0].passed
+    real = verify.bounded_onedim_bound
+    monkeypatch.setattr(verify, "bounded_onedim_bound", lambda M, lam: scale * real(M, lam))
+    bounded, starlike = run_suite("bounds", tol=tol)
+    assert not bounded.passed
+    assert starlike.passed
+
+
+def test_bounds_passes_at_seeds_0_to_29_without_sampling_M(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("the bounds suite sampled M")
+
+    monkeypatch.setattr(estimates, "estimate_sup_modulus", sampled)
+    for seed in range(30):
+        for r in run_suite("bounds", seed=seed):
+            assert r.passed, f"{r.suite} at seed {seed}: residual {r.max_residual}"
