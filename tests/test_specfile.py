@@ -108,7 +108,7 @@ BAD_SPECS = {
     {"dim": 1, "order": 3,
      "polys": [{"entries": [{"index": [1, 1], "value": [[1.0, 0.0]]}]}]}
     """,
-    "unknown-top-level-key": '{"dim": 1, "order": 3, "onedim": []}',
+    "onedim-not-an-object": '{"dim": 1, "order": 3, "onedim": []}',
     "zero-dim": '{"dim": 0, "order": 3}',
     "nan-coefficient": """
     {"dim": 1, "order": 3,
@@ -137,6 +137,10 @@ BAD_SPECS = {
     "entry-not-an-object": """
     {"dim": 1, "order": 3, "polys": [{"degree": 2, "entries": [5]}]}
     """,
+    "onedim-entry-without-index": """
+    {"dim": 1, "order": 3,
+     "onedim": {"polys": [{"degree": 1, "entries": [{"value": [1.0, 0.0]}]}]}}
+    """,
     "boolean-dim": '{"dim": true, "order": 3}',
     "fractional-dim": '{"dim": 1.5, "order": 3}',
     "two-blocks-of-one-degree": """
@@ -153,6 +157,10 @@ BAD_SPECS = {
     "degree-above-order": """
     {"dim": 1, "order": 3,
      "polys": [{"degree": 2000, "entries": []}]}
+    """,
+    "onedim-degree-above-order": """
+    {"dim": 1, "order": 3,
+     "onedim": {"polys": [{"degree": 2000, "entries": []}]}}
     """,
     "pair-overflowing-a-float": """
     {"dim": 1, "order": 3,
