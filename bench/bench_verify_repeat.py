@@ -13,9 +13,10 @@ import pytest
 
 from fsjet.estimates import SupNormConfig, estimate_sup_modulus, sup_norm_fs
 from fsjet.fekete import fs_mapping, operator_norm_bilinear
-from fsjet.jets import compose, invert, iterate, random_jet
+from fsjet.jets import MappingJet, compose, invert, iterate, random_jet
 from fsjet.sampling import sample_sphere
 from fsjet.semigroup import sample_generator, semigroup_ode
+from fsjet.tensors import HomPoly, layout
 from fsjet.transforms import detect_onedim, root_transform
 from fsjet.verify import (
     DEFAULT_TRIALS,
@@ -63,6 +64,47 @@ def bench_iterate_16(benchmark, n, K):
     # 16 makes four squarings, at least what any binary powering scheme needs
     (f,) = _jets(n, K, 1, seed=50 + 10 * n + K)
     benchmark(iterate, f, 16)
+
+
+def _sparse_jets(n, K, per_degree, count, seed):
+    """Jets with ``per_degree`` nonzero monomials in each degree, drawn
+    without repeats, each with a complex Gaussian coefficient vector."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        polys = {}
+        for k in range(2, K + 1):
+            exponents = layout(n, k).exponents
+            picked = rng.choice(len(exponents), per_degree, replace=False)
+            z = 0.3 * rng.standard_normal((per_degree, 2, n))
+            monomials = {exponents[i]: v[0] + 1j * v[1] for i, v in zip(picked, z)}
+            polys[k] = HomPoly.from_monomials(k, n, n, monomials)
+        out.append(MappingJet(n, K, polys))
+    return out
+
+
+# jets with one and with three monomials per degree, the inputs on which
+# the kernel most likely forms a zero term, at a jet-algebra size and the top one
+SPARSE = [(n, K, per) for n, K in [(3, 6), (4, 7)] for per in (1, 3)]
+
+
+@pytest.mark.parametrize("n,K,per", SPARSE)
+def bench_sparse_compose(benchmark, n, K, per):
+    f, g = _sparse_jets(n, K, per, 2, seed=70 + 10 * n + K)
+    benchmark(compose, f, g)
+
+
+@pytest.mark.parametrize("n,K,per", SPARSE)
+def bench_sparse_invert(benchmark, n, K, per):
+    (f,) = _sparse_jets(n, K, per, 1, seed=80 + 10 * n + K)
+    benchmark(invert, f)
+
+
+@pytest.mark.parametrize("n,K,per", SPARSE)
+def bench_sparse_iterate_13(benchmark, n, K, per):
+    # 13 = 0b1101: three squarings and two compositions with the sparse f
+    (f,) = _sparse_jets(n, K, per, 1, seed=90 + 10 * n + K)
+    benchmark(iterate, f, 13)
 
 
 @pytest.mark.parametrize("trials", [2, 20])

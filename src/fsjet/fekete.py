@@ -10,14 +10,12 @@ equals 2 B[u, v].
 
 from __future__ import annotations
 
-import itertools
-import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jets import MappingJet, _paired, _stack_of, compose
+from .jets import MappingJet, _integer, _paired, _stack_of, compose
 from .tensors import HomPoly, _check_vector, eval_rows, layout
 
 E_NORM_TOL = 1e-6
@@ -161,10 +159,9 @@ def operator_norm_bilinear(
     raises its value by at most 1e-4 of it, or lowers it, which settles
     it into its basin; the best start then steps on until it is
     first-order optimal, ||B[x, .]* B[x, x] - ||B[x, x]||^2 x|| at most
-    1e-8 ||B[x, x]||^2, a rule tested after each step that raises its
-    value by at most 1e-12 of it.  A start runs at most ``iters`` steps,
-    the best start's in both phases counted together; the default lets
-    nearly flat maxima, where the steps converge slowly, meet the rule.
+    1e-8 ||B[x, x]||^2.  A start runs at most ``iters`` steps in each
+    phase; the default lets nearly flat maxima, where the steps converge
+    slowly, meet the rule.
     A start whose value is 0 does not step.  The best start is picked from
     loosely settled values, so a second basin within about 1e-4 of its
     value may be missed.  The value is measured at the returned unit
@@ -217,8 +214,7 @@ def operator_norm_bilinear(
         for lo in range(0, len(live), block):
             inits = np.array([_starts(n, starts, seeds[i]) for i in live[lo : lo + block]])
             winners.append(_basin_winners(D[lo : lo + block], inits, iters))
-        xs, caps = map(np.concatenate, zip(*winners))
-        xs, values, _ = _steps(D, xs, caps)
+        xs, values = _steps(D, np.concatenate(winners), iters)
         for j, i in enumerate(live):
             out[i] = BilinearNormEstimate(float(scale[j] * values[j]), xs[j], xs[j])
     return out[0] if T is None else out
@@ -226,12 +222,9 @@ def operator_norm_bilinear(
 
 def _count(name: str, given, least: int = 1) -> int:
     """``given`` as an int of at least ``least`` (1 or 0), the one check of
-    every count argument: a non-integer raises TypeError, a smaller count
-    ValueError, each naming the argument."""
-    try:
-        count = operator.index(given)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {given!r}") from None
+    every count argument: ``_integer``, then a smaller count raises
+    ValueError naming the argument."""
+    count = _integer(name, given)
     if count < least:
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {count}")
     return count
@@ -260,7 +253,7 @@ def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
     = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n): one cell per
     (tensor, start), each a row that carries its own copy of its tensor.
     Polarises the basis starts in ``inits`` first, as B_l[e_i, e_i] can be
-    0.  Returns the best cell of each tensor as (x, steps left)."""
+    0.  Returns the x of the best cell of each tensor."""
     L, S, n = inits.shape
     k = min(S, n)
     B = D.reshape(L, n, n, -1)
@@ -275,52 +268,41 @@ def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
     inits[:, :k] += sign[:, :, None] * np.eye(n)[j]
     inits[:, :k] /= _row_norms(inits[:, :k])[:, :, None]
     cells = np.repeat(np.arange(L), S)  # the tensor of each cell
-    x, vals, caps = _steps(D[cells], inits.reshape(-1, n), np.full(L * S, iters), basin=True)
-    best = vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)
-    return x[best], caps[best]
+    x, vals = _steps(D[cells], inits.reshape(-1, n), iters, basin=True)
+    return x[vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)]
 
 
 # A first-phase step that raises its cell's value by at most _BASIN of it,
 # or lowers it, settles the cell; the second phase stops a cell once its
-# first-order residual is at most _FIRST_ORDER * ||B[x, x]||^2, tested
-# after steps that raise the value by at most _NEAR of it.
+# first-order residual is at most _FIRST_ORDER * ||B[x, x]||^2.
 _BASIN = 1e-4
 _FIRST_ORDER = 1e-8
-_NEAR = 1e-12
 
 
-def _steps(D: np.ndarray, x: np.ndarray, caps: np.ndarray, basin: bool = False):
+def _steps(D: np.ndarray, x: np.ndarray, cap: int, basin: bool = False):
     """Symmetric power steps for every cell, one per row of D and x, until
-    it has had caps[cell] steps (none if its value ||B[x, x]|| is 0) or
-    its last step met the basin rule, with ``basin``, else the first-order
-    rule.  Returns each cell's last x, its value there and the steps it
-    had left, in new arrays."""
+    it has had ``cap`` steps (none if its value ||B[x, x]|| is 0) or its
+    last step met the basin rule, with ``basin``, else the first-order
+    rule.  Returns each cell's last x and its value there, in new arrays."""
     val, z = _step_terms(D, x)
-    caps = np.where(val > 0, caps, 0)
-    out = [x.copy(), val, caps]
-    cells, stop = np.arange(len(x)), np.zeros(len(x), bool)
-    for k in itertools.count():
-        done = stop | (caps <= k)
+    xs, vals = x.copy(), val
+    cells, stop = np.arange(len(x)), ~(val > 0)
+    for k in range(cap + 1):
+        done = stop | (k == cap)
         if np.count_nonzero(done):
             c = cells[done]
-            for a, y in zip(out, (x, val, caps - k)):
-                a[c] = y[done]
+            xs[c], vals[c] = x[done], val[done]
             keep = ~done
             if not np.count_nonzero(keep):
-                return out
-            cells, D, x, z, val, caps = (a[keep] for a in (cells, D, x, z, val, caps))
+                return xs, vals
+            cells, D, x, z, val = (a[keep] for a in (cells, D, x, z, val))
         x = z / _row_norms(z)[:, None]
         old, (val, z) = val, _step_terms(D, x)
         if basin:
             stop = val - old <= _BASIN * val
         else:
-            # from a point with residual r, a step raises the value by
-            # about (r / rho)^2 of it, so a step that still raised it by
-            # more than _NEAR of it is taken as unconverged without the test
-            stop = val - old <= _NEAR * val
-            if np.count_nonzero(stop):
-                rho = val * val
-                stop &= _row_norms(z - rho[:, None] * x) <= _FIRST_ORDER * rho
+            rho = val * val
+            stop = _row_norms(z - rho[:, None] * x) <= _FIRST_ORDER * rho
 
 
 def _step_terms(D: np.ndarray, x: np.ndarray):

@@ -93,10 +93,7 @@ class MappingJet:
         x = _check_vector(x, self.dim)
         if np.linalg.norm(x) >= 1:
             warnings.warn("evaluating a jet outside the unit ball", stacklevel=2)
-        out = x.copy()
-        for P in self.polys.values():
-            out += P.eval(x)
-        return out
+        return self.eval_many(x[None])[0]
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=complex)
@@ -192,16 +189,6 @@ def _from_terms(comps: list[dict], n: int, K: int, T: int | None = None):
     return jet(values) if T is None else [jet(v) for v in values]
 
 
-def _nonzero(terms: dict) -> dict:
-    """The terms whose coefficient is not exactly zero; a (T,) column of a
-    stack is kept when any of its entries is nonzero (NaN counts)."""
-    for c in terms.values():
-        if isinstance(c, np.ndarray):
-            return {r: c for r, c in terms.items() if c.any()}
-        break
-    return {r: c for r, c in terms.items() if c != 0}
-
-
 def _pmul(a: dict, b: dict, max_deg: int, graded: _Graded) -> dict:
     """a * b truncated at total degree ``max_deg``, at most graded's K.
     Each coefficient is a complex number or a stack's (T,) column.
@@ -210,7 +197,8 @@ def _pmul(a: dict, b: dict, max_deg: int, graded: _Graded) -> dict:
     degree, so each term of a multiplies only the prefix of b that fits
     under ``max_deg`` with it, and reads the rank of each product from its
     pair row: no exponent is formed, and no pair is formed only to be
-    dropped.
+    dropped.  A product that cancels stays as a zero term: sparsity is
+    decided once per polynomial, in ``_terms``, not per product.
     """
     degree, offsets, pairs = graded.degree, graded.offsets, graded.pairs
     ranks = sorted(b, key=degree.__getitem__)
@@ -229,7 +217,7 @@ def _pmul(a: dict, b: dict, max_deg: int, graded: _Graded) -> dict:
         for rb, cb in fits[degree[ra]]:
             r = row[rb]
             out[r] = get(r, 0.0) + ca * cb
-    return _nonzero(out)
+    return out
 
 
 def _power_table(g: list[dict], exponents, K: int) -> dict[int, dict]:
@@ -269,7 +257,8 @@ def _power_table(g: list[dict], exponents, K: int) -> dict[int, dict]:
 def _combine(f: list[dict], table: dict[int, dict]) -> list[dict]:
     """Components of sum_a f_a g^a: each term of f scales the power of g
     that ``table`` holds for its rank.  Every rank of f must be in
-    ``table``."""
+    ``table``.  Each component holds every rank that a product reached,
+    a sum that cancels included, as ``_pmul``'s result does."""
     out: list[dict] = []
     for comp in f:
         acc: dict = {}
@@ -277,8 +266,7 @@ def _combine(f: list[dict], table: dict[int, dict]) -> list[dict]:
         for a, c in comp.items():
             for e, v in table[a].items():
                 acc[e] = get(e, 0.0) + c * v
-        # exact zeros only; callers clean up with their own tolerance
-        out.append(_nonzero(acc))
+        out.append(acc)
     return out
 
 
@@ -313,6 +301,16 @@ def _paired(T: int, count: int, what: str) -> None:
     """ValueError unless a stack of T members has ``count`` of ``what``."""
     if count != T:
         raise ValueError(f"{count} {what} for a stack of {T}: index {min(T, count)} has no partner")
+
+
+def _integer(name: str, given) -> int:
+    """``given`` as an int, the integer check of every count argument:
+    anything ``operator.index`` accepts, so a bool counts as its int; a
+    non-integer raises TypeError naming the argument."""
+    try:
+        return operator.index(given)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {given!r}") from None
 
 
 def _identities(n: int, K: int, T: int | None):
@@ -402,10 +400,7 @@ def iterate(f, m: int):
     stops once every row is not finite.  ``m`` must be an integer
     (anything ``operator.index`` accepts), else ``TypeError``.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise TypeError(f"iteration count must be an integer, got {m!r}") from None
+    m = _integer("iteration count", m)
     f, T, f0 = _stack_of(f)
     if m == 0:
         return _identities(f0.dim, f0.order, T)

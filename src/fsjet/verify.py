@@ -36,7 +36,7 @@ import numpy as np
 from . import fekete
 from .estimates import bounded_onedim_bound
 from .fekete import fs_mapping
-from .jets import compose, invert, iterate, random_jet, unitary_conjugate
+from .jets import _integer, compose, invert, iterate, random_jet, unitary_conjugate
 from .reporting import Report
 from .sampling import sample_params, sample_sphere
 from .semigroup import (
@@ -587,8 +587,15 @@ def run_suite(
     A dimension below 1 in ``dims``, or one whose degree-``SUITE_MAX_DEGREE``
     basis is over ``tensors.LAYOUT_BUDGET``, a negative ``seed``, a
     negative ``trials``, or a NaN, infinite or negative ``tol`` raises
-    ``SuiteArgumentError``, a ``ValueError``, before any suite runs."""
-    for d in dims or ():
+    ``SuiteArgumentError``, a ``ValueError``, before any suite runs.
+    ``trials``, ``seed`` and each dimension go through the integer check
+    of every count: a non-integer raises ``TypeError`` naming the
+    argument, and a bool counts as its int."""
+    if trials is not None:
+        trials = _integer("trials", trials)
+    seed = _integer("seed", seed)
+    dims = [_integer("dims", d) for d in dims or ()]
+    for d in dims:
         if d < 1:
             raise SuiteArgumentError(f"dimension {d} is not positive")
         try:

@@ -2,6 +2,7 @@
 norm estimator."""
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -710,14 +711,24 @@ def _cancelling_tensor():
     return HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [0, 2], (2, 2): [-1, -4]})
 
 
+class _StepCall(NamedTuple):
+    D: np.ndarray
+    x: np.ndarray
+    cap: int
+    basin: bool
+    x_out: np.ndarray
+
+
 def _step_calls(monkeypatch):
-    """The x of every ``_steps`` call from now on, one list per call."""
+    """Every ``_steps`` call from now on, with the x it returned."""
     calls = []
     real = fekete._steps
 
-    def recording(D, x, caps, basin=False):
-        calls.append(x.copy())
-        return real(D, x, caps, basin)
+    def recording(D, x, cap, basin=False):
+        x_in = x.copy()
+        out = real(D, x, cap, basin)
+        calls.append(_StepCall(D, x_in, cap, basin, out[0]))
+        return out
 
     monkeypatch.setattr(fekete, "_steps", recording)
     return calls
@@ -743,7 +754,26 @@ def test_operator_norm_polarises_each_start_before_its_first_phase(monkeypatch):
     est = operator_norm_bilinear(_cancelling_tensor(), starts=1)
     assert len(calls) == 2
     assert abs(est.value - 4.8818) <= 1e-4
-    assert np.allclose(calls[0], [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
+    assert np.allclose(calls[0].x, [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
+
+
+def test_operator_norm_gives_each_phase_its_own_cap(monkeypatch):
+    # both phases, lone and stacked, may run ``iters`` steps: the second
+    # does not run on what the first left over, so at one step the winner
+    # of the first phase still takes one step of the second
+    calls = _step_calls(monkeypatch)
+    tensors = [random_jet(3, 2, np.random.default_rng(190 + t)).poly(2) for t in range(3)]
+    operator_norm_bilinear(tensors[0], iters=7)
+    operator_norm_bilinear(tensors, iters=7, seed=[0, 1, 2])
+    assert [(c.cap, c.basin) for c in calls] == [(7, True), (7, False)] * 2
+    calls.clear()
+    est = operator_norm_bilinear(tensors[0], starts=1, iters=1)
+    assert [(c.cap, c.basin) for c in calls] == [(1, True), (1, False)]
+    polish = calls[1]
+    _, z = fekete._step_terms(polish.D, polish.x)
+    assert np.array_equal(polish.x_out, z / fekete._row_norms(z)[:, None])
+    assert not np.array_equal(polish.x_out, polish.x)
+    assert np.array_equal(est.u, polish.x_out[0])
 
 
 def test_operator_norm_start_takes_the_sign_with_the_larger_value(monkeypatch):
@@ -753,4 +783,4 @@ def test_operator_norm_start_takes_the_sign_with_the_larger_value(monkeypatch):
     B = HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [2, 0], (2, 2): [-3, 0]})
     calls = _step_calls(monkeypatch)
     operator_norm_bilinear(B, starts=1)
-    assert np.allclose(calls[0], [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
+    assert np.allclose(calls[0].x, [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)

@@ -117,6 +117,120 @@ def test_sympy_oracle_rejects_a_moved_coefficient(monkeypatch, degree):
         _assert_matches_exact(exact, compose(f, g))
 
 
+# -- integer jets whose products cancel inside the kernel -------------------
+
+
+def _cancelling_jet(n, K, rng):
+    """f_i = x_i + 2 c_i x_i x_j - 2 c_i^2 x_i x_j^2 + d_i x_i^2, j = i + 1
+    mod n, for drawn Gaussian integers c_i (nonzero) and d_i, as exact
+    sympy terms and as the MappingJet: the x_i^2 x_j^2 term of f_i^2 is
+    (2 c_i)^2 - 2 (2 c_i^2) = 0, so from K = 4 every power table that
+    holds x_i^2 forms a sum that cancels exactly.  Every coefficient of a
+    composite, inverse or iterate is then a Gaussian integer too."""
+    terms = {}
+    for i in range(n):
+        j = (i + 1) % n
+        c = complex(rng.integers(1, 3), rng.integers(-2, 3))
+        d = complex(*rng.integers(-2, 3, 2))
+        unit = np.eye(n, dtype=int)
+        for exps, coef in ((unit[i] + unit[j], 2 * c), (unit[i] + 2 * unit[j], -2 * c * c),
+                           (2 * unit[i], d)):
+            terms.setdefault(tuple(exps.tolist()), np.zeros(n, complex))[i] += coef
+    exact = {e: [QQ_I(int(v.real), int(v.imag)) for v in vec] for e, vec in terms.items()}
+    polys = {k: HomPoly.from_monomials(k, n, n, {e: v for e, v in terms.items() if sum(e) == k})
+             for k in (2, 3)}
+    return exact, MappingJet(n, K, polys)
+
+
+def _exact_terms(comps, n):
+    """The degree-2-and-up terms of exact components, keyed as the jets of
+    ``_rational_jet`` are."""
+    out = {}
+    for i, comp in enumerate(comps):
+        for m, c in comp.items():
+            if sum(m) >= 2:
+                out.setdefault(m, [QQ_I.zero] * n)[i] = c
+    return out
+
+
+def _exact_inverse(f_exact, n, K):
+    """The terms of f's inverse by the fixed point g <- x - (f(g) - g):
+    from g = x, each pass makes g exact in one more degree."""
+    x = _exact_composition({}, {}, n, K)
+    g = {}
+    for _ in range(K - 1):
+        fg, gs = _exact_composition(f_exact, g, n, K), _exact_composition({}, g, n, K)
+        g = _exact_terms([xi - fi + gi for xi, fi, gi in zip(x, fg, gs)], n)
+    return g
+
+
+def _exact_iterate(f_exact, m, n, K):
+    """The components of the m-th iterate of f, one composition at a time."""
+    step = f_exact if m > 0 else _exact_inverse(f_exact, n, K)
+    h = {}
+    for _ in range(abs(m)):
+        h = _exact_terms(_exact_composition(step, h, n, K), n)
+    return _exact_composition({}, h, n, K)
+
+
+def _cancelled_sums(monkeypatch):
+    """Each sum of a lone call's kernel that cancels to exactly 0, one
+    entry per sum, recorded from now on."""
+    seen = []
+
+    def recording(real):
+        def run(*args):
+            out = real(*args)
+            for comp in out if isinstance(out, list) else [out]:
+                seen.extend(r for r, c in comp.items() if not isinstance(c, np.ndarray) and c == 0)
+            return out
+        return run
+
+    for name in ("_pmul", "_combine"):
+        monkeypatch.setattr(jets, name, recording(getattr(jets, name)))
+    return seen
+
+
+_KERNEL_CALLS = {
+    "compose": (lambda f, g: compose(f, g), _exact_composition),
+    "invert": (lambda f, g: invert(f),
+               lambda fe, ge, n, K: _exact_composition({}, _exact_inverse(fe, n, K), n, K)),
+    "iterate 3": (lambda f, g: iterate(f, 3), lambda fe, ge, n, K: _exact_iterate(fe, 3, n, K)),
+    "iterate -2": (lambda f, g: iterate(f, -2), lambda fe, ge, n, K: _exact_iterate(fe, -2, n, K)),
+}
+
+
+@pytest.mark.parametrize("n,K", [(2, 5), (3, 4)])
+def test_kernel_matches_exact_expansion_where_products_cancel(monkeypatch, n, K):
+    # the kernel keeps a sum that cancels as a zero term, so these inputs
+    # run every product it forms with no zero filter between them; lone
+    # and as rows of a stack that also holds a jet with an infinite
+    # coefficient, whose rows stay non-finite
+    rng = np.random.default_rng(70 + 10 * n + K)
+    exact, fs = map(list, zip(*(_cancelling_jet(n, K, rng) for _ in range(3))))
+    entries = fs[1].poly(3).entries.copy()
+    entries[0, 0] = np.inf
+    fs[1] = MappingJet(n, K, {**fs[1].polys, 3: HomPoly._trusted(3, n, n, entries)})
+    cancelled = _cancelled_sums(monkeypatch)
+    for name, (call, oracle) in _KERNEL_CALLS.items():
+        with np.errstate(invalid="ignore", over="ignore"):
+            rows = call(fs, fs[::-1])
+            lone = [call(f, g) for f, g in zip(fs, fs[::-1])]
+        for t, (row, want) in enumerate(zip(rows, lone)):
+            if not np.isfinite(want.max_coeff()):
+                assert t == 1 and not np.isfinite(row.max_coeff()), (name, t)
+                continue
+            cancelled.clear()
+            call(fs[t], fs[::-1][t])
+            assert cancelled, (name, t)
+            exact_t = oracle(exact[t], exact[::-1][t], n, K)
+            _assert_matches_exact(exact_t, want)
+            _assert_matches_exact(exact_t, row)
+            # an iterate's entries are divided by multinomials between
+            # compositions, so a row equals its lone call within rounding
+            assert row.allclose(want, atol=1e-12 * (1.0 + want.max_coeff())), (name, t)
+
+
 # -- group laws on small random jets ----------------------------------------
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -103,6 +103,32 @@ def test_negative_seed_is_rejected_before_any_suite(monkeypatch):
     assert issubclass(verify.SuiteArgumentError, ValueError)
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [({"trials": 2.5}, "trials"), ({"trials": "3"}, "trials"), ({"seed": 1.5}, "seed"),
+     ({"dims": [2, 2.5]}, "dims")],
+)
+def test_a_non_integer_count_is_rejected_before_any_suite(monkeypatch, kwargs, name):
+    # these used to fail inside a suite, each with its own TypeError: from
+    # range, numpy, math.comb or a comparison
+    seen = []
+    for key in verify._SUITES:
+        monkeypatch.setitem(
+            verify._SUITES, key, lambda trials, seed, **kw: seen.append(trials) or []
+        )
+    for suite in ("compose", "all"):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            run_suite(suite, **kwargs)
+    assert seen == []
+
+
+def test_a_bool_count_counts_as_its_int():
+    # seed=True used to run and put "seed": true in every report
+    reports = run_suite("compose", trials=True, seed=True, dims=[True, 2])
+    assert reports == run_suite("compose", trials=1, seed=1, dims=[1, 2])
+    assert all(type(r.seed) is int and r.trials == 1 for r in reports)
+
+
 def test_negative_trials_are_rejected_before_any_suite(monkeypatch):
     # a negative count used to pass every check, still run one
     # flow-property trial and report trials=-1
