@@ -126,12 +126,22 @@ def bench_operator_norm_bilinear(benchmark, n):
 def bench_operator_norm_stack(benchmark, n):
     # the stack that `fsjet verify error-bound` passes per dimension at its
     # 200 default trials: 100 trials of two order-3 jets each, the seeds
-    # alternating as the suite's do; 200 tensors at 32 starts are 7 blocks
-    # of the first phase, and the second runs once on all 200 best starts
+    # alternating as the suite's do; the first phase steps all 200 x 32
+    # (tensor, start) pairs as one batch, and the second runs once on all
+    # 200 best starts
     tensors = [f.poly(2) for f in _jets(n, 3, 200, seed=25)]
     for B in tensors:
         B.dense()
     benchmark(operator_norm_bilinear, tensors, seed=[0, 1] * 100)
+
+
+def bench_operator_norm_stack_1000(benchmark):
+    # a stack five times the suite's at n = 4: 32,000 (tensor, start)
+    # pairs in the first phase's one batch
+    tensors = [f.poly(2) for f in _jets(4, 3, 1000, seed=25)]
+    for B in tensors:
+        B.dense()
+    benchmark(operator_norm_bilinear, tensors, seed=[0, 1] * 500)
 
 
 def bench_fs_mapping_batch(benchmark):

@@ -22,9 +22,6 @@ E_NORM_TOL = 1e-6
 
 SCALAR_VARIANT_MU = {1: 0.0, 2: 1.0, 3: 2.0 / 3.0, 4: 2.0}
 
-NORM_BLOCK_CELLS = 1024
-
-
 def normalize_direction(e) -> np.ndarray:
     e = np.asarray(e, dtype=complex)
     norm = np.linalg.norm(e)
@@ -155,34 +152,32 @@ def operator_norm_bilinear(
     basis start e_i begins at (e_i + s e_j)/sqrt(2) for the j that
     maximises ||B[e_i, e_j]||, with the sign s = +1 or -1 that gives the
     larger ||B[x, x]|| (+1 on a tie), or at e_i if that j is i, so its
-    value is 0 only where B[e_i, .] is.  Every start steps until a step
-    raises its value by at most 1e-4 of it, or lowers it, which settles
-    it into its basin; the best start then steps on until it is
-    first-order optimal, ||B[x, .]* B[x, x] - ||B[x, x]||^2 x|| at most
-    1e-8 ||B[x, x]||^2.  A start runs at most ``iters`` steps in each
-    phase; the default lets nearly flat maxima, where the steps converge
-    slowly, meet the rule.
-    A start whose value is 0 does not step.  The best start is picked from
-    loosely settled values, so a second basin within about 1e-4 of its
-    value may be missed.  The value is measured at the returned unit
-    vector, ||B[x, x]|| = value, so it is a lower bound on the norm.  Each
-    tensor is divided by its largest entry modulus before the steps and
-    the value multiplied back, so the estimate scales with B.
-    Deterministic for a given seed.  A non-integer ``starts`` or ``iters``
-    raises ``TypeError``, one below 1 ``ValueError``.
+    value is 0 only where B[e_i, .] is.  Every start takes min(``iters``,
+    8) steps, with no stopping rule; the start of largest value then
+    steps on until it is first-order optimal, ||B[x, .]* B[x, x] -
+    ||B[x, x]||^2 x|| at most 1e-8 ||B[x, x]||^2, or for at most
+    ``iters`` steps; the default lets nearly flat maxima, where the steps
+    converge slowly, meet the rule.  A start whose value is 0 does not
+    step.  The best start is picked after 8 steps, so a second basin of
+    nearly its value may be missed.  The value is measured at the
+    returned unit vector, ||B[x, x]|| = value, so it is a lower bound on
+    the norm.  Each tensor is divided by its largest entry modulus before
+    the steps and the value multiplied back, so the estimate scales with
+    B.  Deterministic for a given seed.  A non-integer ``starts``,
+    ``iters`` or seed raises ``TypeError``, a ``starts`` or ``iters``
+    below 1 or a negative seed ``ValueError``.
 
     ``B`` may also be a sequence of degree-2 tensors of one shape, checked
     as ``jets.compose`` checks a stack, with ``seed`` one int for all of
     them or a sequence of one seed per tensor.  The result is then the
     list of estimates, each equal within rounding to the lone call on its
-    tensor and seed.  Each (tensor, start) pair is a cell of the batch,
-    which leaves it when it stops.  The first phase, which copies a tensor
-    per cell, runs in blocks of as many tensors as fit in
-    ``NORM_BLOCK_CELLS`` cells, at least one; the second runs once on the
-    best starts of the whole stack.  A tensor of another degree, or with a
-    NaN or infinite entry, raises ``ValueError`` naming its index in a
-    stack.  A lone tensor takes one int seed; a seed sequence with it
-    raises ``ValueError``.
+    tensor and seed.  The first phase steps all (tensor, start) pairs as
+    one batch, so its memory grows with tensors times starts; the second
+    runs once on the best starts of the whole stack, and a start leaves
+    it when it stops.  A tensor of another degree, or with a NaN or
+    infinite entry, raises ``ValueError`` naming its index in a stack.  A
+    lone tensor takes one int seed; a seed sequence with it raises
+    ``ValueError``.
     """
     starts, iters = _count("starts", starts), _count("iters", iters)
     polys, T, lead = _stack_of(B, "tensor", HomPoly, ("degree", "domain_dim", "codomain_dim"))
@@ -192,7 +187,8 @@ def operator_norm_bilinear(
         polys = [polys]
     if lead.degree != 2:
         raise ValueError(f"expected a degree-2 tensor{_at(T is None, 0)}, got degree {lead.degree}")
-    seeds = [seed] * len(polys) if np.ndim(seed) == 0 else [int(s) for s in seed]
+    given = [seed] * len(polys) if np.ndim(seed) == 0 else seed
+    seeds = [_count("seed", s, least=0) for s in given]
     _paired(len(polys), len(seeds), "seeds")
     n = lead.domain_dim
     dense = np.array([P.dense() for P in polys]).reshape(len(polys), n, -1)
@@ -206,15 +202,8 @@ def operator_norm_bilinear(
         # below overflows or underflows at any scale of B
         scale = np.abs(dense[live]).max(axis=(1, 2))
         D = dense[live] / scale[:, None, None]
-        # blocks of tensors bound the per-cell tensor copies of the first
-        # phase, which would otherwise dominate the peak memory of a large
-        # stack; each block passes on one winner per tensor
-        block = max(1, NORM_BLOCK_CELLS // starts)
-        winners = []
-        for lo in range(0, len(live), block):
-            inits = np.array([_starts(n, starts, seeds[i]) for i in live[lo : lo + block]])
-            winners.append(_basin_winners(D[lo : lo + block], inits, iters))
-        xs, values = _steps(D, np.concatenate(winners), iters)
+        inits = np.array([_starts(n, starts, seeds[i]) for i in live])
+        xs, values = _steps(D, _basin_winners(D, inits, iters), iters)
         for j, i in enumerate(live):
             out[i] = BilinearNormEstimate(float(scale[j] * values[j]), xs[j], xs[j])
     return out[0] if T is None else out
@@ -248,13 +237,14 @@ def _starts(n: int, starts: int, seed: int) -> np.ndarray:
     return inits
 
 
-def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
+def _basin_winners(D: np.ndarray, x: np.ndarray, iters: int):
     """The first phase for tensors D[l] (as (n, n*m) matrices, D[l][a, (b, k)]
-    = B_l[e_a, e_b]_k) from starts inits[l] of shape (S, n): one cell per
-    (tensor, start), each a row that carries its own copy of its tensor.
-    Polarises the basis starts in ``inits`` first, as B_l[e_i, e_i] can be
-    0.  Returns the x of the best cell of each tensor."""
-    L, S, n = inits.shape
+    = B_l[e_a, e_b]_k) from starts x[l] of shape (S, n), which it
+    overwrites: polarises the basis starts, as B_l[e_i, e_i] can be 0,
+    then takes min(``iters``, _FIRST_STEPS) steps from every start as one
+    (L, S, n) batch.  Returns the x of the start of largest value of each
+    tensor."""
+    L, S, n = x.shape
     k = min(S, n)
     B = D.reshape(L, n, n, -1)
     # j[l, i] maximises ||B_l[e_i, e_j]||; e_i + e_j is 2 e_i where j = i
@@ -265,25 +255,29 @@ def _basin_winners(D: np.ndarray, inits: np.ndarray, iters: int):
     l, i = np.indices((L, k))
     diag, cross = B[l, i, i] + B[l, j, j], 2.0 * B[l, i, j]
     sign = np.where(_row_norms(diag - cross) > _row_norms(diag + cross), -1.0, 1.0)
-    inits[:, :k] += sign[:, :, None] * np.eye(n)[j]
-    inits[:, :k] /= _row_norms(inits[:, :k])[:, :, None]
-    cells = np.repeat(np.arange(L), S)  # the tensor of each cell
-    x, vals = _steps(D[cells], inits.reshape(-1, n), iters, basin=True)
-    return x[vals.reshape(L, S).argmax(axis=1) + S * np.arange(L)]
+    x[:, :k] += sign[:, :, None] * np.eye(n)[j]
+    x[:, :k] /= _row_norms(x[:, :k])[:, :, None]
+    val, z = _step_terms(D, x)
+    for _ in range(min(iters, _FIRST_STEPS)):
+        # a start of value 0 stays where it is
+        np.divide(z, _row_norms(z)[:, :, None], out=x, where=(val > 0)[:, :, None])
+        val, z = _step_terms(D, x)
+    return x[np.arange(L), val.argmax(axis=1)]
 
 
-# A first-phase step that raises its cell's value by at most _BASIN of it,
-# or lowers it, settles the cell; the second phase stops a cell once its
-# first-order residual is at most _FIRST_ORDER * ||B[x, x]||^2.
-_BASIN = 1e-4
+# The first phase takes _FIRST_STEPS steps from every start; the second
+# stops a start once its first-order residual is at most
+# _FIRST_ORDER * ||B[x, x]||^2.
+_FIRST_STEPS = 8
 _FIRST_ORDER = 1e-8
 
 
-def _steps(D: np.ndarray, x: np.ndarray, cap: int, basin: bool = False):
-    """Symmetric power steps for every cell, one per row of D and x, until
+def _steps(D: np.ndarray, x: np.ndarray, cap: int):
+    """Symmetric power steps for every start, one per row of D and x, until
     it has had ``cap`` steps (none if its value ||B[x, x]|| is 0) or its
-    last step met the basin rule, with ``basin``, else the first-order
-    rule.  Returns each cell's last x and its value there, in new arrays."""
+    last step met the first-order rule; a start leaves the batch when it
+    stops.  Returns each start's last x and its value there, in new
+    arrays."""
     val, z = _step_terms(D, x)
     xs, vals = x.copy(), val
     cells, stop = np.arange(len(x)), ~(val > 0)
@@ -297,20 +291,20 @@ def _steps(D: np.ndarray, x: np.ndarray, cap: int, basin: bool = False):
                 return xs, vals
             cells, D, x, z, val = (a[keep] for a in (cells, D, x, z, val))
         x = z / _row_norms(z)[:, None]
-        old, (val, z) = val, _step_terms(D, x)
-        if basin:
-            stop = val - old <= _BASIN * val
-        else:
-            rho = val * val
-            stop = _row_norms(z - rho[:, None] * x) <= _FIRST_ORDER * rho
+        val, z = _step_terms(D, x)
+        rho = val * val
+        stop = _row_norms(z - rho[:, None] * x) <= _FIRST_ORDER * rho
 
 
 def _step_terms(D: np.ndarray, x: np.ndarray):
-    """For each row and the tensor D[row]: the value ||B[x, x]|| and
-    B[x, .]* B[x, x], which normalised is the step's new x."""
-    Bx = (x[:, None, :] @ D).reshape(len(x), x.shape[1], -1)  # Bx[r, b] = B_r[x_r, e_b]
-    w = np.matmul(x[:, None, :], Bx).transpose(0, 2, 1)  # (rows, m, 1): B[x, x]
-    return _row_norms(w[:, :, 0]), np.matmul(Bx.conj(), w)[:, :, 0]
+    """For tensors D[l] and points x[l], each one x of shape (n,) or a
+    batch of shape (S, n): the values ||B[x, x]|| and B[x, .]* B[x, x],
+    which normalised is the step's new x, in the shapes of x without its
+    last axis and of x."""
+    Bx = np.matmul(x.reshape(len(D), -1, x.shape[-1]), D).reshape(*x.shape, -1)  # B[x, e_b]
+    w = np.matmul(x[..., None, :], Bx)  # (..., 1, m): B[x, x]
+    z = np.matmul(Bx, w.conj().swapaxes(-1, -2))  # (..., n, 1): conj(B[x, .]* B[x, x])
+    return _row_norms(w[..., 0, :]), z[..., 0].conj()
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import pytest
 
 from fsjet import fekete
 from fsjet.fekete import (
-    NORM_BLOCK_CELLS,
     ell,
     fs_mapping,
     fs_scalar,
@@ -349,6 +348,33 @@ def test_operator_norm_takes_integer_counts(name, bad):
         operator_norm_bilinear(B, **{name: bad})
 
 
+@pytest.mark.parametrize(
+    "seed", [[0.5, 1.7], ["1", 2], 1.5, "3"], ids=["floats", "a-string-in-a-list", "float", "string"]
+)
+def test_operator_norm_takes_integer_seeds(seed):
+    # a float seed is not truncated to an int, and a string is not read
+    tensors = [random_jet(2, 2, np.random.default_rng(t)).poly(2) for t in range(2)]
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        operator_norm_bilinear(tensors if np.ndim(seed) else tensors[0], seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, [0, -1]], ids=["lone", "in-a-list"])
+def test_operator_norm_rejects_a_negative_seed(seed):
+    tensors = [random_jet(2, 2, np.random.default_rng(t)).poly(2) for t in range(2)]
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        operator_norm_bilinear(tensors if np.ndim(seed) else tensors[0], seed=seed)
+
+
+def test_operator_norm_seed_bool_counts_as_its_int():
+    tensors = [random_jet(2, 2, np.random.default_rng(t)).poly(2) for t in range(2)]
+    flagged = operator_norm_bilinear(tensors, seed=[False, True])
+    counted = operator_norm_bilinear(tensors, seed=[0, 1])
+    flagged.append(operator_norm_bilinear(tensors[0], seed=True))
+    counted.append(operator_norm_bilinear(tensors[0], seed=1))
+    for a, b in zip(flagged, counted):
+        assert a.value == b.value and np.array_equal(a.u, b.u)
+
+
 def test_operator_norm_zero_tensor_and_bad_starts():
     est = operator_norm_bilinear(HomPoly.zero(2, 3, 3), starts=4)
     assert est.value == 0.0
@@ -392,12 +418,10 @@ def test_operator_norm_mixed_stack_without_nan_or_warning(starts):
         assert abs(stacked[4].value - 2.0) <= 1e-12
 
 
-def test_operator_norm_stack_across_blocks():
-    # 40 tensors at 32 starts are 1,280 cells: a block of 32 tensors, then
-    # one of 8
+def test_operator_norm_stack_of_1280_start_pairs():
+    # 40 tensors at 32 starts are 1,280 (tensor, start) pairs in one batch
     rng = np.random.default_rng(122)
     tensors = [random_jet(3, 2, rng).poly(2) for _ in range(40)]
-    assert 32 * len(tensors) > NORM_BLOCK_CELLS >= 32 * 32
     _assert_stack_matches_lone_calls(tensors, list(range(40)))
 
 
@@ -635,18 +659,42 @@ def _banach_sup(B, starts, seed):
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
 
+def _oracle_tensors(family, n):
+    """Four tensors of a family at n, for tests against a sphere search:
+    sparse ones with about 30 % of their entries kept, and rank one
+    B[u, v] = (a.u)(a.v) c plus 0.05 noise."""
+    rng = np.random.default_rng([193, n])
+    dense = []
+    for _ in range(4):
+        # the tensor reads the entries at a <= b alone, so R need not be
+        # symmetric
+        R = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+        if family == "sparse":
+            dense.append(np.where(rng.random((n, n, n)) < 0.3, R, 0.0))
+        else:
+            a, c = (rng.standard_normal((n, 2)) @ np.array([1.0, 1j]) for _ in range(2))
+            dense.append(np.einsum("a,b,m->abm", a, a, c) + 0.05 * R)
+    return [_hompoly_from_dense(T) for T in dense]
+
+
 @pytest.mark.parametrize(
     "family,n",
-    [("error-bound", 2), ("error-bound", 3), ("random", 2), ("random", 3), ("random", 4), ("slow", 2)],
+    [("error-bound", 2), ("error-bound", 3), ("random", 2), ("random", 3), ("random", 4), ("slow", 2)]
+    + [(family, n) for family in ("sparse", "rank-one", "flat") for n in (2, 3, 4)],
 )
 def test_operator_norm_meets_banachs_equality(family, n):
-    # the error-bound suite's tensors and random ones, each against a
-    # sphere search of ||B[x, x]||, and the slowest of the nearly flat
-    # tensors, which needs about 5000 steps (2000 left it 7e-10 short)
+    # the error-bound suite's tensors, random, sparse, nearly rank-one and
+    # nearly flat ones, each against a sphere search of ||B[x, x]||, and
+    # the slowest of the nearly flat tensors of the slow tests, which needs
+    # about 5000 steps (2000 left it 7e-10 short)
     if family == "error-bound":
         tensors, seeds = _error_bound_tensors(8)[n]
     elif family == "slow":
         tensors, seeds = [_slowly_converging_tensor(n, 0.01, 2)], [2]
+    elif family == "flat":
+        tensors, seeds = [_slowly_converging_tensor(n, 0.05, trial) for trial in range(4)], range(4)
+    elif family in ("sparse", "rank-one"):
+        tensors, seeds = _oracle_tensors(family, n), range(4)
     else:
         rng = np.random.default_rng(190 + n)
         tensors, seeds = [random_jet(n, 2, rng).poly(2) for _ in range(4)], range(4)
@@ -711,27 +759,52 @@ def _cancelling_tensor():
     return HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [0, 2], (2, 2): [-1, -4]})
 
 
-class _StepCall(NamedTuple):
+class _NormCall(NamedTuple):
+    name: str  # "_steps", or "_step_terms" of the first phase
     D: np.ndarray
     x: np.ndarray
-    cap: int
-    basin: bool
-    x_out: np.ndarray
+    cap: int | None = None
+    x_out: np.ndarray | None = None
 
 
-def _step_calls(monkeypatch):
-    """Every ``_steps`` call from now on, with the x it returned."""
-    calls = []
-    real = fekete._steps
+def _norm_calls(monkeypatch):
+    """From now on, in order: every ``_step_terms`` call of the first phase
+    (outside ``_steps``) and every ``_steps`` call, each with its D and a
+    copy of its x, and a ``_steps`` call with its cap and the x it
+    returned."""
+    calls, polishing = [], []
+    steps, terms = fekete._steps, fekete._step_terms
 
-    def recording(D, x, cap, basin=False):
+    def recording_steps(D, x, cap):
         x_in = x.copy()
-        out = real(D, x, cap, basin)
-        calls.append(_StepCall(D, x_in, cap, basin, out[0]))
+        polishing.append(True)
+        out = steps(D, x, cap)
+        polishing.pop()
+        calls.append(_NormCall("_steps", D, x_in, cap, out[0]))
         return out
 
-    monkeypatch.setattr(fekete, "_steps", recording)
+    def recording_terms(D, x):
+        if not polishing:
+            calls.append(_NormCall("_step_terms", D, x.copy()))
+        return terms(D, x)
+
+    monkeypatch.setattr(fekete, "_steps", recording_steps)
+    monkeypatch.setattr(fekete, "_step_terms", recording_terms)
     return calls
+
+
+def _phases(calls):
+    """(first-phase steps, second-phase cap) of each estimate in ``calls``:
+    the first phase evaluates its starts once, then once after each
+    step."""
+    out, terms = [], 0
+    for c in calls:
+        if c.name == "_steps":
+            out.append((terms - 1, c.cap))
+            terms = 0
+        else:
+            terms += 1
+    return out
 
 
 def test_operator_norm_basis_start_turns_its_sign_where_it_cancels():
@@ -748,28 +821,35 @@ def test_operator_norm_basis_start_turns_its_sign_where_it_cancels():
 
 
 def test_operator_norm_polarises_each_start_before_its_first_phase(monkeypatch):
-    # one first phase from the signed start, then the second phase: two
-    # calls of the steps, with no second pass over a zero-valued start
-    calls = _step_calls(monkeypatch)
+    # the first phase evaluates the signed start first, then takes its 8
+    # steps and hands on to one second phase, with no second pass over a
+    # zero-valued start
+    calls = _norm_calls(monkeypatch)
     est = operator_norm_bilinear(_cancelling_tensor(), starts=1)
-    assert len(calls) == 2
+    assert _phases(calls) == [(8, 5000)]
     assert abs(est.value - 4.8818) <= 1e-4
-    assert np.allclose(calls[0].x, [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
+    assert np.allclose(calls[0].x, [[[1.0, -1.0]]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
 
 
 def test_operator_norm_gives_each_phase_its_own_cap(monkeypatch):
-    # both phases, lone and stacked, may run ``iters`` steps: the second
-    # does not run on what the first left over, so at one step the winner
-    # of the first phase still takes one step of the second
-    calls = _step_calls(monkeypatch)
+    # the first phase takes min(iters, 8) steps, lone and stacked, and the
+    # second may run ``iters`` steps: it does not run on what the first
+    # left over, so at one step the winner of the first phase still takes
+    # one step of the second
+    calls = _norm_calls(monkeypatch)
     tensors = [random_jet(3, 2, np.random.default_rng(190 + t)).poly(2) for t in range(3)]
     operator_norm_bilinear(tensors[0], iters=7)
     operator_norm_bilinear(tensors, iters=7, seed=[0, 1, 2])
-    assert [(c.cap, c.basin) for c in calls] == [(7, True), (7, False)] * 2
+    operator_norm_bilinear(tensors, seed=[0, 1, 2])
+    assert _phases(calls) == [(7, 7), (7, 7), (8, 5000)]
+    # the stack's first phase is one (tensors, starts, n) batch against
+    # one copy of each tensor
+    batches = {(c.D.shape, c.x.shape) for c in calls[8:] if c.name == "_step_terms"}
+    assert batches == {((3, 3, 9), (3, 32, 3))}
     calls.clear()
     est = operator_norm_bilinear(tensors[0], starts=1, iters=1)
-    assert [(c.cap, c.basin) for c in calls] == [(1, True), (1, False)]
-    polish = calls[1]
+    assert _phases(calls) == [(1, 1)]
+    polish = calls[-1]
     _, z = fekete._step_terms(polish.D, polish.x)
     assert np.array_equal(polish.x_out, z / fekete._row_norms(z)[:, None])
     assert not np.array_equal(polish.x_out, polish.x)
@@ -781,6 +861,6 @@ def test_operator_norm_start_takes_the_sign_with_the_larger_value(monkeypatch):
     # column of largest ||B[e1, e_j]||, and ||B11 + B22 +- 2 B12|| is 2 for
     # plus and 6 for minus, both nonzero, so the start takes minus
     B = HomPoly(2, 2, 2, {(1, 1): [1, 0], (1, 2): [2, 0], (2, 2): [-3, 0]})
-    calls = _step_calls(monkeypatch)
+    calls = _norm_calls(monkeypatch)
     operator_norm_bilinear(B, starts=1)
-    assert np.allclose(calls[0].x, [[1.0, -1.0]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
+    assert np.allclose(calls[0].x, [[[1.0, -1.0]]] / np.sqrt(2.0), rtol=0.0, atol=1e-15)
