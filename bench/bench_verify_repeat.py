@@ -4,8 +4,9 @@ the advertised (n, K) = (4,7).
 
 The same file times an older checkout: ``bench/paired.py`` runs it
 against both trees.  A case whose API the older checkout lacks (the
-batch and stack calls of ``fs_mapping``, ``compose`` and ``invert``)
-fails there, and ``paired.py`` lists it unpaired.
+batch and stack calls of ``fs_mapping``, ``compose`` and ``invert``, and
+the D directions per jet of a stacked ``fs_mapping``) fails there, and
+``paired.py`` lists it unpaired.
 """
 
 import numpy as np
@@ -168,6 +169,14 @@ def bench_invert_stack(benchmark):
 def bench_fs_mapping_stack(benchmark):
     fs = _jets(3, 3, STACK, seed=63)
     es = sample_sphere(np.random.default_rng(63), STACK, 3)
+    benchmark(fs_mapping, fs, es, 0.3 - 0.2j, 0.8)
+
+
+def bench_fs_mapping_directions(benchmark):
+    # the call of `fsjet verify bounds` per dimension at its 50 default
+    # trials: 25 jets of C^3, each with its own 64 directions
+    fs = _jets(3, 3, 25, seed=64)
+    es = sample_sphere(np.random.default_rng(64), 25 * 64, 3).reshape(25, 64, 3)
     benchmark(fs_mapping, fs, es, 0.3 - 0.2j, 0.8)
 
 

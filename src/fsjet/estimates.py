@@ -8,8 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fekete import _count, _psi_rows, finite_params
-from .jets import MappingJet
+from .fekete import _psi_rows, finite_params
+from .jets import MappingJet, _count
 from .sampling import sample_sphere
 from .transforms import OneDimJet
 
@@ -103,7 +103,7 @@ def sup_norm_fs(
         # v may lie up to FD_STEP off the sphere: Psi is evaluated there as
         # it is, without the check and normalization of fs_mapping
         e = _complexify(v)
-        return float(np.linalg.norm(_psi_rows(f, e[None, :], lam, mu), axis=1)[0]) ** 2
+        return float(np.linalg.norm(_psi_rows(f, e[None, None], lam, mu), axis=-1)[0, 0]) ** 2
 
     def gradient(v: np.ndarray) -> np.ndarray:
         h = FD_STEP
@@ -158,9 +158,11 @@ def estimate_sup_modulus(
 
     ``s`` is batched: it is called once on the (samples, dim) array of
     sample points and must return their (samples,) values.  A ``samples``
-    that is not an integer of at least 1 raises TypeError or ValueError.
+    that is not an integer of at least 1, or a ``seed`` that is not one of
+    at least 0, raises TypeError or ValueError.
     """
     samples = _count("samples", samples)
+    seed = _count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     xs = sample_sphere(rng, samples, dim)
     xs *= SUP_SAMPLE_RADIUS
@@ -193,9 +195,11 @@ def check_bounded_onedim_bound(
     ``estimate_sup_modulus``; ``f.s_eval`` is one.  The mapping must
     genuinely be bounded with M > 1 for the hypothesis to apply; M <= 1 is
     rejected.  A ``directions`` or ``samples`` that is not an integer of
-    at least 1 raises TypeError or ValueError before any sampling.
+    at least 1, or a ``seed`` that is not one of at least 0, raises
+    TypeError or ValueError before any sampling.
     """
     directions = _count("directions", directions)
+    seed = _count("seed", seed, least=0)
     M = estimate_sup_modulus(s, f.dim, samples=samples, seed=seed)
     if M <= 1.0:
         raise ValueError(f"sampled bound M={M:.6g} <= 1; the estimate needs M > 1")

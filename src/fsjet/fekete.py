@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jets import MappingJet, _integer, _paired, _stack_of, compose
-from .tensors import HomPoly, _check_vector, eval_rows, layout
+from .jets import MappingJet, _count, _paired, _stack_of, compose
+from .tensors import HomPoly, _check_vector, _evaluate, basis_coefficients, layout
 
 E_NORM_TOL = 1e-6
 
@@ -32,8 +32,8 @@ def normalize_direction(e) -> np.ndarray:
 
 def finite_params(lam, mu, T: int | None = None) -> tuple:
     """(lam, mu) as complex numbers, the one check of both.  For a stack
-    of T jets, each may also be T values, one per row, returned as a
-    (T, 1) column.  A non-number, a NaN or infinite value, or values of
+    of T jets, each may also be T values, one per jet, returned as a
+    (T, 1, 1) array.  A non-number, a NaN or infinite value, or values of
     another shape or count raise ``ValueError``."""
     out = []
     for name, given in (("lambda", lam), ("mu", mu)):
@@ -50,7 +50,7 @@ def finite_params(lam, mu, T: int | None = None) -> tuple:
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"{name} must be finite, got {z.reshape(-1)[i]}{_at(z.ndim == 0, i)}")
-        out.append(z[:, None] if z.ndim else complex(z))
+        out.append(z[:, None, None] if z.ndim else complex(z))
     return tuple(out)
 
 
@@ -61,57 +61,58 @@ def fs_mapping(f, e, lam, mu) -> np.ndarray:
     a batch of shape (N, n), giving the (N, n) array whose row i is Psi at
     row i of ``e``.  ``f`` may also be a sequence of T >= 1 jets of one
     (dim, order), checked as ``compose`` checks it, with ``e`` a (T, n)
-    array of one direction per jet and ``lam`` and ``mu`` each a scalar
-    or a length-T sequence: row t of the (T, n) result is Psi of jet t at
-    direction t with its lam and mu.  Each direction must be a unit vector within
-    ``E_NORM_TOL`` and is normalized once more.  A direction of another
-    shape, off the sphere or with a NaN entry, or a lam or mu that
-    ``finite_params`` rejects, raises ``ValueError`` naming the row.
-    <Psi_e, e> is ``np.vdot(e, Psi_e)`` for the normalized e.
+    array of one direction per jet, giving the (T, n) array of Psi of jet
+    t at direction t, or a (T, D, n) array of D directions per jet, giving
+    the (T, D, n) array; ``lam`` and ``mu`` are each a scalar or a
+    length-T sequence, one value per jet.  Each direction must be a unit
+    vector within ``E_NORM_TOL`` and is normalized once more.  A direction
+    of another shape, off the sphere or with a NaN entry, or a lam or mu
+    that ``finite_params`` rejects, raises ``ValueError`` naming where it
+    is.  <Psi_e, e> is ``np.vdot(e, Psi_e)`` for the normalized e.
     """
     f, T, f0 = _stack_of(f)
     lam, mu = finite_params(lam, mu, T)
     es = np.asarray(e, dtype=complex)
-    n = f0.dim
-    if T is not None:
-        if es.ndim != 2 or es.shape[1] != n:
-            raise ValueError(f"expected directions of shape (T, {n}), got shape {es.shape}")
+    n, stacked = f0.dim, T is not None
+    if es.ndim - stacked not in (1, 2) or es.shape[-1] != n:
+        shapes = f"(T, {n}) or (T, D, {n})" if stacked else f"({n},) or (N, {n})"
+        raise ValueError(f"expected directions of shape {shapes}, got shape {es.shape}")
+    if stacked:
         _paired(T, len(es), "directions")
-    elif es.ndim not in (1, 2) or es.shape[-1] != n:
-        raise ValueError(f"expected shape ({n},) or (N, {n}), got shape {es.shape}")
-    elif es.ndim == 1:
-        return _psi_rows(f, normalize_direction(es)[None], lam, mu)[0]
-    return _psi_rows(f, _unit_rows(es), lam, mu)
+    units = _unit_rows(es) if es.ndim > 1 else normalize_direction(es)
+    # every form as the (T, D, n) directions of _psi_rows, a lone jet as T = 1
+    return _psi_rows(f, units.reshape(T or 1, -1, n), lam, mu).reshape(es.shape)
 
 
 def _unit_rows(es: np.ndarray) -> np.ndarray:
-    """The rows of the (N, n) array es, each checked to be a unit vector
-    within ``E_NORM_TOL`` and normalized once more."""
+    """The directions along the last axis of es, each checked to be a unit
+    vector within ``E_NORM_TOL`` and normalized once more."""
     norms = _row_norms(np.ascontiguousarray(es))
     off = ~(np.abs(norms - 1.0) <= E_NORM_TOL)  # also true for a NaN norm
     if off.any():
-        i = int(off.argmax())
-        raise ValueError(f"direction {i} must be a unit vector (norm {norms[i]:.6g})")
-    return es / norms[:, None]
+        at = np.unravel_index(int(off.argmax()), off.shape)
+        where = int(at[0]) if off.ndim == 1 else tuple(map(int, at))
+        raise ValueError(f"direction {where} must be a unit vector (norm {norms[at]:.6g})")
+    return es / norms[..., None]
 
 
 def _psi_rows(f, es: np.ndarray, lam, mu) -> np.ndarray:
-    """Psi for each row of the (N, n) array es, via dense tensors, with no
-    check: the one implementation of the formula.  ``f`` is one jet, or a
-    list of N jets of one dim, row i then from jet i, with lam and mu
-    scalars or (N, 1) columns.  ``sup_norm_fs`` calls it on points near
-    the sphere, which must not be moved onto it."""
+    """Psi of jet t at direction es[t, d] of the (T, D, n) array es, via
+    dense tensors, with no check: the one implementation of the formula.
+    ``f`` is one jet, which serves as T = 1, or a list of T jets of one
+    dim, with lam and mu scalars or (T, 1, 1) arrays.  ``sup_norm_fs``
+    calls it on points near the sphere, which must not be moved onto it."""
     if isinstance(f, MappingJet):
-        # the cached tensor as a stack of one, which einsum broadcasts
+        # the cached tensor and coefficients as a stack of one
         B = f.poly(2).dense()[None]
-        P3 = f.poly(3).eval_many(es)
-    else:  # one tensor per row: (N, n, n, n) and the rows' own P3
+        cols, coef = f.poly(3)._compiled
+    else:
         B = _dense2(f)
-        P3 = eval_rows([g.poly(3) for g in f], es)
-    P2 = np.einsum("iabm,ia,ib->im", B, es, es)
-    BeP2 = np.einsum("iabm,ia,ib->im", B, es, P2)
-    proj = np.einsum("im,im->i", P2, es.conj())
-    return P3 - mu * BeP2 - (lam - mu) * proj[:, None] * P2
+        cols, coef = basis_coefficients([g.poly(3) for g in f])
+    P2 = np.einsum("tabm,tda,tdb->tdm", B, es, es)
+    BeP2 = np.einsum("tabm,tda,tdb->tdm", B, es, P2)
+    proj = np.einsum("tdm,tdm->td", P2, es.conj())
+    return _evaluate(cols, coef, es) - mu * BeP2 - (lam - mu) * proj[..., None] * P2
 
 
 def _dense2(jets: list[MappingJet]) -> np.ndarray:
@@ -207,16 +208,6 @@ def operator_norm_bilinear(
         for j, i in enumerate(live):
             out[i] = BilinearNormEstimate(float(scale[j] * values[j]), xs[j], xs[j])
     return out[0] if T is None else out
-
-
-def _count(name: str, given, least: int = 1) -> int:
-    """``given`` as an int of at least ``least`` (1 or 0), the one check of
-    every count argument: ``_integer``, then a smaller count raises
-    ValueError naming the argument."""
-    count = _integer(name, given)
-    if count < least:
-        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {count}")
-    return count
 
 
 def _at(single: bool, i: int) -> str:

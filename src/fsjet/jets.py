@@ -313,6 +313,16 @@ def _integer(name: str, given) -> int:
         raise TypeError(f"{name} must be an integer, got {given!r}") from None
 
 
+def _count(name: str, given, least: int = 1) -> int:
+    """``given`` as an int of at least ``least`` (1 or 0), the one check of
+    every count argument: ``_integer``, then a smaller count raises
+    ValueError naming the argument."""
+    count = _integer(name, given)
+    if count < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {count}")
+    return count
+
+
 def _identities(n: int, K: int, T: int | None):
     """The identity jet, or a list of T of them."""
     return MappingJet.identity(n, K) if T is None else [MappingJet.identity(n, K)] * T

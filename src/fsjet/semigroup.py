@@ -11,23 +11,16 @@ degree-2 tensor of h.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fekete import _count, _unit_rows
-from .jets import MappingJet, _stack_of, compose, random_jet
+from .fekete import _unit_rows
+from .jets import MappingJet, _count, _integer, _stack_of, compose, random_jet
 from .reporting import Report
 from .sampling import sample_ball
-from .tensors import (
-    HomPoly,
-    _check_vector,
-    basis_coefficients,
-    monomials,
-    slot_product,
-)
+from .tensors import HomPoly, _check_vector, _evaluate, basis_coefficients, slot_product
 
 # the size of sample_generator's random parts
 SAMPLE_SCALE = 0.25
@@ -88,8 +81,10 @@ def is_generator(
     """Sampled test of Re <h(x), x> >= 0 on the ball (falsification only).
     A NaN value, as a jet with a non-finite coefficient gives, makes the
     residual NaN, so the report fails.  A ``samples`` that is not an
-    integer of at least 1 raises TypeError or ValueError."""
+    integer of at least 1, or a ``seed`` that is not one of at least 0,
+    raises TypeError or ValueError."""
     samples = _count("samples", samples)
+    seed = _count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     xs = sample_ball(rng, samples, h.dim, radius=1.0 - 1e-3)
     vals = np.real(np.einsum("ij,ij->i", h.eval_many(xs), xs.conj()))
@@ -166,7 +161,7 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
             f"step {step} is too small for times up to {ts[-1]}: more than "
             f"{RK4_MAX_STEPS} RK4 steps"
         )
-    field = _field(hs)
+    cols, coef = _field(hs)
     # each point with a last coordinate 1, which the field keeps fixed
     u = np.ones(xs.shape[:-1] + (xs.shape[-1] + 1,), complex)
     u[..., :-1] = xs
@@ -179,10 +174,10 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
         half, sixth = 0.5 * dt, dt / 6.0
         for _ in range(nsteps):
             # the stages of du/dt = -h(u), each h1..h4 the field itself
-            h1 = field(u)
-            h2 = field(u - half * h1)
-            h3 = field(u - half * h2)
-            h4 = field(u - dt * h3)
+            h1 = _evaluate(cols, coef, u)
+            h2 = _evaluate(cols, coef, u - half * h1)
+            h3 = _evaluate(cols, coef, u - half * h2)
+            h4 = _evaluate(cols, coef, u - dt * h3)
             u -= sixth * (h1 + 2.0 * (h2 + h3) + h4)
         out[i] = u[..., :-1]
         prev = float(t)
@@ -198,9 +193,10 @@ def _rk4(hs, ts, xs: np.ndarray, step: float) -> np.ndarray:
 
 def _field(hs):
     """The fields x -> h_j(x) of generators of one (dim, order) = (n, K),
-    as one function of a (J, N, n + 1) array whose slice j holds points
-    for h_j, each followed by a coordinate 1.  The value at a point is
-    h_j(x) followed by 0, so RK4 stages keep that coordinate 1.
+    as the index columns and (J, W, n + 1) coefficients that ``_evaluate``
+    takes at a (J, N, n + 1) array whose slice j holds points for h_j,
+    each followed by a coordinate 1.  The value at a point is h_j(x)
+    followed by 0, so RK4 stages keep that coordinate 1.
 
     Every degree from 1 (the identity) to K is one block of coefficients
     over its sorted multi-index basis (``tensors.basis_coefficients``).
@@ -224,12 +220,7 @@ def _field(hs):
         index[: len(cols), lo:hi] = cols
         coef[:, lo:hi, :n] = c
         lo = hi
-    index = tuple(index)
-
-    def field(x: np.ndarray) -> np.ndarray:
-        return np.matmul(monomials(x, index), coef)
-
-    return field
+    return tuple(index), coef
 
 
 def flow_taylor_via_ode(
@@ -255,7 +246,7 @@ def flow_taylor_via_ode(
     integration); ``times`` is an increasing sequence.  One
     integration serves every generator, time and degree, and each element
     equals, within rounding, the call on its generator alone.  A degree
-    must be an integer (``operator.index``, else ``TypeError``) with
+    must be an integer (else ``TypeError`` naming ``degrees``) with
     0 <= k < ``FLOW_TAYLOR_NODES``; others would alias and raise
     ``ValueError``.  ``semigroup_ode`` flows one point of one generator.
     """
@@ -265,7 +256,7 @@ def flow_taylor_via_ode(
     if es.shape != (J, dim):
         raise ValueError(f"expected directions of shape {(J, dim)}, got {es.shape}")
     _unit_rows(es)  # a check only: the directions are used as given
-    ks = [operator.index(k) for k in degrees]
+    ks = [_integer("degrees", k) for k in degrees]
     radius, nodes = FLOW_TAYLOR_RADIUS, FLOW_TAYLOR_NODES
     if any(not 0 <= k < nodes for k in ks):
         raise ValueError(f"degrees must lie in 0..{nodes - 1}, got {degrees}")

@@ -302,30 +302,7 @@ class HomPoly:
             raise ValueError(
                 f"expected an (N, {self.domain_dim}) array, got shape {xs.shape}"
             )
-        if xs.shape[0] > EVAL_BLOCK_ROWS:
-            # blocks of rows bound the (rows, T) monomial buffers, which
-            # would otherwise dominate the peak memory of a large batch
-            return np.concatenate(
-                [
-                    self.eval_many(xs[lo : lo + EVAL_BLOCK_ROWS])
-                    for lo in range(0, xs.shape[0], EVAL_BLOCK_ROWS)
-                ]
-            )
-        cols, coef = self._compiled
-        terms = monomials(xs, cols)
-        if self.codomain_dim == 1:
-            # a complex product with one output column runs on zgemv, which
-            # a multithreaded BLAS can make hundreds of times slower; the
-            # (2, T) real view [Re c; Im c] of the coefficient column, with
-            # the (T, 2N) real view of the monomials' transpose (contiguous
-            # as ``monomials`` returns it), gives sum c_t z_t as
-            # sum Re(c_t) z_t + i sum Im(c_t) z_t.  For m > 1 the complex
-            # product stays: the real form costs more on the one-row
-            # evaluations of ``sup_norm_fs``
-            re_im = coef.view(np.float64).T
-            w = (re_im @ np.ascontiguousarray(terms.T).view(np.float64)).view(complex)
-            return (w[0] + 1j * w[1])[:, None]
-        return terms @ coef
+        return _evaluate(*self._compiled, xs)
 
     def multilinear_eval(self, args) -> np.ndarray:
         """T[x_1,...,x_k], linear in each slot, symmetric in the slots.
@@ -386,8 +363,8 @@ def basis_coefficients(polys) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     Returns the k index columns of every sorted multi-index of degree k
     over 1..n, in rank order, and a (len(polys), T, m) coefficient array
     with the multinomial counts folded in and zeros where a polynomial
-    has no term, so that ``monomials(xs, cols) @ coef[j]`` evaluates
-    polys[j] at the rows of xs as ``HomPoly.eval_many`` does."""
+    has no term, so that ``_evaluate(cols, coef[j], xs)`` evaluates
+    polys[j] at the rows of xs, as ``HomPoly.eval_many`` does."""
     P0 = polys[0]
     n, k, m = P0.domain_dim, P0.degree, P0.codomain_dim
     if any((P.domain_dim, P.degree, P.codomain_dim) != (n, k, m) for P in polys):
@@ -401,7 +378,34 @@ def eval_rows(polys, xs: np.ndarray) -> np.ndarray:
     """Row i of the (N, m) result is polys[i] at row i of the (N, n) array
     xs, for N polynomials of one degree and shape."""
     cols, coef = basis_coefficients(polys)
-    return np.matmul(monomials(xs, cols)[:, None], coef)[:, 0]
+    return _evaluate(cols, coef, xs[:, None])[:, 0]
+
+
+def _evaluate(cols, coef: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``monomials(xs, cols) @ coef``, the one product of every polynomial
+    evaluation: the (..., N, m) values at the points xs (..., N, n) of the
+    polynomials whose coefficients (..., T, m) are over the index columns
+    ``cols`` (``basis_coefficients``), the leading axes broadcast."""
+    rows = xs.shape[-2]
+    if rows > EVAL_BLOCK_ROWS:
+        # blocks of rows bound the (rows, T) monomial buffers, which
+        # would otherwise dominate the peak memory of a large batch
+        parts = [xs[..., lo : lo + EVAL_BLOCK_ROWS, :] for lo in range(0, rows, EVAL_BLOCK_ROWS)]
+        return np.concatenate([_evaluate(cols, coef, part) for part in parts], axis=-2)
+    terms = monomials(xs, cols)
+    if coef.shape[-1] == 1:
+        # a complex product with one output column runs on zgemv, which
+        # a multithreaded BLAS can make hundreds of times slower; the
+        # (2, T) real view [Re c; Im c] of the coefficient column, with
+        # the (T, 2N) real view of the monomials' transpose, gives
+        # sum c_t z_t as sum Re(c_t) z_t + i sum Im(c_t) z_t.  For m > 1
+        # the complex product stays: the real form costs more on the
+        # one-row evaluations of ``sup_norm_fs``
+        re_im = coef.view(np.float64).swapaxes(-1, -2)
+        flat = np.ascontiguousarray(terms.swapaxes(-1, -2)).view(np.float64)
+        w = (re_im @ flat).view(complex)
+        return (w[..., 0, :] + 1j * w[..., 1, :])[..., None]
+    return terms @ coef
 
 
 class ScalarHomPoly(HomPoly):

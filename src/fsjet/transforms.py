@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .fekete import normalize_direction
-from .jets import MappingJet
+from .jets import MappingJet, _integer
 from .tensors import HomPoly, ScalarHomPoly, layout, slot_product
 
 
@@ -107,8 +107,10 @@ def root_transform(
     """n-th root transform g(x) = s(<x,e>^n e)^(1/n) x as a mapping jet.
 
     Output order defaults to 2n+1.  Only degrees congruent to 1 mod n are
-    nonzero, by construction.
+    nonzero, by construction.  A root order that is not an integer raises
+    ``TypeError``, one below 2 ``ValueError``.
     """
+    n = _integer("root order", n)
     if n < 2:
         raise ValueError(f"root order must be >= 2, got {n}")
     e = normalize_direction(e)

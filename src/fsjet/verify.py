@@ -14,8 +14,7 @@ runner (``_run``, then ``_report``) keeps it for all of them but
   dimension on that dimension's inputs, as one stacked call where the
   routine it checks takes a stack (``polarization``,
   ``semigroup/flow-property`` and ``duality/onedim-equivalence`` loop
-  over the inputs, and ``bounds/bounded-onedim`` makes one batched call
-  per input, over that input's directions);
+  over the inputs);
 - the residual is the worst of the residuals of every trial, NaN if any
   of them is NaN, so a NaN fails the check;
 - ``trials=0`` runs no trial and passes vacuously.
@@ -122,7 +121,7 @@ def _rows(*columns) -> list[list[float]]:
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(rows, axis=1)
+    return np.linalg.norm(rows, axis=-1)
 
 
 def _entries(jets, k: int) -> np.ndarray:
@@ -509,13 +508,10 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         return _bounded_draw(rng, n, next(trial) // len(dims) % BOUNDARY_EVERY == 0)
 
     def bounded(inputs):
-        # one-dimensional type: ||Psi_e|| = |p_2(e) - lam p_1(e)^2| for every mu.
-        # One batched call per trial builds its jet's tensor once; a stack
-        # would repeat the jet per direction and build it 64 times
-        return [
-            [float(_norms(fs_mapping(f, es, lam, 0.0)).max() - bounded_onedim_bound(M, lam))]
-            for f, M, lam, es in inputs
-        ]
+        # one-dimensional type: ||Psi_e|| = |p_2(e) - lam p_1(e)^2| for every mu
+        f, M, lam, es = _columns(inputs)
+        worst = _norms(fs_mapping(f, es, lam, 0.0)).max(axis=1)
+        return _rows(worst - [bounded_onedim_bound(*p) for p in zip(M, lam)])
 
     def starlike_draw(rng, n):
         base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()

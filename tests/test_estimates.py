@@ -172,6 +172,24 @@ def test_bounded_onedim_check_takes_integer_counts(name, bad):
         check_bounded_onedim_bound(od, od.s_eval, lam=0.4, **{name: bad})
 
 
+def _unsampled(xs):
+    raise AssertionError("sampled before checking the seed")
+
+
+@pytest.mark.parametrize("seed,error", [(1.5, TypeError), (-1, ValueError)])
+def test_estimate_sup_modulus_names_a_bad_seed(seed, error):
+    # numpy's own errors named no argument
+    with pytest.raises(error, match="seed must be"):
+        estimate_sup_modulus(_unsampled, dim=2, seed=seed)
+
+
+@pytest.mark.parametrize("seed,error", [(1.5, TypeError), (-1, ValueError)])
+def test_bounded_onedim_check_names_a_bad_seed(seed, error):
+    od = random_onedim_jet(2, 3, np.random.default_rng(64), scale=0.15)
+    with pytest.raises(error, match="seed must be"):
+        check_bounded_onedim_bound(od, _unsampled, lam=0.4, seed=seed)
+
+
 @pytest.mark.parametrize("lam,mu", [(np.nan, 0.5), (0.5, np.inf), (complex(np.nan, 1.0), 0.0)])
 def test_sup_norm_rejects_a_non_finite_parameter(lam, mu):
     # a NaN parameter used to give (0.0, e_1), as if it were the supremum

@@ -22,7 +22,7 @@ from fsjet.semigroup import (
     semigroup_ode,
     starlike_from_generator,
 )
-from fsjet.tensors import HomPoly
+from fsjet.tensors import HomPoly, _evaluate
 from fsjet.transforms import detect_onedim
 from fsjet.verify import random_onedim_jet
 
@@ -158,7 +158,7 @@ def test_ode_rejects_a_step_too_small_for_its_times():
 def test_ode_rejects_a_step_count_above_its_bound(monkeypatch):
     # a step of 1e-12 at t = 2 would take 2e12 RK4 steps
     def no_field(hs):
-        raise AssertionError("built the field before checking the step count")
+        raise AssertionError("built the field's arrays before checking the step count")
 
     monkeypatch.setattr(semigroup, "_field", no_field)
     h = _example_generator()
@@ -176,9 +176,10 @@ def test_ode_rejects_a_nan_initial_point():
 
 
 def test_field_matches_each_generators_eval():
-    # the field of a stack, from one gather of padded monomials, against
-    # each jet's own evaluation: order 4, order-3 jets with no degree-2
-    # part (a degree the field leaves out), and the identity
+    # the field of a stack, its padded index columns and coefficients
+    # through the one product of every evaluation, against each jet's
+    # own evaluation: order 4, order-3 jets with no degree-2 part (a
+    # degree the field leaves out), and the identity
     rng = np.random.default_rng(58)
     stacks = [
         [generator_shrink(random_jet(2, 4, rng, scale=SAMPLE_SCALE)) for _ in range(3)],
@@ -189,7 +190,9 @@ def test_field_matches_each_generators_eval():
         n = hs[0].dim
         xs = sample_ball(rng, 5 * len(hs), n, radius=0.9).reshape(len(hs), 5, n)
         padded = np.concatenate([xs, np.ones((len(hs), 5, 1))], axis=-1)
-        got = _field(hs)(padded)
+        cols, coef = _field(hs)
+        assert coef.shape == (len(hs), len(cols[0]), n + 1)
+        got = _evaluate(cols, coef, padded)
         assert np.all(got[..., -1] == 0.0)
         for h, x, row in zip(hs, xs, got):
             assert np.abs(row[:, :-1] - h.eval_many(x)).max() <= 1e-15
@@ -386,8 +389,8 @@ def test_flow_taylor_rejects_a_degree_that_is_not_an_integer():
     # int(2.7) used to read it as degree 2
     h = _example_generator()
     e = np.array([[1.0, 0.0]], dtype=complex)
-    for degrees in ((2.7,), (2, 3.0)):
-        with pytest.raises(TypeError):
+    for degrees in ((2.7,), (2, 3.0), [1.5]):
+        with pytest.raises(TypeError, match="degrees must be an integer"):
             flow_taylor_via_ode([h], (0.3,), e, degrees)
 
 
@@ -460,3 +463,10 @@ def test_is_generator_takes_a_positive_integer_count(bad, error):
     # -1 used to fail inside numpy, and 0 to pass over no points
     with pytest.raises(error, match="samples"):
         is_generator(_example_generator(), samples=bad)
+
+
+@pytest.mark.parametrize("seed,error", [(1.5, TypeError), (-1, ValueError)])
+def test_is_generator_names_a_bad_seed(seed, error):
+    # numpy's own errors named no argument
+    with pytest.raises(error, match="seed must be"):
+        is_generator(_example_generator(), seed=seed)

@@ -83,6 +83,34 @@ def test_fs_mapping_rows_equal_lone_calls(n, K, kind):
     assert np.abs(fs_mapping(fs, es, 0.5, mu[0]) - lone).max() <= tol
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fs_mapping_directions_per_jet_equal_lone_batches(n):
+    # a (T, D, n) array of D directions per jet, the shape of the bounds
+    # suite: row [t, d] is bitwise the lone batch call of jet t at row d
+    T, D = 5, 64
+    fs = _stack(n, 3, T, 90 + n)
+    rng = np.random.default_rng(90 + n)
+    es = sample_sphere(rng, T * D, n).reshape(T, D, n)
+    lam = sample_params(rng, T)
+    for mu in (0.8, sample_params(rng, T)):
+        got = fs_mapping(fs, es, lam, mu)
+        assert got.shape == (T, D, n)
+        for t, mu_t in enumerate(np.broadcast_to(mu, T)):
+            assert np.array_equal(got[t], fs_mapping(fs[t], es[t], lam[t], mu_t))
+
+
+def test_fs_mapping_rejects_bad_directions_per_jet():
+    fs = _stack(3, 3, 4, 95)
+    es = sample_sphere(np.random.default_rng(95), 4 * 8, 3).reshape(4, 8, 3)
+    with pytest.raises(ValueError, match=r"\(T, D, 3\)"):
+        fs_mapping(fs, np.concatenate([es, np.zeros((4, 8, 1))], axis=-1), 0.5, 0.5)
+    with pytest.raises(ValueError, match="index 4 has no partner"):
+        fs_mapping(fs, np.concatenate([es, es[:1]]), 0.5, 0.5)
+    es[2, 5] *= 2.0
+    with pytest.raises(ValueError, match=r"direction \(2, 5\) must be a unit vector \(norm 2\)"):
+        fs_mapping(fs, es, 0.5, 0.5)
+
+
 def _with_entry(f, k, value):
     """f with one entry of its degree-k part set to ``value``, which the
     public constructors would refuse when it is not finite."""

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from fsjet.tensors import (
+    EVAL_BLOCK_ROWS,
     LAYOUT_BUDGET,
     HomPoly,
     ScalarHomPoly,
+    _evaluate,
     basis_coefficients,
     exponents_to_multi_index,
     layout,
@@ -390,6 +392,21 @@ def test_basis_coefficients_evaluate_like_eval_many(n, k):
         assert np.array_equal(values[1] @ coef[j], monomials(xs[1], cols) @ coef[j])
     with pytest.raises(ValueError):
         basis_coefficients([full, _random_hompoly(rng, k + 1, n, n)])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("rows", [5, 2 * EVAL_BLOCK_ROWS + 7])
+def test_the_product_on_a_stack_axis_matches_the_complex_product(m, rows):
+    # one coefficient array per member of a stack of 3: m = 1 takes the
+    # real form, m > 1 the complex product, and past EVAL_BLOCK_ROWS the
+    # rows go in blocks; the reference is one unblocked complex product
+    rng = np.random.default_rng(62 + m + rows)
+    cols, coef = basis_coefficients([_random_hompoly(rng, 3, 2, m) for _ in range(3)])
+    xs = rng.standard_normal((3, rows, 2)) + 1j * rng.standard_normal((3, rows, 2))
+    want = monomials(xs, cols) @ coef
+    got = _evaluate(cols, coef, xs)
+    assert got.shape == (3, rows, m)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _with_nan_entry():

@@ -206,6 +206,12 @@ def test_root_transform_validation():
         root_transform(od, 1, np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         root_transform(od, 2, np.array([1.0 + 0j]), order=3)
+    # a fractional order used to fail deep inside, naming nothing, and
+    # True to be reported as "got True"
+    with pytest.raises(TypeError, match="root order must be an integer, got 2.5"):
+        root_transform(od, 2.5, np.array([1.0 + 0j]))
+    with pytest.raises(ValueError, match="root order must be >= 2, got 1$"):
+        root_transform(od, True, np.array([1.0 + 0j]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
