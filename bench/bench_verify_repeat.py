@@ -218,6 +218,13 @@ def bench_run_suite(benchmark, suite):
     benchmark(run_suite, suite, trials=10)
 
 
+def bench_verify_all(benchmark):
+    # `fsjet verify all` at the default trials, warm: one untimed run
+    # first builds the layouts and caches every suite reads
+    run_suite("all")
+    benchmark(run_suite, "all")
+
+
 @pytest.mark.parametrize("n,K", [(3, 5), (4, 7)])
 def bench_hompoly_scale(benchmark, n, K):
     (f,) = _jets(n, K, 1, seed=n + K)

@@ -470,9 +470,24 @@ def random_jet(
     dim: int, order: int, rng: np.random.Generator, scale: float = 0.3
 ) -> MappingJet:
     """Random jet with complex Gaussian tensor entries, for test suites."""
-    polys = {}
+    return _normal_jets(dim, order, rng.standard_normal((1, _jet_normals(dim, order))), scale)[0]
+
+
+def _jet_normals(dim: int, order: int) -> int:
+    """The number of normal variates ``random_jet`` draws."""
+    return sum(2 * dim * len(layout(dim, k).indices) for k in range(2, order + 1))
+
+
+def _normal_jets(dim: int, order: int, z: np.ndarray, scale: float = 0.3) -> list[MappingJet]:
+    """The jets ``random_jet`` builds from each row of a (T, normals) array
+    of its normal variates, one array operation per degree."""
+    polys: list[dict] = [{} for _ in z]
+    start = 0
     for k in range(2, order + 1):
+        terms = len(layout(dim, k).indices)
         # per entry in rank order: dim real parts, then dim imaginary parts
-        z = rng.standard_normal((len(layout(dim, k).indices), 2, dim))
-        polys[k] = HomPoly._trusted(k, dim, dim, scale * (z[:, 0] + 1j * z[:, 1]))
-    return MappingJet(dim, order, polys)
+        g = z[:, start : start + 2 * dim * terms].reshape(-1, terms, 2, dim)
+        start += 2 * dim * terms
+        for poly, entries in zip(polys, scale * (g[:, :, 0] + 1j * g[:, :, 1])):
+            poly[k] = HomPoly._trusted(k, dim, dim, entries)
+    return [MappingJet(dim, order, poly) for poly in polys]

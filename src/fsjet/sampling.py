@@ -11,8 +11,13 @@ def sample_sphere(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     The real parts of all rows are drawn first, then the imaginary parts,
     in one call; each row is normalised in place through the float view
     of the complex array."""
-    g = rng.standard_normal((2, count, dim))
-    z = np.empty((count, dim), dtype=complex)
+    return _sphere(rng.standard_normal((2, count, dim)))
+
+
+def _sphere(g: np.ndarray) -> np.ndarray:
+    """The unit rows of ``sample_sphere`` from its (2, count, dim) normals;
+    a row does not depend on the others, bit for bit."""
+    z = np.empty(g.shape[1:], dtype=complex)
     z.real, z.imag = g
     f = z.view(np.float64)
     f /= np.sqrt(np.einsum("ij,ij->i", f, f))[:, None]
@@ -29,5 +34,11 @@ def sample_ball(
 
 
 def sample_params(rng: np.random.Generator, count: int, scale: float = 2.0) -> np.ndarray:
-    """Complex parameter draws (lambda, mu style), centered at the origin."""
-    return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / 2.0
+    """Complex parameter draws (lambda, mu style), centered at the origin:
+    the real parts of all draws first, then the imaginary parts."""
+    return _params(rng.standard_normal((2, count)), scale)
+
+
+def _params(g: np.ndarray, scale: float = 2.0) -> np.ndarray:
+    """The draws of ``sample_params`` from their (2, ...) normals."""
+    return scale * (g[0] + 1j * g[1]) / 2.0

@@ -20,7 +20,7 @@ from .fekete import _unit_rows
 from .jets import MappingJet, _count, _integer, _stack_of, compose, random_jet
 from .reporting import Report
 from .sampling import sample_ball
-from .tensors import HomPoly, _check_vector, _evaluate, basis_coefficients, slot_product
+from .tensors import HomPoly, _check_vector, _evaluate, basis_coefficients, layout, slot_product
 
 # the size of sample_generator's random parts
 SAMPLE_SCALE = 0.25
@@ -315,10 +315,23 @@ def generator_shrink(jet: MappingJet) -> MappingJet:
     at any dimension and order.  A jet with a NaN or infinite coefficient
     raises ``ValueError`` naming its degree.
     """
-    total = 0.0
-    for k, P in sorted(jet.polys.items()):
-        if not np.isfinite(P.entries).all():
+    return _shrink([jet])[0]
+
+
+def _shrink(jets: Sequence[MappingJet]) -> list[MappingJet]:
+    """``generator_shrink`` of each of T jets of one dim, with one stacked
+    2-norm per degree, each jet's sigma_k bit for bit its lone one; a jet
+    without a degree adds nothing for it."""
+    total = np.zeros(len(jets))
+    for k in sorted(set().union(*(f.polys for f in jets))):
+        have = [t for t, f in enumerate(jets) if k in f.polys]
+        entries = np.array([jets[t].polys[k].entries for t in have])
+        if not np.isfinite(entries).all():
             raise ValueError(f"the degree-{k} part of the jet has a non-finite coefficient")
-        total += float(np.linalg.norm(P.dense().reshape(-1, jet.dim), 2))
-    c = 1.0 / max(1.0, total)
-    return MappingJet(jet.dim, jet.order, {k: P.scale(c) for k, P in jet.polys.items()})
+        # the (n^k, n) flattenings M_k, as dense() lays them out
+        flat = entries[:, layout(jets[0].dim, k).position_rank]
+        total[have] += np.linalg.norm(flat, 2, axis=(1, 2))
+    return [
+        MappingJet(f.dim, f.order, {k: P.scale(c) for k, P in f.polys.items()})
+        for f, c in zip(jets, (1.0 / np.maximum(1.0, total)).tolist())
+    ]

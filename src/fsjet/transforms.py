@@ -107,8 +107,9 @@ def root_transform(
     """n-th root transform g(x) = s(<x,e>^n e)^(1/n) x as a mapping jet.
 
     Output order defaults to 2n+1.  Only degrees congruent to 1 mod n are
-    nonzero, by construction.  A root order that is not an integer raises
-    ``TypeError``, one below 2 ``ValueError``.
+    nonzero, by construction.  A root or output order that is not an
+    integer raises ``TypeError``, a root order below 2 or an output order
+    below 2n+1 ``ValueError``.
     """
     n = _integer("root order", n)
     if n < 2:
@@ -116,8 +117,7 @@ def root_transform(
     e = normalize_direction(e)
     if e.shape != (f.dim,):
         raise ValueError("direction dimension does not match the jet")
-    if order is None:
-        order = 2 * n + 1
+    order = 2 * n + 1 if order is None else _integer("output order", order)
     if order < 2 * n + 1:
         raise ValueError(f"output order must be >= {2 * n + 1}")
     # s(<x,e>^n e) = 1 + sum_k p_k(e) u^k with u = <x,e>^n

@@ -9,8 +9,12 @@ runner (``_run``, then ``_report``) keeps it for all of them but
 - each check draws from its own stream, ``_rng(seed, stream)``, so its
   inputs do not depend on which other checks ran;
 - trial i runs in dimension ``dims[i % len(dims)]``;
-- every trial draws its inputs first, in trial order, so each trial
-  draws what it would draw alone; the check then runs once per
+- the inputs of every trial are drawn first, by one ``draw`` call for
+  the whole check, which takes all its normal variates from one
+  ``standard_normal`` call and splits them in trial order
+  (``bounds/bounded-onedim``, which draws other variates too, loops over
+  its trials), so each trial gets, bit for bit, what it would draw
+  alone; the check then runs once per
   dimension on that dimension's inputs, as one stacked call where the
   routine it checks takes a stack (``polarization``,
   ``semigroup/flow-property`` and ``duality/onedim-equivalence`` loop
@@ -27,22 +31,22 @@ or 1.0 against the tolerance 0.0, so a failing run reports 1.0.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fekete
 from .estimates import bounded_onedim_bound
 from .fekete import fs_mapping
-from .jets import _integer, compose, invert, iterate, random_jet, unitary_conjugate
+from .jets import _integer, _jet_normals, _normal_jets, compose, invert, iterate, unitary_conjugate
 from .reporting import Report
-from .sampling import sample_params, sample_sphere
+from .sampling import _params, _sphere, sample_params, sample_sphere
 from .semigroup import (
+    SAMPLE_SCALE,
+    _shrink,
     flow_taylor_via_ode,
     generator_from_starlike,
-    generator_shrink,
-    sample_generator,
     semigroup_jet,
     starlike_from_generator,
 )
@@ -56,24 +60,43 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def _unitaries(z: np.ndarray) -> np.ndarray:
+    """Random unitaries from a (T, 2, n, n) array of normal variates, the
+    real parts of a matrix then its imaginary parts: one stacked QR, each
+    Q's columns turned so that R has a positive diagonal.  Each is bit for
+    bit the unitary of a lone QR."""
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_onedim_jet(
     dim: int, order: int, rng: np.random.Generator, scale: float = 0.4
 ) -> OneDimJet:
-    polys = {}
+    z = rng.standard_normal((1, _onedim_normals(dim, order)))
+    return _normal_onedim_jets(dim, order, z, scale)[0]
+
+
+def _onedim_normals(dim: int, order: int) -> int:
+    """The number of normal variates ``random_onedim_jet`` draws."""
+    return sum(2 * len(layout(dim, k).indices) for k in range(1, order))
+
+
+def _normal_onedim_jets(dim: int, order: int, z: np.ndarray, scale: float = 0.4) -> list:
+    """The jets ``random_onedim_jet`` builds from each row of a (T, normals)
+    array of its normal variates, one array operation per degree."""
+    polys: list[dict] = [{} for _ in z]
+    start = 0
     for k in range(1, order):
         # per monomial in rank order: the real part, then the imaginary part
         basis = layout(dim, k)
-        z = rng.standard_normal((len(basis.indices), 2))
-        monos = scale * (z[:, 0] + 1j * z[:, 1])
-        polys[k] = ScalarHomPoly._trusted(k, dim, 1, (monos / basis.multinomials)[:, None])
-    return OneDimJet(dim, order, polys)
+        terms = len(basis.indices)
+        g = z[:, start : start + 2 * terms].reshape(-1, terms, 2)
+        start += 2 * terms
+        monos = scale * (g[:, :, 0] + 1j * g[:, :, 1])
+        for poly, entries in zip(polys, monos / basis.multinomials):
+            poly[k] = ScalarHomPoly._trusted(k, dim, 1, entries[:, None])
+    return [OneDimJet(dim, order, poly) for poly in polys]
 
 
 def _worst(*values: float) -> float:
@@ -87,17 +110,17 @@ def _worst(*values: float) -> float:
 def _run(draw, trials: int, seed: int, stream: int, dims, check) -> list[list]:
     """The residuals of each trial of a check, listed trial by trial.
 
-    Trial i draws its inputs by ``draw(rng, n)`` from the check's own
-    generator ``_rng(seed, stream)`` in the dimension
-    ``n = dims[i % len(dims)]``; ``draw`` is called exactly once per
-    trial, in trial order, before any check runs, and a draw may count
-    its calls to know its trial (``duality/onedim-equivalence`` does).
-    Then ``check(inputs)`` runs once per dimension on the list of that
-    dimension's inputs, in trial order, and returns one list of residuals
-    per input, so that a check can make one stacked call per dimension."""
+    Trial i runs in the dimension ``n = dims[i % len(dims)]``.  The
+    inputs of every trial come from one call ``draw(rng, ns)`` on the
+    check's own generator ``_rng(seed, stream)``, with ``ns`` the trials'
+    dimensions in trial order, before any check runs; it returns one
+    input tuple per trial, in trial order.  Then ``check(inputs)`` runs
+    once per dimension on the list of that dimension's inputs, in trial
+    order, and returns one list of residuals per input, so that a check
+    can make one stacked call per dimension."""
     rng = _rng(seed, stream)
     ns = [dims[i % len(dims)] for i in range(trials)]
-    drawn = [draw(rng, n) for n in ns]
+    drawn = draw(rng, ns)
     rows: list = [None] * trials
     for n in dict.fromkeys(ns):
         idx = [i for i, d in enumerate(ns) if d == n]
@@ -135,23 +158,82 @@ def _report(check: str, tol: float, seed: int, rows: list) -> Report:
     return Report(check, len(rows), seed, tol, _worst(0.0, *(r for row in rows for r in row)))
 
 
-def _draw_point(rng: np.random.Generator, n: int):
-    """A direction e on the unit sphere of C^n, then lambda and mu.
+class _Part(NamedTuple):
+    """Inputs a trial draws from ``size(n)`` normal variates in dimension
+    n.  ``build(n, z)`` makes the inputs of every trial of dimension n at
+    once from the (T, size) array of their variates: one tuple per trial,
+    bit for bit what the lone sampler makes of that trial's variates."""
 
-    e is returned as drawn: ``fs_mapping`` normalizes it once more, which
-    can change its last bits, so a check that also uses e itself takes
-    the rows as ``fs_mapping`` normalizes them (``fekete._unit_rows``)."""
-    e = sample_sphere(rng, 1, n)[0]
-    lam, mu = sample_params(rng, 2)
-    return e, lam, mu
-
-
-def _jet_and_point(rng: np.random.Generator, n: int):
-    return (random_jet(n, 3, rng), *_draw_point(rng, n))
+    size: Callable[[int], int]
+    build: Callable[[int, np.ndarray], list[tuple]]
 
 
-def _two_jets_and_point(rng: np.random.Generator, n: int):
-    return (random_jet(n, 3, rng), random_jet(n, 3, rng), *_draw_point(rng, n))
+def _draw(parts):
+    """The ``draw(rng, ns)`` of a check whose trial i in dimension n takes
+    the inputs of ``parts``, a tuple of parts, in order, or of
+    ``parts(i, n)`` if it is callable.
+
+    The normal variates of every trial come from one ``standard_normal``
+    call, split in trial order, so each trial takes the variates it would
+    draw alone and the stream ends where the lone draws leave it; each
+    part is built once per dimension (per dimension and trial kind where
+    ``parts`` is callable)."""
+    parts_of = parts if callable(parts) else lambda i, n: parts
+
+    def draw(rng, ns):
+        keys = [(parts_of(i, n), n) for i, n in enumerate(ns)]
+        # each trial's variates, part by part, end where the next trial's begin
+        cuts = {k: np.cumsum([0, *(p.size(k[1]) for p in k[0])]) for k in dict.fromkeys(keys)}
+        ends = np.cumsum([cuts[k][-1] for k in keys], dtype=int)
+        z = rng.standard_normal(ends[-1] if keys else 0)
+        inputs: list = [()] * len(keys)
+        for key, cut in cuts.items():
+            (trial_parts, n), idx = key, [i for i, k in enumerate(keys) if k == key]
+            rows = z[(ends[idx] - cut[-1])[:, None] + np.arange(cut[-1])]
+            built = [p.build(n, rows[:, a:b]) for p, a, b in zip(trial_parts, cut, cut[1:])]
+            for i, *values in zip(idx, *built, strict=True):
+                inputs[i] = sum(values, ())
+        return inputs
+
+    return draw
+
+
+def _split(z: np.ndarray) -> np.ndarray:
+    """(T, 2 m) rows of variates, each m real parts then m imaginary
+    parts, as the (2, T, m) array the samplers draw for T rows of m."""
+    return z.reshape(len(z), 2, -1).transpose(1, 0, 2)
+
+
+# the inputs the checks draw: order-3 jets, one-dimensional jets, their
+# lifts, generators, the degree-2 part of an order-2 jet, vectors with
+# Gaussian entries, unitaries, unit directions, and parameters
+_JET = _Part(lambda n: _jet_normals(n, 3), lambda n, z: [(f,) for f in _normal_jets(n, 3, z)])
+_ONEDIM = _Part(
+    lambda n: _onedim_normals(n, 3), lambda n, z: [(f,) for f in _normal_onedim_jets(n, 3, z)]
+)
+_LIFT = _Part(
+    _ONEDIM.size, lambda n, z: [(f.to_mapping_jet(),) for f in _normal_onedim_jets(n, 3, z)]
+)
+_GENERATOR = _Part(
+    _JET.size, lambda n, z: [(h,) for h in _shrink(_normal_jets(n, 3, z, SAMPLE_SCALE))]
+)
+_QUADRATIC = _Part(
+    lambda n: _jet_normals(n, 2), lambda n, z: [(f.poly(2),) for f in _normal_jets(n, 2, z)]
+)
+_VECTOR = _Part(lambda n: 2 * n, lambda n, z: [(x,) for x in z[:, :n] + 1j * z[:, n:]])
+_UNITARY = _Part(
+    lambda n: 2 * n * n, lambda n, z: [(u,) for u in _unitaries(z.reshape(-1, 2, n, n))]
+)
+_DIRECTION = _Part(lambda n: 2 * n, lambda n, z: [(e,) for e in _sphere(_split(z))])
+# lambda and mu as two inputs, and lambda alone
+_LAM_MU = _Part(lambda n: 4, lambda n, z: [tuple(p) for p in _params(_split(z))])
+_LAM = _Part(lambda n: 2, lambda n, z: [tuple(p) for p in _params(_split(z))])
+
+# A direction e on the unit sphere of C^n, then lambda and mu.  e is as
+# drawn: ``fs_mapping`` normalizes it once more, which can change its
+# last bits, so a check that also uses e itself takes the rows as
+# ``fs_mapping`` normalizes them (``fekete._unit_rows``).
+_POINT = (_DIRECTION, _LAM_MU)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +242,6 @@ def _two_jets_and_point(rng: np.random.Generator, n: int):
 
 
 def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def draw(rng, n):
-        P = random_jet(n, 2, rng).poly(2)
-        x1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return P, x1, x2
-
     def check(inputs):
         rows = []
         for P, x1, x2 in inputs:
@@ -175,6 +251,7 @@ def suite_polarization(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             rows.append([polarization_check(P, x1, x2) / scale])
         return rows
 
+    draw = _draw((_QUADRATIC, _VECTOR, _VECTOR))
     return [_report("polarization", 1e-12, seed, _run(draw, trials, seed, 0, dims, check))]
 
 
@@ -202,7 +279,7 @@ def suite_compose(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         lhs = fs_mapping(compose(f, g), e, lam, mu)
         return _rows(_norms(lhs - _psi_compo_rhs(f, g, e, lam, mu)))
 
-    rows = _run(_two_jets_and_point, trials, seed, 1, dims, check)
+    rows = _run(_draw((_JET, _JET, *_POINT)), trials, seed, 1, dims, check)
     return [_report("compose/psi-composition-identity", 1e-11, seed, rows)]
 
 
@@ -217,7 +294,7 @@ def suite_inverse(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         return _rows(_norms(lhs - rhs), _norms(third))
 
     # one trial feeds both checks: its duality residual, then its degree-3 one
-    rows = _run(_jet_and_point, trials, seed, 2, dims, check)
+    rows = _run(_draw((_JET, *_POINT)), trials, seed, 2, dims, check)
     return [
         _report("inverse/psi-duality", 1e-11, seed, [row[:1] for row in rows]),
         _report("inverse/third-derivative", 1e-11, seed, [row[1:] for row in rows]),
@@ -238,15 +315,11 @@ def suite_iterate(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             residuals.append(np.abs(scaled).max(axis=(1, 2)))
         return _rows(*residuals)
 
-    rows = _run(_jet_and_point, trials, seed, 3, dims, check)
+    rows = _run(_draw((_JET, *_POINT)), trials, seed, 3, dims, check)
     return [_report("iterate/psi-scaling", 1e-10, seed, rows)]
 
 
 def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    def draw(rng, n):
-        f = random_jet(n, 3, rng)
-        return (f, _random_unitary(n, rng), *_draw_point(rng, n))
-
     def check(inputs):
         f, U, e, lam, mu = _columns(inputs)
         g = [unitary_conjugate(fi, Ui) for fi, Ui in zip(f, U)]
@@ -255,7 +328,7 @@ def suite_unitary(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         rhs = np.einsum("iba,ib->ia", U.conj(), psi)
         return _rows(_norms(lhs - rhs))
 
-    rows = _run(draw, trials, seed, 4, dims, check)
+    rows = _run(_draw((_JET, _UNITARY, *_POINT)), trials, seed, 4, dims, check)
     return [_report("unitary/psi-conjugation", 1e-11, seed, rows)]
 
 
@@ -265,15 +338,12 @@ SUITE_MAX_DEGREE = 2 * max(ROOT_ORDERS) + 1
 
 
 def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    n_mu = 5  # values of mu per root order
-
-    def draw(rng, n):
-        od = random_onedim_jet(n, 3, rng)
-        e = sample_sphere(rng, 1, n)[0]
-        return od, e, [sample_params(rng, n_mu) for _ in ROOT_ORDERS]
+    n_mu = 5  # values of mu per root order, drawn as one array per order
+    mu_values = _Part(lambda n: 2 * n_mu, lambda n, z: [(mu,) for mu in _params(_split(z))])
+    draw = _draw((_ONEDIM, _DIRECTION, *[mu_values] * len(ROOT_ORDERS)))
 
     def check(inputs):
-        ods, e, mus = _columns(inputs)
+        ods, e, *mus = _columns(inputs)
         lifts = [od.to_mapping_jet() for od in ods]
         P2 = eval_rows([f.poly(2) for f in lifts], e)
         rows = [[] for _ in inputs]
@@ -288,7 +358,7 @@ def suite_root(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
                 [f for f in lifts for _ in range(n_mu)],
                 np.repeat(e, n_mu, axis=0),
                 (nroot - 1) / (2.0 * nroot),
-                np.concatenate([mu[j] for mu in mus]),
+                mus[j].ravel(),
             ).reshape(len(inputs), n_mu, -1)
             gaps = np.linalg.norm(q2n1[:, None] - psi / nroot, axis=2)
             for row, a, b in zip(rows, _norms(qn1 - P2 / nroot), gaps):
@@ -319,9 +389,6 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         coef = np.array([fekete.ell(a, b) for a, b in zip(lam, mu)])
         return _rows(R - coef * norms[:, 0] * norms[:, 1])
 
-    def onedim_draw(rng, n):
-        return (random_onedim_jet(n, 3, rng), random_onedim_jet(n, 3, rng), *_draw_point(rng, n))
-
     def onedim_defect(inputs):
         fo, go, e, lam, mu = _columns(inputs)
         f, g = [x.to_mapping_jet() for x in fo], [x.to_mapping_jet() for x in go]
@@ -334,30 +401,27 @@ def suite_error_bound(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             "error-bound/ell-bound",
             1e-9,
             seed,
-            _run(_two_jets_and_point, trials, seed, 6, dims, defect),
+            _run(_draw((_JET, _JET, *_POINT)), trials, seed, 6, dims, defect),
         ),
         _report(
             "error-bound/onedim-equality",
             1e-11,
             seed,
-            _run(onedim_draw, trials, seed, 7, dims, onedim_defect),
+            _run(_draw((_ONEDIM, _ONEDIM, *_POINT)), trials, seed, 7, dims, onedim_defect),
         ),
     ]
 
 
 def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
-    def flow_property(gens):
+    def flow_property(inputs):
         rows = []
-        for h in gens:
+        for (h,) in inputs:
             combined = semigroup_jet(h, 0.3).compose(semigroup_jet(h, 0.5))
             direct = semigroup_jet(h, 0.8)
             rows.append(
                 [(combined.poly(k) + direct.poly(k).scale(-1.0)).max_coeff() for k in (2, 3)]
             )
         return rows
-
-    def draw(rng, n):
-        return sample_generator(n, rng), sample_sphere(rng, 1, n)[0]
 
     times, degrees = (0.1, 0.7, 2.0), (2, 3)
 
@@ -378,13 +442,16 @@ def suite_semigroup(trials: int, seed: int, dims=(2,)) -> list[Report]:
     flow_trials = max(1, trials // 4) if trials else 0
     return [
         _report(
-            "semigroup/closed-form-vs-ode", 1e-6, seed, _run(draw, trials, seed, 8, dims, closed_form)
+            "semigroup/closed-form-vs-ode",
+            1e-6,
+            seed,
+            _run(_draw((_GENERATOR, _DIRECTION)), trials, seed, 8, dims, closed_form),
         ),
         _report(
             "semigroup/flow-property",
             1e-10,
             seed,
-            _run(lambda rng, n: sample_generator(n, rng), flow_trials, seed, 9, dims, flow_property),
+            _run(_draw((_GENERATOR,)), flow_trials, seed, 9, dims, flow_property),
         ),
     ]
 
@@ -400,42 +467,35 @@ def suite_duality(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         trip = [np.abs(_entries(back, k) - _entries(h, k)).max(axis=(1, 2)) for k in (2, 3)]
         return _rows(_norms(lhs - rhs), *trip)
 
-    def generator_draw(rng, n):
-        h = sample_generator(n, rng)
-        e = sample_sphere(rng, 1, n)[0]
-        return h, e, sample_params(rng, 1)[0]
-
     def generator_bound(inputs):
         h, e, lam = _columns(inputs)
         psi = fs_mapping(h, e, lam, 0.0)
         val = np.abs(np.einsum("im,im->i", fekete._unit_rows(e).conj(), psi))
         return _rows(val - 2.0 * np.maximum(1.0, np.abs(2.0 * lam - 1.0)))
 
-    trial = itertools.count()
-
-    def onedim_draw(rng, n):
-        # a lifted one-dimensional jet at even trials, a generic jet at odd
-        # ones; the counter is the trial index only because ``_run`` calls
-        # draw once per trial in trial order, as its docstring promises
-        if next(trial) % 2 == 0:
-            return random_onedim_jet(n, 3, rng).to_mapping_jet()
-        return random_jet(n, 3, rng)
-
-    def onedim_equivalence(gens):
+    def onedim_equivalence(inputs):
         # 1.0 where h and its starlike partner disagree on being of
         # one-dimensional type
-        kinds = [[detect_onedim(g) is None for g in (h, starlike_from_generator(h))] for h in gens]
+        kinds = [
+            [detect_onedim(g) is None for g in (h, starlike_from_generator(h))] for (h,) in inputs
+        ]
         return [[float(a != b)] for a, b in kinds]
+
+    # a lifted one-dimensional jet at even trials, a generic jet at odd ones
+    onedim_draw = _draw(lambda i, n: (_JET,) if i % 2 else (_LIFT,))
 
     return [
         _report(
-            "duality/psi-pairing", 1e-11, seed, _run(_jet_and_point, trials, seed, 10, dims, pairing)
+            "duality/psi-pairing",
+            1e-11,
+            seed,
+            _run(_draw((_JET, *_POINT)), trials, seed, 10, dims, pairing),
         ),
         _report(
             "duality/generator-scalar-bound",
             1e-9,
             seed,
-            _run(generator_draw, trials, seed, 11, dims, generator_bound),
+            _run(_draw((_GENERATOR, _DIRECTION, _LAM)), trials, seed, 11, dims, generator_bound),
         ),
         _report(
             "duality/onedim-equivalence",
@@ -500,12 +560,12 @@ def _bounded_draw(rng: np.random.Generator, n: int, boundary: bool):
 
 
 def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
-    trial = itertools.count()
-
-    def bounded_draw(rng, n):
-        # trial i is trial i // len(dims) of its dimension; the counter is
-        # the trial index because ``_run`` draws once per trial, in order
-        return _bounded_draw(rng, n, next(trial) // len(dims) % BOUNDARY_EVERY == 0)
+    def bounded_draw(rng, ns):
+        # uniform, Dirichlet and integer draws besides the normal ones, so
+        # trial by trial; trial i is trial i // len(dims) of its dimension
+        return [
+            _bounded_draw(rng, n, i // len(dims) % BOUNDARY_EVERY == 0) for i, n in enumerate(ns)
+        ]
 
     def bounded(inputs):
         # one-dimensional type: ||Psi_e|| = |p_2(e) - lam p_1(e)^2| for every mu
@@ -513,9 +573,11 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
         worst = _norms(fs_mapping(f, es, lam, 0.0)).max(axis=1)
         return _rows(worst - [bounded_onedim_bound(*p) for p in zip(M, lam)])
 
-    def starlike_draw(rng, n):
-        base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
-        return (starlike_from_generator(generator_shrink(base)), *_draw_point(rng, n))
+    def starlikes(n, z):
+        bases = [od.to_mapping_jet() for od in _normal_onedim_jets(n, 3, z, scale=0.3)]
+        return [(starlike_from_generator(h),) for h in _shrink(bases)]
+
+    starlike_draw = _draw((_Part(_ONEDIM.size, starlikes), *_POINT))
 
     def starlike(inputs):
         f, e, lam, mu = _columns(inputs)
@@ -527,7 +589,10 @@ def suite_bounds(trials: int, seed: int, dims=(2, 3)) -> list[Report]:
             "bounds/bounded-onedim", 1e-6, seed, _run(bounded_draw, trials, seed, 13, dims, bounded)
         ),
         _report(
-            "bounds/starlike-onedim", 1e-9, seed, _run(starlike_draw, trials, seed, 14, dims, starlike)
+            "bounds/starlike-onedim",
+            1e-9,
+            seed,
+            _run(starlike_draw, trials, seed, 14, dims, starlike),
         ),
     ]
 

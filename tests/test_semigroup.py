@@ -293,6 +293,39 @@ def _flattening_norms(jet: MappingJet) -> float:
     )
 
 
+def _lone_shrink(jet: MappingJet) -> dict:
+    """The entries of each degree of ``generator_shrink(jet)`` as one jet
+    alone gives them: the flattening of each degree's dense tensor, its
+    2-norm, their sum in degree order and the factor from it."""
+    total = 0.0
+    for k, P in sorted(jet.polys.items()):
+        total += float(np.linalg.norm(P.dense().reshape(-1, jet.dim), 2))
+    c = 1.0 / max(1.0, total)
+    return {k: c * P.entries for k, P in jet.polys.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_stacked_shrink_is_bitwise_each_lone_shrink(n):
+    # jets left as they are and jets shrunk, one of order 4 whose degree 4
+    # the others lack, and one whose all-zero degree 2 the jet drops
+    rng = np.random.default_rng(70 + n)
+    jets = [random_jet(n, 3, rng, scale=s) for s in (0.01, 0.25, 2.0)]
+    jets.append(random_jet(n, 4, rng, scale=0.5))
+    jets.append(MappingJet(n, 3, {2: HomPoly.zero(2, n, n), 3: jets[2].poly(3)}))
+    assert 2 not in jets[-1].polys
+    shrunk = semigroup._shrink(jets)
+    for f, h in zip(jets, shrunk, strict=True):
+        want = _lone_shrink(f)
+        for g in (h, generator_shrink(f)):
+            assert (g.dim, g.order) == (f.dim, f.order)
+            assert {k: P.entries.tobytes() for k, P in g.polys.items()} == {
+                k: e.tobytes() for k, e in want.items()
+            }
+    # the first jet is left as it is, the third shrunk
+    assert _flattening_norms(jets[0]) < 1.0 < _flattening_norms(jets[2])
+    assert semigroup._shrink([]) == []
+
+
 def test_generator_shrink_scales_the_nonlinear_part():
     rng = np.random.default_rng(58)
     for n in (2, 3, 4):

@@ -212,6 +212,10 @@ def test_root_transform_validation():
         root_transform(od, 2.5, np.array([1.0 + 0j]))
     with pytest.raises(ValueError, match="root order must be >= 2, got 1$"):
         root_transform(od, True, np.array([1.0 + 0j]))
+    # so did a fractional output order, and a string one failed a comparison
+    for order in (5.5, "3"):
+        with pytest.raises(TypeError, match=f"output order must be an integer, got {order!r}"):
+            root_transform(od, 2, np.array([1.0 + 0j]), order=order)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

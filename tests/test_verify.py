@@ -8,10 +8,17 @@ import pytest
 
 from fsjet import estimates, fekete, verify
 from fsjet.gallery import example_gallery
-from fsjet.jets import MappingJet
-from fsjet.semigroup import is_generator
+from fsjet.jets import MappingJet, random_jet
+from fsjet.sampling import sample_params, sample_sphere
+from fsjet.semigroup import (
+    generator_shrink,
+    is_generator,
+    sample_generator,
+    starlike_from_generator,
+)
 from fsjet.tensors import HomPoly
-from fsjet.verify import DEFAULT_TRIALS, SUITE_NAMES, run_suite
+from fsjet.transforms import OneDimJet
+from fsjet.verify import DEFAULT_TRIALS, SUITE_NAMES, random_onedim_jet, run_suite
 
 
 def test_every_suite_passes_at_small_trials():
@@ -290,41 +297,87 @@ def test_every_trial_loop_draws_from_its_own_stream(monkeypatch):
 
 
 # What trial i of each check of every suite draws in dimension n, by the
-# stream of its generator, and each check's name and tolerance.  The draws
-# are named by the sampler the suite calls: ("jet", n) for random_jet,
-# ("onedim", n) for random_onedim_jet, ("generator", n) for
-# sample_generator, ("unitary", n) for a random unitary matrix,
-# ("sphere", n) for directions in C^n and ("params", c) for c parameters.
-def _point(n):
-    return [("sphere", n), ("params", 2)]
+# stream of its generator: the lone per-trial draw of its inputs, each
+# sampler called on its own in the order the trial draws, which each
+# check's one batched draw must give bit for bit.  ``dims`` fixes which
+# bounded trials reach the bound.
+def _vector(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _unitary(rng, n):
+    """A lone QR of a complex Gaussian matrix, its real parts drawn first,
+    with Q's columns turned so that R has a positive diagonal."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _direction(rng, n):
+    return sample_sphere(rng, 1, n)[0]
+
+
+def _point(rng, n):
+    return (_direction(rng, n), *sample_params(rng, 2))
+
+
+def _starlike(rng, n):
+    base = random_onedim_jet(n, 3, rng, scale=0.3).to_mapping_jet()
+    return starlike_from_generator(generator_shrink(base))
+
+
+def _jet(rng, n):
+    return random_jet(n, 3, rng)
 
 
 _DRAWS = {
-    "polarization": {0: lambda i, n: [("jet", n)]},
-    "compose": {1: lambda i, n: [("jet", n), ("jet", n), *_point(n)]},
-    "inverse": {2: lambda i, n: [("jet", n), *_point(n)]},
-    "iterate": {3: lambda i, n: [("jet", n), *_point(n)]},
-    "unitary": {4: lambda i, n: [("jet", n), ("unitary", n), *_point(n)]},
+    "polarization": {
+        0: lambda rng, n, i, dims: (random_jet(n, 2, rng).poly(2), _vector(rng, n), _vector(rng, n))
+    },
+    "compose": {1: lambda rng, n, i, dims: (_jet(rng, n), _jet(rng, n), *_point(rng, n))},
+    "inverse": {2: lambda rng, n, i, dims: (_jet(rng, n), *_point(rng, n))},
+    "iterate": {3: lambda rng, n, i, dims: (_jet(rng, n), *_point(rng, n))},
+    "unitary": {4: lambda rng, n, i, dims: (_jet(rng, n), _unitary(rng, n), *_point(rng, n))},
     # five values of mu for each root order
-    "root": {5: lambda i, n: [("onedim", n), ("sphere", n), ("params", 5), ("params", 5)]},
+    "root": {
+        5: lambda rng, n, i, dims: (
+            random_onedim_jet(n, 3, rng),
+            _direction(rng, n),
+            sample_params(rng, 5),
+            sample_params(rng, 5),
+        )
+    },
     "error-bound": {
-        6: lambda i, n: [("jet", n), ("jet", n), *_point(n)],
-        7: lambda i, n: [("onedim", n), ("onedim", n), *_point(n)],
+        6: lambda rng, n, i, dims: (_jet(rng, n), _jet(rng, n), *_point(rng, n)),
+        7: lambda rng, n, i, dims: (
+            random_onedim_jet(n, 3, rng),
+            random_onedim_jet(n, 3, rng),
+            *_point(rng, n),
+        ),
     },
     "semigroup": {
-        8: lambda i, n: [("generator", n), ("sphere", n)],
-        9: lambda i, n: [("generator", n)],
+        8: lambda rng, n, i, dims: (sample_generator(n, rng), _direction(rng, n)),
+        9: lambda rng, n, i, dims: (sample_generator(n, rng),),
     },
     "duality": {
-        10: lambda i, n: [("jet", n), *_point(n)],
-        11: lambda i, n: [("generator", n), ("sphere", n), ("params", 1)],
+        10: lambda rng, n, i, dims: (_jet(rng, n), *_point(rng, n)),
+        11: lambda rng, n, i, dims: (
+            sample_generator(n, rng),
+            _direction(rng, n),
+            sample_params(rng, 1)[0],
+        ),
         # one-dimensional-type and general generators in turn
-        12: lambda i, n: [("onedim", n) if i % 2 == 0 else ("jet", n)],
+        12: lambda rng, n, i, dims: (
+            (random_onedim_jet(n, 3, rng).to_mapping_jet(),) if i % 2 == 0 else (_jet(rng, n),)
+        ),
     },
     "bounds": {
-        # lambda, the kernels of the Schur map, then the directions
-        13: lambda i, n: [("params", 1), ("sphere", n), ("sphere", n)],
-        14: lambda i, n: [("onedim", n), *_point(n)],
+        # every fourth trial of a dimension reaches the bound
+        13: lambda rng, n, i, dims: verify._bounded_draw(
+            rng, n, i // len(dims) % verify.BOUNDARY_EVERY == 0
+        ),
+        14: lambda rng, n, i, dims: (_starlike(rng, n), *_point(rng, n)),
     },
 }
 _CHECKS = {
@@ -345,37 +398,37 @@ _CHECKS = {
 }
 
 
+def _bits(value):
+    """A drawn input as comparable bits: a jet or polynomial by its kind,
+    shape and entries, anything else by its type, dtype, shape and bytes."""
+    if isinstance(value, MappingJet):
+        return ("jet", value.dim, value.order, [(k, _bits(P)) for k, P in value.polys.items()])
+    if isinstance(value, OneDimJet):
+        polys = value.scalar_polys.items()
+        return ("onedim", value.dim, value.order, [(k, _bits(p)) for k, p in polys])
+    if isinstance(value, HomPoly):
+        shape = (value.degree, value.domain_dim, value.codomain_dim)
+        return (type(value).__name__, shape, _bits(value.entries))
+    array = np.asarray(value)
+    return (type(value).__name__, array.dtype.str, array.shape, array.tobytes())
+
+
 def _record_draws(monkeypatch):
-    """Every draw of the verify module's samplers, as (kind, n or count),
-    listed by the stream of the generator it drew from; the seeds given to
-    ``_rng`` are listed under None."""
-    draws, streams = {None: []}, {}
-    real_rng = verify._rng
+    """Each check's one draw, by the stream of its generator: the
+    generator, the trial dimensions it was given and the inputs it gave.
+    A second draw from one stream fails."""
+    drawn, real_run = {}, verify._run
 
-    def rng(seed, stream):
-        g = real_rng(seed, stream)
-        draws[None].append(seed)
-        streams[id(g)] = stream
-        draws.setdefault(stream, [])
-        return g
+    def run(draw, trials, seed, stream, dims, check):
+        def recording(rng, ns):
+            assert stream not in drawn
+            drawn[stream] = (rng, list(ns), draw(rng, ns))
+            return drawn[stream][2]
 
-    def recording(name, kind, rng_arg, size_arg):
-        real = getattr(verify, name)
+        return real_run(recording, trials, seed, stream, dims, check)
 
-        def draw(*args, **kwargs):
-            draws[streams[id(args[rng_arg])]].append((kind, args[size_arg]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(verify, name, draw)
-
-    monkeypatch.setattr(verify, "_rng", rng)
-    recording("random_jet", "jet", 2, 0)
-    recording("random_onedim_jet", "onedim", 2, 0)
-    recording("sample_generator", "generator", 1, 0)
-    recording("_random_unitary", "unitary", 1, 0)
-    recording("sample_sphere", "sphere", 0, 2)
-    recording("sample_params", "params", 0, 1)
-    return draws
+    monkeypatch.setattr(verify, "_run", run)
+    return drawn
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3,)])
@@ -391,7 +444,7 @@ def test_suite_draws_follow_trials_seed_and_dims(suite, trials, seed, dims, monk
         verify, "flow_taylor_via_ode", lambda *a, **kw: ode(*a, **{**kw, "step": 0.1})
     )
     monkeypatch.setattr(fekete, "operator_norm_bilinear", lambda B, **kw: norm(B, starts=4, **kw))
-    draws = _record_draws(monkeypatch)
+    drawn = _record_draws(monkeypatch)
     reports = run_suite(suite, trials=trials, seed=seed, dims=dims)
 
     flow_trials = max(1, trials // 4) if trials else 0
@@ -401,29 +454,65 @@ def test_suite_draws_follow_trials_seed_and_dims(suite, trials, seed, dims, monk
     for r in reports:
         assert r.seed == seed
         assert r.trials == ran.get(r.suite, trials)
-    assert set(draws.pop(None)) == {seed}
-    want = {}
+    assert sorted(drawn) == sorted(_DRAWS[suite])
     for stream, per_trial in _DRAWS[suite].items():
         count = flow_trials if stream == 9 else trials
-        want[stream] = [d for i in range(count) for d in per_trial(i, dims[i % len(dims)])]
-    assert draws == want
+        ns = [dims[i % len(dims)] for i in range(count)]
+        rng, got_ns, inputs = drawn[stream]
+        assert got_ns == ns
+        ref = np.random.default_rng([seed, stream])
+        want = [per_trial(ref, n, i, dims) for i, n in enumerate(ns)]
+        assert [[_bits(x) for x in row] for row in inputs] == [
+            [_bits(x) for x in row] for row in want
+        ]
+        # the stream is left where the lone draws leave it
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("ns", [[], [1], [2, 3, 2, 3, 2], [4, 1, 4], [3] * 7])
+def test_one_draw_splits_its_normals_as_lone_draws_would(ns):
+    # one standard_normal call for every trial, split in trial order and
+    # built per dimension, gives each trial the inputs of its lone draw
+    parts = (verify._JET, verify._ONEDIM, verify._UNITARY, verify._VECTOR, *verify._POINT)
+    rng = np.random.default_rng(len(ns))
+    got = verify._draw(parts)(rng, ns)
+    ref = np.random.default_rng(len(ns))
+    want = [
+        (_jet(ref, n), random_onedim_jet(n, 3, ref), _unitary(ref, n), _vector(ref, n))
+        + _point(ref, n)
+        for n in ns
+    ]
+    assert [[_bits(x) for x in row] for row in got] == [[_bits(x) for x in row] for row in want]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_stacked_qr_is_bitwise_each_lone_qr(n):
+    for count in (1, 7):
+        z = np.random.default_rng([n, count]).standard_normal((count, 2, n, n))
+        ref = np.random.default_rng([n, count])
+        want = [_unitary(ref, n) for _ in range(count)]
+        got = verify._unitaries(z)
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+        assert np.abs(got @ got.conj().transpose(0, 2, 1) - np.eye(n)).max() <= 1e-14
 
 
 def test_runner_lists_each_trial_and_reports_a_nan():
-    # every trial draws first, in trial order; then the check runs once
-    # per dimension, and each trial's residuals come back in trial order
+    # one draw call gives every trial's inputs, with the dimensions in
+    # trial order; then the check runs once per dimension, and each
+    # trial's residuals come back in trial order
     events = []
 
-    def draw(rng, n):
-        events.append(("draw", n))
-        return n, len(events) - 1
+    def draw(rng, ns):
+        events.append(("draw", ns))
+        return [(n, i) for i, n in enumerate(ns)]
 
     def check(inputs):
         events.append(("check", [i for _, i in inputs]))
         return [[float(i), math.nan if i == 1 else 0.0] for _, i in inputs]
 
     rows = verify._run(draw, 3, 0, 0, (2, 3), check)
-    assert events == [("draw", 2), ("draw", 3), ("draw", 2), ("check", [0, 2]), ("check", [1])]
+    assert events == [("draw", [2, 3, 2]), ("check", [0, 2]), ("check", [1])]
     assert [row[0] for row in rows] == [0.0, 1.0, 2.0]
     report = verify._report("check", 1.0, 0, rows)
     assert report.trials == 3
